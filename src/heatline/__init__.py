@@ -7,6 +7,9 @@ summability, smooths functions and bounded measures by Weierstrass
 convolution, and checks every identity numerically at desk scale.
 """
 
+# set before the submodule imports: experiments reads it for its exports
+__version__ = "0.1.0"
+
 from .experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -76,5 +79,3 @@ from .transforms import (
     modulate,
     multiplication_formula_check,
 )
-
-__version__ = "0.1.0"

@@ -2,12 +2,16 @@
 
 These are the stock integrands used by the verification experiments and
 accepted by the CLI preset syntax (``gauss:0.1``, ``weierstrass:0.1``,
-``unit-gauss``, ``bump:1``, ``bumppair:0.8``, ``const:1``).
+``unit-gauss``, ``bump:1``, ``bumppair:0.8``, ``const:1``).  Preset heads
+match case-insensitively, both when a preset is built and when its closed
+forms are looked up.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -132,10 +136,15 @@ def constant_fn(value: complex, dim: int = 1) -> TestFunction:
     )
 
 
+def _split_preset(text: str) -> tuple[str, str]:
+    """The lowercased head and the argument of a preset literal."""
+    head, _, arg = text.strip().partition(":")
+    return head.lower(), arg
+
+
 def parse_preset(text: str, dim: int = 1) -> TestFunction:
     """Build a test function from a preset literal like ``gauss:0.1``."""
-    head, _, arg = text.strip().partition(":")
-    head = head.lower()
+    head, arg = _split_preset(text)
     try:
         if head == "gauss":
             return gauss_fn(float(arg), dim)
@@ -157,3 +166,40 @@ def parse_preset(text: str, dim: int = 1) -> TestFunction:
         f"unknown preset {text!r}; expected gauss:A, weierstrass:A, unit-gauss, "
         "bump:R, bumppair:R, or const:C"
     )
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """Exact values for a preset f in dimension n.
+
+    The integral of f over R^n, its transform at a real xi, and its
+    mollified value (W_alpha * f)(x).
+    """
+
+    integral: float
+    transform: Callable[[np.ndarray], float]
+    smoothed: Callable[[float, np.ndarray], float]
+
+
+def closed_form(text: str, dim: int = 1) -> ClosedForm | None:
+    """Closed forms of a preset literal, or None when the catalog knows none."""
+    head, arg = _split_preset(text)
+    if head == "weierstrass":
+        scale = KernelScale(float(arg), dim)
+        return ClosedForm(
+            1.0,
+            lambda xi: float(gauss(scale, xi)),
+            # the semigroup property: W_alpha * W_a = W_{a + alpha}
+            lambda alpha, x: float(weierstrass(KernelScale(scale.alpha + alpha, dim), x)),
+        )
+    if head not in ("gauss", "unit-gauss", "unitgauss"):
+        return None
+    # unit-gauss, exp(-pi |x|^2), is the gauss kernel at scale 1 / (4 pi)
+    scale = KernelScale(float(arg) if head == "gauss" else 1.0 / (4.0 * math.pi), dim)
+
+    def smoothed(alpha: float, x) -> float:
+        # W_alpha * gauss_a = (1 + 16 pi^2 alpha a)^(-n/2) gauss_{a / (1 + 16 pi^2 alpha a)}
+        spread = 1.0 + 16.0 * math.pi**2 * alpha * scale.alpha
+        return spread ** (-dim / 2.0) * float(gauss(KernelScale(scale.alpha / spread, dim), x))
+
+    return ClosedForm(weierstrass_peak(scale), lambda xi: float(weierstrass(scale, xi)), smoothed)

@@ -25,28 +25,6 @@ def _floats(text: str) -> list[float]:
         raise click.UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
-_KEY_PARSERS = {
-    "dim": int,
-    "points": int,
-    "xi_count": int,
-    "tol": float,
-    "radius": float,
-    "alpha": float,
-    "a": float,
-    "b": float,
-    "xi_max": float,
-    "alphas": _floats,
-    "xs": _floats,
-    "shifts": _floats,
-    "etas": _floats,
-    "preset": str,
-    "measure": str,
-    "h": str,
-    "format": str,
-    "out": str,
-}
-
-
 def _load_config(path: str | None) -> dict:
     """Parse a key = value config file (one pair per line, '#' comments)."""
     if path is None:
@@ -63,36 +41,22 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _gather(config_path: str | None, **flags) -> dict:
-    """Merge flag values over config-file values; flags win on conflict."""
+def _gather(config_path: str | None, flags: dict) -> dict:
+    """Merge flag values over config-file values; flags win on conflict.
+
+    Config values are parsed by the matching flag's own type; a config key
+    that names none of the subcommand's flags is a usage error.
+    """
     cfg = _load_config(config_path)
-    merged = {}
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-        elif key in cfg:
-            parser = _KEY_PARSERS.get(key, str)
-            try:
-                merged[key] = parser(cfg[key])
-            except ValueError as exc:
-                raise click.UsageError(f"bad config value for {key}: {cfg[key]!r}") from exc
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise click.UsageError(f"{config_path}: this subcommand takes no {', '.join(unknown)}")
+    ctx = click.get_current_context()
+    params = {param.name: param for param in ctx.command.params}
+    merged = {key: value for key, value in flags.items() if value is not None}
+    for key in sorted(set(cfg) - set(merged)):
+        merged[key] = params[key].type_cast_value(ctx, cfg[key])
     return merged
-
-
-def _measure_text(value: str | None) -> str | None:
-    if value is None:
-        return None
-    if value.startswith("@"):
-        return Path(value[1:]).read_text()
-    return value
-
-
-def _alphas_param(merged: dict) -> list[float] | None:
-    if merged.get("alphas") is not None:
-        return merged["alphas"]
-    if merged.get("alpha") is not None:
-        return [merged["alpha"]]
-    return None
 
 
 def _print_table(table) -> None:
@@ -106,10 +70,17 @@ def _print_table(table) -> None:
         click.echo(f"  ... {len(table.rows) - len(head)} more rows")
 
 
-def _execute(name: str, merged: dict, params: dict) -> None:
-    dim = int(merged.get("dim", 1))
-    out = merged.get("out")
-    fmt = merged.get("format", "csv")
+def _execute(name: str, config_path: str | None, flags: dict) -> None:
+    """Run one experiment from a subcommand's flags (and config file) and exit."""
+    params = _gather(config_path, flags)
+    dim = params.pop("dim", None)
+    out = params.pop("out", None)
+    fmt = params.pop("format", "csv")
+    if "alphas" in flags and "alpha" in params:
+        # --alpha is a one-rung --alphas; an explicit ladder wins
+        params.setdefault("alphas", [params.pop("alpha")])
+    if params.get("measure", "").startswith("@"):
+        params["measure"] = Path(params["measure"][1:]).read_text()
     spec = ExperimentSpec(name=name, dim=dim, params=params)
     try:
         table = run(spec)
@@ -126,19 +97,27 @@ def _execute(name: str, merged: dict, params: dict) -> None:
     raise SystemExit(0 if table.passed else 1)
 
 
-def _common(fn):
-    decorators = [
-        click.option("--dim", type=int, default=None, help="Ambient dimension n (default 1)."),
-        click.option("--tol", type=float, default=None, help="Check tolerance."),
-        click.option("--radius", type=float, default=None, help="Quadrature cube radius."),
-        click.option("--points", type=int, default=None, help="Simpson intervals per axis."),
-        click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the table to this path."),
-        click.option("--format", "format_", type=click.Choice(["csv", "json"]), default=None, help="Export format (default csv)."),
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="key = value config file; flags win."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+def _options(*decorators):
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+
+    return apply
+
+
+_common = _options(
+    click.option("--dim", type=int, default=None, help="Ambient dimension n (default 1, or a measure literal's own)."),
+    click.option("--tol", type=float, default=None, help="Check tolerance."),
+    click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the table to this path."),
+    click.option("--format", "format", type=click.Choice(["csv", "json"]), default=None, help="Export format (default csv)."),
+    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="key = value config file; flags win."),
+)
+_grid = _options(
+    click.option("--radius", type=float, default=None, help="Quadrature cube radius."),
+    click.option("--points", type=int, default=None, help="Simpson intervals per axis."),
+)
+_measure = click.option("--measure", default=None, help="Measure JSON literal, or @file.")
 
 
 @click.group()
@@ -150,24 +129,18 @@ def main() -> None:
 @_common
 @click.option("--alpha", type=float, default=None, help="Single kernel scale.")
 @click.option("--alphas", type=_floats, default=None, help="Comma-separated kernel scales.")
-def verify_kernels(alpha, alphas, dim, tol, radius, points, out, format_, config_path):
+def verify_kernels(config_path, **flags):
     """Check the kernel transform pair on a frequency grid."""
-    merged = _gather(config_path, dim=dim, tol=tol, alpha=alpha, alphas=alphas, out=out, format=format_)
-    _execute("verify-kernels", merged, {"alphas": _alphas_param(merged), "tol": merged.get("tol")})
+    _execute("verify-kernels", config_path, flags)
 
 
 @main.command("integrate")
 @_common
+@_grid
 @click.option("--f", "preset", default=None, help="Integrand preset, e.g. weierstrass:0.1.")
-def integrate_cmd(preset, dim, tol, radius, points, out, format_, config_path):
+def integrate_cmd(config_path, **flags):
     """Integrate a preset over R^n with certified error terms."""
-    merged = _gather(config_path, dim=dim, tol=tol, preset=preset, radius=radius, points=points, out=out, format=format_)
-    _execute("integrate", merged, {
-        "preset": merged.get("preset"),
-        "tol": merged.get("tol"),
-        "radius": merged.get("radius"),
-        "points": merged.get("points"),
-    })
+    _execute("integrate", config_path, flags)
 
 
 @main.command("fourier")
@@ -175,15 +148,9 @@ def integrate_cmd(preset, dim, tol, radius, points, out, format_, config_path):
 @click.option("--f", "preset", default=None, help="Function preset to transform.")
 @click.option("--xi-max", type=float, default=None, help="Frequency grid half-width.")
 @click.option("--xi-count", type=int, default=None, help="Number of frequency samples.")
-def fourier_cmd(preset, xi_max, xi_count, dim, tol, radius, points, out, format_, config_path):
+def fourier_cmd(config_path, **flags):
     """Tabulate the transform of a preset along the first frequency axis."""
-    merged = _gather(config_path, dim=dim, tol=tol, preset=preset, xi_max=xi_max, xi_count=xi_count, out=out, format=format_)
-    _execute("fourier", merged, {
-        "preset": merged.get("preset"),
-        "tol": merged.get("tol"),
-        "xi_max": merged.get("xi_max"),
-        "xi_count": merged.get("xi_count"),
-    })
+    _execute("fourier", config_path, flags)
 
 
 @main.command("invert")
@@ -192,15 +159,9 @@ def fourier_cmd(preset, xi_max, xi_count, dim, tol, radius, points, out, format_
 @click.option("--alpha", type=float, default=None, help="Single summability scale.")
 @click.option("--alphas", type=_floats, default=None, help="Summability ladder.")
 @click.option("--xs", type=_floats, default=None, help="Sample points.")
-def invert_cmd(preset, alpha, alphas, xs, dim, tol, radius, points, out, format_, config_path):
+def invert_cmd(config_path, **flags):
     """Gauss-summable inversion against direct smoothing, along a ladder."""
-    merged = _gather(config_path, dim=dim, tol=tol, preset=preset, alpha=alpha, alphas=alphas, xs=xs, out=out, format=format_)
-    _execute("invert", merged, {
-        "preset": merged.get("preset"),
-        "alphas": _alphas_param(merged),
-        "xs": merged.get("xs"),
-        "tol": merged.get("tol"),
-    })
+    _execute("invert", config_path, flags)
 
 
 @main.command("mollify")
@@ -208,25 +169,18 @@ def invert_cmd(preset, alpha, alphas, xs, dim, tol, radius, points, out, format_
 @click.option("--f", "preset", default=None, help="Function preset to smooth.")
 @click.option("--alpha", type=float, default=None, help="Smoothing scale.")
 @click.option("--xs", type=_floats, default=None, help="Sample points.")
-def mollify_cmd(preset, alpha, xs, dim, tol, radius, points, out, format_, config_path):
+def mollify_cmd(config_path, **flags):
     """Smooth a preset and check both contraction inequalities."""
-    merged = _gather(config_path, dim=dim, tol=tol, preset=preset, alpha=alpha, xs=xs, out=out, format=format_)
-    _execute("mollify", merged, {
-        "preset": merged.get("preset"),
-        "alpha": merged.get("alpha"),
-        "xs": merged.get("xs"),
-        "tol": merged.get("tol"),
-    })
+    _execute("mollify", config_path, flags)
 
 
 @main.command("multiplication")
 @_common
 @click.option("--a", type=float, default=None, help="First kernel scale.")
 @click.option("--b", type=float, default=None, help="Second kernel scale.")
-def multiplication_cmd(a, b, dim, tol, radius, points, out, format_, config_path):
+def multiplication_cmd(config_path, **flags):
     """Both sides of the transform duality for a pair of kernels."""
-    merged = _gather(config_path, dim=dim, tol=tol, a=a, b=b, out=out, format=format_)
-    _execute("multiplication", merged, {"a": merged.get("a"), "b": merged.get("b"), "tol": merged.get("tol")})
+    _execute("multiplication", config_path, flags)
 
 
 @main.command("modulate")
@@ -234,68 +188,40 @@ def multiplication_cmd(a, b, dim, tol, radius, points, out, format_, config_path
 @click.option("--f", "preset", default=None, help="Function preset to modulate.")
 @click.option("--shifts", type=_floats, default=None, help="Modulation frequencies a.")
 @click.option("--etas", type=_floats, default=None, help="Evaluation frequencies eta.")
-def modulate_cmd(preset, shifts, etas, dim, tol, radius, points, out, format_, config_path):
+def modulate_cmd(config_path, **flags):
     """Check the shift rule for modulated transforms on an (a, eta) grid."""
-    merged = _gather(config_path, dim=dim, tol=tol, preset=preset, shifts=shifts, etas=etas, out=out, format=format_)
-    _execute("modulate", merged, {
-        "preset": merged.get("preset"),
-        "shifts": merged.get("shifts"),
-        "etas": merged.get("etas"),
-        "tol": merged.get("tol"),
-    })
+    _execute("modulate", config_path, flags)
 
 
 @main.command("measure-ft")
 @_common
-@click.option("--measure", default=None, help='Measure JSON literal, or @file.')
+@_measure
 @click.option("--xi-max", type=float, default=None, help="Frequency grid half-width.")
 @click.option("--xi-count", type=int, default=None, help="Number of frequency samples.")
-def measure_ft_cmd(measure, xi_max, xi_count, dim, tol, radius, points, out, format_, config_path):
+def measure_ft_cmd(config_path, **flags):
     """Tabulate the transform of a bounded measure."""
-    merged = _gather(config_path, dim=dim, tol=tol, measure=measure, xi_max=xi_max, xi_count=xi_count, out=out, format=format_)
-    _execute("measure-ft", merged, {
-        "measure": _measure_text(merged.get("measure")),
-        "tol": merged.get("tol"),
-        "xi_max": merged.get("xi_max"),
-        "xi_count": merged.get("xi_count"),
-    })
+    _execute("measure-ft", config_path, flags)
 
 
 @main.command("measure-invert")
 @_common
-@click.option("--measure", default=None, help='Measure JSON literal, or @file.')
+@_measure
 @click.option("--alphas", type=_floats, default=None, help="Summability ladder.")
 @click.option("--xs", type=_floats, default=None, help="Sample points along the first axis.")
-def measure_invert_cmd(measure, alphas, xs, dim, tol, radius, points, out, format_, config_path):
+def measure_invert_cmd(config_path, **flags):
     """Measure inversion against direct measure smoothing."""
-    merged = _gather(config_path, dim=dim, tol=tol, measure=measure, alphas=alphas, xs=xs, out=out, format=format_)
-    _execute("measure-invert", merged, {
-        "measure": _measure_text(merged.get("measure")),
-        "alphas": merged.get("alphas"),
-        "xs": merged.get("xs"),
-        "tol": merged.get("tol"),
-    })
+    _execute("measure-invert", config_path, flags)
 
 
 @main.command("weak-convergence")
 @_common
-@click.option("--measure", default=None, help='Measure JSON literal, or @file.')
-@click.option("--h", "h_preset", default=None, help="Bounded pairing preset.")
+@_grid
+@_measure
+@click.option("--h", "h", default=None, help="Bounded pairing preset.")
 @click.option("--alphas", type=_floats, default=None, help="Smoothing ladder.")
-def weak_convergence_cmd(measure, h_preset, alphas, dim, tol, radius, points, out, format_, config_path):
+def weak_convergence_cmd(config_path, **flags):
     """Pair the smoothed measure against h along a ladder of scales."""
-    merged = _gather(
-        config_path, dim=dim, tol=tol, measure=measure, h=h_preset, alphas=alphas,
-        radius=radius, points=points, out=out, format=format_,
-    )
-    _execute("weak-convergence", merged, {
-        "measure": _measure_text(merged.get("measure")),
-        "h": merged.get("h"),
-        "alphas": merged.get("alphas"),
-        "radius": merged.get("radius"),
-        "points": merged.get("points"),
-        "tol": merged.get("tol"),
-    })
+    _execute("weak-convergence", config_path, flags)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import gauss_fn, parse_preset, weierstrass_fn
-from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+from . import __version__
+from .catalog import closed_form, gauss_fn, parse_preset, weierstrass_fn
+from .kernels import KernelScale, gauss, weierstrass
 from .measures import BoundedMeasure, measure_from_json, weak_convergence_trace
-from .quadrature import GridSpec, integrate, integrate_auto, l1_norm
+from .quadrature import GridSpec, TensorGrid, integrate, integrate_auto, l1_norm
 from .transforms import (
     fourier,
     fourier_complex,
@@ -31,15 +32,15 @@ from .transforms import (
     multiplication_formula_check,
 )
 
-LIBRARY_VERSION = "0.1.0"
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment name with its dimension and parameter map."""
+    """A registered experiment name with its dimension and parameter map.
+
+    ``dim`` None means 1, or for a measure experiment the measure's own dim.
+    """
 
     name: str
-    dim: int = 1
+    dim: int | None = None
     params: dict = field(default_factory=dict)
 
 
@@ -66,7 +67,7 @@ def export_csv(table: ResultTable) -> bytes:
     """CSV with '#' metadata lines; '.' decimal separator, no locale."""
     lines = [
         f"# experiment={table.name}",
-        f"# version={LIBRARY_VERSION}",
+        f"# version={__version__}",
         f"# passed={'true' if table.passed else 'false'}",
         f"# config={json.dumps(table.config, sort_keys=True)}",
         ",".join(table.columns),
@@ -79,7 +80,7 @@ def export_csv(table: ResultTable) -> bytes:
 def export_json(table: ResultTable) -> bytes:
     payload = {
         "experiment": table.name,
-        "version": LIBRARY_VERSION,
+        "version": __version__,
         "passed": table.passed,
         "config": table.config,
         "columns": table.columns,
@@ -127,20 +128,14 @@ def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
     return pts
 
 
-def _xi_grid(xi_max: float, per_axis: int, dim: int) -> np.ndarray:
-    axes = [np.linspace(-xi_max, xi_max, per_axis)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([ax.reshape(-1) for ax in mesh], axis=-1)
-
-
 def _run_verify_kernels(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     alphas = [float(a) for a in _p(spec, "alphas", [0.05, 0.1, 0.5] if dim == 1 else [0.1])]
     tol = float(_p(spec, "tol", 1e-6 if dim == 1 else 1e-5))
     if dim == 1:
         xi_pts = _xi_axis_points(2.0, 41, 1)
     else:
-        xi_pts = _xi_grid(2.0, 5, dim)
+        xi_pts = TensorGrid(2.0, 4, dim).points()  # the 5^dim lattice on [-2, 2]^dim
     quad_tol = tol / 4.0
     columns = ["alpha", "direction", *[f"xi{j+1}" for j in range(dim)], "computed_re", "computed_im", "expected", "residual"]
     rows = []
@@ -179,19 +174,8 @@ def _run_verify_kernels(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _closed_form_integral(preset: str, dim: int):
-    head, _, arg = preset.partition(":")
-    if head == "weierstrass":
-        return 1.0
-    if head == "gauss":
-        return weierstrass_peak(KernelScale(float(arg), dim))
-    if head in ("unit-gauss", "unitgauss"):
-        return 1.0
-    return None
-
-
 def _run_integrate(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     preset = str(_p(spec, "preset", "weierstrass:0.1"))
     tol = float(_p(spec, "tol", 1e-8))
     g = parse_preset(preset, dim)
@@ -202,7 +186,8 @@ def _run_integrate(spec: ExperimentSpec) -> ResultTable:
         result = integrate(g, grid)
     else:
         result, grid = integrate_auto(g, tol)
-    closed = _closed_form_integral(preset, dim)
+    forms = closed_form(preset, dim)
+    closed = None if forms is None else forms.integral
     err = abs(result.value - closed) if closed is not None else float("nan")
     passed = closed is None or err <= result.error_budget + 1e-12
     rows = [[
@@ -226,29 +211,16 @@ def _run_integrate(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _transform_closed_form(preset: str, dim: int):
-    head, _, arg = preset.partition(":")
-    if head == "gauss":
-        scale = KernelScale(float(arg), dim)
-        return lambda p: float(weierstrass(scale, p))
-    if head == "weierstrass":
-        scale = KernelScale(float(arg), dim)
-        return lambda p: float(gauss(scale, p))
-    if head in ("unit-gauss", "unitgauss"):
-        unit = KernelScale(1.0 / (4.0 * math.pi), dim)
-        return lambda p: float(gauss(unit, p))
-    return None
-
-
 def _run_fourier(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     preset = str(_p(spec, "preset", "gauss:0.1"))
     tol = float(_p(spec, "tol", 1e-6))
     xi_max = float(_p(spec, "xi_max", 2.0))
     xi_count = int(_p(spec, "xi_count", 21))
     f = parse_preset(preset, dim)
     sup_cap = l1_norm(f, tol / 4.0).value.real + tol
-    closed = _transform_closed_form(preset, dim)
+    forms = closed_form(preset, dim)
+    closed = None if forms is None else forms.transform
     samples = fourier_profile(f, _xi_axis_points(xi_max, xi_count, dim), tol / 4.0)
     rows = []
     worst = 0.0
@@ -278,7 +250,7 @@ def _run_fourier(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_invert(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the inversion experiment runs in dimension 1")
     preset = str(_p(spec, "preset", "weierstrass:0.1"))
@@ -309,7 +281,7 @@ def _run_invert(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_mollify(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the mollify experiment runs in dimension 1")
     preset = str(_p(spec, "preset", "weierstrass:0.1"))
@@ -350,7 +322,7 @@ def _run_mollify(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_multiplication(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     a = float(_p(spec, "a", 0.05))
     b = float(_p(spec, "b", 0.2))
     tol = float(_p(spec, "tol", 1e-6))
@@ -372,7 +344,7 @@ def _run_multiplication(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_modulate(spec: ExperimentSpec) -> ResultTable:
-    dim = spec.dim
+    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the modulation experiment runs in dimension 1")
     preset = str(_p(spec, "preset", "gauss:0.1"))
@@ -409,9 +381,11 @@ _DEFAULT_INVERT_MEASURE = (
 
 def _measure_param(spec: ExperimentSpec, default: str) -> BoundedMeasure:
     raw = _p(spec, "measure", default)
-    if isinstance(raw, BoundedMeasure):
-        return raw
-    return measure_from_json(raw, dim=spec.dim)
+    if not isinstance(raw, BoundedMeasure):
+        return measure_from_json(raw, dim=spec.dim)
+    if spec.dim not in (None, raw.dim):
+        raise ValueError(f"the measure has dim {raw.dim}, but dim {spec.dim} was requested")
+    return raw
 
 
 def _run_measure_ft(spec: ExperimentSpec) -> ResultTable:
@@ -482,15 +456,15 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
     grid = GridSpec(radius, points, measure.dim)
     samples = weak_convergence_trace(measure, h, alphas, grid, tol=tol / 100.0)
 
-    # closed form available for a unit atom at the origin against a gauss preset
+    # a unit atom at the origin smooths to W_alpha, and pairing W_alpha with
+    # an even h gives (W_alpha * h)(0), known in closed form for some presets
     single_origin_atom = (
         len(measure.atoms) == 1
         and measure.density is None
         and measure.atoms[0].weight == 1.0
         and all(v == 0.0 for v in measure.atoms[0].location)
     )
-    h_head, _, h_arg = h_preset.partition(":")
-    closed_rate = float(h_arg) if (single_origin_atom and h_head == "gauss") else None
+    forms = closed_form(h_preset, measure.dim) if single_origin_atom else None
 
     rows = []
     errors = []
@@ -498,8 +472,8 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
     for sample in samples:
         err = abs(sample.value - sample.target)
         errors.append(err)
-        if closed_rate is not None:
-            cf = (1.0 + 16.0 * math.pi**2 * sample.alpha * closed_rate) ** (-measure.dim / 2.0)
+        if forms is not None:
+            cf = forms.smoothed(sample.alpha, np.zeros(measure.dim))
             cf_err = abs(sample.value - cf)
             worst_cf = max(worst_cf, cf_err)
         else:
@@ -507,7 +481,7 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
             cf_err = ""
         rows.append([sample.alpha, sample.value.real, sample.value.imag, sample.target.real, err, cf, cf_err])
     nonincreasing = all(errors[k + 1] <= errors[k] + 1e-7 for k in range(len(errors) - 1))
-    passed = nonincreasing and (closed_rate is None or worst_cf <= tol)
+    passed = nonincreasing and (forms is None or worst_cf <= tol)
     return ResultTable(
         name=spec.name,
         columns=["alpha", "value_re", "value_im", "target_re", "abs_error", "closed_form", "closed_form_error"],
@@ -523,7 +497,7 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
         passed=passed,
         summary=(
             f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}; "
-            f"max closed-form error {worst_cf:.3e}" if closed_rate is not None else
+            f"max closed-form error {worst_cf:.3e}" if forms is not None else
             f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}"
         ),
     )

@@ -19,27 +19,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import parse_preset
-from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+from .kernels import KernelScale, weierstrass, weierstrass_peak
+from .points import real_point
 from .quadrature import (
+    _TINY,
     CompactSupport,
     GaussianDecay,
     GridSpec,
     QuadratureError,
+    TensorGrid,
     TestFunction,
     integrate,
     integrate_auto,
     l1_norm,
 )
 from .transforms import (
-    _FREQ_CUTOFF,
-    _mollified_on_points,
-    _real_point,
-    _sampled_transform,
+    Spectrum,
     fourier as _fourier,
+    invert_spectrum,
     mollify as _mollify,
+    mollify_on_points as _mollify_on_points,
+    sampled_spectrum,
 )
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class BoundedMeasure:
 
     def fourier(self, xi, tol: float = 1e-8) -> complex:
         """Transform value: the measure applied to the character at xi."""
-        xi = _real_point(xi, self.dim)
+        xi = real_point(xi, self.dim)
         out = 0.0 + 0.0j
         if self.atoms:
             phases = np.exp(-2j * math.pi * (self.atom_locations @ xi))
@@ -136,7 +137,7 @@ class BoundedMeasure:
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
         """Smoothed value: the measure applied to the kernel centered at y."""
-        y = _real_point(y, self.dim)
+        y = real_point(y, self.dim)
         scale = KernelScale(alpha, self.dim)
         out = 0.0 + 0.0j
         if self.atoms:
@@ -155,8 +156,21 @@ class BoundedMeasure:
             diffs = xs[:, None, :] - self.atom_locations[None, :, :]
             out += weierstrass(scale, diffs) @ self.atom_weights
         if self.density is not None:
-            out += _mollified_on_points(self.density, alpha, xs, inner_tol)
+            out += _mollify_on_points(self.density, alpha, xs, inner_tol)
         return out
+
+    def spectrum(self, inner_tol: float, max_freq: float) -> Spectrum:
+        """The measure's transform: atoms in closed form plus the sampled density transform."""
+        locations = self.atom_locations
+        weights = self.atom_weights
+        spectrum = Spectrum(
+            lambda xi_pts: np.exp(-2j * math.pi * (xi_pts @ locations.T)) @ weights,
+            float(np.sum(np.abs(weights))),
+            float(np.max(np.sqrt(np.sum(locations**2, axis=1)))) if weights.size else 0.0,
+        )
+        if self.density is not None:
+            spectrum = spectrum + sampled_spectrum(self.density, inner_tol, max_freq)
+        return spectrum
 
     def gauss_inversion(self, x, alpha: float, tol: float = 1e-8) -> complex:
         """Gauss-weighted inversion of the measure transform, sampled directly.
@@ -164,43 +178,7 @@ class BoundedMeasure:
         Cross-checks against ``mollify``: the two routes share no
         computation, yet agree within tolerance.
         """
-        x = _real_point(x, self.dim)
-        scale = KernelScale(alpha, self.dim)
-        peak = weierstrass_peak(scale)
-        inner_tol = tol / (2.0 * max(1.0, peak))
-        freq_radius = math.sqrt(
-            math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha)
-        ) * math.sqrt(self.dim)
-        density_hat = None
-        density_mass = 0.0
-        sample_rate = 0.0
-        if self.density is not None:
-            density_hat, density_mass, sgrid = _sampled_transform(
-                self.density, inner_tol, freq_radius
-            )
-            sample_rate = sgrid.radius * math.sqrt(self.dim)
-        locations = self.atom_locations
-        weights = self.atom_weights
-
-        def lam_hat(xi_pts: np.ndarray) -> np.ndarray:
-            vals = np.zeros(xi_pts.shape[0], dtype=np.complex128)
-            if weights.size:
-                vals += np.exp(-2j * math.pi * (xi_pts @ locations.T)) @ weights
-            if density_hat is not None:
-                vals += density_hat(xi_pts)
-            return vals
-
-        total_bound = float(np.sum(np.abs(weights))) + density_mass
-
-        def fn(xi_pts: np.ndarray) -> np.ndarray:
-            return lam_hat(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
-
-        envelope = GaussianDecay(4.0 * math.pi**2 * alpha, total_bound * (1.0 + 1e-9) + _TINY)
-        g = TestFunction(fn, self.dim, envelope, name="gauss-inv[measure]")
-        atom_rate = float(np.max(np.sqrt(np.sum(locations**2, axis=1)))) if weights.size else 0.0
-        rate = float(np.sqrt(np.sum(x * x))) + max(atom_rate, sample_rate)
-        result, _ = integrate_auto(g, tol / 2.0, phase_rate=rate)
-        return complex(result.value)
+        return invert_spectrum(self.spectrum, self.dim, x, alpha, tol, "measure")
 
 
 def dirac(location, weight: complex = 1.0) -> BoundedMeasure:
@@ -293,10 +271,8 @@ def continuity_check(
     offenders = [h.name for h in h_sequence if h.sup_bound > uniform_bound * (1.0 + 1e-12)]
     if offenders:
         raise ValueError(f"sequence violates its declared uniform bound: {offenders}")
-    per_axis = 41 if measure.dim > 1 else 321
-    axis = np.linspace(-compact_radius, compact_radius, per_axis)
-    mesh = np.meshgrid(*([axis] * measure.dim), indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in mesh], axis=-1)
+    intervals = 40 if measure.dim > 1 else 320
+    pts = TensorGrid(compact_radius, intervals, measure.dim).points()
     limit_vals = h_limit(pts)
     sup_diffs = tuple(
         float(np.max(np.abs(np.asarray(h(pts)) - limit_vals))) for h in h_sequence
@@ -315,12 +291,15 @@ def measure_from_json(source, dim: int | None = None) -> BoundedMeasure:
 
     The schema is ``{"dim": n, "atoms": [{"at": [..], "re": r, "im": i}, ...],
     "density": "<preset>"}`` with both parts optional; density presets are
-    the catalog strings such as ``gauss:0.1``.
+    the catalog strings such as ``gauss:0.1``.  A literal without ``dim``
+    takes the given dim (default 1); one with ``dim`` must agree with it.
     """
     data = json.loads(source) if isinstance(source, str) else dict(source)
     if not isinstance(data, dict):
         raise ValueError("measure literal must be a JSON object")
     n = int(data.get("dim", dim or 1))
+    if dim is not None and n != dim:
+        raise ValueError(f"the measure literal has dim {n}, but dim {dim} was requested")
     atoms = []
     for entry in data.get("atoms", []):
         if "at" not in entry:

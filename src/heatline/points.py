@@ -28,6 +28,14 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return a
 
 
+def real_point(x, dim: int) -> np.ndarray:
+    """Coerce ``x`` to a real point of shape (dim,)."""
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.shape != (dim,):
+        raise ValueError(f"expected a real point of dimension {dim}, got shape {a.shape}")
+    return a
+
+
 def dot(z, w):
     """Bilinear dot product sum_j z_j w_j (no conjugation).
 

@@ -31,7 +31,9 @@ DEFAULT_NODE_BUDGET = 2**24
 RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0)
 POINTS_LADDER = (128, 256, 512, 1024, 2048, 4096, 8192)
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # nodes per evaluation block
+_BLOCK_ENTRIES = 1 << 21  # node-output pairs per evaluation block
+_TINY = 1e-300  # floor that keeps a derived envelope scale positive
 _ENVELOPE_SLACK = 1e-9
 _SPOT_SEED = 20260810
 
@@ -54,36 +56,33 @@ def node_budget() -> int:
     return value
 
 
+def _env_ladder(name: str, default: tuple, cast, kind: str, invalid, rule: str) -> tuple:
+    """An increasing ladder from a comma-separated env var, or the default."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        values = tuple(cast(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise QuadratureError(f"{name} must be comma-separated {kind}, got {raw!r}") from exc
+    if not values or any(map(invalid, values)) or any(b <= a for a, b in zip(values, values[1:])):
+        raise QuadratureError(f"{name} must be {rule}")
+    return values
+
+
 def radius_ladder() -> tuple[float, ...]:
     """Truncation radii tried by the auto machinery; HEATLINE_RADIUS_LADDER overrides."""
-    raw = os.environ.get("HEATLINE_RADIUS_LADDER")
-    if raw is None:
-        return RADIUS_LADDER
-    try:
-        values = tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise QuadratureError(f"HEATLINE_RADIUS_LADDER must be comma-separated reals, got {raw!r}") from exc
-    if not values or any(v <= 0.0 for v in values) or any(
-        b <= a for a, b in zip(values, values[1:])
-    ):
-        raise QuadratureError("HEATLINE_RADIUS_LADDER must be positive and increasing")
-    return values
+    return _env_ladder(
+        "HEATLINE_RADIUS_LADDER", RADIUS_LADDER, float, "reals", lambda v: v <= 0.0, "positive and increasing"
+    )
 
 
 def points_ladder() -> tuple[int, ...]:
     """Per-axis interval counts tried by the auto machinery; HEATLINE_POINTS_LADDER overrides."""
-    raw = os.environ.get("HEATLINE_POINTS_LADDER")
-    if raw is None:
-        return POINTS_LADDER
-    try:
-        values = tuple(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise QuadratureError(f"HEATLINE_POINTS_LADDER must be comma-separated integers, got {raw!r}") from exc
-    if not values or any(v < 4 or v % 2 for v in values) or any(
-        b <= a for a, b in zip(values, values[1:])
-    ):
-        raise QuadratureError("HEATLINE_POINTS_LADDER must be even, >= 4, and increasing")
-    return values
+    return _env_ladder(
+        "HEATLINE_POINTS_LADDER", POINTS_LADDER, int, "integers",
+        lambda v: v < 4 or v % 2, "even, >= 4, and increasing",
+    )
 
 
 def _sphere_area(dim: int) -> float:
@@ -400,40 +399,125 @@ class QuadratureResult:
         return self.disc_error_est + self.tail_bound
 
 
-def _simpson_axis(radius: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and composite Simpson weights on [-radius, radius] with n_points intervals."""
-    nodes = np.linspace(-radius, radius, n_points + 1)
-    h = 2.0 * radius / n_points
-    weights = np.full(n_points + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return nodes, weights * (h / 3.0)
+class TensorGrid:
+    """Composite-Simpson tensor grid on [-radius, radius]^dim, n_points intervals per axis.
 
+    Only the per-axis nodes and weights are stored; the tensor product is
+    built block by block in a fixed order, so every sum is reproducible.
+    """
 
-def _grid_sum(g: TestFunction, radius: float, n_points: int, dim: int) -> complex:
-    """Weighted sum of g over the tensor Simpson grid, chunked deterministically."""
-    nodes, wts = _simpson_axis(radius, n_points)
-    m = nodes.size
-    if dim == 1:
-        vals = g(nodes.reshape(-1, 1))
-        return complex(np.sum(wts * vals))
-    total = m**dim
-    shape = (m,) * dim
-    acc = 0.0 + 0.0j
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        multi = np.unravel_index(flat, shape)
-        pts = np.stack([nodes[ix] for ix in multi], axis=-1)
-        w = np.ones(flat.size)
-        for ix in multi:
-            w *= wts[ix]
-        acc += complex(np.sum(w * g(pts)))
-    return acc
+    def __init__(self, radius: float, n_points: int, dim: int) -> None:
+        self.dim = dim
+        self.nodes = np.linspace(-radius, radius, n_points + 1)
+        weights = np.full(n_points + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        self.weights = weights * (2.0 * radius / n_points / 3.0)
+
+    def blocks(self, width: int = 1):
+        """Yield (points, weights) blocks covering the grid in a fixed order.
+
+        A block holds at most _CHUNK nodes and, when each node meets ``width``
+        outputs (frequencies or evaluation points), at most _BLOCK_ENTRIES
+        node-output pairs, unless a single node already exceeds that.
+        """
+        step = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(1, width)))
+        m = self.nodes.size
+        total = m**self.dim
+        for start in range(0, total, step):
+            multi = np.unravel_index(np.arange(start, min(start + step, total)), (m,) * self.dim)
+            pts = np.stack([self.nodes[ix] for ix in multi], axis=-1)
+            w = np.ones(pts.shape[0])
+            for ix in multi:
+                w *= self.weights[ix]
+            yield pts, w
+
+    def points(self) -> np.ndarray:
+        """Every node, as one (size, dim) array in block order."""
+        return np.concatenate([pts for pts, _ in self.blocks()])
+
+    def sum(self, block_sum: Callable, width: int = 1) -> np.ndarray:
+        """Sum of ``block_sum(points, weights)`` over the blocks, a (width,) vector."""
+        out = np.zeros(width, dtype=np.complex128)
+        for pts, w in self.blocks(width):
+            out += block_sum(pts, w)
+        return out
 
 
 def _coarse_points(n_points: int) -> int:
     """Largest even interval count <= n_points / 2."""
     return max(2, (n_points // 2) // 2 * 2)
+
+
+def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
+    """Smallest ladder radius whose closed-form tail bound is at most tol / 2."""
+    rungs = radius_ladder()
+    for r in rungs:
+        if envelope.tail_bound(r, dim) <= tol / 2.0:
+            return r
+    raise QuadratureError(
+        f"tolerance unreachable at budget: tail bound for {label!r} stays above "
+        f"{tol / 2:.3e} at radius {rungs[-1]}"
+    )
+
+
+def walk_ladder(
+    block_sum: Callable, width: int, envelope: Envelope, dim: int, tol: float, label: str,
+    phase_rate: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, GridSpec]:
+    """Block sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
+
+    ``block_sum(points, weights)`` returns a block's share of the (width,)
+    vector of sums.  The radius comes from ``truncation_radius``; the point ladder is then
+    walked until every entry of ``|fine - coarse|`` is at most tol / 2.
+    ``phase_rate`` is an oscillation rate (cycles per unit length, e.g. |xi|
+    for a Fourier factor); the walk starts where the phase advances at most a
+    quarter cycle per step.  A rung's fine sum is reused as the next rung's
+    coarse sum when the point counts match, as on the default ladder.
+    """
+    radius = truncation_radius(envelope, dim, tol, label)
+    budget = node_budget()
+    min_points = 8.0 * radius * phase_rate
+    last_n, last_fine = None, None
+    for n in points_ladder():
+        if n**dim > budget:
+            break
+        if n < min_points:
+            continue
+        grid = GridSpec(radius, n, dim)
+        fine = TensorGrid(radius, n, dim).sum(block_sum, width)
+        coarse_n = _coarse_points(n)
+        if coarse_n == last_n:
+            coarse = last_fine
+        else:
+            coarse = TensorGrid(radius, coarse_n, dim).sum(block_sum, width)
+        if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
+            return fine, coarse, grid
+        last_n, last_fine = n, fine
+    tried = last_n is not None
+    reason = "discretization estimate never met the tolerance" if tried else "phase cap exceeds the point ladder"
+    raise QuadratureError(f"tolerance unreachable at budget for {label!r}: {reason}")
+
+
+def _value_sum(g: TestFunction) -> Callable:
+    """Block evaluator for the plain integral of g."""
+    return lambda pts, w: np.sum(w * g(pts))
+
+
+def _require_integrable(g: TestFunction) -> None:
+    if not g.integrable:
+        raise QuadratureError(
+            f"integrand {g.name!r} is not certified integrable (BoundedOnly envelope)"
+        )
+
+
+def _result(g: TestFunction, radius: float, fine: np.ndarray, coarse: np.ndarray) -> QuadratureResult:
+    value = complex(fine[0])
+    return QuadratureResult(
+        value=value,
+        disc_error_est=abs(value - complex(coarse[0])),
+        tail_bound=g.envelope.tail_bound(radius, g.dim),
+    )
 
 
 def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:
@@ -460,14 +544,12 @@ def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:
     """
     if g.dim != grid.dim:
         raise ValueError(f"dimension mismatch: integrand {g.dim}, grid {grid.dim}")
-    if not g.integrable:
-        raise QuadratureError(
-            f"integrand {g.name!r} is not certified integrable (BoundedOnly envelope)"
-        )
-    tail = g.envelope.tail_bound(grid.radius, grid.dim)
-    fine = _grid_sum(g, grid.radius, grid.points_per_axis, grid.dim)
-    coarse = _grid_sum(g, grid.radius, _coarse_points(grid.points_per_axis), grid.dim)
-    return QuadratureResult(value=fine, disc_error_est=abs(fine - coarse), tail_bound=tail)
+    _require_integrable(g)
+    n = grid.points_per_axis
+    fine, coarse = (
+        TensorGrid(grid.radius, m, grid.dim).sum(_value_sum(g)) for m in (n, _coarse_points(n))
+    )
+    return _result(g, grid.radius, fine, coarse)
 
 
 def integrate_auto(
@@ -477,48 +559,19 @@ def integrate_auto(
 
     The radius ladder is walked until the closed-form tail bound is at most
     target_tol / 2, then the per-axis point ladder until the two-resolution
-    discretization estimate is at most target_tol / 2.  ``phase_rate`` is an
-    oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
-    factor); the point ladder starts high enough that the phase advances at
-    most a quarter cycle per step.
+    discretization estimate is at most target_tol / 2 (see ``walk_ladder``,
+    which also explains ``phase_rate``).
 
     Raises
     ------
     QuadratureError
         If no ladder grid within the node budget meets the tolerance.
     """
-    if not g.integrable:
-        raise QuadratureError(
-            f"integrand {g.name!r} is not certified integrable (BoundedOnly envelope)"
-        )
+    _require_integrable(g)
     if not target_tol > 0.0:
         raise ValueError(f"target tolerance must be positive, got {target_tol}")
-    rungs = radius_ladder()
-    radius = None
-    for r in rungs:
-        if g.envelope.tail_bound(r, g.dim) <= target_tol / 2.0:
-            radius = r
-            break
-    if radius is None:
-        raise QuadratureError(
-            f"tolerance unreachable at budget: tail bound for {g.name!r} stays above "
-            f"{target_tol / 2:.3e} at radius {rungs[-1]}"
-        )
-    budget = node_budget()
-    min_points = 8.0 * radius * phase_rate
-    tried = False
-    for n in points_ladder():
-        if n**g.dim > budget:
-            break
-        if n < min_points:
-            continue
-        tried = True
-        grid = GridSpec(radius, n, g.dim)
-        result = integrate(g, grid)
-        if result.disc_error_est <= target_tol / 2.0:
-            return result, grid
-    reason = "discretization estimate never met the tolerance" if tried else "phase cap exceeds the point ladder"
-    raise QuadratureError(f"tolerance unreachable at budget for {g.name!r}: {reason}")
+    fine, coarse, grid = walk_ladder(_value_sum(g), 1, g.envelope, g.dim, target_tol, g.name, phase_rate)
+    return _result(g, grid.radius, fine, coarse), grid
 
 
 def auto_grid(g: TestFunction, target_tol: float, phase_rate: float = 0.0) -> GridSpec:

@@ -14,29 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+from .points import real_point
 from .quadrature import (
+    _TINY,
     CompactSupport,
     GaussianDecay,
     GridSpec,
     QuadratureError,
+    TensorGrid,
     TestFunction,
-    _coarse_points,
-    _simpson_axis,
     integrate,
     integrate_auto,
     l1_norm,
-    node_budget,
-    points_ladder,
-    radius_ladder,
+    truncation_radius,
+    walk_ladder,
 )
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 17
-_TINY = 1e-300
 _FREQ_CUTOFF = 1e-12  # gauss weight level that sets the sampled-frequency cube
 
 
@@ -91,11 +90,24 @@ class MultiplicationReport:
     rhs: complex
 
 
-def _real_point(x, dim: int) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if a.shape != (dim,):
-        raise ValueError(f"expected a real point of dimension {dim}, got shape {a.shape}")
-    return a
+@dataclass(frozen=True)
+class Spectrum:
+    """Transform values on demand, with a bound on their modulus and a phase rate.
+
+    ``values`` maps (k, dim) frequencies to k values; ``rate`` bounds their
+    oscillation.  Spectra add: values and bounds add, rates take the larger.
+    """
+
+    values: Callable[[np.ndarray], np.ndarray]
+    bound: float
+    rate: float
+
+    def __add__(self, other: "Spectrum") -> "Spectrum":
+        return Spectrum(
+            lambda xi_pts: self.values(xi_pts) + other.values(xi_pts),
+            self.bound + other.bound,
+            max(self.rate, other.rate),
+        )
 
 
 def _require_integrable(f: TestFunction, what: str) -> None:
@@ -106,72 +118,30 @@ def _require_integrable(f: TestFunction, what: str) -> None:
         )
 
 
-def _pick_radius(envelope, dim: int, tol: float, label: str) -> float:
-    rungs = radius_ladder()
-    for r in rungs:
-        if envelope.tail_bound(r, dim) <= tol / 2.0:
-            return r
-    raise QuadratureError(
-        f"tolerance unreachable at budget for {label}: tail bound stays above "
-        f"{tol / 2:.3e} at radius {rungs[-1]}"
-    )
-
-
-def _phase_sum(f: TestFunction, radius: float, n_points: int, xi_arr: np.ndarray, sign: float) -> np.ndarray:
-    """Simpson sum of f(x) exp(sign 2 pi i x.xi) over the grid, for each row of xi_arr."""
-    nodes, wts = _simpson_axis(radius, n_points)
-    m = nodes.size
-    dim = f.dim
-    if dim == 1:
-        wf = wts * f(nodes.reshape(-1, 1))
-        phases = np.exp(sign * 2j * math.pi * np.outer(nodes, xi_arr[:, 0]))
-        return wf @ phases
-    total = m**dim
-    shape = (m,) * dim
-    out = np.zeros(xi_arr.shape[0], dtype=np.complex128)
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        multi = np.unravel_index(flat, shape)
-        pts = np.stack([nodes[ix] for ix in multi], axis=-1)
-        w = np.ones(flat.size)
-        for ix in multi:
-            w *= wts[ix]
-        wf = w * f(pts)
-        out += wf @ np.exp(sign * 2j * math.pi * (pts @ xi_arr.T))
-    return out
+def _phase_block(f: TestFunction, xi_arr: np.ndarray, sign: float) -> Callable:
+    """Block evaluator of the sums of f(x) exp(sign 2 pi i x.xi), one per row of xi_arr."""
+    return lambda pts, w: (w * f(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi_arr.T))
 
 
 def _transform_profile(f: TestFunction, xi_arr: np.ndarray, tol: float, sign: float) -> np.ndarray:
     """Transform values at a batch of real frequencies, on one escalating grid."""
     _require_integrable(f, "the Fourier transform")
-    radius = _pick_radius(f.envelope, f.dim, tol, f.name)
     worst = float(np.max(np.sqrt(np.sum(xi_arr * xi_arr, axis=1)))) if xi_arr.size else 0.0
-    min_points = 8.0 * radius * worst
-    budget = node_budget()
-    tried = False
-    for n in points_ladder():
-        if n**f.dim > budget:
-            break
-        if n < min_points:
-            continue
-        tried = True
-        fine = _phase_sum(f, radius, n, xi_arr, sign)
-        coarse = _phase_sum(f, radius, _coarse_points(n), xi_arr, sign)
-        if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
-            return fine
-    reason = "discretization estimate never met the tolerance" if tried else "phase cap exceeds the point ladder"
-    raise QuadratureError(f"tolerance unreachable at budget for {f.name!r}: {reason}")
+    fine, _, _ = walk_ladder(
+        _phase_block(f, xi_arr, sign), xi_arr.shape[0], f.envelope, f.dim, tol, f.name, worst
+    )
+    return fine
 
 
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     """Transform value integral of f(x) exp(-2 pi i x.xi) over R^n."""
-    xi = _real_point(xi, f.dim)
+    xi = real_point(xi, f.dim)
     return complex(_transform_profile(f, xi.reshape(1, -1), tol, -1.0)[0])
 
 
 def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
     """Inverse transform: integral of phi(xi) exp(+2 pi i x.xi) over R^n."""
-    x = _real_point(x, phi.dim)
+    x = real_point(x, phi.dim)
     return complex(_transform_profile(phi, x.reshape(1, -1), tol, +1.0)[0])
 
 
@@ -212,15 +182,10 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     inner = f.f
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return (
-            np.asarray(inner(pts))
-            * np.exp(-2j * math.pi * (pts @ re))
-            * np.exp(_TWO_PI * (pts @ im))
-        )
+        return np.asarray(inner(pts)) * np.exp(_TWO_PI * (pts @ im))
 
-    g = TestFunction(fn, f.dim, grown, name=f"fourier[{f.name}]@complex")
-    result, _ = integrate_auto(g, tol, phase_rate=float(np.sqrt(np.sum(re * re))))
-    return complex(result.value)
+    # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
+    return fourier(TestFunction(fn, f.dim, grown, name=f"fourier[{f.name}]@complex"), re, tol)
 
 
 def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
@@ -278,7 +243,7 @@ def gauss_summable_limit(trace: SummabilityTrace, tol: float = 1e-6) -> Summabil
 
 def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
     """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy."""
-    x = _real_point(x, f.dim)
+    x = real_point(x, f.dim)
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
     inner = f.f
@@ -305,54 +270,30 @@ def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
 
 def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
     """Mollified values at x along a decreasing ladder of scales."""
-    x = _real_point(x, f.dim)
+    x = real_point(x, f.dim)
     alphas = tuple(float(a) for a in alphas)
     values = tuple(mollify(f, a, x, tol) for a in alphas)
     return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 
-def _mollified_on_points(
-    f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: float
-) -> np.ndarray:
+def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: float) -> np.ndarray:
     """(W_alpha * f)(x) for each row of xs, on one shared escalating grid."""
     if not f.bounded:
         raise QuadratureError(f"batched mollification needs a bounded function, got {f.name!r}")
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
     envelope = GaussianDecay(1.0 / (4.0 * alpha), max(f.sup_bound, _TINY) * peak)
-    radius = _pick_radius(envelope, f.dim, inner_tol, f"mollify[{f.name}]")
-    budget = node_budget()
-    for n in points_ladder():
-        if n**f.dim > budget:
-            break
-        fine = _moll_sum(f, scale, xs, radius, n)
-        coarse = _moll_sum(f, scale, xs, radius, _coarse_points(n))
-        if float(np.max(np.abs(fine - coarse))) <= inner_tol / 2.0:
-            return fine
-    raise QuadratureError(f"tolerance unreachable at budget for mollify[{f.name}]")
-
-
-def _moll_sum(f: TestFunction, scale: KernelScale, xs: np.ndarray, radius: float, n_points: int) -> np.ndarray:
-    nodes, wts = _simpson_axis(radius, n_points)
-    m_nodes = nodes.size
-    dim = f.dim
-    total = m_nodes**dim
-    shape = (m_nodes,) * dim
     n_out = xs.shape[0]
-    out = np.zeros(n_out, dtype=np.complex128)
-    chunk = max(256, min(_CHUNK, (1 << 21) // max(1, n_out)))
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        multi = np.unravel_index(flat, shape)
-        upts = np.stack([nodes[ix] for ix in multi], axis=-1)
-        w = np.ones(flat.size)
-        for ix in multi:
-            w *= wts[ix]
+
+    def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # integrate in u = x - y, so the kernel weight is shared by every x
         kw = w * weierstrass(scale, upts)
         shifted = xs[:, None, :] - upts[None, :, :]
-        vals = f(shifted.reshape(-1, dim)).reshape(n_out, flat.size)
-        out += vals @ kw.astype(np.complex128)
-    return out
+        vals = f(shifted.reshape(-1, f.dim)).reshape(n_out, upts.shape[0])
+        return vals @ kw.astype(np.complex128)
+
+    fine, _, _ = walk_ladder(block, n_out, envelope, f.dim, inner_tol, f"mollify[{f.name}]")
+    return fine
 
 
 def mollify_l1_check(
@@ -384,7 +325,7 @@ def mollify_l1_check(
     outer_env = GaussianDecay(env.rate / spread, env.scale * spread ** (-f.dim / 2.0))
 
     def outer_fn(pts: np.ndarray) -> np.ndarray:
-        return np.abs(_mollified_on_points(f, alpha, pts, inner_tol))
+        return np.abs(mollify_on_points(f, alpha, pts, inner_tol))
 
     g = TestFunction(outer_fn, f.dim, outer_env, name=f"|smooth[{f.name}]|")
     lhs = integrate(g, grid)
@@ -397,68 +338,49 @@ def mollify_l1_check(
     )
 
 
-def _sampled_transform(f: TestFunction, inner_tol: float, max_freq: float, sign: float = -1.0):
-    """Freeze a grid for f and return (batch transform callable, L1 bound, grid).
+def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: float = -1.0) -> Spectrum:
+    """The quadrature transform of f, frozen on the smallest ladder grid that meets inner_tol.
 
-    The callable evaluates the quadrature transform at arbitrary frequency
-    points; by positivity of the Simpson weights its values are uniformly
-    bounded by the returned quadrature L1 mass, which certifies envelopes
-    built on top of it.
+    The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
+    weights bound the values by the quadrature L1 mass; the phase rate is the
+    grid's half-diagonal.
     """
     _require_integrable(f, "the sampled Fourier transform")
-    radius = _pick_radius(f.envelope, f.dim, inner_tol, f.name)
-    budget = node_budget()
-    min_points = 8.0 * radius * max_freq
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    chosen = None
-    for n in points_ladder():
-        if n**f.dim > budget:
-            break
-        if n < min_points:
-            continue
-        fine = _phase_sum(f, radius, n, probe, sign)
-        coarse = _phase_sum(f, radius, _coarse_points(n), probe, sign)
-        if float(np.max(np.abs(fine - coarse))) <= inner_tol / 2.0:
-            chosen = n
-            break
-    if chosen is None:
-        raise QuadratureError(f"tolerance unreachable at budget sampling the transform of {f.name!r}")
-
-    nodes, wts = _simpson_axis(radius, chosen)
-    dim = f.dim
-    if dim == 1:
-        pts = nodes.reshape(-1, 1)
-        w = wts
-    else:
-        m = nodes.size
-        if m**dim > 1 << 22:
-            raise QuadratureError(
-                f"sampled transform of {f.name!r} needs {m}^{dim} nodes; over the materialization budget"
-            )
-        mesh = np.meshgrid(*([nodes] * dim), indexing="ij")
-        pts = np.stack([ax.reshape(-1) for ax in mesh], axis=-1)
-        wmesh = np.meshgrid(*([wts] * dim), indexing="ij")
-        w = np.ones(pts.shape[0])
-        for ax in wmesh:
-            w *= ax.reshape(-1)
-    wf = w * f(pts)
-    l1_mass = float(np.sum(np.abs(wf)))
+    _, _, grid = walk_ladder(_phase_block(f, probe, sign), 1, f.envelope, f.dim, inner_tol, f.name, max_freq)
+    tensor = TensorGrid(grid.radius, grid.points_per_axis, f.dim)
+    size = tensor.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
-        k = xi_pts.shape[0]
-        if pts.shape[0] * k > 1 << 31:
+        if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
-        out = np.empty(k, dtype=np.complex128)
-        step = max(1, (1 << 22) // pts.shape[0])
-        for start in range(0, k, step):
-            block = xi_pts[start : start + step]
-            out[start : start + block.shape[0]] = wf @ np.exp(
-                sign * 2j * math.pi * (pts @ block.T)
-            )
-        return out
+        return tensor.sum(_phase_block(f, xi_pts, sign), xi_pts.shape[0])
 
-    return values, l1_mass, GridSpec(radius, chosen, dim)
+    l1_mass = float(tensor.sum(lambda pts, w: np.sum(np.abs(w * f(pts))))[0].real)
+    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))
+
+
+def invert_spectrum(spectrum_at: Callable, dim: int, x, alpha: float, tol: float, label: str) -> complex:
+    """Gauss-weighted inversion at x: the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi).
+
+    ``spectrum_at(inner_tol, max_freq)`` supplies s, sampled out to where the
+    gauss weight falls to _FREQ_CUTOFF; its bound and rate certify the integrand.
+    """
+    x = real_point(x, dim)
+    scale = KernelScale(alpha, dim)
+    peak = weierstrass_peak(scale)  # integral of the gauss weight
+    freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha))
+    spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
+
+    def fn(xi_pts: np.ndarray) -> np.ndarray:
+        return spectrum.values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+
+    envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
+    g = TestFunction(fn, dim, envelope, name=f"gauss-inv[{label}]")
+    rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
+    result, _ = integrate_auto(g, tol / 2.0, phase_rate=rate)
+    return complex(result.value)
 
 
 def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> complex:
@@ -469,26 +391,14 @@ def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> comp
     mollified value (W_alpha * f)(x) is a genuine two-route check.
     """
     _require_integrable(f, "Gauss-summable inversion")
-    x = _real_point(x, f.dim)
-    scale = KernelScale(alpha, f.dim)
-    peak = weierstrass_peak(scale)  # integral of the gauss weight
-    freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha))
-    inner_tol = tol / (2.0 * max(1.0, peak))
-    fhat, l1_mass, xgrid = _sampled_transform(f, inner_tol, freq_radius * math.sqrt(f.dim))
-
-    def fn(xi_pts: np.ndarray) -> np.ndarray:
-        return fhat(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
-
-    envelope = GaussianDecay(4.0 * math.pi**2 * alpha, l1_mass * (1.0 + 1e-9) + _TINY)
-    g = TestFunction(fn, f.dim, envelope, name=f"gauss-inv[{f.name}]")
-    rate = float(np.sqrt(np.sum(x * x))) + xgrid.radius * math.sqrt(f.dim)
-    result, _ = integrate_auto(g, tol / 2.0, phase_rate=rate)
-    return complex(result.value)
+    return invert_spectrum(
+        lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, x, alpha, tol, f.name
+    )
 
 
 def gauss_inversion_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
     """Inversion values at x along a decreasing ladder of scales."""
-    x = _real_point(x, f.dim)
+    x = real_point(x, f.dim)
     alphas = tuple(float(a) for a in alphas)
     values = tuple(gauss_inversion(f, a_, x, tol) for a_ in alphas)
     return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
@@ -520,26 +430,26 @@ def _dual_pairing(transformed: TestFunction, weight: TestFunction, tol: float) -
     """Integral of (transform of `transformed`) times `weight`."""
     rough = l1_norm(transformed, 1e-6).value.real
     pre_env = weight.envelope.scaled(max(rough * 1.01, _TINY))
-    radius = _pick_radius(pre_env, weight.dim, tol, weight.name)
-    sampler, l1_mass, sgrid = _sampled_transform(
+    radius = truncation_radius(pre_env, weight.dim, tol, weight.name)
+    spectrum = sampled_spectrum(
         transformed, tol / (2.0 * (2.0 * radius) ** weight.dim), radius * math.sqrt(weight.dim)
     )
     inner = weight.f
 
     def fn(xi_pts: np.ndarray) -> np.ndarray:
-        return sampler(xi_pts) * np.asarray(inner(xi_pts))
+        return spectrum.values(xi_pts) * np.asarray(inner(xi_pts))
 
-    envelope = weight.envelope.scaled(l1_mass * (1.0 + 1e-9) + _TINY)
+    envelope = weight.envelope.scaled(spectrum.bound * (1.0 + 1e-9) + _TINY)
     g = TestFunction(fn, weight.dim, envelope, name=f"dual[{transformed.name},{weight.name}]")
-    result, _ = integrate_auto(g, tol / 2.0, phase_rate=sgrid.radius * math.sqrt(weight.dim))
+    result, _ = integrate_auto(g, tol / 2.0, phase_rate=spectrum.rate)
     return complex(result.value)
 
 
 def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
     """Transform of h(x) exp(2 pi i a.x) at eta; the shift rule sends it to eta - a."""
     _require_integrable(h, "modulation")
-    a = _real_point(a, h.dim)
-    eta = _real_point(eta, h.dim)
+    a = real_point(a, h.dim)
+    eta = real_point(eta, h.dim)
     inner = h.f
 
     def fn(pts: np.ndarray) -> np.ndarray:
