@@ -4,6 +4,9 @@ Each experiment drives one identity of the library at desk scale and
 returns a ResultTable whose rows carry the inputs that produced them.
 Grids, ladders, and seeds are fixed, so a given spec always produces the
 same table; exports omit wall time so repeated runs are byte-identical.
+Each experiment declares its parameters once (``PARAMS``): ``run`` rejects
+an undeclared key, fills in defaults and applies the declared types, and the
+CLI builds its subcommands and config-file keys from the same declarations.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -116,9 +120,77 @@ def import_csv(data: bytes) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def _p(spec: ExperimentSpec, key: str, default):
-    value = spec.params.get(key)
-    return default if value is None else value
+@dataclass(frozen=True)
+class Param:
+    """One declared experiment parameter; a None ``default`` is resolved by the runner.
+
+    ``type`` is float, int, str, list[float] or BoundedMeasure (a JSON literal,
+    a mapping or a measure).  ``option`` is the CLI flag and, undashed, the config key.
+    """
+
+    name: str
+    type: object
+    default: object
+    help: str
+    flag: str | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + (self.flag or self.name.replace("_", "-"))
+
+
+_CASTS = {float: float, int: int, str: str, list[float]: lambda values: [float(v) for v in values]}
+
+
+def _as_measure(value, dim: int | None) -> BoundedMeasure:
+    if not isinstance(value, BoundedMeasure):
+        return measure_from_json(value, dim=dim)
+    if dim not in (None, value.dim):
+        raise ValueError(f"the measure has dim {value.dim}, but dim {dim} was requested")
+    return value
+
+
+def _typed_params(spec: ExperimentSpec, declared: tuple[Param, ...]) -> dict:
+    """Every declared parameter, typed, with a given None meaning the default."""
+    names = [param.name for param in declared]
+    unknown = sorted(set(spec.params) - set(names))
+    if unknown:
+        accepted = ", ".join(names)
+        raise ValueError(f"experiment {spec.name!r} takes no parameter {', '.join(map(repr, unknown))}; it accepts {accepted}")
+    params = {}
+    for param in declared:
+        value = spec.params.get(param.name)
+        value = param.default if value is None else value
+        try:
+            if value is not None:
+                value = _as_measure(value, spec.dim) if param.type is BoundedMeasure else _CASTS[param.type](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"experiment {spec.name!r}, parameter {param.name!r}: {exc}") from exc
+        params[param.name] = value
+    return params
+
+
+EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ResultTable]] = {}
+PARAMS: dict[str, tuple[Param, ...]] = {}
+
+
+def _experiment(name: str, *params: Param):
+    """Register a runner under ``name``; it is called with the spec and its typed parameters."""
+
+    def register(runner):
+        EXPERIMENTS[name] = wraps(runner)(lambda spec: runner(spec, **_typed_params(spec, params)))
+        PARAMS[name] = params
+        return runner
+
+    return register
+
+
+def _tol(default: float | None) -> Param:
+    return Param("tol", float, default, "Check tolerance.")
+
+
+def _preset(default: str, help: str) -> Param:
+    return Param("preset", str, default, help, flag="f")
 
 
 def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
@@ -128,10 +200,18 @@ def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
     return pts
 
 
-def _run_verify_kernels(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "verify-kernels",
+    Param("alphas", list[float], None, "Comma-separated kernel scales (default 0.05,0.1,0.5 in dim 1, else 0.1)."),
+    _tol(None),
+)
+def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
+    """Check the kernel transform pair on a frequency grid."""
     dim = spec.dim or 1
-    alphas = [float(a) for a in _p(spec, "alphas", [0.05, 0.1, 0.5] if dim == 1 else [0.1])]
-    tol = float(_p(spec, "tol", 1e-6 if dim == 1 else 1e-5))
+    if alphas is None:
+        alphas = [0.05, 0.1, 0.5] if dim == 1 else [0.1]
+    if tol is None:
+        tol = 1e-6 if dim == 1 else 1e-5
     if dim == 1:
         xi_pts = _xi_axis_points(2.0, 41, 1)
     else:
@@ -174,15 +254,21 @@ def _run_verify_kernels(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_integrate(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "integrate",
+    _preset("weierstrass:0.1", "Integrand preset, e.g. weierstrass:0.1."),
+    _tol(1e-8),
+    Param("radius", float, None, "Quadrature cube radius (with --points; default chosen from --tol)."),
+    Param("points", int, None, "Simpson intervals per axis (with --radius)."),
+)
+def _run_integrate(spec: ExperimentSpec, preset, tol, radius, points) -> ResultTable:
+    """Integrate a preset over R^n with certified error terms."""
     dim = spec.dim or 1
-    preset = str(_p(spec, "preset", "weierstrass:0.1"))
-    tol = float(_p(spec, "tol", 1e-8))
+    if (radius is None) != (points is None):
+        raise ValueError("integrate takes radius and points together, or neither")
     g = parse_preset(preset, dim)
-    radius = _p(spec, "radius", None)
-    points = _p(spec, "points", None)
-    if radius is not None and points is not None:
-        grid = GridSpec(float(radius), int(points), dim)
+    if radius is not None:
+        grid = GridSpec(radius, points, dim)
         result = integrate(g, grid)
     else:
         result, grid = integrate_auto(g, tol)
@@ -211,12 +297,16 @@ def _run_integrate(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_fourier(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "fourier",
+    _preset("gauss:0.1", "Function preset to transform."),
+    _tol(1e-6),
+    Param("xi_max", float, 2.0, "Frequency grid half-width."),
+    Param("xi_count", int, 21, "Number of frequency samples."),
+)
+def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultTable:
+    """Tabulate the transform of a preset along the first frequency axis."""
     dim = spec.dim or 1
-    preset = str(_p(spec, "preset", "gauss:0.1"))
-    tol = float(_p(spec, "tol", 1e-6))
-    xi_max = float(_p(spec, "xi_max", 2.0))
-    xi_count = int(_p(spec, "xi_count", 21))
     f = parse_preset(preset, dim)
     sup_cap = l1_norm(f, tol / 4.0).value.real + tol
     forms = closed_form(preset, dim)
@@ -249,14 +339,18 @@ def _run_fourier(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_invert(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "invert",
+    _preset("weierstrass:0.1", "Function preset to invert."),
+    Param("alphas", list[float], [0.2 * 2.0**-k for k in range(6)], "Summability ladder."),
+    Param("xs", list[float], [0.0, 0.5, 1.0], "Sample points."),
+    _tol(1e-6),
+)
+def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
+    """Gauss-summable inversion against direct smoothing, along a ladder."""
     dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the inversion experiment runs in dimension 1")
-    preset = str(_p(spec, "preset", "weierstrass:0.1"))
-    alphas = [float(a) for a in _p(spec, "alphas", [0.2 * 2.0**-k for k in range(6)])]
-    xs = [float(x) for x in _p(spec, "xs", [0.0, 0.5, 1.0])]
-    tol = float(_p(spec, "tol", 1e-6))
     f = parse_preset(preset, dim)
     quad_tol = tol / 4.0
     rows = []
@@ -280,14 +374,18 @@ def _run_invert(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_mollify(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "mollify",
+    _preset("weierstrass:0.1", "Function preset to smooth."),
+    Param("alpha", float, 0.1, "Smoothing scale."),
+    Param("xs", list[float], list(np.linspace(-2.0, 2.0, 41)), "Sample points."),
+    _tol(1e-6),
+)
+def _run_mollify(spec: ExperimentSpec, preset, alpha, tol, xs) -> ResultTable:
+    """Smooth a preset and check both contraction inequalities."""
     dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the mollify experiment runs in dimension 1")
-    preset = str(_p(spec, "preset", "weierstrass:0.1"))
-    alpha = float(_p(spec, "alpha", 0.1))
-    tol = float(_p(spec, "tol", 1e-6))
-    xs = [float(x) for x in _p(spec, "xs", list(np.linspace(-2.0, 2.0, 41)))]
     f = parse_preset(preset, dim)
     rows = []
     sup_moll = 0.0
@@ -321,11 +419,15 @@ def _run_mollify(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_multiplication(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "multiplication",
+    Param("a", float, 0.05, "First kernel scale."),
+    Param("b", float, 0.2, "Second kernel scale."),
+    _tol(1e-6),
+)
+def _run_multiplication(spec: ExperimentSpec, a, b, tol) -> ResultTable:
+    """Both sides of the transform duality for a pair of kernels."""
     dim = spec.dim or 1
-    a = float(_p(spec, "a", 0.05))
-    b = float(_p(spec, "b", 0.2))
-    tol = float(_p(spec, "tol", 1e-6))
     report = multiplication_formula_check(gauss_fn(a, dim), gauss_fn(b, dim), tol / 4.0)
     closed = (1.0 + 16.0 * math.pi**2 * a * b) ** (-dim / 2.0)
     err_l = abs(report.lhs - closed)
@@ -343,14 +445,18 @@ def _run_multiplication(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_modulate(spec: ExperimentSpec) -> ResultTable:
+@_experiment(
+    "modulate",
+    _preset("gauss:0.1", "Function preset to modulate."),
+    _tol(1e-6),
+    Param("shifts", list[float], [-0.5, 0.0, 0.5], "Modulation frequencies a."),
+    Param("etas", list[float], [-0.5, 0.0, 0.5], "Evaluation frequencies eta."),
+)
+def _run_modulate(spec: ExperimentSpec, preset, tol, shifts, etas) -> ResultTable:
+    """Check the shift rule for modulated transforms on an (a, eta) grid."""
     dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the modulation experiment runs in dimension 1")
-    preset = str(_p(spec, "preset", "gauss:0.1"))
-    tol = float(_p(spec, "tol", 1e-6))
-    shifts = [float(v) for v in _p(spec, "shifts", [-0.5, 0.0, 0.5])]
-    etas = [float(v) for v in _p(spec, "etas", [-0.5, 0.0, 0.5])]
     h = parse_preset(preset, dim)
     rows = []
     worst = 0.0
@@ -372,27 +478,19 @@ def _run_modulate(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-_DEFAULT_MEASURE = '{"dim": 1, "atoms": [{"at": [0.5], "re": 1.0}]}'
-_DEFAULT_INVERT_MEASURE = (
-    '{"dim": 1, "atoms": [{"at": [0.0], "re": 1.0}, {"at": [0.7], "re": -0.5}, '
-    '{"at": [-0.4], "im": 0.25}]}'
+def _measure(literal: str) -> Param:
+    return Param("measure", BoundedMeasure, literal, "Measure JSON literal, or @file.")
+
+
+@_experiment(
+    "measure-ft",
+    _measure('{"dim": 1, "atoms": [{"at": [0.5], "re": 1.0}]}'),
+    _tol(1e-8),
+    Param("xi_max", float, 2.0, "Frequency grid half-width."),
+    Param("xi_count", int, 41, "Number of frequency samples."),
 )
-
-
-def _measure_param(spec: ExperimentSpec, default: str) -> BoundedMeasure:
-    raw = _p(spec, "measure", default)
-    if not isinstance(raw, BoundedMeasure):
-        return measure_from_json(raw, dim=spec.dim)
-    if spec.dim not in (None, raw.dim):
-        raise ValueError(f"the measure has dim {raw.dim}, but dim {spec.dim} was requested")
-    return raw
-
-
-def _run_measure_ft(spec: ExperimentSpec) -> ResultTable:
-    measure = _measure_param(spec, _DEFAULT_MEASURE)
-    tol = float(_p(spec, "tol", 1e-8))
-    xi_max = float(_p(spec, "xi_max", 2.0))
-    xi_count = int(_p(spec, "xi_count", 41))
+def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> ResultTable:
+    """Tabulate the transform of a bounded measure."""
     xi_pts = _xi_axis_points(xi_max, xi_count, measure.dim)
     rows = []
     bounded_ok = True
@@ -418,11 +516,15 @@ def _run_measure_ft(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_measure_invert(spec: ExperimentSpec) -> ResultTable:
-    measure = _measure_param(spec, _DEFAULT_INVERT_MEASURE)
-    tol = float(_p(spec, "tol", 1e-6))
-    alphas = [float(a) for a in _p(spec, "alphas", [0.2, 0.1, 0.05])]
-    xs = [float(x) for x in _p(spec, "xs", [-1.0, -0.5, 0.0, 0.5, 1.0])]
+@_experiment(
+    "measure-invert",
+    _measure('{"dim": 1, "atoms": [{"at": [0.0], "re": 1.0}, {"at": [0.7], "re": -0.5}, {"at": [-0.4], "im": 0.25}]}'),
+    _tol(1e-6),
+    Param("alphas", list[float], [0.2, 0.1, 0.05], "Summability ladder."),
+    Param("xs", list[float], [-1.0, -0.5, 0.0, 0.5, 1.0], "Sample points along the first axis."),
+)
+def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> ResultTable:
+    """Measure inversion against direct measure smoothing."""
     rows = []
     worst = 0.0
     for alpha in alphas:
@@ -445,16 +547,20 @@ def _run_measure_invert(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
-    measure = _measure_param(spec, '{"dim": 1, "atoms": [{"at": [0.0], "re": 1.0}]}')
-    h_preset = str(_p(spec, "h", "gauss:1"))
-    tol = float(_p(spec, "tol", 1e-6))
-    alphas = [float(a) for a in _p(spec, "alphas", [0.2 * 2.0**-k for k in range(6)])]
-    radius = float(_p(spec, "radius", 6.0))
-    points = int(_p(spec, "points", 1024))
-    h = parse_preset(h_preset, measure.dim)
+@_experiment(
+    "weak-convergence",
+    _measure('{"dim": 1, "atoms": [{"at": [0.0], "re": 1.0}]}'),
+    Param("h", str, "gauss:1", "Bounded pairing preset."),
+    _tol(1e-6),
+    Param("alphas", list[float], [0.2 * 2.0**-k for k in range(6)], "Smoothing ladder."),
+    Param("radius", float, 6.0, "Quadrature cube radius."),
+    Param("points", int, 1024, "Simpson intervals per axis."),
+)
+def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius, points) -> ResultTable:
+    """Pair the smoothed measure against h along a ladder of scales."""
+    pairing = parse_preset(h, measure.dim)
     grid = GridSpec(radius, points, measure.dim)
-    samples = weak_convergence_trace(measure, h, alphas, grid, tol=tol / 100.0)
+    samples = weak_convergence_trace(measure, pairing, alphas, grid, tol=tol / 100.0)
 
     # a unit atom at the origin smooths to W_alpha, and pairing W_alpha with
     # an even h gives (W_alpha * h)(0), known in closed form for some presets
@@ -464,7 +570,7 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
         and measure.atoms[0].weight == 1.0
         and all(v == 0.0 for v in measure.atoms[0].location)
     )
-    forms = closed_form(h_preset, measure.dim) if single_origin_atom else None
+    forms = closed_form(h, measure.dim) if single_origin_atom else None
 
     rows = []
     errors = []
@@ -488,7 +594,7 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
         rows=rows,
         config={
             "dim": measure.dim,
-            "h": h_preset,
+            "h": h,
             "alphas": alphas,
             "radius": radius,
             "points": points,
@@ -503,22 +609,11 @@ def _run_weak_convergence(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ResultTable]] = {
-    "verify-kernels": _run_verify_kernels,
-    "integrate": _run_integrate,
-    "fourier": _run_fourier,
-    "invert": _run_invert,
-    "mollify": _run_mollify,
-    "multiplication": _run_multiplication,
-    "modulate": _run_modulate,
-    "measure-ft": _run_measure_ft,
-    "measure-invert": _run_measure_invert,
-    "weak-convergence": _run_weak_convergence,
-}
-
-
 def run(spec: ExperimentSpec) -> ResultTable:
-    """Run a registered experiment spec and return its result table."""
+    """Run a registered experiment spec and return its result table.
+
+    A parameter the experiment does not declare raises ValueError.
+    """
     if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r}; registered: {known}")
