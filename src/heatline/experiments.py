@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import wraps
@@ -139,7 +140,15 @@ class Param:
         return "--" + (self.flag or self.name.replace("_", "-"))
 
 
-_CASTS = {float: float, int: int, str: str, list[float]: lambda values: [float(v) for v in values]}
+def _integer(value) -> int:
+    """An int parameter's value; a fractional value is refused, never truncated."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+_CASTS = {float: float, int: _integer, str: str, list[float]: lambda values: [float(v) for v in values]}
 
 
 def _as_measure(value, dim: int | None) -> BoundedMeasure:
@@ -612,11 +621,14 @@ def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius,
 def run(spec: ExperimentSpec) -> ResultTable:
     """Run a registered experiment spec and return its result table.
 
-    A parameter the experiment does not declare raises ValueError.
+    A parameter the experiment does not declare, or a dim that is not a
+    positive integer, raises ValueError.
     """
     if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r}; registered: {known}")
+    if spec.dim is not None and not (isinstance(spec.dim, numbers.Integral) and spec.dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {spec.dim!r}")
     start = time.perf_counter()
     table = EXPERIMENTS[spec.name](spec)
     table.wall_time_s = time.perf_counter() - start

@@ -29,15 +29,13 @@ from .quadrature import (
     QuadratureError,
     TensorGrid,
     TestFunction,
-    integrate,
-    integrate_auto,
+    integrate_values,
     l1_norm,
 )
 from .transforms import (
     Spectrum,
     fourier as _fourier,
     invert_spectrum,
-    mollify as _mollify,
     mollify_on_points as _mollify_on_points,
     sampled_spectrum,
 )
@@ -108,19 +106,13 @@ class BoundedMeasure:
         if self.atoms:
             out += complex(np.sum(self.atom_weights * np.asarray(h(self.atom_locations))))
         if self.density is not None:
-            density = self.density.f
-            weight = h.f
+            density = self.density
 
             def fn(pts: np.ndarray) -> np.ndarray:
-                return np.asarray(density(pts)) * np.asarray(weight(pts))
+                return density(pts) * h(pts)
 
-            g = TestFunction(
-                fn,
-                self.dim,
-                self.density.envelope.scaled(max(h.sup_bound, _TINY)),
-                name=f"pair[{self.density.name},{h.name}]",
-            )
-            result, _ = integrate_auto(g, tol)
+            envelope = density.envelope.scaled(max(h.sup_bound, _TINY))
+            result, _ = integrate_values(fn, envelope, self.dim, f"pair[{density.name},{h.name}]", tol)
             out += complex(result.value)
         return out
 
@@ -136,17 +128,9 @@ class BoundedMeasure:
         return out
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
-        """Smoothed value: the measure applied to the kernel centered at y."""
+        """Smoothed value: the measure applied to the kernel centered at y; one row of mollify_on_points."""
         y = real_point(y, self.dim)
-        scale = KernelScale(alpha, self.dim)
-        out = 0.0 + 0.0j
-        if self.atoms:
-            out += complex(
-                np.sum(self.atom_weights * weierstrass(scale, y[None, :] - self.atom_locations))
-            )
-        if self.density is not None:
-            out += _mollify(self.density, alpha, y, tol)
-        return out
+        return complex(self.mollify_on_points(alpha, y.reshape(1, -1), tol)[0])
 
     def mollify_on_points(self, alpha: float, xs: np.ndarray, inner_tol: float = 1e-8) -> np.ndarray:
         """Smoothed values on a batch of points (rows of xs)."""
@@ -222,17 +206,15 @@ def weak_convergence_trace(
         )
     target = measure.apply(h, tol)
     samples = []
-    weight = h.f
     for alpha in alphas:
         alpha = float(alpha)
         peak = weierstrass_peak(KernelScale(alpha, measure.dim))
 
         def fn(pts: np.ndarray, _alpha=alpha) -> np.ndarray:
-            return measure.mollify_on_points(_alpha, pts, tol) * np.asarray(weight(pts))
+            return measure.mollify_on_points(_alpha, pts, tol) * h(pts)
 
         envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY)
-        g = TestFunction(fn, measure.dim, envelope, name=f"weak[{h.name}]@{alpha:g}")
-        result = integrate(g, grid)
+        result, _ = integrate_values(fn, envelope, measure.dim, f"weak[{h.name}]@{alpha:g}", grid=grid)
         samples.append(WeakConvergenceSample(alpha=alpha, value=complex(result.value), target=target))
     return samples
 

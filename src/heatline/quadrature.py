@@ -10,8 +10,14 @@ two error terms:
 * ``disc_error_est`` -- a two-resolution estimate ``|value(N) - value(N/2)|``
   of the discretization error inside the cube.
 
-Envelopes are spot-checked against the integrand at construction, so a
-``TestFunction`` that survives construction has a certified tail.  Node
+Every integrand enters the engine as a vectorized ``values(points)``
+callable with an envelope, a dimension and a label (``integrate_values``;
+``walk_ladder`` for vector-valued sums); ``integrate`` and
+``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
+envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
+spot-checked at construction, as validation of input from outside the
+library; envelopes the library derives are proved in code and checked by
+``tests/test_derived_envelopes.py``.  Node
 evaluations are vectorized and chunked in a fixed order, and reductions use
 numpy's pairwise summation, so a fixed grid always reproduces the same
 value bit for bit.
@@ -227,7 +233,9 @@ class TestFunction:
         Ambient dimension n.
     envelope : Envelope
         Declared bound on |f|; checked by spot-sampling at construction and
-        used for closed-form tail bounds.
+        used for closed-form tail bounds.  (Integrands the library derives
+        from a TestFunction enter the engine directly, with envelopes proved
+        in code and checked by ``tests/test_derived_envelopes.py``.)
     bounded : bool
         Whether a finite sup bound is declared.
     sup_bound : float, optional
@@ -347,11 +355,6 @@ class TestFunction:
             envelope=self.envelope.shifted(distance),
             name=name or f"{self.name}(x-a)",
         )
-
-    def absolute(self) -> "TestFunction":
-        """The function |f|, sharing f's envelope and bounds."""
-        inner = self.f
-        return replace(self, f=lambda pts: np.abs(np.asarray(inner(pts))), name=f"|{self.name}|")
 
 
 @dataclass(frozen=True)
@@ -499,57 +502,69 @@ def walk_ladder(
     raise QuadratureError(f"tolerance unreachable at budget for {label!r}: {reason}")
 
 
-def _value_sum(g: TestFunction) -> Callable:
-    """Block evaluator for the plain integral of g."""
-    return lambda pts, w: np.sum(w * g(pts))
-
-
-def _require_integrable(g: TestFunction) -> None:
-    if not g.integrable:
+def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
+    """Raise unless the envelope certifies integrability; ``what`` names the caller's operation."""
+    if isinstance(envelope, BoundedOnly):
         raise QuadratureError(
-            f"integrand {g.name!r} is not certified integrable (BoundedOnly envelope)"
+            f"{what} needs an integrable-certified function; {label!r} is not certified "
+            "integrable (BoundedOnly envelope)"
         )
 
 
-def _result(g: TestFunction, radius: float, fine: np.ndarray, coarse: np.ndarray) -> QuadratureResult:
+def _value_sum(values: Callable) -> Callable:
+    """Block evaluator for the plain integral of values."""
+    return lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128))
+
+
+def integrate_values(
+    values: Callable, envelope: Envelope, dim: int, label: str,
+    tol: float | None = None, grid: GridSpec | None = None, phase_rate: float = 0.0,
+) -> tuple[QuadratureResult, GridSpec]:
+    """Integral over R^dim of ``values``, certified by ``envelope``: the engine's one entry form.
+
+    ``values`` maps an (m, dim) array of points to m values; the caller
+    vouches that ``envelope`` bounds them.  Given a ``grid``, the result
+    pairs its fine sum with the sum at half the points; given ``tol``
+    instead, the ladder is walked to it (see ``walk_ladder``, which also
+    explains ``phase_rate``).  ``label`` names the integrand in errors.
+
+    Raises
+    ------
+    QuadratureError
+        If the envelope is BoundedOnly, the sums are not finite, or no
+        ladder grid within the node budget meets the tolerance.
+    """
+    if grid is not None and grid.dim != dim:
+        raise ValueError(f"dimension mismatch: integrand {dim}, grid {grid.dim}")
+    _require_integrable(envelope, label, "integration")
+    block_sum = _value_sum(values)
+    if grid is None:
+        if tol is None or not tol > 0.0:
+            raise ValueError(f"target tolerance must be positive, got {tol}")
+        fine, coarse, grid = walk_ladder(block_sum, 1, envelope, dim, tol, label, phase_rate)
+    else:
+        if tol is not None or phase_rate:
+            raise ValueError("a fixed grid takes no tol or phase_rate")
+        n = grid.points_per_axis
+        fine, coarse = (TensorGrid(grid.radius, m, dim).sum(block_sum) for m in (n, _coarse_points(n)))
     value = complex(fine[0])
-    return QuadratureResult(
+    if not math.isfinite(abs(value)):
+        raise QuadratureError(f"integrand {label!r} summed to a non-finite value")
+    result = QuadratureResult(
         value=value,
         disc_error_est=abs(value - complex(coarse[0])),
-        tail_bound=g.envelope.tail_bound(radius, g.dim),
+        tail_bound=envelope.tail_bound(grid.radius, dim),
     )
+    return result, grid
 
 
 def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:
     """Integrate g over R^dim by truncation to the grid's cube plus Simpson.
 
-    Parameters
-    ----------
-    g : TestFunction
-        Integrand with an integrability-certifying envelope.
-    grid : GridSpec
-        Truncation radius and per-axis resolution.
-
-    Returns
-    -------
-    QuadratureResult
-        ``value`` approximates the integral within
-        ``disc_error_est + tail_bound``.
-
-    Raises
-    ------
-    QuadratureError
-        If the envelope is BoundedOnly (not certified integrable) or the
-        node budget is exceeded.
+    ``value`` approximates the integral within ``disc_error_est + tail_bound``;
+    a BoundedOnly envelope (not certified integrable) raises QuadratureError.
     """
-    if g.dim != grid.dim:
-        raise ValueError(f"dimension mismatch: integrand {g.dim}, grid {grid.dim}")
-    _require_integrable(g)
-    n = grid.points_per_axis
-    fine, coarse = (
-        TensorGrid(grid.radius, m, grid.dim).sum(_value_sum(g)) for m in (n, _coarse_points(n))
-    )
-    return _result(g, grid.radius, fine, coarse)
+    return integrate_values(g, g.envelope, g.dim, g.name, grid=grid)[0]
 
 
 def integrate_auto(
@@ -567,11 +582,7 @@ def integrate_auto(
     QuadratureError
         If no ladder grid within the node budget meets the tolerance.
     """
-    _require_integrable(g)
-    if not target_tol > 0.0:
-        raise ValueError(f"target tolerance must be positive, got {target_tol}")
-    fine, coarse, grid = walk_ladder(_value_sum(g), 1, g.envelope, g.dim, target_tol, g.name, phase_rate)
-    return _result(g, grid.radius, fine, coarse), grid
+    return integrate_values(g, g.envelope, g.dim, g.name, target_tol, phase_rate=phase_rate)
 
 
 def auto_grid(g: TestFunction, target_tol: float, phase_rate: float = 0.0) -> GridSpec:
@@ -581,7 +592,7 @@ def auto_grid(g: TestFunction, target_tol: float, phase_rate: float = 0.0) -> Gr
 
 def l1_norm(g: TestFunction, tol: float = 1e-9) -> QuadratureResult:
     """Integral of |g| over R^dim to the requested tolerance."""
-    result, _ = integrate_auto(g.absolute(), tol)
+    result, _ = integrate_values(lambda pts: np.abs(g(pts)), g.envelope, g.dim, f"|{g.name}|", tol)
     return QuadratureResult(
         value=result.value.real,
         disc_error_est=result.disc_error_est,

@@ -23,19 +23,19 @@ from .points import real_point
 from .quadrature import (
     _TINY,
     CompactSupport,
+    Envelope,
     GaussianDecay,
     GridSpec,
     QuadratureError,
     TensorGrid,
     TestFunction,
-    integrate,
-    integrate_auto,
+    _require_integrable,
+    integrate_values,
     l1_norm,
     truncation_radius,
     walk_ladder,
 )
 
-_TWO_PI = 2.0 * math.pi
 _FREQ_CUTOFF = 1e-12  # gauss weight level that sets the sampled-frequency cube
 
 
@@ -110,39 +110,31 @@ class Spectrum:
         )
 
 
-def _require_integrable(f: TestFunction, what: str) -> None:
-    if not f.integrable:
-        raise QuadratureError(
-            f"{what} needs an integrable-certified function; {f.name!r} has a "
-            f"{type(f.envelope).__name__} envelope"
-        )
+def _phase_block(values: Callable, xi_arr: np.ndarray, sign: float) -> Callable:
+    """Block evaluator of the sums of values(x) exp(sign 2 pi i x.xi), one per row of xi_arr."""
+    return lambda pts, w: (w * values(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi_arr.T))
 
 
-def _phase_block(f: TestFunction, xi_arr: np.ndarray, sign: float) -> Callable:
-    """Block evaluator of the sums of f(x) exp(sign 2 pi i x.xi), one per row of xi_arr."""
-    return lambda pts, w: (w * f(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi_arr.T))
-
-
-def _transform_profile(f: TestFunction, xi_arr: np.ndarray, tol: float, sign: float) -> np.ndarray:
+def _transform_profile(
+    values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float, sign: float
+) -> np.ndarray:
     """Transform values at a batch of real frequencies, on one escalating grid."""
-    _require_integrable(f, "the Fourier transform")
+    _require_integrable(envelope, label, "the Fourier transform")
     worst = float(np.max(np.sqrt(np.sum(xi_arr * xi_arr, axis=1)))) if xi_arr.size else 0.0
-    fine, _, _ = walk_ladder(
-        _phase_block(f, xi_arr, sign), xi_arr.shape[0], f.envelope, f.dim, tol, f.name, worst
-    )
+    fine, _, _ = walk_ladder(_phase_block(values, xi_arr, sign), xi_arr.shape[0], envelope, dim, tol, label, worst)
     return fine
 
 
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     """Transform value integral of f(x) exp(-2 pi i x.xi) over R^n."""
     xi = real_point(xi, f.dim)
-    return complex(_transform_profile(f, xi.reshape(1, -1), tol, -1.0)[0])
+    return complex(_transform_profile(f, f.envelope, f.dim, f.name, xi.reshape(1, -1), tol, -1.0)[0])
 
 
 def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
     """Inverse transform: integral of phi(xi) exp(+2 pi i x.xi) over R^n."""
     x = real_point(x, phi.dim)
-    return complex(_transform_profile(phi, x.reshape(1, -1), tol, +1.0)[0])
+    return complex(_transform_profile(phi, phi.envelope, phi.dim, phi.name, x.reshape(1, -1), tol, +1.0)[0])
 
 
 def fourier_profile(
@@ -154,7 +146,7 @@ def fourier_profile(
         arr = arr.reshape(-1, 1) if f.dim == 1 else arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != f.dim:
         raise ValueError(f"frequency list must have shape (k, {f.dim})")
-    values = _transform_profile(f, arr, tol, +1.0 if inverse else -1.0)
+    values = _transform_profile(f, f.envelope, f.dim, f.name, arr, tol, +1.0 if inverse else -1.0)
     return [FrequencySample(tuple(map(float, row)), complex(v)) for row, v in zip(arr, values)]
 
 
@@ -179,22 +171,21 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     c = f.envelope.rate
     q = float(np.sqrt(np.sum(im * im)))
     grown = GaussianDecay(c / 2.0, f.envelope.scale * math.exp(2.0 * math.pi**2 * q * q / c))
-    inner = f.f
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(inner(pts)) * np.exp(_TWO_PI * (pts @ im))
+        return f(pts) * np.exp(2.0 * math.pi * (pts @ im))
 
     # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
-    return fourier(TestFunction(fn, f.dim, grown, name=f"fourier[{f.name}]@complex"), re, tol)
+    label = f"fourier[{f.name}]@complex"
+    return complex(_transform_profile(fn, grown, f.dim, label, re.reshape(1, -1), tol, -1.0)[0])
 
 
 def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
     """Gauss mean: integral of f(x) gauss_alpha(x) over R^n."""
     scale = KernelScale(alpha, f.dim)
-    inner = f.f
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(inner(pts)) * gauss(scale, pts)
+        return f(pts) * gauss(scale, pts)
 
     weight_rate = 4.0 * math.pi**2 * alpha
     if f.integrable:
@@ -207,8 +198,7 @@ def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
         raise QuadratureError(
             f"the Gauss mean of {f.name!r} needs a bounded or integrable-certified function"
         )
-    g = TestFunction(fn, f.dim, envelope, name=f"gauss-mean[{f.name}]")
-    result, _ = integrate_auto(g, tol)
+    result, _ = integrate_values(fn, envelope, f.dim, f"gauss-mean[{f.name}]", tol)
     return complex(result.value)
 
 
@@ -242,30 +232,9 @@ def gauss_summable_limit(trace: SummabilityTrace, tol: float = 1e-6) -> Summabil
 
 
 def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
-    """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy."""
+    """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy; one row of mollify_on_points."""
     x = real_point(x, f.dim)
-    scale = KernelScale(alpha, f.dim)
-    peak = weierstrass_peak(scale)
-    inner = f.f
-    if f.bounded:
-        # integrate in u = x - y so the kernel, and hence the envelope,
-        # stays centered at the origin
-        def fn(pts: np.ndarray) -> np.ndarray:
-            return np.asarray(inner(x - pts)) * weierstrass(scale, pts)
-
-        envelope = GaussianDecay(1.0 / (4.0 * alpha), max(f.sup_bound, _TINY) * peak)
-    elif f.integrable:
-        def fn(pts: np.ndarray) -> np.ndarray:
-            return np.asarray(inner(pts)) * weierstrass(scale, x - pts)
-
-        envelope = f.envelope.scaled(peak)
-    else:
-        raise QuadratureError(
-            f"mollification of {f.name!r} needs a bounded or integrable-certified function"
-        )
-    g = TestFunction(fn, f.dim, envelope, name=f"mollify[{f.name}]")
-    result, _ = integrate_auto(g, tol)
-    return complex(result.value)
+    return complex(mollify_on_points(f, alpha, x.reshape(1, -1), tol)[0])
 
 
 def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
@@ -277,22 +246,36 @@ def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityT
 
 
 def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: float) -> np.ndarray:
-    """(W_alpha * f)(x) for each row of xs, on one shared escalating grid."""
-    if not f.bounded:
-        raise QuadratureError(f"batched mollification needs a bounded function, got {f.name!r}")
+    """(W_alpha * f)(x) for each row of xs, on one shared escalating grid.
+
+    A bounded f is integrated in u = x - y, under a Gaussian envelope from its
+    sup bound; an integrable but unbounded f is integrated in y, under its own
+    envelope scaled by the kernel peak.
+    """
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
-    envelope = GaussianDecay(1.0 / (4.0 * alpha), max(f.sup_bound, _TINY) * peak)
-    n_out = xs.shape[0]
+    if f.bounded:
+        envelope = GaussianDecay(1.0 / (4.0 * alpha), max(f.sup_bound, _TINY) * peak)
 
-    def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # integrate in u = x - y, so the kernel weight is shared by every x
-        kw = w * weierstrass(scale, upts)
-        shifted = xs[:, None, :] - upts[None, :, :]
-        vals = f(shifted.reshape(-1, f.dim)).reshape(n_out, upts.shape[0])
-        return vals @ kw.astype(np.complex128)
+        def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # the kernel weight is shared by every x
+            kw = w * weierstrass(scale, upts)
+            shifted = xs[:, None, :] - upts[None, :, :]
+            vals = f(shifted.reshape(-1, f.dim)).reshape(xs.shape[0], upts.shape[0])
+            return vals @ kw.astype(np.complex128)
 
-    fine, _, _ = walk_ladder(block, n_out, envelope, f.dim, inner_tol, f"mollify[{f.name}]")
+    elif f.integrable:
+        envelope = f.envelope.scaled(peak)
+
+        def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # the function values are shared by every x
+            return weierstrass(scale, xs[:, None, :] - ypts[None, :, :]) @ (w * f(ypts))
+
+    else:
+        raise QuadratureError(
+            f"mollification of {f.name!r} needs a bounded or integrable-certified function"
+        )
+    fine, _, _ = walk_ladder(block, xs.shape[0], envelope, f.dim, inner_tol, f"mollify[{f.name}]")
     return fine
 
 
@@ -305,7 +288,7 @@ def mollify_l1_check(
     side is the integral of |f|.  Cancellation under smoothing can only
     shrink the left side.
     """
-    _require_integrable(f, "the L1 contraction check")
+    _require_integrable(f.envelope, f.name, "the L1 contraction check")
     if f.dim != grid.dim:
         raise ValueError(f"dimension mismatch: function {f.dim}, grid {grid.dim}")
     rhs = l1_norm(f, inner_tol)
@@ -327,8 +310,7 @@ def mollify_l1_check(
     def outer_fn(pts: np.ndarray) -> np.ndarray:
         return np.abs(mollify_on_points(f, alpha, pts, inner_tol))
 
-    g = TestFunction(outer_fn, f.dim, outer_env, name=f"|smooth[{f.name}]|")
-    lhs = integrate(g, grid)
+    lhs, _ = integrate_values(outer_fn, outer_env, f.dim, f"|smooth[{f.name}]|", grid=grid)
     inner_mass = (2.0 * grid.radius) ** f.dim
     return L1ContractionReport(
         lhs=float(lhs.value.real),
@@ -345,7 +327,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     weights bound the values by the quadrature L1 mass; the phase rate is the
     grid's half-diagonal.
     """
-    _require_integrable(f, "the sampled Fourier transform")
+    _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
     _, _, grid = walk_ladder(_phase_block(f, probe, sign), 1, f.envelope, f.dim, inner_tol, f.name, max_freq)
@@ -377,9 +359,8 @@ def invert_spectrum(spectrum_at: Callable, dim: int, x, alpha: float, tol: float
         return spectrum.values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
 
     envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
-    g = TestFunction(fn, dim, envelope, name=f"gauss-inv[{label}]")
     rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
-    result, _ = integrate_auto(g, tol / 2.0, phase_rate=rate)
+    result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
     return complex(result.value)
 
 
@@ -390,7 +371,7 @@ def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> comp
     with fhat itself obtained by quadrature, so agreement with the
     mollified value (W_alpha * f)(x) is a genuine two-route check.
     """
-    _require_integrable(f, "Gauss-summable inversion")
+    _require_integrable(f.envelope, f.name, "Gauss-summable inversion")
     return invert_spectrum(
         lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, x, alpha, tol, f.name
     )
@@ -415,7 +396,7 @@ def multiplication_formula_check(
     if f.dim != psi.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {psi.dim}")
     for side in (f, psi):
-        _require_integrable(side, "the multiplication formula")
+        _require_integrable(side.envelope, side.name, "the multiplication formula")
         if not isinstance(side.envelope, (GaussianDecay, CompactSupport)):
             raise QuadratureError(
                 f"the multiplication formula needs Gaussian or compact envelopes, "
@@ -434,33 +415,22 @@ def _dual_pairing(transformed: TestFunction, weight: TestFunction, tol: float) -
     spectrum = sampled_spectrum(
         transformed, tol / (2.0 * (2.0 * radius) ** weight.dim), radius * math.sqrt(weight.dim)
     )
-    inner = weight.f
-
     def fn(xi_pts: np.ndarray) -> np.ndarray:
-        return spectrum.values(xi_pts) * np.asarray(inner(xi_pts))
+        return spectrum.values(xi_pts) * weight(xi_pts)
 
     envelope = weight.envelope.scaled(spectrum.bound * (1.0 + 1e-9) + _TINY)
-    g = TestFunction(fn, weight.dim, envelope, name=f"dual[{transformed.name},{weight.name}]")
-    result, _ = integrate_auto(g, tol / 2.0, phase_rate=spectrum.rate)
+    label = f"dual[{transformed.name},{weight.name}]"
+    result, _ = integrate_values(fn, envelope, weight.dim, label, tol / 2.0, phase_rate=spectrum.rate)
     return complex(result.value)
 
 
 def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
     """Transform of h(x) exp(2 pi i a.x) at eta; the shift rule sends it to eta - a."""
-    _require_integrable(h, "modulation")
+    _require_integrable(h.envelope, h.name, "modulation")
     a = real_point(a, h.dim)
     eta = real_point(eta, h.dim)
-    inner = h.f
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(inner(pts)) * np.exp(2j * math.pi * (pts @ a))
+        return h(pts) * np.exp(2j * math.pi * (pts @ a))
 
-    modded = TestFunction(
-        fn,
-        h.dim,
-        h.envelope,
-        bounded=h.bounded,
-        sup_bound=h.sup_bound,
-        name=f"mod[{h.name}]",
-    )
-    return fourier(modded, eta, tol)
+    return complex(_transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", eta.reshape(1, -1), tol, -1.0)[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatline import (
+    Atom,
     BoundedMeasure,
     GridSpec,
     TestFunction,
@@ -13,10 +14,11 @@ from heatline import (
     gauss_inversion,
     integrate,
     integrate_auto,
+    mollify,
     weierstrass_fn,
 )
-from heatline.quadrature import TensorGrid
-from heatline.transforms import Spectrum, sampled_spectrum
+from heatline.quadrature import GaussianDecay, QuadratureError, TensorGrid, integrate_values
+from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
 
 
 @pytest.fixture
@@ -96,3 +98,43 @@ def test_function_and_density_share_one_inversion():
     measure = BoundedMeasure(dim=1, density=f)
     for x in (0.0, 0.5):
         assert measure.gauss_inversion([x], 0.05, 1e-7) == gauss_inversion(f, [x], 0.05, 1e-7)
+
+
+def _unbounded_weierstrass(a: float) -> TestFunction:
+    """The values of weierstrass:a declared without a sup bound, so smoothing takes the integrable branch."""
+    base = weierstrass_fn(a)
+    return TestFunction(base.f, 1, base.envelope, name="unbounded-weierstrass")
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.05])
+def test_smoothing_an_unbounded_integrable_function_meets_the_semigroup(alpha):
+    f = _unbounded_weierstrass(0.1)
+    xs = np.array([[0.0], [0.5], [1.0]])
+    # the semigroup property: W_alpha * W_0.1 = W_{0.1 + alpha}
+    expected = (4.0 * math.pi * (0.1 + alpha)) ** -0.5 * np.exp(-xs[:, 0] ** 2 / (4.0 * (0.1 + alpha)))
+    batched = mollify_on_points(f, alpha, xs, 1e-9)
+    assert np.max(np.abs(batched - expected)) <= 1e-9
+    for x, want in zip(xs, expected):
+        assert abs(mollify(f, alpha, x, 1e-9) - want) <= 1e-9
+
+
+def test_measure_smoothing_is_row_zero_of_the_batch():
+    measure = BoundedMeasure(dim=1, atoms=(Atom((0.3,), 0.5 - 0.25j),), density=weierstrass_fn(0.1))
+    for y in (np.array([0.0]), np.array([0.7])):
+        assert measure.mollify(0.05, y) == measure.mollify_on_points(0.05, y[None])[0]
+
+
+def test_a_non_finite_sum_fails_loudly():
+    def nan_values(pts):
+        return np.full(pts.shape[0], np.nan)
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_values(nan_values, GaussianDecay(1.0, 1.0), 1, "nan", grid=GridSpec(4.0, 8, 1))
+
+
+def test_a_fixed_grid_refuses_a_tolerance_it_would_ignore():
+    g = weierstrass_fn(0.1)
+    with pytest.raises(ValueError, match="fixed grid"):
+        integrate_values(g, g.envelope, 1, g.name, 1e-8, grid=GridSpec(4.0, 128, 1))
+    with pytest.raises(ValueError, match="fixed grid"):
+        integrate_values(g, g.envelope, 1, g.name, grid=GridSpec(4.0, 128, 1), phase_rate=2.0)

@@ -86,3 +86,9 @@ def test_cli_agrees_with_the_schema_and_the_library(runner, tmp_path, name):
     result = runner.invoke(main, [name, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == export(run(ExperimentSpec(name=name)), "csv")
+
+
+def test_an_int_parameter_refuses_a_fractional_value():
+    with pytest.raises(ValueError, match="'xi_count'"):
+        run(ExperimentSpec(name="fourier", params={"xi_count": 5.7}))
+    assert len(run(ExperimentSpec(name="fourier", params={"xi_count": 5})).rows) == 5

@@ -124,3 +124,11 @@ def test_exports_carry_the_package_version():
     assert not hasattr(experiments, "LIBRARY_VERSION")
     table = run(ExperimentSpec(name="integrate"))
     assert f"# version={heatline.__version__}\n".encode() in export(table, "csv")
+
+
+def test_a_dim_below_one_is_a_usage_error(runner):
+    result = runner.invoke(main, ["integrate", "--dim", "0"])
+    assert result.exit_code == 2
+    assert "dim must be a positive integer" in result.output
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        run(ExperimentSpec(name="integrate", dim=0))
