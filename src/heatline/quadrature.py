@@ -12,7 +12,8 @@ two error terms:
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
-``walk_ladder`` for vector-valued sums); ``integrate`` and
+``walk_ladder`` for vector-valued sums, such as the phase sums of a
+transform, which factor exp(+-2 pi i x.xi) per axis); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -25,6 +26,7 @@ value bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -418,32 +420,70 @@ class TensorGrid:
         self.weights = weights * (2.0 * radius / n_points / 3.0)
 
     def blocks(self, width: int = 1):
-        """Yield (points, weights) blocks covering the grid in a fixed order.
+        """Yield (points, weights, index) blocks covering the grid in row-major order.
 
-        A block holds at most _CHUNK nodes and, when each node meets ``width``
-        outputs (frequencies or evaluation points), at most _BLOCK_ENTRIES
-        node-output pairs, unless a single node already exceeds that.
+        ``index`` holds one slice of node indices per axis, and the block is
+        their tensor product.  A block is a run of whole leading-axis rows;
+        when one row exceeds the cap, it is a run of whole lines along the
+        second axis within one row, and so on.  A block holds at most _CHUNK
+        nodes and, when each node meets ``width`` outputs (frequencies or
+        evaluation points), at most _BLOCK_ENTRIES node-output pairs, unless
+        a single node already exceeds that.
         """
-        step = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(1, width)))
+        cap = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(1, width)))
         m = self.nodes.size
-        total = m**self.dim
-        for start in range(0, total, step):
-            multi = np.unravel_index(np.arange(start, min(start + step, total)), (m,) * self.dim)
-            pts = np.stack([self.nodes[ix] for ix in multi], axis=-1)
-            w = np.ones(pts.shape[0])
-            for ix in multi:
-                w *= self.weights[ix]
-            yield pts, w
+        split = 0  # the axis along which a block takes a run of indices
+        while m ** (self.dim - split - 1) > cap:
+            split += 1
+        run = cap // m ** (self.dim - split - 1)
+        whole = (slice(0, m),) * (self.dim - split - 1)
+        for prefix in itertools.product(range(m), repeat=split):
+            for start in range(0, m, run):
+                index = (*(slice(i, i + 1) for i in prefix), slice(start, min(start + run, m)), *whole)
+                pts = np.empty((*(s.stop - s.start for s in index), self.dim))
+                w = self.weights[index[0]]
+                for axis, s in enumerate(index):
+                    pts[..., axis] = self.nodes[s].reshape((-1,) + (1,) * (self.dim - axis - 1))
+                    if axis:
+                        w = np.multiply.outer(w, self.weights[s])
+                yield pts.reshape(-1, self.dim), w.reshape(-1), index
 
     def points(self) -> np.ndarray:
         """Every node, as one (size, dim) array in block order."""
-        return np.concatenate([pts for pts, _ in self.blocks()])
+        return np.concatenate([pts for pts, _, _ in self.blocks()])
 
     def sum(self, block_sum: Callable, width: int = 1) -> np.ndarray:
         """Sum of ``block_sum(points, weights)`` over the blocks, a (width,) vector."""
         out = np.zeros(width, dtype=np.complex128)
-        for pts, w in self.blocks(width):
+        for pts, w, _ in self.blocks(width):
             out += block_sum(pts, w)
+        return out
+
+    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
+        """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one per row of xi.
+
+        The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
+        exp(sign 2 pi i x_j xi_j), so a block of weighted values is contracted
+        with one (nodes, frequencies) phase matrix per axis, the trailing axes
+        first: d (n+1) exponentials per frequency instead of (n+1)^d.  The
+        frequencies are taken in chunks so that no phase matrix or
+        intermediate exceeds _BLOCK_ENTRIES entries (unless one frequency
+        already does).
+        """
+        m = self.nodes.size
+        # a phase matrix has m rows, and a block contracted along its last
+        # (whole) axis leaves at most _CHUNK // m rows
+        step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
+        out = np.zeros(xi.shape[0], dtype=np.complex128)
+        for k in range(0, xi.shape[0], step):
+            chunk = xi[k:k + step]
+            phases = [np.exp(sign * 2j * math.pi * np.multiply.outer(self.nodes, chunk[:, j])) for j in range(self.dim)]
+            for pts, w, index in self.blocks():
+                acc = (w * values(pts)).reshape(-1, index[-1].stop - index[-1].start) @ phases[-1][index[-1]]
+                for axis in range(self.dim - 2, -1, -1):
+                    rows = index[axis].stop - index[axis].start
+                    acc = np.einsum("abk,bk->ak", acc.reshape(-1, rows, acc.shape[-1]), phases[axis][index[axis]])
+                out[k:k + step] += acc[0]
         return out
 
 
@@ -465,18 +505,18 @@ def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> f
 
 
 def walk_ladder(
-    block_sum: Callable, width: int, envelope: Envelope, dim: int, tol: float, label: str,
-    phase_rate: float = 0.0,
+    grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, GridSpec]:
-    """Block sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
+    """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
 
-    ``block_sum(points, weights)`` returns a block's share of the (width,)
-    vector of sums.  The radius comes from ``truncation_radius``; the point ladder is then
-    walked until every entry of ``|fine - coarse|`` is at most tol / 2.
-    ``phase_rate`` is an oscillation rate (cycles per unit length, e.g. |xi|
-    for a Fourier factor); the walk starts where the phase advances at most a
-    quarter cycle per step.  A rung's fine sum is reused as the next rung's
-    coarse sum when the point counts match, as on the default ladder.
+    ``grid_sum(tensor_grid)`` returns a vector of sums over a ``TensorGrid``
+    (see ``_value_sum``, ``_block_sum`` and ``_phase_sum``).  The radius comes
+    from ``truncation_radius``; the point ladder is then walked until every
+    entry of ``|fine - coarse|`` is at most tol / 2.  ``phase_rate`` is an
+    oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
+    factor); the walk starts where the phase advances at most a quarter cycle
+    per step.  A rung's fine sum is reused as the next rung's coarse sum when
+    the point counts match, as on the default ladder.
     """
     radius = truncation_radius(envelope, dim, tol, label)
     budget = node_budget()
@@ -488,12 +528,12 @@ def walk_ladder(
         if n < min_points:
             continue
         grid = GridSpec(radius, n, dim)
-        fine = TensorGrid(radius, n, dim).sum(block_sum, width)
+        fine = grid_sum(TensorGrid(radius, n, dim))
         coarse_n = _coarse_points(n)
         if coarse_n == last_n:
             coarse = last_fine
         else:
-            coarse = TensorGrid(radius, coarse_n, dim).sum(block_sum, width)
+            coarse = grid_sum(TensorGrid(radius, coarse_n, dim))
         if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
             return fine, coarse, grid
         last_n, last_fine = n, fine
@@ -512,8 +552,18 @@ def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
 
 
 def _value_sum(values: Callable) -> Callable:
-    """Block evaluator for the plain integral of values."""
-    return lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128))
+    """Grid sum of the plain integral of values, a (1,) vector."""
+    return lambda grid: grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128)))
+
+
+def _block_sum(block_sum: Callable, width: int = 1) -> Callable:
+    """Grid sum of ``block_sum(points, weights)``, a (width,) vector (see ``TensorGrid.sum``)."""
+    return lambda grid: grid.sum(block_sum, width)
+
+
+def _phase_sum(values: Callable, xi: np.ndarray, sign: float) -> Callable:
+    """Grid sums of values(x) exp(sign 2 pi i x.xi), one per row of xi (see ``TensorGrid.phase_sum``)."""
+    return lambda grid: grid.phase_sum(values, xi, sign)
 
 
 def integrate_values(
@@ -537,16 +587,16 @@ def integrate_values(
     if grid is not None and grid.dim != dim:
         raise ValueError(f"dimension mismatch: integrand {dim}, grid {grid.dim}")
     _require_integrable(envelope, label, "integration")
-    block_sum = _value_sum(values)
+    grid_sum = _value_sum(values)
     if grid is None:
         if tol is None or not tol > 0.0:
             raise ValueError(f"target tolerance must be positive, got {tol}")
-        fine, coarse, grid = walk_ladder(block_sum, 1, envelope, dim, tol, label, phase_rate)
+        fine, coarse, grid = walk_ladder(grid_sum, envelope, dim, tol, label, phase_rate)
     else:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
         n = grid.points_per_axis
-        fine, coarse = (TensorGrid(grid.radius, m, dim).sum(block_sum) for m in (n, _coarse_points(n)))
+        fine, coarse = (grid_sum(TensorGrid(grid.radius, m, dim)) for m in (n, _coarse_points(n)))
     value = complex(fine[0])
     if not math.isfinite(abs(value)):
         raise QuadratureError(f"integrand {label!r} summed to a non-finite value")

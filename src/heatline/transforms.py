@@ -29,6 +29,8 @@ from .quadrature import (
     QuadratureError,
     TensorGrid,
     TestFunction,
+    _block_sum,
+    _phase_sum,
     _require_integrable,
     integrate_values,
     l1_norm,
@@ -110,18 +112,13 @@ class Spectrum:
         )
 
 
-def _phase_block(values: Callable, xi_arr: np.ndarray, sign: float) -> Callable:
-    """Block evaluator of the sums of values(x) exp(sign 2 pi i x.xi), one per row of xi_arr."""
-    return lambda pts, w: (w * values(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi_arr.T))
-
-
 def _transform_profile(
     values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float, sign: float
 ) -> np.ndarray:
     """Transform values at a batch of real frequencies, on one escalating grid."""
     _require_integrable(envelope, label, "the Fourier transform")
     worst = float(np.max(np.sqrt(np.sum(xi_arr * xi_arr, axis=1)))) if xi_arr.size else 0.0
-    fine, _, _ = walk_ladder(_phase_block(values, xi_arr, sign), xi_arr.shape[0], envelope, dim, tol, label, worst)
+    fine, _, _ = walk_ladder(_phase_sum(values, xi_arr, sign), envelope, dim, tol, label, worst)
     return fine
 
 
@@ -275,7 +272,7 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
         raise QuadratureError(
             f"mollification of {f.name!r} needs a bounded or integrable-certified function"
         )
-    fine, _, _ = walk_ladder(block, xs.shape[0], envelope, f.dim, inner_tol, f"mollify[{f.name}]")
+    fine, _, _ = walk_ladder(_block_sum(block, xs.shape[0]), envelope, f.dim, inner_tol, f"mollify[{f.name}]")
     return fine
 
 
@@ -330,14 +327,14 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    _, _, grid = walk_ladder(_phase_block(f, probe, sign), 1, f.envelope, f.dim, inner_tol, f.name, max_freq)
+    _, _, grid = walk_ladder(_phase_sum(f, probe, sign), f.envelope, f.dim, inner_tol, f.name, max_freq)
     tensor = TensorGrid(grid.radius, grid.points_per_axis, f.dim)
     size = tensor.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
         if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
-        return tensor.sum(_phase_block(f, xi_pts, sign), xi_pts.shape[0])
+        return tensor.phase_sum(f, xi_pts, sign)
 
     l1_mass = float(tensor.sum(lambda pts, w: np.sum(np.abs(w * f(pts))))[0].real)
     return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))

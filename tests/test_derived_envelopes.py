@@ -5,16 +5,18 @@ copies) is spot-checked when the function is constructed.  Integrands the
 library derives from declared functions (Gauss means, smoothing, inversion,
 pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
-(``integrate_values`` and ``walk_ladder``) in every heatline module that
-imported them, runs every registered experiment at its default spec plus the
-derived entry points those runs do not reach, and evaluates each captured
-integrand at the runtime spot points with the runtime slack.
+(``integrate_values``, ``walk_ladder`` and the grid-sum builders
+``_value_sum``, ``_block_sum`` and ``_phase_sum``) in every heatline module
+that imported them, runs every registered experiment at its default spec
+plus the derived entry points those runs do not reach, and evaluates each
+captured integrand at the runtime spot points with the runtime slack.
 
-A walk's integrand is read point by point through its block evaluator, a
-thousand calls, so a walk that repeats the label, width and envelope of one
-already captured (the same integrand summed for other evaluation points or
-frequencies, such as the 41 points of the mollify experiment) is checked
-once.
+A phase sum's integrand is read in values form: the phase has modulus 1,
+so the envelope must bound the values.  A block sum's integrand is read
+point by point through its block evaluator, a thousand calls, so a walk
+that repeats the label, width and envelope of one already captured (the
+same integrand summed for other evaluation points, such as the 41 points of
+the mollify experiment) is checked once.
 """
 
 import re
@@ -33,6 +35,7 @@ from heatline import (
     TestFunction,
     bump_pair_fn,
     constant_fn,
+    fourier_complex,
     gauss_fn,
     gauss_mean,
     mollify,
@@ -77,25 +80,45 @@ def captured_integrands():
     """Record every integrand handed to the engine while the block runs."""
     captures = []
     walks = set()
-    integrate_values, walk_ladder, value_sum = quadrature.integrate_values, quadrature.walk_ladder, quadrature._value_sum
+    integrate_values, walk_ladder = quadrature.integrate_values, quadrature.walk_ladder
+    value_sum, block_sum, phase_sum = quadrature._value_sum, quadrature._block_sum, quadrature._phase_sum
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
         captures.append(Capture(label, envelope, dim, values))
         return integrate_values(values, envelope, dim, label, *args, **kwargs)
 
-    def capture_walk(block_sum, width, envelope, dim, tol, label, *args, **kwargs):
-        # a walk on integrate_values' own block sum was captured there, in values form
-        if not getattr(block_sum, "values_form", False) and (label, width, envelope) not in walks:
-            walks.add((label, width, envelope))
-            captures.append(Capture(label, envelope, dim, _pointwise(block_sum, width)))
-        return walk_ladder(block_sum, width, envelope, dim, tol, label, *args, **kwargs)
+    def capture_walk(grid_sum, envelope, dim, tol, label, *args, **kwargs):
+        # every walk sums a grid sum from one of the tagged builders
+        assert hasattr(grid_sum, "integrand"), f"walk for {label!r} sums an untagged grid sum"
+        if grid_sum.integrand is not None:
+            # a pointwise reader (width set) is costly, so it reads a repeated walk once
+            values, width = grid_sum.integrand
+            if width is None or (label, width, envelope) not in walks:
+                walks.add((label, width, envelope))
+                captures.append(Capture(label, envelope, dim, values))
+        return walk_ladder(grid_sum, envelope, dim, tol, label, *args, **kwargs)
 
-    def mark_value_sum(values):
-        block_sum = value_sum(values)
-        block_sum.values_form = True
-        return block_sum
+    def tagged(grid_sum, integrand):
+        grid_sum.integrand = integrand
+        return grid_sum
 
-    wrappers = {integrate_values: capture_values, walk_ladder: capture_walk, value_sum: mark_value_sum}
+    def tag_value_sum(values):
+        # integrate_values captured these values already
+        return tagged(value_sum(values), None)
+
+    def tag_block_sum(block, width=1):
+        return tagged(block_sum(block, width), (_pointwise(block, width), width))
+
+    def tag_phase_sum(values, xi, sign):
+        return tagged(phase_sum(values, xi, sign), (values, None))
+
+    wrappers = {
+        integrate_values: capture_values,
+        walk_ladder: capture_walk,
+        value_sum: tag_value_sum,
+        block_sum: tag_block_sum,
+        phase_sum: tag_phase_sum,
+    }
     modules = [m for name, m in sys.modules.items() if name == "heatline" or name.startswith("heatline.")]
     with pytest.MonkeyPatch.context() as mp:
         for module in modules:
@@ -155,3 +178,15 @@ def test_the_check_catches_a_halved_envelope(monkeypatch):
     with captured_integrands() as captures:
         mollify(weierstrass_fn(0.1), 0.1, [0.0])
     assert [label for label, _ in violations(captures)] == ["mollify[weierstrass:0.1]"]
+
+
+def test_the_check_catches_a_halved_phase_envelope(monkeypatch):
+    profile = transforms._transform_profile
+
+    def halved(values, envelope, *args):
+        return profile(values, envelope.scaled(0.5), *args)
+
+    monkeypatch.setattr(transforms, "_transform_profile", halved)
+    with captured_integrands() as captures:
+        fourier_complex(gauss_fn(0.1), [0.3j])
+    assert [label for label, _ in violations(captures)] == ["fourier[gauss:0.1]@complex"]

@@ -17,6 +17,7 @@ from heatline import (
     mollify,
     weierstrass_fn,
 )
+from heatline import quadrature
 from heatline.quadrature import GaussianDecay, QuadratureError, TensorGrid, integrate_values
 from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
 
@@ -55,16 +56,53 @@ def test_walk_matches_fresh_fine_and_coarse_sums(monkeypatch, ladder):
     assert result == integrate(g, grid)
 
 
+def _lattice(grid: TensorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Every node of the grid in row-major order, with its weight, built independently of blocks()."""
+    d = grid.dim
+    pts = np.stack(np.meshgrid(*[grid.nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    w = np.ones(pts.shape[0])
+    for ix in np.unravel_index(np.arange(pts.shape[0]), (grid.nodes.size,) * d):
+        w *= grid.weights[ix]
+    return pts, w
+
+
+def _assert_blocks_tile_the_lattice(grid: TensorGrid, blocks: list) -> None:
+    """The blocks are tensor products of their index slices and follow one another in row-major order."""
+    for pts, w, index in blocks:
+        axes = np.meshgrid(*(grid.nodes[s] for s in index), indexing="ij")
+        assert np.array_equal(pts, np.stack(axes, axis=-1).reshape(-1, grid.dim))
+        assert w.shape == (pts.shape[0],)
+    pts, w = _lattice(grid)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
+
+
 @pytest.mark.parametrize("width", [801, 66049])
 def test_blocks_respect_the_caps_and_cover_the_grid(width):
     grid = TensorGrid(4.0, 512, 2)
-    sizes = [pts.shape[0] for pts, _ in grid.blocks(width=width)]
+    sizes = [pts.shape[0] for pts, _, _ in grid.blocks(width=width)]
     assert max(sizes) * width <= 1 << 21
     assert sum(sizes) == 513**2
-    assert max(pts.shape[0] for pts, _ in grid.blocks()) <= 1 << 17
+    assert max(pts.shape[0] for pts, _, _ in grid.blocks()) <= 1 << 17
     # Simpson weights integrate constants exactly
     total = grid.sum(lambda pts, w: np.sum(w))
     assert abs(total[0] - 64.0) < 1e-12
+    # unwidened blocks are runs of whole leading-axis rows, as many as fit the node cap
+    blocks = list(grid.blocks())
+    assert [index[1] for _, _, index in blocks] == [slice(0, 513)] * len(blocks)
+    assert [index[0].stop - index[0].start for _, _, index in blocks] == [255, 255, 3]
+    _assert_blocks_tile_the_lattice(grid, blocks)
+    _assert_blocks_tile_the_lattice(grid, list(grid.blocks(width=width)))
+
+
+def test_a_row_over_the_cap_splits_along_the_second_axis(monkeypatch):
+    monkeypatch.setattr(quadrature, "_CHUNK", 40)
+    grid = TensorGrid(1.0, 8, 3)  # rows of 9 x 9 = 81 nodes
+    blocks = list(grid.blocks())
+    assert all(index[0].stop - index[0].start == 1 and index[2] == slice(0, 9) for _, _, index in blocks)
+    # runs of 40 // 9 = 4 whole lines along the third axis, within one row
+    assert [index[1].stop - index[1].start for _, _, index in blocks] == [4, 4, 1] * 9
+    _assert_blocks_tile_the_lattice(grid, blocks)
 
 
 def test_points_are_the_lattice_in_row_major_order():
@@ -73,6 +111,38 @@ def test_points_are_the_lattice_in_row_major_order():
     assert pts.shape == (25, 2)
     assert np.array_equal(pts[:, 0], np.repeat(axis, 5))
     assert np.array_equal(pts[:, 1], np.tile(axis, 5))
+
+
+def _skewed_gaussian(pts: np.ndarray) -> np.ndarray:
+    """A complex integrand with no symmetry that would hide an axis mix-up."""
+    return np.exp(-np.sum(pts * pts, axis=1) - 0.3 * pts[:, 0]) * (1.0 + 0.5j * pts[:, -1])
+
+
+def _frequencies(dim: int) -> np.ndarray:
+    """Seven frequencies off any lattice."""
+    return np.random.default_rng(7 + dim).uniform(-1.5, 1.5, size=(7, dim))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_phase_sum_matches_the_dense_sum(dim, sign):
+    grid = TensorGrid(3.0, 16, dim)
+    xi = _frequencies(dim)
+    pts, w = _lattice(grid)
+    dense = (w * _skewed_gaussian(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi.T))
+    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign) - dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_phase_sum_in_frequency_chunks_and_small_blocks(monkeypatch, dim):
+    grid = TensorGrid(3.0, 16, dim)
+    xi = _frequencies(dim)
+    whole = grid.phase_sum(_skewed_gaussian, xi, -1.0)
+    assert np.array_equal(whole, grid.phase_sum(_skewed_gaussian, xi, -1.0))
+    # one frequency per chunk, and blocks of at most 64 nodes (split rows in dim 3)
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 64)
+    chunked = grid.phase_sum(_skewed_gaussian, xi, -1.0)
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
 
 
 def test_spectra_add():
