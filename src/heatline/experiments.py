@@ -30,7 +30,7 @@ from .transforms import (
     fourier,
     fourier_complex,
     fourier_profile,
-    gauss_inversion,
+    gauss_inversion_on_points,
     mollify,
     mollify_l1_check,
     modulate,
@@ -362,12 +362,13 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
         raise ValueError("the inversion experiment runs in dimension 1")
     f = parse_preset(preset, dim)
     quad_tol = tol / 4.0
+    inversions = [gauss_inversion_on_points(f, alpha, xs, quad_tol).tolist() for alpha in alphas]
     rows = []
     worst_cross = 0.0
-    for x in xs:
+    for i, x in enumerate(xs):
         fx = complex(f(np.array([[x]]))[0])
-        for alpha in alphas:
-            inv = gauss_inversion(f, x, alpha, quad_tol)
+        for alpha, inv_row in zip(alphas, inversions):
+            inv = inv_row[i]
             mol = mollify(f, alpha, x, quad_tol)
             cross = abs(inv - mol)
             worst_cross = max(worst_cross, cross)
@@ -534,13 +535,13 @@ def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> Res
 )
 def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> ResultTable:
     """Measure inversion against direct measure smoothing."""
+    points = np.zeros((len(xs), measure.dim))
+    points[:, 0] = xs
     rows = []
     worst = 0.0
     for alpha in alphas:
-        for x in xs:
-            point = np.zeros(measure.dim)
-            point[0] = x
-            inv = measure.gauss_inversion(point, alpha, tol / 4.0)
+        inversions = measure.gauss_inversion_on_points(alpha, points, tol / 4.0).tolist()
+        for x, point, inv in zip(xs, points, inversions):
             mol = measure.mollify(alpha, point, tol / 4.0)
             diff = abs(inv - mol)
             worst = max(worst, diff)

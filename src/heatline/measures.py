@@ -157,12 +157,19 @@ class BoundedMeasure:
         return spectrum
 
     def gauss_inversion(self, x, alpha: float, tol: float = 1e-8) -> complex:
-        """Gauss-weighted inversion of the measure transform, sampled directly.
+        """Gauss-weighted inversion at x; one row of gauss_inversion_on_points."""
+        x = real_point(x, self.dim)
+        return complex(self.gauss_inversion_on_points(alpha, x.reshape(1, -1), tol)[0])
 
-        Cross-checks against ``mollify``: the two routes share no
-        computation, yet agree within tolerance.
+    def gauss_inversion_on_points(self, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
+        """Gauss-weighted inversion of the measure transform at each row of xs, sampled directly.
+
+        The transform is sampled once for the batch; each point keeps its own
+        outer grid (see ``invert_spectrum``).  Cross-checks against
+        ``mollify_on_points``: the two routes share no computation, yet agree
+        within tolerance.
         """
-        return invert_spectrum(self.spectrum, self.dim, x, alpha, tol, "measure")
+        return invert_spectrum(self.spectrum, self.dim, xs, alpha, tol, "measure")
 
 
 def dirac(location, weight: complex = 1.0) -> BoundedMeasure:

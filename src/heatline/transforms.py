@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
-from .points import real_point
+from .points import real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -138,11 +138,7 @@ def fourier_profile(
     f: TestFunction, xi_list, tol: float = 1e-8, inverse: bool = False
 ) -> list[FrequencySample]:
     """Transform values over a list of frequencies, sharing one grid."""
-    arr = np.asarray(xi_list, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1) if f.dim == 1 else arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != f.dim:
-        raise ValueError(f"frequency list must have shape (k, {f.dim})")
+    arr = real_points(xi_list, f.dim, "frequency list")
     values = _transform_profile(f, f.envelope, f.dim, f.name, arr, tol, +1.0 if inverse else -1.0)
     return [FrequencySample(tuple(map(float, row)), complex(v)) for row, v in zip(arr, values)]
 
@@ -340,38 +336,63 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))
 
 
-def invert_spectrum(spectrum_at: Callable, dim: int, x, alpha: float, tol: float, label: str) -> complex:
-    """Gauss-weighted inversion at x: the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi).
+def invert_spectrum(spectrum_at: Callable, dim: int, xs, alpha: float, tol: float, label: str) -> np.ndarray:
+    """Gauss-weighted inversion at each row of xs: the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi).
 
-    ``spectrum_at(inner_tol, max_freq)`` supplies s, sampled out to where the
-    gauss weight falls to _FREQ_CUTOFF; its bound and rate certify the integrand.
+    ``spectrum_at(inner_tol, max_freq)`` supplies s once for the batch,
+    sampled out to where the gauss weight falls to _FREQ_CUTOFF; its bound
+    and rate certify the integrand.  Each point walks its own ladder, so its
+    value does not depend on the batch; the values of s on a frequency block
+    are computed once per call and shared by every point whose walk meets it.
     """
-    x = real_point(x, dim)
+    xs = real_points(xs, dim)
     scale = KernelScale(alpha, dim)
     peak = weierstrass_peak(scale)  # integral of the gauss weight
     freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha))
     spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
+    sampled = {}  # spectrum values by the bytes of their frequency block
 
-    def fn(xi_pts: np.ndarray) -> np.ndarray:
-        return spectrum.values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+    def spectrum_values(xi_pts: np.ndarray) -> np.ndarray:
+        key = xi_pts.tobytes()
+        if key not in sampled:
+            sampled[key] = spectrum.values(xi_pts)
+        # a fresh array, as an unshared one would be: numpy multiplies a large
+        # temporary in place, where its complex multiply may round differently
+        return sampled[key].copy()
 
     envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
-    rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
-    result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
-    return complex(result.value)
+    out = np.empty(xs.shape[0], dtype=np.complex128)
+    for i, x in enumerate(xs):
+
+        def fn(xi_pts: np.ndarray, x=x) -> np.ndarray:
+            return spectrum_values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+
+        rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
+        result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
+        out[i] = result.value
+    return out
 
 
-def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> complex:
-    """Gauss-weighted inversion integral at x, from sampled transform values.
+def gauss_inversion_on_points(f: TestFunction, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
+    """Gauss-weighted inversion at each row of xs, from one sampled transform.
 
     Computes the xi-integral of fhat(xi) exp(2 pi i x.xi) gauss_alpha(xi)
     with fhat itself obtained by quadrature, so agreement with the
-    mollified value (W_alpha * f)(x) is a genuine two-route check.
+    mollified value (W_alpha * f)(x) is a genuine two-route check.  The
+    transform is sampled once for the batch; each point keeps its own
+    outer grid (see ``invert_spectrum``).  ``xs`` has shape (k, dim), or is
+    a list of k points in dim 1.
     """
     _require_integrable(f.envelope, f.name, "Gauss-summable inversion")
     return invert_spectrum(
-        lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, x, alpha, tol, f.name
+        lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, xs, alpha, tol, f.name
     )
+
+
+def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> complex:
+    """Gauss-weighted inversion integral at x; one row of gauss_inversion_on_points."""
+    x = real_point(x, f.dim)
+    return complex(gauss_inversion_on_points(f, alpha, x.reshape(1, -1), tol)[0])
 
 
 def gauss_inversion_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:

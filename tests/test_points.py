@@ -26,6 +26,38 @@ def test_dot_dimension_mismatch():
         dot([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_dot_of_empty_points_is_zero():
+    assert dot([], []) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("complex_z", [False, True])
+@pytest.mark.parametrize(
+    "z_shape, w_shape",
+    [((500,), (500,)), ((500,), ()), ((), ()), ((7, 1), (1, 5)), ((), (50,))],
+)
+def test_dot_matches_the_numpy_reduce_bit_for_bit(dim, complex_z, z_shape, w_shape):
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((*z_shape, dim))
+    if complex_z:
+        z = z + 1j * rng.standard_normal(z.shape)
+    # magnitudes over 16 decades, and signed zeros, so rounding order shows
+    w = rng.standard_normal((*w_shape, dim)) * 10.0 ** rng.integers(-8, 8, size=(*w_shape, dim))
+    w.reshape(-1)[::7] = -0.0
+    for a, b in [(z, w), (np.asfortranarray(z), w), (-0.0 * z, w)]:
+        got = dot(a, b)
+        assert np.array_equal(got, np.sum(a * b, axis=-1))
+        assert np.shape(got) == np.broadcast_shapes(z_shape, w_shape)
+        assert np.array_equal(np.signbit(np.real(got)), np.signbit(np.real(np.sum(a * b, axis=-1))))
+
+
+def test_dot_in_higher_dimension_matches_the_numpy_reduce():
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((500, 6)) + 1j * rng.standard_normal((500, 6))
+    w = rng.standard_normal((500, 6))
+    assert np.allclose(dot(z, w), np.sum(z * w, axis=-1), rtol=1e-14, atol=0.0)
+
+
 def test_modulus_zero_vector():
     assert modulus([0.0, 0.0, 0.0]) == 0.0
 

@@ -1,6 +1,8 @@
 """Transform pair, summability, mollification, duality, and modulation."""
 
 import math
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -14,31 +16,39 @@ from heatline.catalog import (
     weierstrass_fn,
     zero_fn,
 )
-from heatline.kernels import KernelScale, gauss, weierstrass
+from heatline.kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+from heatline.measures import Atom, BoundedMeasure
 from heatline.quadrature import (
+    _TINY,
     BoundedOnly,
     GaussianDecay,
     GridSpec,
     QuadratureError,
     TestFunction,
     integrate_auto,
+    integrate_values,
     l1_norm,
 )
 from heatline.transforms import (
+    _FREQ_CUTOFF,
+    Spectrum,
     SummabilityTrace,
     fourier,
     fourier_complex,
     fourier_profile,
     gauss_inversion,
+    gauss_inversion_on_points,
     gauss_mean,
     gauss_mean_trace,
     gauss_summable_limit,
+    invert_spectrum,
     inverse_fourier,
     mollify,
     mollify_l1_check,
     mollify_trace,
     modulate,
     multiplication_formula_check,
+    sampled_spectrum,
 )
 
 W_015_AT_0 = 0.7283656203947194  # (0.6 pi)^(-1/2)
@@ -299,6 +309,96 @@ class TestGaussInversion:
             fx = weierstrass_oracle(0.1, x)
             errors = [abs(gauss_inversion(f, [x], a, 2e-7) - fx) for a in alphas]
             assert all(errors[k + 1] <= errors[k] for k in range(len(errors) - 1))
+
+
+# points with phase rates far enough apart that their outer walks start on different rungs
+BATCH_XS = [-1.0, 0.0, 0.5, 1.2, 3.0]
+
+
+def counting_spectrum_at(f: TestFunction, blocks: list) -> Callable:
+    """A spectrum_at for invert_spectrum that records each frequency block it is asked for."""
+
+    def spectrum_at(inner_tol, max_freq):
+        inner = sampled_spectrum(f, inner_tol, max_freq)
+
+        def values(xi_pts):
+            blocks.append(xi_pts.tobytes())
+            return inner.values(xi_pts)
+
+        return Spectrum(values, inner.bound, inner.rate)
+
+    return spectrum_at
+
+
+def reference_inversion(spectrum_at: Callable, x: np.ndarray, alpha: float, tol: float) -> complex:
+    """One point's inversion with nothing shared: a fresh spectrum, sampled anew on every block."""
+    dim = x.shape[0]
+    scale = KernelScale(alpha, dim)
+    freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha))
+    spectrum = spectrum_at(tol / (2.0 * max(1.0, weierstrass_peak(scale))), freq_radius * math.sqrt(dim))
+
+    def fn(xi_pts):
+        return spectrum.values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+
+    envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
+    rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
+    return integrate_values(fn, envelope, dim, "reference", tol / 2.0, phase_rate=rate)[0].value
+
+
+class TestBatchedInversion:
+    def test_rows_match_the_unshared_reference(self):
+        f = weierstrass_fn(0.1)
+        xs = np.array(BATCH_XS).reshape(-1, 1)
+        batch = gauss_inversion_on_points(f, 0.1, xs, 2e-7)
+        assert list(batch) == [reference_inversion(partial(sampled_spectrum, f), x, 0.1, 2e-7) for x in xs]
+
+    def test_dim_2_rows_match_the_unshared_reference(self):
+        # dim-2 blocks are large enough for numpy to multiply a temporary in place
+        measure = BoundedMeasure(dim=2, atoms=(Atom((0.0, 0.0), 1.0), Atom((0.7, -0.2), -0.5)))
+        xs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.3]])
+        batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
+        assert list(batch) == [reference_inversion(measure.spectrum, x, 0.1, 2.5e-7) for x in xs]
+
+    @pytest.mark.parametrize("f", [weierstrass_fn(0.1), gauss_fn(0.05)], ids=lambda f: f.name)
+    def test_each_row_is_the_one_point_call(self, f):
+        batch = gauss_inversion_on_points(f, 0.1, BATCH_XS, 2e-7)
+        assert batch.shape == (len(BATCH_XS),)
+        assert list(batch) == [gauss_inversion(f, [x], 0.1, 2e-7) for x in BATCH_XS]
+
+    def test_a_point_does_not_depend_on_its_batch(self):
+        f = weierstrass_fn(0.1)
+        full = gauss_inversion_on_points(f, 0.05, BATCH_XS, 2e-7)
+        assert list(gauss_inversion_on_points(f, 0.05, BATCH_XS[::-1], 2e-7)) == list(full[::-1])
+        assert list(gauss_inversion_on_points(f, 0.05, BATCH_XS[1::2], 2e-7)) == list(full[1::2])
+
+    def test_each_frequency_block_is_sampled_once_per_call(self):
+        f = weierstrass_fn(0.1)
+        xs = np.array(BATCH_XS).reshape(-1, 1)
+        blocks = []
+        invert_spectrum(counting_spectrum_at(f, blocks), 1, xs, 0.1, 2e-7, "counted")
+        assert len(blocks) == len(set(blocks))
+        # the memo is local to the call: a second call samples every block afresh
+        again = []
+        invert_spectrum(counting_spectrum_at(f, again), 1, xs, 0.1, 2e-7, "counted")
+        assert again == blocks
+        # one call per point would sample blocks the points share more than once
+        per_point = []
+        for x in xs:
+            invert_spectrum(counting_spectrum_at(f, per_point), 1, x.reshape(1, 1), 0.1, 2e-7, "counted")
+        assert set(per_point) == set(blocks) and len(per_point) > len(blocks)
+
+    @pytest.mark.parametrize(
+        "xs", [[], np.zeros((0, 1)), [[0.0, 1.0]], [[[0.0]]], [0.0, math.nan], [[math.inf]]],
+        ids=["empty-list", "empty-array", "wrong-dim", "3-d", "nan", "inf"],
+    )
+    def test_a_malformed_batch_is_refused(self, xs):
+        with pytest.raises(ValueError, match=r"shape \(k, 1\)"):
+            gauss_inversion_on_points(weierstrass_fn(0.1), 0.1, xs)
+
+    def test_a_dim_2_batch_needs_two_columns(self):
+        f = gauss_fn(0.1, dim=2)
+        with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+            gauss_inversion_on_points(f, 0.1, np.zeros((3, 1)))
 
 
 class TestMultiplicationFormula:
