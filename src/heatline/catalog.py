@@ -24,6 +24,12 @@ from .quadrature import (
 )
 
 
+def _axis_factors(kernel: Callable, alpha: float, dim: int) -> tuple:
+    """The 1-d kernel at scale alpha on every axis: x.x and the prefactor split per axis."""
+    scale = KernelScale(alpha, 1)
+    return (lambda x: kernel(scale, x[:, None]),) * dim
+
+
 def gauss_fn(alpha: float, dim: int = 1) -> TestFunction:
     """The Gauss kernel at scale alpha as a test function (sup is 1)."""
     scale = KernelScale(alpha, dim)
@@ -34,6 +40,7 @@ def gauss_fn(alpha: float, dim: int = 1) -> TestFunction:
         bounded=True,
         sup_bound=1.0,
         name=f"gauss:{alpha:g}",
+        factors=_axis_factors(gauss, alpha, dim),
     )
 
 
@@ -48,6 +55,7 @@ def weierstrass_fn(alpha: float, dim: int = 1) -> TestFunction:
         bounded=True,
         sup_bound=peak,
         name=f"weierstrass:{alpha:g}",
+        factors=_axis_factors(weierstrass, alpha, dim),
     )
 
 
@@ -60,6 +68,7 @@ def unit_gaussian(dim: int = 1) -> TestFunction:
         bounded=True,
         sup_bound=1.0,
         name="unit-gauss",
+        factors=(lambda x: np.exp(-math.pi * (x * x)),) * dim,
     )
 
 

@@ -317,8 +317,9 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     """The quadrature transform of f, frozen on the smallest ladder grid that meets inner_tol.
 
     The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
-    weights bound the values by the quadrature L1 mass; the phase rate is the
-    grid's half-diagonal.
+    weights bound the values by the quadrature L1 mass (a product of per-axis
+    masses when f declares factors); the phase rate is the grid's
+    half-diagonal.
     """
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
@@ -332,7 +333,10 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
         return tensor.phase_sum(f, xi_pts, sign)
 
-    l1_mass = float(tensor.sum(lambda pts, w: np.sum(np.abs(w * f(pts))))[0].real)
+    if f.factors is None:
+        l1_mass = float(tensor.sum(lambda pts, w: np.sum(np.abs(w * f(pts))))[0].real)
+    else:
+        l1_mass = math.prod(float(np.sum(np.abs(wf))) for wf in tensor.weighted_factors(f))
     return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))
 
 

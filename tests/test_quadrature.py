@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heatline.catalog import bump_fn, constant_fn, gauss_fn, unit_gaussian, weierstrass_fn
-from heatline.kernels import KernelScale, weierstrass_peak
+from heatline.kernels import KernelScale, gauss, weierstrass_peak
 from heatline.quadrature import (
     CompactSupport,
     GaussianDecay,
@@ -97,6 +97,71 @@ class TestEnvelopeChecks:
             TestFunction(f=fn, dim=2, envelope=PolynomialDecay(1.5, 1.0))
         # 1.5 > 1 is accepted in dimension 1
         TestFunction(f=fn, dim=1, envelope=PolynomialDecay(1.5, 1.0))
+
+
+class TestDeclaredFactors:
+    """A declared product form is spot-checked against f at construction."""
+
+    def test_presets_declare_factors_that_pass_the_check(self):
+        for dim in (1, 2, 3):
+            for g in (gauss_fn(0.1, dim), weierstrass_fn(0.1, dim), unit_gaussian(dim)):
+                assert len(g.factors) == dim
+
+    def test_factors_at_a_wrong_scale_rejected(self):
+        g = weierstrass_fn(0.1, 2)
+        first, second = g.factors
+        with pytest.raises(ValueError, match="product of its declared factors"):
+            TestFunction(
+                g.f, 2, g.envelope, name="off-by-1e-9",
+                factors=(lambda x: (1.0 + 1e-9) * first(x), second),
+            )
+
+    def test_swapped_axes_of_an_anisotropic_product_rejected(self):
+        def narrow(x):
+            return np.exp(-math.pi * x * x)
+
+        def wide(x):
+            return np.exp(-0.5 * x * x)
+
+        def f(pts):
+            return narrow(pts[:, 0]) * wide(pts[:, 1])
+
+        envelope = GaussianDecay(0.5, 1.0)
+        assert TestFunction(f, 2, envelope, factors=(narrow, wide)).factors is not None
+        with pytest.raises(ValueError, match="product of its declared factors"):
+            TestFunction(f, 2, envelope, name="swapped", factors=(wide, narrow))
+
+    def test_unshifted_factors_of_a_shifted_function_rejected(self):
+        g = gauss_fn(0.1, 2)
+        moved = g.shifted([0.5, -0.25])
+        with pytest.raises(ValueError, match="product of its declared factors"):
+            TestFunction(moved.f, 2, moved.envelope, name="unshifted", factors=g.factors)
+
+    def test_one_factor_per_axis_required(self):
+        g = gauss_fn(0.1, 2)
+        with pytest.raises(ValueError, match="one per axis"):
+            TestFunction(g.f, 2, g.envelope, factors=g.factors[:1])
+
+    def test_factor_values_get_the_checks_of_f(self):
+        g = gauss_fn(0.1, 1)
+        with pytest.raises(ValueError, match="returned shape"):
+            TestFunction(g.f, 1, g.envelope, factors=(lambda x: np.ones(3),))
+        with pytest.raises(ValueError, match="non-finite"):
+            TestFunction(g.f, 1, g.envelope, factors=(lambda x: np.full(x.shape[0], np.nan),))
+
+
+class TestRealPoints:
+    def test_complex_points_rejected(self):
+        # the imaginary part used to be dropped: gauss:0.1 at 0.3i returned its value at 0
+        g = gauss_fn(0.1)
+        for pts in (np.array([0.3j]), 0.3j, [[0.3 + 0.0j]]):
+            with pytest.raises(ValueError, match="real points.*fourier_complex"):
+                g(pts)
+
+    def test_the_kernels_take_complex_points(self):
+        value = gauss(KernelScale(0.1), np.array([0.3j]))
+        assert value == pytest.approx(math.exp(4.0 * math.pi**2 * 0.1 * 0.09), rel=1e-15)
+        assert value == pytest.approx(1.4266, rel=1e-4)
 
 
 class TestIntegrate:
