@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import parse_preset
 from .kernels import KernelScale, weierstrass, weierstrass_peak
-from .points import real_point
+from .points import cis, real_point
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -121,7 +121,7 @@ class BoundedMeasure:
         xi = real_point(xi, self.dim)
         out = 0.0 + 0.0j
         if self.atoms:
-            phases = np.exp(-2j * math.pi * (self.atom_locations @ xi))
+            phases = cis(-2.0 * math.pi * (self.atom_locations @ xi))
             out += complex(np.sum(self.atom_weights * phases))
         if self.density is not None:
             out += _fourier(self.density, xi, tol)
@@ -148,7 +148,7 @@ class BoundedMeasure:
         locations = self.atom_locations
         weights = self.atom_weights
         spectrum = Spectrum(
-            lambda xi_pts: np.exp(-2j * math.pi * (xi_pts @ locations.T)) @ weights,
+            lambda xi_pts: cis(-2.0 * math.pi * (xi_pts @ locations.T)) @ weights,
             float(np.sum(np.abs(weights))),
             float(np.max(np.sqrt(np.sum(locations**2, axis=1)))) if weights.size else 0.0,
         )

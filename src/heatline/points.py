@@ -74,6 +74,19 @@ def dot(z, w):
     return out[()] if out.ndim == 0 else out
 
 
+def cis(theta) -> np.ndarray:
+    """exp(i theta) = cos(theta) + i sin(theta) for real theta, as a complex128 array.
+
+    The real and imaginary parts are filled by np.cos and np.sin, which is
+    about twice as fast as np.exp of a complex argument.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def modulus(z):
     """Euclidean modulus (sum_j |z_j|^2)^(1/2) over the last axis."""
     z = np.atleast_1d(np.asarray(z))

@@ -8,7 +8,10 @@ two error terms:
   outside the cube, computed from the integrand's declared decay envelope
   (never from sampling);
 * ``disc_error_est`` -- a two-resolution estimate ``|value(N) - value(N/2)|``
-  of the discretization error inside the cube.
+  of the discretization error inside the cube.  When N is a multiple of 4,
+  as on the default ladder, the N/2 sum reuses the N-grid's even nodes
+  (the N/2 grid's Simpson weights there, zero on the odd nodes), so each
+  grid evaluates its integrand once.
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
@@ -41,6 +44,8 @@ from functools import lru_cache, reduce
 from typing import Callable, Union
 
 import numpy as np
+
+from .points import cis
 
 DEFAULT_NODE_BUDGET = 2**24
 RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0)
@@ -456,20 +461,64 @@ class QuadratureResult:
         return self.disc_error_est + self.tail_bound
 
 
+def _simpson_weights(radius: float, n_points: int) -> np.ndarray:
+    """Composite-Simpson weights of the n_points + 1 equispaced nodes on [-radius, radius]."""
+    weights = np.full(n_points + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return weights * (2.0 * radius / n_points / 3.0)
+
+
+def _coarse_points(n_points: int) -> int:
+    """Largest even interval count <= n_points / 2."""
+    return max(2, (n_points // 2) // 2 * 2)
+
+
+def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
+    """The tensor product of per-axis ``weights`` over a block's index slices, flattened."""
+    w = weights[index[0]]
+    for s in index[1:]:
+        w = np.multiply.outer(w, weights[s])
+    return w.reshape(-1)
+
+
+def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for a vector w; for a stack of weight rows, one product per row.
+
+    A matrix-matrix product rounds differently from a matrix-vector one, so
+    each row is its own product and the first keeps a @ w[0]'s bits.
+    """
+    return a @ w if w.ndim == 1 else np.stack([a @ row for row in w])
+
+
 class TensorGrid:
     """Composite-Simpson tensor grid on [-radius, radius]^dim, n_points intervals per axis.
 
     Only the per-axis nodes and weights are stored; the tensor product is
     built block by block in a fixed order, so every sum is reproducible.
+    When n_points is a multiple of 4, the nodes of the n_points / 2 grid are
+    the even nodes of this one, bit for bit, and ``coarse_weights`` holds
+    that grid's Simpson weights on them (zero on the odd nodes); otherwise it
+    is None.  Sums taken with ``coarse`` set return the fine row and the
+    coarse row from one evaluation of the integrand.
     """
 
     def __init__(self, radius: float, n_points: int, dim: int) -> None:
         self.dim = dim
         self.nodes = np.linspace(-radius, radius, n_points + 1)
-        weights = np.full(n_points + 1, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        self.weights = weights * (2.0 * radius / n_points / 3.0)
+        self.weights = _simpson_weights(radius, n_points)
+        self.coarse_weights = None
+        if 2 * _coarse_points(n_points) == n_points:
+            self.coarse_weights = np.zeros(n_points + 1)
+            self.coarse_weights[::2] = _simpson_weights(radius, n_points // 2)
+
+    def _weight_rows(self, coarse: bool) -> np.ndarray:
+        """Per-axis weights, one row per sum: the fine rule, then the embedded coarse rule if ``coarse``."""
+        if not coarse:
+            return self.weights[None]
+        if self.coarse_weights is None:
+            raise ValueError(f"the {self.nodes.size - 1}-interval grid embeds no coarse grid")
+        return np.stack([self.weights, self.coarse_weights])
 
     def blocks(self, width: int = 1):
         """Yield (points, weights, index) blocks covering the grid in row-major order.
@@ -493,33 +542,40 @@ class TensorGrid:
             for start in range(0, m, run):
                 index = (*(slice(i, i + 1) for i in prefix), slice(start, min(start + run, m)), *whole)
                 pts = np.empty((*(s.stop - s.start for s in index), self.dim))
-                w = self.weights[index[0]]
                 for axis, s in enumerate(index):
                     pts[..., axis] = self.nodes[s].reshape((-1,) + (1,) * (self.dim - axis - 1))
-                    if axis:
-                        w = np.multiply.outer(w, self.weights[s])
-                yield pts.reshape(-1, self.dim), w.reshape(-1), index
+                yield pts.reshape(-1, self.dim), _block_weights(self.weights, index), index
 
     def points(self) -> np.ndarray:
         """Every node, as one (size, dim) array in block order."""
         return np.concatenate([pts for pts, _, _ in self.blocks()])
 
-    def weighted_factors(self, values) -> list[np.ndarray]:
+    def weighted_factors(self, values, coarse: bool = False) -> list[np.ndarray]:
         """w * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
 
-        The factor values get the checks of f(points): one finite value per node.
+        Each entry has one row per weight row (see ``sum``).  The factor
+        values get the checks of f(points): one finite value per node.
         """
         name = getattr(values, "name", "")
-        return [self.weights * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
+        rows = self._weight_rows(coarse)
+        return [rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
 
-    def sum(self, block_sum: Callable, width: int = 1) -> np.ndarray:
-        """Sum of ``block_sum(points, weights)`` over the blocks, a (width,) vector."""
-        out = np.zeros(width, dtype=np.complex128)
-        for pts, w, _ in self.blocks(width):
+    def sum(self, block_sum: Callable, width: int = 1, coarse: bool = False) -> np.ndarray:
+        """Sum of ``block_sum(points, weights)`` over the blocks, a (width,) vector.
+
+        With ``coarse``, ``weights`` is a (2, block size) stack of the fine
+        and the embedded coarse weights, ``block_sum`` returns one row of
+        sums per weight row, and the result is a (2, width) array.
+        """
+        rows = self._weight_rows(coarse)
+        out = np.zeros((rows.shape[0], width), dtype=np.complex128)
+        for pts, w, index in self.blocks(width):
+            if coarse:
+                w = np.stack([w, _block_weights(rows[1], index)])
             out += block_sum(pts, w)
-        return out
+        return out if coarse else out[0]
 
-    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
+    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float, coarse: bool = False) -> np.ndarray:
         """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one per row of xi.
 
         The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
@@ -531,33 +587,45 @@ class TensorGrid:
         already does).  An integrand that declares ``factors`` is not
         evaluated at the nodes at all: its sum is the product over axes of
         (w * f_j(nodes)) contracted with the axis's phase matrix.
+
+        With ``coarse``, the result is a (2, frequencies) array whose second
+        row is the sum with the embedded coarse weights: the same values
+        contracted on the even nodes only, with the even rows of the same
+        phase matrices.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
         # (whole) axis leaves at most _CHUNK // m rows
         step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
-        out = np.zeros(xi.shape[0], dtype=np.complex128)
+        rows = self._weight_rows(coarse)
+        out = np.zeros((rows.shape[0], xi.shape[0]), dtype=np.complex128)
         factored = getattr(values, "factors", None) is not None
         if factored:
-            weighted = [wf.reshape(1, -1) for wf in self.weighted_factors(values)]
+            weighted = self.weighted_factors(values, coarse)
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
-            phases = [np.exp(sign * 2j * math.pi * np.multiply.outer(self.nodes, chunk[:, j])) for j in range(self.dim)]
+            phases = [cis(sign * 2.0 * math.pi * np.multiply.outer(self.nodes, chunk[:, j])) for j in range(self.dim)]
             if factored:
-                out[k:k + step] += _product(wf @ phase for wf, phase in zip(weighted, phases))[0]
+                for r in range(rows.shape[0]):
+                    on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes
+                    out[r, k:k + step] += _product(wf[r:r + 1, on] @ phase[on] for wf, phase in zip(weighted, phases))[0]
                 continue
             for pts, w, index in self.blocks():
-                acc = (w * values(pts)).reshape(-1, index[-1].stop - index[-1].start) @ phases[-1][index[-1]]
-                for axis in range(self.dim - 2, -1, -1):
-                    rows = index[axis].stop - index[axis].start
-                    acc = np.einsum("abk,bk->ak", acc.reshape(-1, rows, acc.shape[-1]), phases[axis][index[axis]])
-                out[k:k + step] += acc[0]
-        return out
-
-
-def _coarse_points(n_points: int) -> int:
-    """Largest even interval count <= n_points / 2."""
-    return max(2, (n_points // 2) // 2 * 2)
+                vals = values(pts)
+                shape = tuple(s.stop - s.start for s in index)
+                block_rows = [w, _block_weights(rows[1], index)] if coarse else [w]
+                for r, w_r in enumerate(block_rows):
+                    # the block positions of the row's nodes: all of them, or the even nodes
+                    on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
+                    acc = (w_r * vals).reshape(shape)[on]
+                    if not acc.size:
+                        continue  # a block of odd nodes along some axis
+                    axes = [phase[s][o] for phase, s, o in zip(phases, index, on)]
+                    acc = acc.reshape(-1, acc.shape[-1]) @ axes[-1]
+                    for axis in range(self.dim - 2, -1, -1):
+                        acc = np.einsum("abk,bk->ak", acc.reshape(-1, axes[axis].shape[0], acc.shape[-1]), axes[axis])
+                    out[r, k:k + step] += acc[0]
+        return out if coarse else out[0]
 
 
 def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
@@ -572,40 +640,51 @@ def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> f
     )
 
 
+def _fine_and_coarse(grid_sum: Callable, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's sums and those at half the points (``_coarse_points``), as (fine, coarse).
+
+    When the coarse nodes are the grid's even nodes (N a multiple of 4, as
+    on the default ladder), both come from one evaluation of the integrand;
+    otherwise the coarse grid is summed on its own.
+    """
+    n = grid.points_per_axis
+    tensor = TensorGrid(grid.radius, n, grid.dim)
+    if tensor.coarse_weights is None:
+        return grid_sum(tensor), grid_sum(TensorGrid(grid.radius, _coarse_points(n), grid.dim))
+    fine, coarse = grid_sum(tensor, coarse=True)
+    return fine, coarse
+
+
 def walk_ladder(
     grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, GridSpec]:
     """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
 
-    ``grid_sum(tensor_grid)`` returns a vector of sums over a ``TensorGrid``
-    (see ``_value_sum``, ``_block_sum`` and ``_phase_sum``).  The radius comes
-    from ``truncation_radius``; the point ladder is then walked until every
-    entry of ``|fine - coarse|`` is at most tol / 2.  ``phase_rate`` is an
+    ``grid_sum(tensor_grid, coarse=False)`` returns a vector of sums over a
+    ``TensorGrid``, or with ``coarse`` a (2, width) array that adds the sums
+    with the grid's embedded coarse weights (see ``_value_sum``,
+    ``_block_sum`` and ``_phase_sum``).  The radius comes from
+    ``truncation_radius``; the point ladder is then walked until every entry
+    of ``|fine - coarse|`` is at most tol / 2.  ``phase_rate`` is an
     oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
     factor); the walk starts where the phase advances at most a quarter cycle
-    per step.  A rung's fine sum is reused as the next rung's coarse sum when
-    the point counts match, as on the default ladder.
+    per step.  Each rung evaluates its integrand once: the N/2 sum reuses the
+    N-grid's even nodes (see ``_fine_and_coarse``).
     """
     radius = truncation_radius(envelope, dim, tol, label)
     budget = node_budget()
     min_points = 8.0 * radius * phase_rate
-    last_n, last_fine = None, None
+    tried = False
     for n in points_ladder():
         if n**dim > budget:
             break
         if n < min_points:
             continue
         grid = GridSpec(radius, n, dim)
-        fine = grid_sum(TensorGrid(radius, n, dim))
-        coarse_n = _coarse_points(n)
-        if coarse_n == last_n:
-            coarse = last_fine
-        else:
-            coarse = grid_sum(TensorGrid(radius, coarse_n, dim))
+        fine, coarse = _fine_and_coarse(grid_sum, grid)
         if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
             return fine, coarse, grid
-        last_n, last_fine = n, fine
-    tried = last_n is not None
+        tried = True
     reason = "discretization estimate never met the tolerance" if tried else "phase cap exceeds the point ladder"
     raise QuadratureError(f"tolerance unreachable at budget for {label!r}: {reason}")
 
@@ -632,24 +711,32 @@ def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
 
 
 def _value_sum(values: Callable) -> Callable:
-    """Grid sum of the plain integral of values, a (1,) vector.
+    """Grid sum of the plain integral of values, a (1,) vector (with ``coarse``, a (2, 1) array).
 
     An integrand that declares ``factors`` sums as prod_j sum_k w_k f_j(x_k).
     """
     if getattr(values, "factors", None) is not None:
-        # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
-        return lambda grid: np.zeros(1, np.complex128) + _product(np.sum(wf) for wf in grid.weighted_factors(values))
-    return lambda grid: grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128)))
+        def factored(grid: TensorGrid, coarse: bool = False) -> np.ndarray:
+            # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
+            sums = np.zeros((1, 1), np.complex128) + _product(
+                np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values, coarse)
+            )
+            return sums if coarse else sums[0]
+
+        return factored
+    return lambda grid, coarse=False: grid.sum(
+        lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128), axis=-1, keepdims=True), coarse=coarse
+    )
 
 
 def _block_sum(block_sum: Callable, width: int = 1) -> Callable:
     """Grid sum of ``block_sum(points, weights)``, a (width,) vector (see ``TensorGrid.sum``)."""
-    return lambda grid: grid.sum(block_sum, width)
+    return lambda grid, coarse=False: grid.sum(block_sum, width, coarse)
 
 
 def _phase_sum(values: Callable, xi: np.ndarray, sign: float) -> Callable:
     """Grid sums of values(x) exp(sign 2 pi i x.xi), one per row of xi (see ``TensorGrid.phase_sum``)."""
-    return lambda grid: grid.phase_sum(values, xi, sign)
+    return lambda grid, coarse=False: grid.phase_sum(values, xi, sign, coarse)
 
 
 def integrate_values(
@@ -660,9 +747,11 @@ def integrate_values(
 
     ``values`` maps an (m, dim) array of points to m values; the caller
     vouches that ``envelope`` bounds them.  Given a ``grid``, the result
-    pairs its fine sum with the sum at half the points; given ``tol``
-    instead, the ladder is walked to it (see ``walk_ladder``, which also
-    explains ``phase_rate``).  ``label`` names the integrand in errors.
+    pairs its fine sum with the sum at half the points, which reuses the
+    grid's even nodes when N is a multiple of 4 (see ``_fine_and_coarse``),
+    so the integrand is evaluated once; given ``tol`` instead, the ladder is
+    walked to it (see ``walk_ladder``, which also explains ``phase_rate``).
+    ``label`` names the integrand in errors.
 
     Raises
     ------
@@ -681,8 +770,7 @@ def integrate_values(
     else:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
-        n = grid.points_per_axis
-        fine, coarse = (grid_sum(TensorGrid(grid.radius, m, dim)) for m in (n, _coarse_points(n)))
+        fine, coarse = _fine_and_coarse(grid_sum, grid)
     value = complex(fine[0])
     if not math.isfinite(abs(value)):
         raise QuadratureError(f"integrand {label!r} summed to a non-finite value")

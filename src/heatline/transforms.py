@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
-from .points import real_point, real_points
+from .points import cis, real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -30,6 +30,7 @@ from .quadrature import (
     TensorGrid,
     TestFunction,
     _block_sum,
+    _matvec_rows,
     _phase_sum,
     _require_integrable,
     integrate_values,
@@ -243,7 +244,9 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
 
     A bounded f is integrated in u = x - y, under a Gaussian envelope from its
     sup bound; an integrable but unbounded f is integrated in y, under its own
-    envelope scaled by the kernel peak.
+    envelope scaled by the kernel peak.  Each rung's block values are
+    contracted with the fine and the embedded coarse weights alike, so the
+    coarse sum costs no evaluation of f (see ``TensorGrid.sum``).
     """
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
@@ -255,14 +258,14 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
             kw = w * weierstrass(scale, upts)
             shifted = xs[:, None, :] - upts[None, :, :]
             vals = f(shifted.reshape(-1, f.dim)).reshape(xs.shape[0], upts.shape[0])
-            return vals @ kw.astype(np.complex128)
+            return _matvec_rows(vals, kw.astype(np.complex128))
 
     elif f.integrable:
         envelope = f.envelope.scaled(peak)
 
         def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
             # the function values are shared by every x
-            return weierstrass(scale, xs[:, None, :] - ypts[None, :, :]) @ (w * f(ypts))
+            return _matvec_rows(weierstrass(scale, xs[:, None, :] - ypts[None, :, :]), w * f(ypts))
 
     else:
         raise QuadratureError(
@@ -369,7 +372,7 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alpha: float, tol: floa
     for i, x in enumerate(xs):
 
         def fn(xi_pts: np.ndarray, x=x) -> np.ndarray:
-            return spectrum_values(xi_pts) * np.exp(2j * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+            return spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
 
         rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
         result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
@@ -453,6 +456,6 @@ def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
     eta = real_point(eta, h.dim)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return h(pts) * np.exp(2j * math.pi * (pts @ a))
+        return h(pts) * cis(2.0 * math.pi * (pts @ a))
 
     return complex(_transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", eta.reshape(1, -1), tol, -1.0)[0])

@@ -20,6 +20,7 @@ from heatline import (
     weierstrass_fn,
 )
 from heatline import quadrature
+from heatline.measures import weak_convergence_trace
 from heatline.quadrature import GaussianDecay, QuadratureError, TensorGrid, integrate_values
 from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
 
@@ -44,9 +45,10 @@ def test_default_walk_evaluates_each_rung_once(default_ladders):
     seen.clear()  # the construction spot check is not part of the walk
     result, grid = integrate_auto(g, 1e-8)
     assert grid == GridSpec(4.0, 512, 1)
-    # rungs 128, 256, 512 plus the coarse 64; evaluating every rung's coarse
-    # grid afresh would cost (65 + 129) + (129 + 257) + (257 + 513) = 1350
-    assert sum(seen) == 65 + 129 + 257 + 513
+    # rungs 128, 256, 512, each coarse sum taken on its rung's even nodes;
+    # evaluating every rung's coarse grid afresh would cost
+    # (65 + 129) + (129 + 257) + (257 + 513) = 1350
+    assert sum(seen) == 129 + 257 + 513
     assert result == integrate(g, grid)
 
 
@@ -284,9 +286,10 @@ def test_a_factored_integral_evaluates_only_factor_nodes(default_ladders):
     axes.clear()
     result, grid = integrate_auto(g, 1e-8)
     assert grid == GridSpec(4.0, 128, 3)
-    # the fine 129^3 and coarse 65^3 grids: 2,421,314 nodes, or 3 (129 + 65) factor nodes
+    # the fine 129^3 grid and the coarse 65^3 grid on its even nodes: 2,146,689
+    # nodes, or 3 x 129 factor nodes
     assert full == []
-    assert sorted(axes) == [65] * 3 + [129] * 3
+    assert sorted(axes) == [129] * 3
     assert abs(result.value - 1.0) <= result.error_budget + 1e-12
 
 
@@ -307,3 +310,85 @@ def test_l1_norm_of_a_sign_changing_product_matches_the_block_path(dim):
         assert factored == block
     else:
         assert abs(factored.value - block.value) <= 1e-15 * block.value
+
+
+# -- the coarse sum on the fine grid's even nodes ----------------------------
+
+
+@pytest.mark.parametrize("radius", quadrature.RADIUS_LADDER)
+def test_the_coarse_grid_is_every_other_node_of_each_rung(radius):
+    for n in quadrature.POINTS_LADDER:
+        fine, coarse = TensorGrid(radius, n, 1), TensorGrid(radius, n // 2, 1)
+        assert fine.nodes[::2].tobytes() == coarse.nodes.tobytes()
+        assert fine.coarse_weights[::2].tobytes() == coarse.weights.tobytes()
+        assert not np.any(fine.coarse_weights[1::2])
+
+
+def test_a_grid_of_n_2_mod_4_intervals_embeds_no_coarse_grid():
+    grid = TensorGrid(6.0, 130, 1)
+    assert grid.coarse_weights is None
+    with pytest.raises(ValueError, match="embeds no coarse grid"):
+        grid.sum(lambda pts, w: np.sum(w), coarse=True)
+
+
+def _shifted_values(dim: int):
+    """Values at x - y for three points x: a (3, m) matrix for m points y."""
+    xs = np.array([[0.3, -0.2, 0.1], [-0.5, 0.4, 0.0], [1.1, 0.7, -0.9]])[:, :dim]
+    return lambda pts: _skewed_gaussian((xs[:, None, :] - pts[None, :, :]).reshape(-1, dim)).reshape(3, -1)
+
+
+def _grid_sums(dim: int):
+    """(name, grid sum, values whose modulus bounds the summands) for plain, block and phase sums."""
+    xi = _frequencies(dim)
+    factored = weierstrass_fn(0.1, dim).shifted(np.array([0.3, -0.2, 0.1])[:dim]).scaled(0.5 - 0.25j)
+    shifted = _shifted_values(dim)
+    cases = []
+    for name, g in (("skewed", _skewed_gaussian), ("factored", factored)):
+        cases.append((f"plain-{name}", quadrature._value_sum(g), g))
+        cases.append((f"phase-{name}", quadrature._phase_sum(g, xi, -1.0), g))
+    # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
+    block = quadrature._block_sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
+    cases.append(("block", block, lambda pts: np.max(np.abs(shifted(pts)), axis=0)))
+    return cases
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_evaluation_gives_the_fine_sum_and_the_coarse_sum(monkeypatch, dim, split):
+    n = 32
+    if split:
+        # blocks of 3 leading-axis rows, so every other block starts on an odd node
+        monkeypatch.setattr(quadrature, "_CHUNK", 3 * (n + 1) ** (dim - 1))
+    fine_grid, coarse_grid = TensorGrid(4.0, n, dim), TensorGrid(4.0, n // 2, dim)
+    for name, grid_sum, values in _grid_sums(dim):
+        fine, coarse = grid_sum(fine_grid, coarse=True)
+        assert fine.tobytes() == grid_sum(fine_grid).tobytes(), name
+        mass = float(fine_grid.sum(lambda pts, w: np.sum(np.abs(w * values(pts))))[0].real)
+        assert float(np.max(np.abs(coarse - grid_sum(coarse_grid)))) <= 1e-15 * mass, name
+
+
+def test_a_fixed_grid_of_n_2_mod_4_intervals_sums_its_coarse_grid_apart(default_ladders):
+    seen = []
+    g = _counted(weierstrass_fn(0.1), seen)
+    seen.clear()
+    spec = GridSpec(6.0, 130, 1)
+    result, _ = integrate_values(g, g.envelope, 1, g.name, grid=spec)
+    assert seen == [131, 65]  # the 130-interval grid, then the separate 64-interval one
+    fine = complex(quadrature._value_sum(g)(TensorGrid(6.0, 130, 1))[0])
+    coarse = complex(quadrature._value_sum(g)(TensorGrid(6.0, 64, 1))[0])
+    assert result == quadrature.QuadratureResult(fine, abs(fine - coarse), g.envelope.tail_bound(6.0, 1))
+
+
+def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
+    measure = BoundedMeasure(dim=1, atoms=(Atom((0.5,), 1.0 - 0.5j),), density=weierstrass_fn(0.1))
+    batches = []
+    smooth = BoundedMeasure.mollify_on_points
+
+    def counted(self, alpha, xs, inner_tol=1e-8):
+        batches.append(xs.shape[0])
+        return smooth(self, alpha, xs, inner_tol)
+
+    monkeypatch.setattr(BoundedMeasure, "mollify_on_points", counted)
+    weak_convergence_trace(measure, gauss_fn(1.0), [0.2, 0.1], GridSpec(6.0, 256, 1))
+    # one smoothing per alpha, on the 257 outer nodes; the coarse sum takes the even ones
+    assert batches == [257, 257]

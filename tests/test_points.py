@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from heatline.points import check_inequalities, dot, modulus
+from heatline.points import check_inequalities, cis, dot, modulus
+
+
+def test_cis_is_the_complex_exponential_of_a_real_phase():
+    theta = 2.0 * math.pi * np.multiply.outer(np.linspace(-16.0, 16.0, 257), np.array([-1.3, -0.0, 0.0, 0.7]))
+    got = cis(theta)
+    assert got.shape == theta.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - np.exp(1j * theta))) <= 1e-15
+    assert cis(0.0) == 1.0
 
 
 def test_dot_orthogonal_axes():
