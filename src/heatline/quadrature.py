@@ -53,6 +53,7 @@ POINTS_LADDER = (128, 256, 512, 1024, 2048, 4096, 8192)
 
 _CHUNK = 1 << 17  # nodes per evaluation block
 _BLOCK_ENTRIES = 1 << 21  # node-output pairs per evaluation block
+_TILE_ENTRIES = 1 << 14  # point-node pairs per row tile of a block's matrix (256 KB complex)
 _TINY = 1e-300  # floor that keeps a derived envelope scale positive
 _ENVELOPE_SLACK = 1e-9
 _FACTOR_RTOL = 1e-12  # relative spot-check tolerance of declared factors
@@ -491,21 +492,55 @@ def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w if w.ndim == 1 else np.stack([a @ row for row in w])
 
 
+def _row_tiles(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows) in order, each about _TILE_ENTRIES // width rows.
+
+    Tiles are a multiple of 4 rows long, and a trailing single row joins the
+    tile before it: a matrix-vector product gives each row the bits it has in
+    the untiled product, except for a one-row matrix, which BLAS sums as a
+    dot product.
+    """
+    size = max(4, _TILE_ENTRIES // width // 4 * 4)
+    starts = list(range(0, rows, size))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
+def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.ndarray:
+    """_matvec_rows(matrix(xs), w), built and multiplied in row tiles of xs (see ``_row_tiles``).
+
+    Each tile's (rows, len(w)) matrix stays in cache, and every output keeps
+    the bits of the untiled product.
+    """
+    out = np.empty((*w.shape[:-1], xs.shape[0]), dtype=np.complex128)
+    for tile in _row_tiles(xs.shape[0], w.shape[-1]):
+        out[..., tile] = _matvec_rows(matrix(xs[tile]), w)
+    return out
+
+
 class TensorGrid:
     """Composite-Simpson tensor grid on [-radius, radius]^dim, n_points intervals per axis.
 
     Only the per-axis nodes and weights are stored; the tensor product is
     built block by block in a fixed order, so every sum is reproducible.
-    When n_points is a multiple of 4, the nodes of the n_points / 2 grid are
-    the even nodes of this one, bit for bit, and ``coarse_weights`` holds
-    that grid's Simpson weights on them (zero on the odd nodes); otherwise it
-    is None.  Sums taken with ``coarse`` set return the fine row and the
-    coarse row from one evaluation of the integrand.
+    The nodes are mirror-symmetric by construction: node n_points - i is
+    exactly -node i, and the centre node is +0.0 (the upper half of
+    np.linspace, mirrored from the lower half; for every ladder grid that
+    is np.linspace itself, bit for bit).  When n_points is a multiple of 4,
+    the nodes of the n_points / 2 grid are the even nodes of this one, bit
+    for bit, and ``coarse_weights`` holds that grid's Simpson weights on them
+    (zero on the odd nodes); otherwise it is None.  Sums taken with
+    ``coarse`` set return the fine row and the coarse row from one evaluation
+    of the integrand.
     """
 
     def __init__(self, radius: float, n_points: int, dim: int) -> None:
         self.dim = dim
+        half = n_points // 2
         self.nodes = np.linspace(-radius, radius, n_points + 1)
+        self.nodes[half] = 0.0
+        self.nodes[half + 1:] = -self.nodes[half - 1::-1]
         self.weights = _simpson_weights(radius, n_points)
         self.coarse_weights = None
         if 2 * _coarse_points(n_points) == n_points:
@@ -550,6 +585,19 @@ class TensorGrid:
         """Every node, as one (size, dim) array in block order."""
         return np.concatenate([pts for pts, _, _ in self.blocks()])
 
+    def phase_matrix(self, c: float, freqs: np.ndarray) -> np.ndarray:
+        """exp(i c x xi) for each node x (rows) and each xi in ``freqs`` (columns).
+
+        Only rows 0..n/2 take cos and sin: the nodes are mirrored, so the angle
+        c (x xi) of row n - i is exactly the negated angle of row i, and as cos
+        is even and sin odd, that row is the conjugate of row i, bit for bit.
+        """
+        half = self.nodes.size // 2
+        phase = np.empty((self.nodes.size, freqs.size), dtype=np.complex128)
+        phase[:half + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs))
+        np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
+        return phase
+
     def weighted_factors(self, values, coarse: bool = False) -> list[np.ndarray]:
         """w * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
 
@@ -581,7 +629,9 @@ class TensorGrid:
         The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
         exp(sign 2 pi i x_j xi_j), so a block of weighted values is contracted
         with one (nodes, frequencies) phase matrix per axis, the trailing axes
-        first: d (n+1) exponentials per frequency instead of (n+1)^d.  The
+        first: d (n+1) exponentials per frequency instead of (n+1)^d, of
+        which ``phase_matrix`` computes only the n/2 + 1 rows up to the
+        centre node and mirrors the rest as their conjugates.  The
         frequencies are taken in chunks so that no phase matrix or
         intermediate exceeds _BLOCK_ENTRIES entries (unless one frequency
         already does).  An integrand that declares ``factors`` is not
@@ -604,7 +654,7 @@ class TensorGrid:
             weighted = self.weighted_factors(values, coarse)
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
-            phases = [cis(sign * 2.0 * math.pi * np.multiply.outer(self.nodes, chunk[:, j])) for j in range(self.dim)]
+            phases = [self.phase_matrix(sign * 2.0 * math.pi, chunk[:, j]) for j in range(self.dim)]
             if factored:
                 for r in range(rows.shape[0]):
                     on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes

@@ -30,9 +30,9 @@ from .quadrature import (
     TensorGrid,
     TestFunction,
     _block_sum,
-    _matvec_rows,
     _phase_sum,
     _require_integrable,
+    _tiled_matvec_rows,
     integrate_values,
     l1_norm,
     truncation_radius,
@@ -246,7 +246,11 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
     sup bound; an integrable but unbounded f is integrated in y, under its own
     envelope scaled by the kernel peak.  Each rung's block values are
     contracted with the fine and the embedded coarse weights alike, so the
-    coarse sum costs no evaluation of f (see ``TensorGrid.sum``).
+    coarse sum costs no evaluation of f (see ``TensorGrid.sum``).  A block's
+    (points x nodes) matrix is built and contracted in row tiles of about
+    2^14 entries, so it stays in cache and needs no fresh memory, while each
+    point keeps its own matrix-vector sum over the block's nodes, bit for bit
+    (see ``quadrature._row_tiles``).
     """
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
@@ -255,17 +259,22 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
 
         def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
             # the kernel weight is shared by every x
-            kw = w * weierstrass(scale, upts)
-            shifted = xs[:, None, :] - upts[None, :, :]
-            vals = f(shifted.reshape(-1, f.dim)).reshape(xs.shape[0], upts.shape[0])
-            return _matvec_rows(vals, kw.astype(np.complex128))
+            kw = (w * weierstrass(scale, upts)).astype(np.complex128)
+
+            def values(x_tile: np.ndarray) -> np.ndarray:
+                shifted = x_tile[:, None, :] - upts[None, :, :]
+                return f(shifted.reshape(-1, f.dim)).reshape(x_tile.shape[0], upts.shape[0])
+
+            return _tiled_matvec_rows(xs, kw, values)
 
     elif f.integrable:
         envelope = f.envelope.scaled(peak)
 
         def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
             # the function values are shared by every x
-            return _matvec_rows(weierstrass(scale, xs[:, None, :] - ypts[None, :, :]), w * f(ypts))
+            return _tiled_matvec_rows(
+                xs, w * f(ypts), lambda x_tile: weierstrass(scale, x_tile[:, None, :] - ypts[None, :, :])
+            )
 
     else:
         raise QuadratureError(

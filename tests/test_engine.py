@@ -1,6 +1,7 @@
 """The shared tensor-grid engine: block iteration, the ladder walk, and spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from heatline import (
 )
 from heatline import quadrature
 from heatline.measures import weak_convergence_trace
+from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, TensorGrid, integrate_values
 from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
 
@@ -392,3 +394,86 @@ def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
     weak_convergence_trace(measure, gauss_fn(1.0), [0.2, 0.1], GridSpec(6.0, 256, 1))
     # one smoothing per alpha, on the 257 outer nodes; the coarse sum takes the even ones
     assert batches == [257, 257]
+
+
+# -- mirrored nodes and phase matrices ---------------------------------------
+
+LADDER_GRIDS = [(radius, n) for radius in quadrature.RADIUS_LADDER for n in quadrature.POINTS_LADDER]
+NON_DYADIC_GRIDS = [(7.3, 130), (6.0, 130)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius, n", LADDER_GRIDS + NON_DYADIC_GRIDS)
+def test_grid_nodes_are_mirrored_about_a_positive_zero(radius, n, dim):
+    nodes = TensorGrid(radius, n, dim).nodes
+    half = n // 2
+    # node n - i is -node i bit for bit; the centre is +0.0, not -0.0
+    assert nodes[:half:-1].view(np.int64).tolist() == (-nodes[:half]).view(np.int64).tolist()
+    assert nodes[half] == 0.0 and not np.signbit(nodes[half])
+    assert (nodes[0], nodes[-1]) == (-radius, radius)
+    if (radius, n) in LADDER_GRIDS:
+        # every ladder grid already had mirrored nodes: they are np.linspace's, unchanged
+        assert nodes.tobytes() == np.linspace(-radius, radius, n + 1).tobytes()
+    if n % 4 == 0:
+        assert TensorGrid(radius, n // 2, dim).nodes.tobytes() == nodes[::2].tobytes()
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("radius, n", LADDER_GRIDS + NON_DYADIC_GRIDS)
+def test_the_mirrored_phase_matrix_is_the_direct_one_bit_for_bit(radius, n, sign):
+    grid = TensorGrid(radius, n, 1)
+    xi = np.array([0.0, -0.0, 2.0, -2.0, 0.37, -1.9, 5e-3])
+    c = sign * 2.0 * math.pi
+    direct = cis(c * np.multiply.outer(grid.nodes, xi))
+    assert np.array_equal(grid.phase_matrix(c, xi).view(np.int64), direct.view(np.int64))
+
+
+# -- smoothing in row tiles --------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 124, 125, 993, 1025])
+@pytest.mark.parametrize("width", [1, 129, 1935, 4097, 1 << 20])
+def test_row_tiles_cover_the_batch_in_runs_of_four(rows, width):
+    tiles = quadrature._row_tiles(rows, width)
+    assert tiles[0].start == 0 and tiles[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+    size = max(4, quadrature._TILE_ENTRIES // width // 4 * 4)
+    assert size % 4 == 0
+    assert all(t.start % size == 0 and t.stop - t.start <= size + 1 for t in tiles)
+    # no one-row tile, unless the batch is one row
+    assert rows == 1 or min(t.stop - t.start for t in tiles) > 1
+
+
+def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, np.ndarray]:
+    """weierstrass:0.1 (bounded, or declared without a sup bound) and ``count`` points in [-3, 3]^dim."""
+    f = weierstrass_fn(0.1, dim)
+    if not bounded:
+        f = TestFunction(f.f, dim, f.envelope, name="unbounded-weierstrass")
+    xs = np.random.default_rng(count + dim).uniform(-3.0, 3.0, size=(count, dim))
+    return f, xs
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("dim, count, alpha, tol", [(1, 1025, 0.025, 1e-8), (1, 125, 0.2, 1e-8), (2, 1025, 0.2, 1e-2)])
+def test_smoothing_in_row_tiles_keeps_every_bit(monkeypatch, dim, count, alpha, tol, bounded):
+    # 125 points against the 129 nodes of a dim-1 block (tiles of 124 rows)
+    # end one row past a whole tile on the walk's one rung, where a one-row
+    # product would move a value; in dim 2 a loose tolerance keeps the walk on
+    # its first rung
+    f, xs = _smoothing_case(dim, bounded, count)
+    tiled = mollify_on_points(f, alpha, xs, tol)
+    monkeypatch.setattr(quadrature, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
+    assert tiled.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+
+
+def test_smoothing_a_large_batch_stays_small_in_memory():
+    f, xs = _smoothing_case(1, True, 1025)
+    mollify_on_points(f, 0.025, xs, 1e-8)  # first-call caches are not part of the call's footprint
+    tracemalloc.start()
+    try:
+        mollify_on_points(f, 0.025, xs, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the untiled 1,025 x 129 blocks took about 8 MB
+    assert peak < 1 << 20
