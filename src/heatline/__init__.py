@@ -55,7 +55,6 @@ from .quadrature import (
     integrate_auto,
     l1_norm,
     node_budget,
-    points_ladder,
     radius_ladder,
 )
 from .transforms import (

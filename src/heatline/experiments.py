@@ -25,7 +25,7 @@ from . import __version__
 from .catalog import closed_form, gauss_fn, parse_preset, weierstrass_fn
 from .kernels import KernelScale, gauss, weierstrass
 from .measures import BoundedMeasure, measure_from_json, weak_convergence_trace
-from .quadrature import GridSpec, TensorGrid, integrate, integrate_auto, l1_norm
+from .quadrature import GridSpec, integrate, integrate_auto, l1_norm
 from .transforms import (
     fourier,
     fourier_complex,
@@ -224,7 +224,7 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
     if dim == 1:
         xi_pts = _xi_axis_points(2.0, 41, 1)
     else:
-        xi_pts = TensorGrid(2.0, 4, dim).points()  # the 5^dim lattice on [-2, 2]^dim
+        xi_pts = GridSpec(2.0, 4, dim).points()  # the 5^dim lattice on [-2, 2]^dim
     quad_tol = tol / 4.0
     columns = ["alpha", "direction", *[f"xi{j+1}" for j in range(dim)], "computed_re", "computed_im", "expected", "residual"]
     rows = []

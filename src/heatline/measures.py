@@ -27,7 +27,6 @@ from .quadrature import (
     GaussianDecay,
     GridSpec,
     QuadratureError,
-    TensorGrid,
     TestFunction,
     integrate_values,
     l1_norm,
@@ -261,7 +260,7 @@ def continuity_check(
     if offenders:
         raise ValueError(f"sequence violates its declared uniform bound: {offenders}")
     intervals = 40 if measure.dim > 1 else 320
-    pts = TensorGrid(compact_radius, intervals, measure.dim).points()
+    pts = GridSpec(compact_radius, intervals, measure.dim).points()
     limit_vals = h_limit(pts)
     sup_diffs = tuple(
         float(np.max(np.abs(np.asarray(h(pts)) - limit_vals))) for h in h_sequence
@@ -281,12 +280,16 @@ def measure_from_json(source, dim: int | None = None) -> BoundedMeasure:
     The schema is ``{"dim": n, "atoms": [{"at": [..], "re": r, "im": i}, ...],
     "density": "<preset>"}`` with both parts optional; density presets are
     the catalog strings such as ``gauss:0.1``.  A literal without ``dim``
-    takes the given dim (default 1); one with ``dim`` must agree with it.
+    takes the given dim (default 1); a literal's ``dim`` must be an integer
+    (not a boolean) and agree with it.
     """
     data = json.loads(source) if isinstance(source, str) else dict(source)
     if not isinstance(data, dict):
         raise ValueError("measure literal must be a JSON object")
-    n = int(data.get("dim", dim or 1))
+    n = data.get("dim", dim or 1)
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise ValueError(f"the measure literal's dim must be an integer, got {n!r}")
+    n = int(n)
     if dim is not None and n != dim:
         raise ValueError(f"the measure literal has dim {n}, but dim {dim} was requested")
     atoms = []

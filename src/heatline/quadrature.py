@@ -8,10 +8,10 @@ two error terms:
   outside the cube, computed from the integrand's declared decay envelope
   (never from sampling);
 * ``disc_error_est`` -- a two-resolution estimate ``|value(N) - value(N/2)|``
-  of the discretization error inside the cube.  When N is a multiple of 4,
-  as on the default ladder, the N/2 sum reuses the N-grid's even nodes
-  (the N/2 grid's Simpson weights there, zero on the odd nodes), so each
-  grid evaluates its integrand once.
+  of the discretization error inside the cube.  N is a multiple of 4, so
+  the N/2 sum reuses the N-grid's even nodes (the N/2 grid's Simpson
+  weights there, zero on the odd nodes), and each grid evaluates its
+  integrand once.
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
@@ -78,33 +78,18 @@ def node_budget() -> int:
     return value
 
 
-def _env_ladder(name: str, default: tuple, cast, kind: str, invalid, rule: str) -> tuple:
-    """An increasing ladder from a comma-separated env var, or the default."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        values = tuple(cast(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise QuadratureError(f"{name} must be comma-separated {kind}, got {raw!r}") from exc
-    if not values or any(map(invalid, values)) or any(b <= a for a, b in zip(values, values[1:])):
-        raise QuadratureError(f"{name} must be {rule}")
-    return values
-
-
 def radius_ladder() -> tuple[float, ...]:
     """Truncation radii tried by the auto machinery; HEATLINE_RADIUS_LADDER overrides."""
-    return _env_ladder(
-        "HEATLINE_RADIUS_LADDER", RADIUS_LADDER, float, "reals", lambda v: v <= 0.0, "positive and increasing"
-    )
-
-
-def points_ladder() -> tuple[int, ...]:
-    """Per-axis interval counts tried by the auto machinery; HEATLINE_POINTS_LADDER overrides."""
-    return _env_ladder(
-        "HEATLINE_POINTS_LADDER", POINTS_LADDER, int, "integers",
-        lambda v: v < 4 or v % 2, "even, >= 4, and increasing",
-    )
+    raw = os.environ.get("HEATLINE_RADIUS_LADDER")
+    if raw is None:
+        return RADIUS_LADDER
+    try:
+        values = tuple(float(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise QuadratureError(f"HEATLINE_RADIUS_LADDER must be comma-separated reals, got {raw!r}") from exc
+    if not all(0.0 < v < math.inf for v in values) or any(b <= a for a, b in zip(values, values[1:])):
+        raise QuadratureError("HEATLINE_RADIUS_LADDER must be positive, finite and increasing")
+    return values
 
 
 def _sphere_area(dim: int) -> float:
@@ -418,38 +403,6 @@ class TestFunction:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Symmetric tensor grid on [-radius, radius]^dim with N Simpson intervals per axis."""
-
-    radius: float
-    points_per_axis: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        n = self.points_per_axis
-        if int(n) != n or n < 4 or n % 2 != 0:
-            raise ValueError(f"points_per_axis must be an even integer >= 4, got {n}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.dim > 3:
-            raise QuadratureError(
-                f"tensor grids are capped at dimension 3, got {self.dim}"
-            )
-        budget = node_budget()
-        if n**self.dim > budget:
-            raise QuadratureError(
-                f"node budget exceeded: {n}^{self.dim} > {budget} "
-                "(set HEATLINE_BUDGET to raise it)"
-            )
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.radius / self.points_per_axis
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Integral value with certified tail bound and discretization estimate."""
 
@@ -470,11 +423,6 @@ def _simpson_weights(radius: float, n_points: int) -> np.ndarray:
     return weights * (2.0 * radius / n_points / 3.0)
 
 
-def _coarse_points(n_points: int) -> int:
-    """Largest even interval count <= n_points / 2."""
-    return max(2, (n_points // 2) // 2 * 2)
-
-
 def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
     """The tensor product of per-axis ``weights`` over a block's index slices, flattened."""
     w = weights[index[0]]
@@ -484,12 +432,12 @@ def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
 
 
 def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w for a vector w; for a stack of weight rows, one product per row.
+    """a @ row for each weight row of w, stacked.
 
     A matrix-matrix product rounds differently from a matrix-vector one, so
-    each row is its own product and the first keeps a @ w[0]'s bits.
+    each row is its own product.
     """
-    return a @ w if w.ndim == 1 else np.stack([a @ row for row in w])
+    return np.stack([a @ row for row in w])
 
 
 def _row_tiles(rows: int, width: int) -> list[slice]:
@@ -513,58 +461,79 @@ def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.nd
     Each tile's (rows, len(w)) matrix stays in cache, and every output keeps
     the bits of the untiled product.
     """
-    out = np.empty((*w.shape[:-1], xs.shape[0]), dtype=np.complex128)
+    out = np.empty((w.shape[0], xs.shape[0]), dtype=np.complex128)
     for tile in _row_tiles(xs.shape[0], w.shape[-1]):
         out[..., tile] = _matvec_rows(matrix(xs[tile]), w)
     return out
 
 
-class TensorGrid:
-    """Composite-Simpson tensor grid on [-radius, radius]^dim, n_points intervals per axis.
+@dataclass(frozen=True)
+class GridSpec:
+    """Composite-Simpson tensor grid on [-radius, radius]^dim, N = ``points_per_axis`` intervals per axis.
 
-    Only the per-axis nodes and weights are stored; the tensor product is
-    built block by block in a fixed order, so every sum is reproducible.
-    The nodes are mirror-symmetric by construction: node n_points - i is
-    exactly -node i, and the centre node is +0.0 (the upper half of
-    np.linspace, mirrored from the lower half; for every ladder grid that
-    is np.linspace itself, bit for bit).  When n_points is a multiple of 4,
-    the nodes of the n_points / 2 grid are the even nodes of this one, bit
-    for bit, and ``coarse_weights`` holds that grid's Simpson weights on them
-    (zero on the odd nodes); otherwise it is None.  Sums taken with
-    ``coarse`` set return the fine row and the coarse row from one evaluation
-    of the integrand.
+    Only read-only per-axis arrays are stored: ``nodes``, the Simpson
+    ``weights``, and ``coarse_weights``, the N/2 grid's Simpson weights on the
+    even nodes (which, as N is a multiple of 4, are the N/2 grid's nodes bit
+    for bit) and zero on the odd ones; ``rows`` stacks the two weight rows.
+    The tensor product is built block by block in a fixed order, so every sum
+    is reproducible, and every sum returns the fine and the coarse row from
+    one evaluation of the integrand.  Node N - i is exactly -node i, and the
+    centre node is +0.0 (np.linspace's lower half, mirrored; for every ladder
+    grid that is np.linspace itself, bit for bit).
     """
 
-    def __init__(self, radius: float, n_points: int, dim: int) -> None:
-        self.dim = dim
-        half = n_points // 2
-        self.nodes = np.linspace(-radius, radius, n_points + 1)
-        self.nodes[half] = 0.0
-        self.nodes[half + 1:] = -self.nodes[half - 1::-1]
-        self.weights = _simpson_weights(radius, n_points)
-        self.coarse_weights = None
-        if 2 * _coarse_points(n_points) == n_points:
-            self.coarse_weights = np.zeros(n_points + 1)
-            self.coarse_weights[::2] = _simpson_weights(radius, n_points // 2)
+    radius: float
+    points_per_axis: int
+    dim: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    coarse_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _weight_rows(self, coarse: bool) -> np.ndarray:
-        """Per-axis weights, one row per sum: the fine rule, then the embedded coarse rule if ``coarse``."""
-        if not coarse:
-            return self.weights[None]
-        if self.coarse_weights is None:
-            raise ValueError(f"the {self.nodes.size - 1}-interval grid embeds no coarse grid")
-        return np.stack([self.weights, self.coarse_weights])
+    def __post_init__(self) -> None:
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        n = self.points_per_axis
+        if int(n) != n or n < 4 or n % 4 != 0:
+            raise ValueError(f"points_per_axis must be a multiple of 4 (so the grid embeds its N/2 grid), got {n}")
+        if int(self.dim) != self.dim or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if self.dim > 3:
+            raise QuadratureError(
+                f"tensor grids are capped at dimension 3, got {self.dim}"
+            )
+        budget = node_budget()
+        if n**self.dim > budget:
+            raise QuadratureError(
+                f"node budget exceeded: {n}^{self.dim} > {budget} "
+                "(set HEATLINE_BUDGET to raise it)"
+            )
+        half = n // 2
+        nodes = np.linspace(-self.radius, self.radius, n + 1)
+        nodes[half] = 0.0
+        nodes[half + 1:] = -nodes[half - 1::-1]
+        rows = np.zeros((2, n + 1))
+        rows[0] = _simpson_weights(self.radius, n)
+        rows[1, ::2] = _simpson_weights(self.radius, half)
+        nodes.flags.writeable = rows.flags.writeable = False
+        for name, array in (("nodes", nodes), ("weights", rows[0]), ("coarse_weights", rows[1]), ("rows", rows)):
+            object.__setattr__(self, name, array)
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.radius / self.points_per_axis
 
     def blocks(self, width: int = 1):
         """Yield (points, weights, index) blocks covering the grid in row-major order.
 
         ``index`` holds one slice of node indices per axis, and the block is
-        their tensor product.  A block is a run of whole leading-axis rows;
-        when one row exceeds the cap, it is a run of whole lines along the
-        second axis within one row, and so on.  A block holds at most _CHUNK
-        nodes and, when each node meets ``width`` outputs (frequencies or
-        evaluation points), at most _BLOCK_ENTRIES node-output pairs, unless
-        a single node already exceeds that.
+        their tensor product; ``weights`` are the block's fine weights.  A
+        block is a run of whole leading-axis rows; when one row exceeds the
+        cap, it is a run of whole lines along the second axis within one row,
+        and so on.  A block holds at most _CHUNK nodes and, when each node
+        meets ``width`` outputs (frequencies or evaluation points), at most
+        _BLOCK_ENTRIES node-output pairs, unless a single node already
+        exceeds that.
         """
         cap = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(1, width)))
         m = self.nodes.size
@@ -588,8 +557,8 @@ class TensorGrid:
     def phase_matrix(self, c: float, freqs: np.ndarray) -> np.ndarray:
         """exp(i c x xi) for each node x (rows) and each xi in ``freqs`` (columns).
 
-        Only rows 0..n/2 take cos and sin: the nodes are mirrored, so the angle
-        c (x xi) of row n - i is exactly the negated angle of row i, and as cos
+        Only rows 0..N/2 take cos and sin: the nodes are mirrored, so the angle
+        c (x xi) of row N - i is exactly the negated angle of row i, and as cos
         is even and sin odd, that row is the conjugate of row i, bit for bit.
         """
         half = self.nodes.size // 2
@@ -598,39 +567,34 @@ class TensorGrid:
         np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
         return phase
 
-    def weighted_factors(self, values, coarse: bool = False) -> list[np.ndarray]:
-        """w * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
+    def weighted_factors(self, values) -> list[np.ndarray]:
+        """rows * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
 
-        Each entry has one row per weight row (see ``sum``).  The factor
+        Each entry is a (2, N + 1) array, one row per weight row.  The factor
         values get the checks of f(points): one finite value per node.
         """
         name = getattr(values, "name", "")
-        rows = self._weight_rows(coarse)
-        return [rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
+        return [self.rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
 
-    def sum(self, block_sum: Callable, width: int = 1, coarse: bool = False) -> np.ndarray:
-        """Sum of ``block_sum(points, weights)`` over the blocks, a (width,) vector.
+    def sum(self, block_sum: Callable, width: int = 1) -> np.ndarray:
+        """Sums of ``block_sum(points, weights)`` over the blocks, as a (2, width) array.
 
-        With ``coarse``, ``weights`` is a (2, block size) stack of the fine
-        and the embedded coarse weights, ``block_sum`` returns one row of
-        sums per weight row, and the result is a (2, width) array.
+        ``weights`` stacks the block's fine and coarse weights, and
+        ``block_sum`` returns one row of sums per weight row.
         """
-        rows = self._weight_rows(coarse)
-        out = np.zeros((rows.shape[0], width), dtype=np.complex128)
+        out = np.zeros((2, width), dtype=np.complex128)
         for pts, w, index in self.blocks(width):
-            if coarse:
-                w = np.stack([w, _block_weights(rows[1], index)])
-            out += block_sum(pts, w)
-        return out if coarse else out[0]
+            out += block_sum(pts, np.stack([w, _block_weights(self.coarse_weights, index)]))
+        return out
 
-    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float, coarse: bool = False) -> np.ndarray:
-        """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one per row of xi.
+    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float, coarse: bool = True) -> np.ndarray:
+        """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one column per row of xi.
 
         The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
         exp(sign 2 pi i x_j xi_j), so a block of weighted values is contracted
         with one (nodes, frequencies) phase matrix per axis, the trailing axes
-        first: d (n+1) exponentials per frequency instead of (n+1)^d, of
-        which ``phase_matrix`` computes only the n/2 + 1 rows up to the
+        first: d (N+1) exponentials per frequency instead of (N+1)^d, of
+        which ``phase_matrix`` computes only the N/2 + 1 rows up to the
         centre node and mirrors the rest as their conjugates.  The
         frequencies are taken in chunks so that no phase matrix or
         intermediate exceeds _BLOCK_ENTRIES entries (unless one frequency
@@ -638,32 +602,31 @@ class TensorGrid:
         evaluated at the nodes at all: its sum is the product over axes of
         (w * f_j(nodes)) contracted with the axis's phase matrix.
 
-        With ``coarse``, the result is a (2, frequencies) array whose second
-        row is the sum with the embedded coarse weights: the same values
-        contracted on the even nodes only, with the even rows of the same
-        phase matrices.
+        The result has a row of fine sums, then (unless ``coarse`` is unset)
+        one of coarse sums: the same values contracted on the even nodes
+        only, with the even rows of the same phase matrices.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
         # (whole) axis leaves at most _CHUNK // m rows
         step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
-        rows = self._weight_rows(coarse)
-        out = np.zeros((rows.shape[0], xi.shape[0]), dtype=np.complex128)
+        n_rows = 2 if coarse else 1
+        out = np.zeros((n_rows, xi.shape[0]), dtype=np.complex128)
         factored = getattr(values, "factors", None) is not None
         if factored:
-            weighted = self.weighted_factors(values, coarse)
+            weighted = self.weighted_factors(values)
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
             phases = [self.phase_matrix(sign * 2.0 * math.pi, chunk[:, j]) for j in range(self.dim)]
             if factored:
-                for r in range(rows.shape[0]):
+                for r in range(n_rows):
                     on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes
                     out[r, k:k + step] += _product(wf[r:r + 1, on] @ phase[on] for wf, phase in zip(weighted, phases))[0]
                 continue
             for pts, w, index in self.blocks():
                 vals = values(pts)
                 shape = tuple(s.stop - s.start for s in index)
-                block_rows = [w, _block_weights(rows[1], index)] if coarse else [w]
+                block_rows = [w, _block_weights(self.coarse_weights, index)] if coarse else [w]
                 for r, w_r in enumerate(block_rows):
                     # the block positions of the row's nodes: all of them, or the even nodes
                     on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
@@ -675,7 +638,7 @@ class TensorGrid:
                     for axis in range(self.dim - 2, -1, -1):
                         acc = np.einsum("abk,bk->ak", acc.reshape(-1, axes[axis].shape[0], acc.shape[-1]), axes[axis])
                     out[r, k:k + step] += acc[0]
-        return out if coarse else out[0]
+        return out
 
 
 def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
@@ -690,48 +653,32 @@ def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> f
     )
 
 
-def _fine_and_coarse(grid_sum: Callable, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's sums and those at half the points (``_coarse_points``), as (fine, coarse).
-
-    When the coarse nodes are the grid's even nodes (N a multiple of 4, as
-    on the default ladder), both come from one evaluation of the integrand;
-    otherwise the coarse grid is summed on its own.
-    """
-    n = grid.points_per_axis
-    tensor = TensorGrid(grid.radius, n, grid.dim)
-    if tensor.coarse_weights is None:
-        return grid_sum(tensor), grid_sum(TensorGrid(grid.radius, _coarse_points(n), grid.dim))
-    fine, coarse = grid_sum(tensor, coarse=True)
-    return fine, coarse
-
-
 def walk_ladder(
     grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, GridSpec]:
     """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
 
-    ``grid_sum(tensor_grid, coarse=False)`` returns a vector of sums over a
-    ``TensorGrid``, or with ``coarse`` a (2, width) array that adds the sums
-    with the grid's embedded coarse weights (see ``_value_sum``,
+    ``grid_sum(grid)`` returns the (2, width) array of a ``GridSpec``'s fine
+    sums and the sums with its embedded coarse weights (see ``_value_sum``,
     ``_block_sum`` and ``_phase_sum``).  The radius comes from
     ``truncation_radius``; the point ladder is then walked until every entry
     of ``|fine - coarse|`` is at most tol / 2.  ``phase_rate`` is an
     oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
     factor); the walk starts where the phase advances at most a quarter cycle
     per step.  Each rung evaluates its integrand once: the N/2 sum reuses the
-    N-grid's even nodes (see ``_fine_and_coarse``).
+    N-grid's even nodes.
     """
     radius = truncation_radius(envelope, dim, tol, label)
     budget = node_budget()
     min_points = 8.0 * radius * phase_rate
     tried = False
-    for n in points_ladder():
+    for n in POINTS_LADDER:
         if n**dim > budget:
             break
         if n < min_points:
             continue
         grid = GridSpec(radius, n, dim)
-        fine, coarse = _fine_and_coarse(grid_sum, grid)
+        fine, coarse = grid_sum(grid)
         if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
             return fine, coarse, grid
         tried = True
@@ -761,32 +708,28 @@ def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
 
 
 def _value_sum(values: Callable) -> Callable:
-    """Grid sum of the plain integral of values, a (1,) vector (with ``coarse``, a (2, 1) array).
+    """Grid sum of the plain integral of values, a (2, 1) array of the fine and the coarse sum.
 
     An integrand that declares ``factors`` sums as prod_j sum_k w_k f_j(x_k).
     """
     if getattr(values, "factors", None) is not None:
-        def factored(grid: TensorGrid, coarse: bool = False) -> np.ndarray:
-            # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
-            sums = np.zeros((1, 1), np.complex128) + _product(
-                np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values, coarse)
-            )
-            return sums if coarse else sums[0]
-
-        return factored
-    return lambda grid, coarse=False: grid.sum(
-        lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128), axis=-1, keepdims=True), coarse=coarse
+        # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
+        return lambda grid: np.zeros((2, 1), np.complex128) + _product(
+            np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values)
+        )
+    return lambda grid: grid.sum(
+        lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128), axis=-1, keepdims=True)
     )
 
 
 def _block_sum(block_sum: Callable, width: int = 1) -> Callable:
-    """Grid sum of ``block_sum(points, weights)``, a (width,) vector (see ``TensorGrid.sum``)."""
-    return lambda grid, coarse=False: grid.sum(block_sum, width, coarse)
+    """Grid sum of ``block_sum(points, weights)``, a (2, width) array (see ``GridSpec.sum``)."""
+    return lambda grid: grid.sum(block_sum, width)
 
 
 def _phase_sum(values: Callable, xi: np.ndarray, sign: float) -> Callable:
-    """Grid sums of values(x) exp(sign 2 pi i x.xi), one per row of xi (see ``TensorGrid.phase_sum``)."""
-    return lambda grid, coarse=False: grid.phase_sum(values, xi, sign, coarse)
+    """Grid sums of values(x) exp(sign 2 pi i x.xi), one column per row of xi (see ``GridSpec.phase_sum``)."""
+    return lambda grid: grid.phase_sum(values, xi, sign)
 
 
 def integrate_values(
@@ -798,8 +741,8 @@ def integrate_values(
     ``values`` maps an (m, dim) array of points to m values; the caller
     vouches that ``envelope`` bounds them.  Given a ``grid``, the result
     pairs its fine sum with the sum at half the points, which reuses the
-    grid's even nodes when N is a multiple of 4 (see ``_fine_and_coarse``),
-    so the integrand is evaluated once; given ``tol`` instead, the ladder is
+    grid's even nodes, so the integrand is evaluated once; given ``tol``
+    instead, the ladder is
     walked to it (see ``walk_ladder``, which also explains ``phase_rate``).
     ``label`` names the integrand in errors.
 
@@ -820,7 +763,7 @@ def integrate_values(
     else:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
-        fine, coarse = _fine_and_coarse(grid_sum, grid)
+        fine, coarse = grid_sum(grid)
     value = complex(fine[0])
     if not math.isfinite(abs(value)):
         raise QuadratureError(f"integrand {label!r} summed to a non-finite value")

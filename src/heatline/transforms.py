@@ -27,7 +27,6 @@ from .quadrature import (
     GaussianDecay,
     GridSpec,
     QuadratureError,
-    TensorGrid,
     TestFunction,
     _block_sum,
     _phase_sum,
@@ -246,7 +245,7 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
     sup bound; an integrable but unbounded f is integrated in y, under its own
     envelope scaled by the kernel peak.  Each rung's block values are
     contracted with the fine and the embedded coarse weights alike, so the
-    coarse sum costs no evaluation of f (see ``TensorGrid.sum``).  A block's
+    coarse sum costs no evaluation of f (see ``GridSpec.sum``).  A block's
     (points x nodes) matrix is built and contracted in row tiles of about
     2^14 entries, so it stays in cache and needs no fresh memory, while each
     point keeps its own matrix-vector sum over the block's nodes, bit for bit
@@ -337,18 +336,17 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
     _, _, grid = walk_ladder(_phase_sum(f, probe, sign), f.envelope, f.dim, inner_tol, f.name, max_freq)
-    tensor = TensorGrid(grid.radius, grid.points_per_axis, f.dim)
-    size = tensor.nodes.size**f.dim
+    size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
         if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
-        return tensor.phase_sum(f, xi_pts, sign)
+        return grid.phase_sum(f, xi_pts, sign, coarse=False)[0]
 
     if f.factors is None:
-        l1_mass = float(tensor.sum(lambda pts, w: np.sum(np.abs(w * f(pts))))[0].real)
+        l1_mass = float(grid.sum(lambda pts, w: np.sum(np.abs(w * f(pts)), axis=-1, keepdims=True))[0, 0].real)
     else:
-        l1_mass = math.prod(float(np.sum(np.abs(wf))) for wf in tensor.weighted_factors(f))
+        l1_mass = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
     return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))
 
 

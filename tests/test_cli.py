@@ -104,3 +104,19 @@ def test_budget_env_var_reaches_the_engine(runner, monkeypatch):
     result = runner.invoke(main, ["integrate", "--f", "weierstrass:0.1"])
     assert result.exit_code == 1
     assert "budget" in result.output.lower()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["integrate", "--radius", "6", "--points", "130"], "multiple of 4"),
+        (["weak-convergence", "--points", "130"], "multiple of 4"),
+        (["integrate", "--radius", "inf", "--points", "128"], "got inf"),
+        (["measure-ft", "--measure", '{"dim": 1.5, "atoms": [{"at": [0.5], "re": 1.0}]}'], "got 1.5"),
+        (["measure-ft", "--measure", '{"dim": true, "atoms": [{"at": [0.5], "re": 1.0}]}'], "got True"),
+    ],
+)
+def test_an_invalid_grid_or_literal_is_a_usage_error_naming_it(runner, args, named):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert named in result.output

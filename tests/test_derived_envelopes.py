@@ -71,8 +71,8 @@ class Capture:
 
 
 def _pointwise(block_sum: Callable, width: int) -> Callable:
-    """The integrand behind a block evaluator: its block sum at one point with unit weight."""
-    return lambda pts: np.array([block_sum(p[None, :], np.ones(1)) for p in pts]).reshape(len(pts), width)
+    """The integrand behind a block evaluator: its block sum at one point with one unit weight row."""
+    return lambda pts: np.array([block_sum(p[None, :], np.ones((1, 1))) for p in pts]).reshape(len(pts), width)
 
 
 @contextmanager

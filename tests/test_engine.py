@@ -23,13 +23,13 @@ from heatline import (
 from heatline import quadrature
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
-from heatline.quadrature import GaussianDecay, QuadratureError, TensorGrid, integrate_values
+from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
 from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
 
 
 @pytest.fixture
 def default_ladders(monkeypatch):
-    for var in ("HEATLINE_BUDGET", "HEATLINE_RADIUS_LADDER", "HEATLINE_POINTS_LADDER"):
+    for var in ("HEATLINE_BUDGET", "HEATLINE_RADIUS_LADDER"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -56,13 +56,13 @@ def test_default_walk_evaluates_each_rung_once(default_ladders):
 
 @pytest.mark.parametrize("ladder", ["128,256,512", "128,384,1024"])
 def test_walk_matches_fresh_fine_and_coarse_sums(monkeypatch, ladder):
-    monkeypatch.setenv("HEATLINE_POINTS_LADDER", ladder)
+    monkeypatch.setattr(quadrature, "POINTS_LADDER", tuple(map(int, ladder.split(","))))
     g = weierstrass_fn(0.005)
     result, grid = integrate_auto(g, 1e-8)
     assert result == integrate(g, grid)
 
 
-def _lattice(grid: TensorGrid) -> tuple[np.ndarray, np.ndarray]:
+def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Every node of the grid in row-major order, with its weight, built independently of blocks()."""
     d = grid.dim
     pts = np.stack(np.meshgrid(*[grid.nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
@@ -72,7 +72,7 @@ def _lattice(grid: TensorGrid) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _assert_blocks_tile_the_lattice(grid: TensorGrid, blocks: list) -> None:
+def _assert_blocks_tile_the_lattice(grid: GridSpec, blocks: list) -> None:
     """The blocks are tensor products of their index slices and follow one another in row-major order."""
     for pts, w, index in blocks:
         axes = np.meshgrid(*(grid.nodes[s] for s in index), indexing="ij")
@@ -85,14 +85,14 @@ def _assert_blocks_tile_the_lattice(grid: TensorGrid, blocks: list) -> None:
 
 @pytest.mark.parametrize("width", [801, 66049])
 def test_blocks_respect_the_caps_and_cover_the_grid(width):
-    grid = TensorGrid(4.0, 512, 2)
+    grid = GridSpec(4.0, 512, 2)
     sizes = [pts.shape[0] for pts, _, _ in grid.blocks(width=width)]
     assert max(sizes) * width <= 1 << 21
     assert sum(sizes) == 513**2
     assert max(pts.shape[0] for pts, _, _ in grid.blocks()) <= 1 << 17
-    # Simpson weights integrate constants exactly
-    total = grid.sum(lambda pts, w: np.sum(w))
-    assert abs(total[0] - 64.0) < 1e-12
+    # Simpson weights integrate constants exactly, the fine and the coarse rule alike
+    total = grid.sum(lambda pts, w: np.sum(w, axis=-1, keepdims=True))
+    assert np.max(np.abs(total - 64.0)) < 1e-12
     # unwidened blocks are runs of whole leading-axis rows, as many as fit the node cap
     blocks = list(grid.blocks())
     assert [index[1] for _, _, index in blocks] == [slice(0, 513)] * len(blocks)
@@ -103,7 +103,7 @@ def test_blocks_respect_the_caps_and_cover_the_grid(width):
 
 def test_a_row_over_the_cap_splits_along_the_second_axis(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 40)
-    grid = TensorGrid(1.0, 8, 3)  # rows of 9 x 9 = 81 nodes
+    grid = GridSpec(1.0, 8, 3)  # rows of 9 x 9 = 81 nodes
     blocks = list(grid.blocks())
     assert all(index[0].stop - index[0].start == 1 and index[2] == slice(0, 9) for _, _, index in blocks)
     # runs of 40 // 9 = 4 whole lines along the third axis, within one row
@@ -112,7 +112,7 @@ def test_a_row_over_the_cap_splits_along_the_second_axis(monkeypatch):
 
 
 def test_points_are_the_lattice_in_row_major_order():
-    pts = TensorGrid(2.0, 4, 2).points()
+    pts = GridSpec(2.0, 4, 2).points()
     axis = np.linspace(-2.0, 2.0, 5)
     assert pts.shape == (25, 2)
     assert np.array_equal(pts[:, 0], np.repeat(axis, 5))
@@ -132,23 +132,23 @@ def _frequencies(dim: int) -> np.ndarray:
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_phase_sum_matches_the_dense_sum(dim, sign):
-    grid = TensorGrid(3.0, 16, dim)
+    grid = GridSpec(3.0, 16, dim)
     xi = _frequencies(dim)
     pts, w = _lattice(grid)
     dense = (w * _skewed_gaussian(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi.T))
-    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign) - dense)) <= 1e-13
+    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign)[0] - dense)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_phase_sum_in_frequency_chunks_and_small_blocks(monkeypatch, dim):
-    grid = TensorGrid(3.0, 16, dim)
+    grid = GridSpec(3.0, 16, dim)
     xi = _frequencies(dim)
     whole = grid.phase_sum(_skewed_gaussian, xi, -1.0)
     assert np.array_equal(whole, grid.phase_sum(_skewed_gaussian, xi, -1.0))
     # one frequency per chunk, and blocks of at most 64 nodes (split rows in dim 3)
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 64)
     chunked = grid.phase_sum(_skewed_gaussian, xi, -1.0)
-    assert np.max(np.abs(chunked - whole)) <= 1e-15
+    assert np.max(np.abs(chunked[0] - whole[0])) <= 1e-15  # the fine sums
 
 
 def test_spectra_add():
@@ -230,7 +230,7 @@ def _unfactored(g: TestFunction) -> TestFunction:
     return TestFunction(g.f, g.dim, g.envelope, g.bounded, g.sup_bound, g.name)
 
 
-def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: TensorGrid) -> None:
+def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: GridSpec) -> None:
     """Plain and phase sums of g equal those of its unfactored copy on the same grid.
 
     Bit for bit in dim 1; in dims 2-3 to 1e-15 of the grid's L1 mass sum |w f|,
@@ -243,20 +243,20 @@ def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: TensorGrid
     if g.dim == 1:
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
     else:
-        mass = grid.sum(lambda pts, w: np.sum(np.abs(w * block(pts))))[0].real
+        mass = grid.sum(lambda pts, w: np.sum(np.abs(w[0] * block(pts))))[0, 0].real
         assert max(float(np.max(np.abs(got - want))) for got, want in pairs) <= 1e-15 * mass
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("preset", sorted(FACTORED_PRESETS))
 def test_factored_presets_sum_like_the_block_path(preset, dim):
-    _assert_factored_sums_match_the_block_path(FACTORED_PRESETS[preset](dim), TensorGrid(4.0, 64, dim))
+    _assert_factored_sums_match_the_block_path(FACTORED_PRESETS[preset](dim), GridSpec(4.0, 64, dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_scaled_and_shifted_copies_keep_factored_sums_exact(dim):
     offset = np.array([0.3, -0.2, 0.1])[:dim]
-    grid = TensorGrid(4.0, 64, dim)
+    grid = GridSpec(4.0, 64, dim)
     for g in (
         gauss_fn(0.1, dim).scaled(0.5 - 0.25j).shifted(offset),
         weierstrass_fn(0.1, dim).shifted(offset).scaled(-2.0),
@@ -320,17 +320,17 @@ def test_l1_norm_of_a_sign_changing_product_matches_the_block_path(dim):
 @pytest.mark.parametrize("radius", quadrature.RADIUS_LADDER)
 def test_the_coarse_grid_is_every_other_node_of_each_rung(radius):
     for n in quadrature.POINTS_LADDER:
-        fine, coarse = TensorGrid(radius, n, 1), TensorGrid(radius, n // 2, 1)
+        fine, coarse = GridSpec(radius, n, 1), GridSpec(radius, n // 2, 1)
         assert fine.nodes[::2].tobytes() == coarse.nodes.tobytes()
         assert fine.coarse_weights[::2].tobytes() == coarse.weights.tobytes()
         assert not np.any(fine.coarse_weights[1::2])
 
 
 def test_a_grid_of_n_2_mod_4_intervals_embeds_no_coarse_grid():
-    grid = TensorGrid(6.0, 130, 1)
-    assert grid.coarse_weights is None
-    with pytest.raises(ValueError, match="embeds no coarse grid"):
-        grid.sum(lambda pts, w: np.sum(w), coarse=True)
+    # the N/2 = 65-interval grid is no Simpson grid, so such a grid is refused
+    for dim in (1, 2, 3):
+        with pytest.raises(ValueError, match="multiple of 4.*got 130"):
+            GridSpec(6.0, 130, dim)
 
 
 def _shifted_values(dim: int):
@@ -361,24 +361,15 @@ def test_one_evaluation_gives_the_fine_sum_and_the_coarse_sum(monkeypatch, dim, 
     if split:
         # blocks of 3 leading-axis rows, so every other block starts on an odd node
         monkeypatch.setattr(quadrature, "_CHUNK", 3 * (n + 1) ** (dim - 1))
-    fine_grid, coarse_grid = TensorGrid(4.0, n, dim), TensorGrid(4.0, n // 2, dim)
+    fine_grid, coarse_grid = GridSpec(4.0, n, dim), GridSpec(4.0, n // 2, dim)
     for name, grid_sum, values in _grid_sums(dim):
-        fine, coarse = grid_sum(fine_grid, coarse=True)
-        assert fine.tobytes() == grid_sum(fine_grid).tobytes(), name
-        mass = float(fine_grid.sum(lambda pts, w: np.sum(np.abs(w * values(pts))))[0].real)
-        assert float(np.max(np.abs(coarse - grid_sum(coarse_grid)))) <= 1e-15 * mass, name
-
-
-def test_a_fixed_grid_of_n_2_mod_4_intervals_sums_its_coarse_grid_apart(default_ladders):
-    seen = []
-    g = _counted(weierstrass_fn(0.1), seen)
-    seen.clear()
-    spec = GridSpec(6.0, 130, 1)
-    result, _ = integrate_values(g, g.envelope, 1, g.name, grid=spec)
-    assert seen == [131, 65]  # the 130-interval grid, then the separate 64-interval one
-    fine = complex(quadrature._value_sum(g)(TensorGrid(6.0, 130, 1))[0])
-    coarse = complex(quadrature._value_sum(g)(TensorGrid(6.0, 64, 1))[0])
-    assert result == quadrature.QuadratureResult(fine, abs(fine - coarse), g.envelope.tail_bound(6.0, 1))
+        fine, coarse = grid_sum(fine_grid)
+        if name.startswith("phase"):
+            # a sampled spectrum sums the fine row alone, with the walk's bits
+            alone = fine_grid.phase_sum(values, _frequencies(dim), -1.0, coarse=False)
+            assert alone.tobytes() == fine[None].tobytes(), name
+        mass = float(fine_grid.sum(lambda pts, w: np.sum(np.abs(w[0] * values(pts))))[0, 0].real)
+        assert float(np.max(np.abs(coarse - grid_sum(coarse_grid)[0]))) <= 1e-15 * mass, name
 
 
 def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
@@ -399,13 +390,13 @@ def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
 # -- mirrored nodes and phase matrices ---------------------------------------
 
 LADDER_GRIDS = [(radius, n) for radius in quadrature.RADIUS_LADDER for n in quadrature.POINTS_LADDER]
-NON_DYADIC_GRIDS = [(7.3, 130), (6.0, 130)]
+NON_DYADIC_GRIDS = [(7.3, 132), (6.0, 136)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius, n", LADDER_GRIDS + NON_DYADIC_GRIDS)
 def test_grid_nodes_are_mirrored_about_a_positive_zero(radius, n, dim):
-    nodes = TensorGrid(radius, n, dim).nodes
+    nodes = GridSpec(radius, n, 1).nodes
     half = n // 2
     # node n - i is -node i bit for bit; the centre is +0.0, not -0.0
     assert nodes[:half:-1].view(np.int64).tolist() == (-nodes[:half]).view(np.int64).tolist()
@@ -414,14 +405,20 @@ def test_grid_nodes_are_mirrored_about_a_positive_zero(radius, n, dim):
     if (radius, n) in LADDER_GRIDS:
         # every ladder grid already had mirrored nodes: they are np.linspace's, unchanged
         assert nodes.tobytes() == np.linspace(-radius, radius, n + 1).tobytes()
-    if n % 4 == 0:
-        assert TensorGrid(radius, n // 2, dim).nodes.tobytes() == nodes[::2].tobytes()
+    if (n // 2) % 4 == 0:
+        assert GridSpec(radius, n // 2, 1).nodes.tobytes() == nodes[::2].tobytes()
+    # the nodes are per axis: a grid of any dim within the node budget has these, and a larger one is refused
+    if n**dim <= quadrature.node_budget():
+        assert GridSpec(radius, n, dim).nodes.tobytes() == nodes.tobytes()
+    else:
+        with pytest.raises(QuadratureError, match="node budget"):
+            GridSpec(radius, n, dim)
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("radius, n", LADDER_GRIDS + NON_DYADIC_GRIDS)
 def test_the_mirrored_phase_matrix_is_the_direct_one_bit_for_bit(radius, n, sign):
-    grid = TensorGrid(radius, n, 1)
+    grid = GridSpec(radius, n, 1)
     xi = np.array([0.0, -0.0, 2.0, -2.0, 0.37, -1.9, 5e-3])
     c = sign * 2.0 * math.pi
     direct = cis(c * np.multiply.outer(grid.nodes, xi))

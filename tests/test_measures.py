@@ -297,6 +297,12 @@ class TestContinuity:
         with pytest.raises(ValueError, match="uniform bound"):
             continuity_check(measure, [h.scaled(3.0)], h, uniform_bound=1.0)
 
+    def test_a_dim_4_lattice_meets_the_grid_dimension_cap(self):
+        measure = dirac([0.0] * 4)
+        h = gauss_fn(1.0, 4)
+        with pytest.raises(QuadratureError, match="capped at dimension 3"):
+            continuity_check(measure, [h.shifted([0.5, 0.0, 0.0, 0.0])], h)
+
 
 class TestMeasureJson:
     def test_documented_literal_round_trip(self):
@@ -328,3 +334,11 @@ class TestMeasureJson:
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             measure_from_json('{"dim": 1, "density": "mystery:1"}')
+
+    @pytest.mark.parametrize("dim, shown", [("1.5", "1.5"), ("true", "True"), ('"2"', "'2'")])
+    def test_a_non_integer_dim_is_refused_not_truncated(self, dim, shown):
+        with pytest.raises(ValueError, match=f"dim must be an integer, got {shown}$"):
+            measure_from_json(f'{{"dim": {dim}, "atoms": [{{"at": [0.5], "re": 1.0}}]}}')
+
+    def test_an_integral_float_dim_is_that_integer(self):
+        assert measure_from_json('{"dim": 2.0, "density": "gauss:0.1"}').dim == 2

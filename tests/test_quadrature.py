@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatline.catalog import bump_fn, constant_fn, gauss_fn, unit_gaussian, weierstrass_fn
+from heatline import quadrature
 from heatline.kernels import KernelScale, gauss, weierstrass_peak
 from heatline.quadrature import (
     CompactSupport,
@@ -24,13 +25,24 @@ from heatline.quadrature import (
 
 class TestGridSpec:
     def test_rejects_odd_or_tiny_point_counts(self):
-        for bad in (3, 5, 2, 0, -4):
+        for bad in (3, 5, 2, 0, -4, 6, 130):
             with pytest.raises(ValueError):
                 GridSpec(4.0, bad, 1)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 128, 1)
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_radius_by_name(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
+            integrate(unit_gaussian(1), GridSpec(radius, 128, 1))
+
+    def test_per_axis_arrays_are_read_only(self):
+        grid = GridSpec(4.0, 16, 2)
+        for array in (grid.nodes, grid.weights, grid.coarse_weights, grid.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_node_budget_enforced(self):
         with pytest.raises(QuadratureError, match="node budget"):
@@ -296,15 +308,16 @@ class TestAutoGrid:
 
     def test_ladder_env_overrides(self, monkeypatch):
         monkeypatch.setenv("HEATLINE_RADIUS_LADDER", "5,10")
-        monkeypatch.setenv("HEATLINE_POINTS_LADDER", "96,192")
+        monkeypatch.setattr(quadrature, "POINTS_LADDER", (96, 192))
         grid = auto_grid(unit_gaussian(1), 1e-7)
         assert grid.radius == 5.0
         assert grid.points_per_axis == 96
 
     def test_bad_ladder_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("HEATLINE_POINTS_LADDER", "96,95")
-        with pytest.raises(QuadratureError, match="increasing"):
-            auto_grid(unit_gaussian(1), 1e-8)
+        for ladder in ("5,4", "5,inf"):
+            monkeypatch.setenv("HEATLINE_RADIUS_LADDER", ladder)
+            with pytest.raises(QuadratureError, match="positive, finite and increasing"):
+                auto_grid(unit_gaussian(1), 1e-8)
 
 
 class TestHelpers:
