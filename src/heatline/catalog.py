@@ -132,11 +132,12 @@ def zero_fn(dim: int = 1) -> TestFunction:
 
 
 def constant_fn(value: complex, dim: int = 1) -> TestFunction:
-    """The constant function (BoundedOnly envelope, not integrable-certified)."""
+    """The constant function (BoundedOnly envelope, not integrable-certified); float64 for a real value."""
     if value == 0:
         return zero_fn(dim)
+    dtype = np.complex128 if np.iscomplexobj(value) else np.float64
     return TestFunction(
-        f=lambda pts: np.full(pts.shape[0], value, dtype=np.complex128),
+        f=lambda pts: np.full(pts.shape[0], value, dtype=dtype),
         dim=dim,
         envelope=BoundedOnly(abs(value)),
         bounded=True,

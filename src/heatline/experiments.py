@@ -231,11 +231,13 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
     worst = 0.0
     for alpha in alphas:
         scale = KernelScale(alpha, dim)
+        # one build (and envelope spot check) per kernel and alpha
+        gauss_alpha, weierstrass_alpha = gauss_fn(alpha, dim), weierstrass_fn(alpha, dim)
         cases = [
-            ("fourier[gauss]", gauss_fn(alpha, dim), False, lambda p: weierstrass(scale, p)),
-            ("fourier[weierstrass]", weierstrass_fn(alpha, dim), False, lambda p: gauss(scale, p)),
-            ("inverse[gauss]", gauss_fn(alpha, dim), True, lambda p: weierstrass(scale, p)),
-            ("inverse[weierstrass]", weierstrass_fn(alpha, dim), True, lambda p: gauss(scale, p)),
+            ("fourier[gauss]", gauss_alpha, False, lambda p: weierstrass(scale, p)),
+            ("fourier[weierstrass]", weierstrass_alpha, False, lambda p: gauss(scale, p)),
+            ("inverse[gauss]", gauss_alpha, True, lambda p: weierstrass(scale, p)),
+            ("inverse[weierstrass]", weierstrass_alpha, True, lambda p: gauss(scale, p)),
         ]
         for label, fn, inv, expected in cases:
             samples = fourier_profile(fn, xi_pts, quad_tol, inverse=inv)
@@ -247,7 +249,7 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
         if dim == 1:
             # the pair identity continues to purely imaginary frequencies
             xi_imag = np.array([0.3j])
-            value = fourier_complex(gauss_fn(alpha, 1), xi_imag, quad_tol)
+            value = fourier_complex(gauss_alpha, xi_imag, quad_tol)
             want = complex(weierstrass(scale, xi_imag))
             resid = abs(value - want)
             worst = max(worst, resid)
@@ -623,12 +625,14 @@ def run(spec: ExperimentSpec) -> ResultTable:
     """Run a registered experiment spec and return its result table.
 
     A parameter the experiment does not declare, or a dim that is not a
-    positive integer, raises ValueError.
+    positive integer (a bool is not one), raises ValueError.
     """
     if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r}; registered: {known}")
-    if spec.dim is not None and not (isinstance(spec.dim, numbers.Integral) and spec.dim >= 1):
+    if spec.dim is not None and (
+        isinstance(spec.dim, bool) or not isinstance(spec.dim, numbers.Integral) or spec.dim < 1
+    ):
         raise ValueError(f"dim must be a positive integer, got {spec.dim!r}")
     start = time.perf_counter()
     table = EXPERIMENTS[spec.name](spec)

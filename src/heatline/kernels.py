@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import dot
+from .points import check_dim, dot
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class KernelScale:
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_dim(self.dim)
 
 
 def _self_dot(scale: KernelScale, x) -> np.ndarray:

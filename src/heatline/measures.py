@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import parse_preset
 from .kernels import KernelScale, weierstrass, weierstrass_peak
-from .points import cis, real_point
+from .points import check_dim, cis, real_point
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -69,8 +69,7 @@ class BoundedMeasure:
     bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_dim(self.dim)
         object.__setattr__(self, "atoms", tuple(self.atoms))
         for atom in self.atoms:
             if atom.dim != self.dim:

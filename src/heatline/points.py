@@ -12,6 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_dim(dim) -> None:
+    """Raise ValueError unless ``dim`` is a positive integer; a bool is not a dimension."""
+    if isinstance(dim, bool) or int(dim) != dim or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a 1-d float64 or complex128 array, checking ``dim``."""
     a = np.atleast_1d(np.asarray(x))

@@ -31,6 +31,13 @@ grid evaluates d (n+1) factor nodes instead of (n+1)^d points.  Every other
 integrand is evaluated at every node, vectorized and chunked in a fixed
 order.  Reductions use numpy's pairwise summation, so a fixed grid always
 reproduces the same value bit for bit.
+
+Real values stay real: an integrand whose values are real (every catalog
+preset, both kernels) is evaluated, weighted and summed in float64, and so
+are the matrix products of batched smoothing.  Complex arithmetic enters
+only with a complex factor, such as a phase, a complex atom weight or a
+complex ``scaled`` factor.  The grid sums accumulate in complex128, and
+every result is complex.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .points import cis
+from .points import check_dim, cis
 
 DEFAULT_NODE_BUDGET = 2**24
 RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0)
@@ -53,7 +60,7 @@ POINTS_LADDER = (128, 256, 512, 1024, 2048, 4096, 8192)
 
 _CHUNK = 1 << 17  # nodes per evaluation block
 _BLOCK_ENTRIES = 1 << 21  # node-output pairs per evaluation block
-_TILE_ENTRIES = 1 << 14  # point-node pairs per row tile of a block's matrix (256 KB complex)
+_TILE_ENTRIES = 1 << 14  # point-node pairs per row tile of a block's matrix (128 KB real, 256 KB complex)
 _TINY = 1e-300  # floor that keeps a derived envelope scale positive
 _ENVELOPE_SLACK = 1e-9
 _FACTOR_RTOL = 1e-12  # relative spot-check tolerance of declared factors
@@ -222,8 +229,13 @@ def _spot_points(dim: int) -> np.ndarray:
 
 
 def _evaluated(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
-    """fn(x) as a complex array of one value per row of x, checked for shape and finiteness."""
-    vals = np.asarray(fn(x), dtype=np.complex128)
+    """fn(x) as an array of one value per row of x, checked for shape and finiteness.
+
+    Real values (bool, integer or float) come back as float64, all others as
+    complex128.
+    """
+    vals = np.asarray(fn(x))
+    vals = vals.astype(np.float64 if vals.dtype.kind in "biuf" else np.complex128, copy=False)
     if vals.shape != (x.shape[0],):
         raise ValueError(f"test function {name!r} returned shape {vals.shape} for {x.shape[0]} points")
     if not np.all(np.isfinite(vals)):
@@ -244,7 +256,9 @@ class TestFunction:
     ----------
     f : callable
         Vectorized evaluation: given an (m, dim) float array it returns an
-        (m,) array of values (real or complex).
+        (m,) array of values (real or complex).  Calling the TestFunction
+        returns them as float64 when they are real (bool, integer or
+        float) and as complex128 otherwise.
     dim : int
         Ambient dimension n.
     envelope : Envelope
@@ -280,8 +294,7 @@ class TestFunction:
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_dim(self.dim)
         if isinstance(self.envelope, PolynomialDecay) and self.envelope.power <= self.dim:
             raise ValueError(
                 f"PolynomialDecay power {self.envelope.power} must exceed dim {self.dim} "
@@ -432,11 +445,18 @@ def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
 
 
 def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ row for each weight row of w, stacked.
+    """a @ row for each weight row of w, stacked; real when a and w are both real.
 
-    A matrix-matrix product rounds differently from a matrix-vector one, so
-    each row is its own product.
+    Each output keeps its bits whatever the height of a (see ``_row_tiles``).
+    A real product is np.einsum's, which sums every output on its own in the
+    same order, for any height of a and any number of BLAS threads (a real
+    BLAS product split over threads rounds differently).  A complex product
+    casts the real operand once and takes one BLAS matrix-vector product per
+    row, as a matrix-matrix product rounds differently.
     """
+    if not (np.iscomplexobj(a) or np.iscomplexobj(w)):
+        return np.einsum("ij,kj->ki", a, w)
+    a, w = a.astype(np.complex128, copy=False), w.astype(np.complex128, copy=False)
     return np.stack([a @ row for row in w])
 
 
@@ -459,12 +479,11 @@ def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.nd
     """_matvec_rows(matrix(xs), w), built and multiplied in row tiles of xs (see ``_row_tiles``).
 
     Each tile's (rows, len(w)) matrix stays in cache, and every output keeps
-    the bits of the untiled product.
+    the bits of the untiled product.  The result is real when the matrix and
+    w are.
     """
-    out = np.empty((w.shape[0], xs.shape[0]), dtype=np.complex128)
-    for tile in _row_tiles(xs.shape[0], w.shape[-1]):
-        out[..., tile] = _matvec_rows(matrix(xs[tile]), w)
-    return out
+    tiles = _row_tiles(xs.shape[0], w.shape[-1])
+    return np.concatenate([_matvec_rows(matrix(xs[tile]), w) for tile in tiles], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -496,8 +515,7 @@ class GridSpec:
         n = self.points_per_axis
         if int(n) != n or n < 4 or n % 4 != 0:
             raise ValueError(f"points_per_axis must be a multiple of 4 (so the grid embeds its N/2 grid), got {n}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_dim(self.dim)
         if self.dim > 3:
             raise QuadratureError(
                 f"tensor grids are capped at dimension 3, got {self.dim}"
@@ -570,8 +588,9 @@ class GridSpec:
     def weighted_factors(self, values) -> list[np.ndarray]:
         """rows * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
 
-        Each entry is a (2, N + 1) array, one row per weight row.  The factor
-        values get the checks of f(points): one finite value per node.
+        Each entry is a (2, N + 1) array, one row per weight row, real for a
+        real factor.  The factor values get the checks of f(points): one
+        finite value per node.
         """
         name = getattr(values, "name", "")
         return [self.rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
@@ -653,6 +672,12 @@ def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> f
     )
 
 
+@lru_cache(maxsize=32)
+def _ladder_grid(radius: float, n: int, dim: int) -> GridSpec:
+    """The ladder grid of this shape, built once per process (a GridSpec holds only read-only arrays)."""
+    return GridSpec(radius, n, dim)
+
+
 def walk_ladder(
     grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, GridSpec]:
@@ -666,7 +691,8 @@ def walk_ladder(
     oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
     factor); the walk starts where the phase advances at most a quarter cycle
     per step.  Each rung evaluates its integrand once: the N/2 sum reuses the
-    N-grid's even nodes.
+    N-grid's even nodes.  Ladder grids are built once per process and shared
+    by every walk; the budget is checked before each rung all the same.
     """
     radius = truncation_radius(envelope, dim, tol, label)
     budget = node_budget()
@@ -677,7 +703,7 @@ def walk_ladder(
             break
         if n < min_points:
             continue
-        grid = GridSpec(radius, n, dim)
+        grid = _ladder_grid(radius, n, dim)
         fine, coarse = grid_sum(grid)
         if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
             return fine, coarse, grid
@@ -711,15 +737,15 @@ def _value_sum(values: Callable) -> Callable:
     """Grid sum of the plain integral of values, a (2, 1) array of the fine and the coarse sum.
 
     An integrand that declares ``factors`` sums as prod_j sum_k w_k f_j(x_k).
+    Real values are weighted and summed in float64; the sums are added onto
+    the complex accumulator.
     """
     if getattr(values, "factors", None) is not None:
         # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
         return lambda grid: np.zeros((2, 1), np.complex128) + _product(
             np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values)
         )
-    return lambda grid: grid.sum(
-        lambda pts, w: np.sum(w * np.asarray(values(pts), dtype=np.complex128), axis=-1, keepdims=True)
-    )
+    return lambda grid: grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))
 
 
 def _block_sum(block_sum: Callable, width: int = 1) -> Callable:

@@ -249,7 +249,9 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
     (points x nodes) matrix is built and contracted in row tiles of about
     2^14 entries, so it stays in cache and needs no fresh memory, while each
     point keeps its own matrix-vector sum over the block's nodes, bit for bit
-    (see ``quadrature._row_tiles``).
+    (see ``quadrature._row_tiles``).  For a real f the kernel weights, the
+    matrices and their products stay real (float64); a complex f makes them
+    complex.
     """
     scale = KernelScale(alpha, f.dim)
     peak = weierstrass_peak(scale)
@@ -258,7 +260,7 @@ def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: 
 
         def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
             # the kernel weight is shared by every x
-            kw = (w * weierstrass(scale, upts)).astype(np.complex128)
+            kw = w * weierstrass(scale, upts)
 
             def values(x_tile: np.ndarray) -> np.ndarray:
                 shifted = x_tile[:, None, :] - upts[None, :, :]

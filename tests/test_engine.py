@@ -20,11 +20,12 @@ from heatline import (
     unit_gaussian,
     weierstrass_fn,
 )
-from heatline import quadrature
+from heatline import quadrature, transforms
+from heatline.catalog import bump_pair_fn, parse_preset
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
-from heatline.transforms import Spectrum, mollify_on_points, sampled_spectrum
+from heatline.transforms import Spectrum, modulate, mollify_on_points, sampled_spectrum
 
 
 @pytest.fixture
@@ -474,3 +475,98 @@ def test_smoothing_a_large_batch_stays_small_in_memory():
         tracemalloc.stop()
     # the untiled 1,025 x 129 blocks took about 8 MB
     assert peak < 1 << 20
+
+
+# -- real integrands stay real -----------------------------------------------
+
+PRESETS = ["gauss:0.1", "weierstrass:0.1", "unit-gauss", "bump:1", "bumppair:0.8", "const:1", "const:-2.5", "const:0"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_catalog_presets_take_real_values(preset, dim):
+    f = parse_preset(preset, dim)
+    pts = GridSpec(2.0, 4, dim).points()
+    assert f(pts).dtype == np.float64
+    if f.factors is not None:
+        assert all(wf.dtype == np.float64 for wf in GridSpec(4.0, 16, dim).weighted_factors(f))
+    assert f.scaled(1j)(pts).dtype == np.complex128
+
+
+def test_real_values_of_any_real_type_come_back_as_float64():
+    for values in (lambda pts: pts[:, 0] > 0.0, lambda pts: np.ones(pts.shape[0], dtype=np.int64)):
+        f = TestFunction(values, 1, quadrature.CompactSupport(20.0), name="stepped")
+        assert f(np.array([[-1.0], [1.0]])).dtype == np.float64
+
+
+def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set:
+    """The dtypes of the block sums that mollify_on_points(f) contracts on its walk."""
+    dtypes = set()
+    block_sum = transforms._block_sum
+
+    def recorded(block, width=1):
+        def wrapped(pts, w):
+            out = block(pts, w)
+            dtypes.add(out.dtype)
+            return out
+
+        return block_sum(wrapped, width)
+
+    monkeypatch.setattr(transforms, "_block_sum", recorded)
+    mollify_on_points(f, 0.1, xs, 1e-8)
+    monkeypatch.setattr(transforms, "_block_sum", block_sum)
+    return dtypes
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_smoothing_blocks_are_real_for_a_real_function(monkeypatch, bounded):
+    f, xs = _smoothing_case(1, bounded, 9)
+    assert _smoothing_block_dtypes(monkeypatch, f, xs) == {np.dtype(np.float64)}
+    assert _smoothing_block_dtypes(monkeypatch, f.scaled(1j), xs) == {np.dtype(np.complex128)}
+
+
+def test_a_modulated_integrand_stays_complex(monkeypatch):
+    integrands = []
+    phase_sum = transforms._phase_sum
+
+    def recorded(values, xi, sign):
+        integrands.append(values)
+        return phase_sum(values, xi, sign)
+
+    monkeypatch.setattr(transforms, "_phase_sum", recorded)
+    modulate(gauss_fn(0.1), [0.5], [0.0], 1e-8)
+    assert integrands[0](np.zeros((3, 1))).dtype == np.complex128
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("dim, tol", [(1, 1e-9), (2, 1e-4)])
+def test_real_smoothing_agrees_with_the_complex_path(dim, tol, bounded):
+    # a sign-changing f; f.scaled(1 + 0j) has complex values, so its smoothing takes the complex products
+    f = bump_pair_fn(0.8, dim=dim)
+    sup = {"bounded": True, "sup_bound": f.sup_bound} if bounded else {}
+    f = TestFunction(f.f, dim, f.envelope, name="bumppair", **sup)
+    xs = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(9, dim))
+    real = mollify_on_points(f, 0.1, xs, tol)
+    assert real.dtype == np.complex128  # the accumulators stay complex
+    complex_path = mollify_on_points(f.scaled(1 + 0j), 0.1, xs, tol)
+    assert np.max(np.abs(real - complex_path)) <= 1e-15 * l1_norm(f).value
+
+
+# -- one build per ladder grid -----------------------------------------------
+
+
+def test_the_walk_builds_each_ladder_grid_once(default_ladders):
+    g = weierstrass_fn(0.1)
+    _, grid = integrate_auto(g, 1e-8)
+    assert integrate_auto(g, 1e-8)[1] is grid
+    assert integrate_auto(weierstrass_fn(0.2), 1e-8)[1] is grid  # another integrand on the same rung
+    fresh = GridSpec(grid.radius, grid.points_per_axis, grid.dim)  # a user-built grid is its own
+    assert fresh == grid and fresh is not grid
+
+
+def test_a_lowered_budget_still_refuses_a_cached_ladder_grid(monkeypatch, default_ladders):
+    g = weierstrass_fn(0.1, 2)
+    _, grid = integrate_auto(g, 1e-6)
+    monkeypatch.setenv("HEATLINE_BUDGET", str(grid.points_per_axis**2 - 1))
+    with pytest.raises(QuadratureError, match="at budget"):
+        integrate_auto(g, 1e-6)

@@ -11,7 +11,9 @@ from heatline import experiments, measure_from_json, mollify, parse_preset
 from heatline.catalog import closed_form
 from heatline.cli import main
 from heatline.experiments import ExperimentSpec, export, run
-from heatline.quadrature import integrate_auto
+from heatline.kernels import KernelScale
+from heatline.measures import BoundedMeasure
+from heatline.quadrature import GaussianDecay, GridSpec, TestFunction, integrate_auto
 from heatline.transforms import fourier
 
 
@@ -132,3 +134,20 @@ def test_a_dim_below_one_is_a_usage_error(runner):
     assert "dim must be a positive integer" in result.output
     with pytest.raises(ValueError, match="dim must be a positive integer"):
         run(ExperimentSpec(name="integrate", dim=0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GridSpec(4.0, 128, True),
+        lambda: BoundedMeasure(dim=True),
+        lambda: KernelScale(0.1, True),
+        lambda: TestFunction(lambda pts: np.zeros(pts.shape[0]), True, GaussianDecay(1.0, 1.0)),
+        lambda: run(ExperimentSpec("integrate", dim=True)),
+    ],
+    ids=["grid", "measure", "kernel-scale", "test-function", "run"],
+)
+def test_a_boolean_dim_is_refused_by_name(build):
+    # True == 1, but a flag is not a dimension
+    with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
+        build()
