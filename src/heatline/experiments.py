@@ -33,6 +33,7 @@ from .transforms import (
     gauss_inversion_on_points,
     mollify,
     mollify_l1_check,
+    mollify_ladder,
     modulate,
     multiplication_formula_check,
 )
@@ -369,9 +370,10 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
     worst_cross = 0.0
     for i, x in enumerate(xs):
         fx = complex(f(np.array([[x]]))[0])
-        for alpha, inv_row in zip(alphas, inversions):
+        # one smoothing walk per point for the whole ladder; each value is mollify(f, alpha, x, quad_tol)'s
+        smoothed = mollify_ladder(f, alphas, np.array([[x]], dtype=float), quad_tol)[:, 0].tolist()
+        for alpha, inv_row, mol in zip(alphas, inversions, smoothed):
             inv = inv_row[i]
-            mol = mollify(f, alpha, x, quad_tol)
             cross = abs(inv - mol)
             worst_cross = max(worst_cross, cross)
             rows.append([x, alpha, inv.real, inv.imag, mol.real, mol.imag, cross, abs(inv - fx)])
@@ -539,12 +541,14 @@ def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> Resul
     """Measure inversion against direct measure smoothing."""
     points = np.zeros((len(xs), measure.dim))
     points[:, 0] = xs
+    # one smoothing walk per point for the whole ladder; row j is measure.mollify(alphas[j], point, tol / 4)
+    smoothed = [measure.mollify_ladder(alphas, point.reshape(1, -1), tol / 4.0)[:, 0].tolist() for point in points]
     rows = []
     worst = 0.0
-    for alpha in alphas:
+    for j, alpha in enumerate(alphas):
         inversions = measure.gauss_inversion_on_points(alpha, points, tol / 4.0).tolist()
-        for x, point, inv in zip(xs, points, inversions):
-            mol = measure.mollify(alpha, point, tol / 4.0)
+        for x, point_values, inv in zip(xs, smoothed, inversions):
+            mol = point_values[j]
             diff = abs(inv - mol)
             worst = max(worst, diff)
             rows.append([alpha, x, inv.real, inv.imag, mol.real, mol.imag, diff])

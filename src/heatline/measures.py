@@ -35,7 +35,7 @@ from .transforms import (
     Spectrum,
     fourier as _fourier,
     invert_spectrum,
-    mollify_on_points as _mollify_on_points,
+    mollify_ladder as _mollify_ladder,
     sampled_spectrum,
 )
 
@@ -131,14 +131,24 @@ class BoundedMeasure:
         return complex(self.mollify_on_points(alpha, y.reshape(1, -1), tol)[0])
 
     def mollify_on_points(self, alpha: float, xs: np.ndarray, inner_tol: float = 1e-8) -> np.ndarray:
-        """Smoothed values on a batch of points (rows of xs)."""
-        scale = KernelScale(alpha, self.dim)
-        out = np.zeros(xs.shape[0], dtype=np.complex128)
+        """Smoothed values on a batch of points (rows of xs); the one-alpha row of mollify_ladder."""
+        return self.mollify_ladder([alpha], xs, inner_tol)[0]
+
+    def mollify_ladder(self, alphas, xs: np.ndarray, inner_tol: float = 1e-8) -> np.ndarray:
+        """Smoothed values for each alpha (rows) at each row of xs (columns), a (len(alphas), k) array.
+
+        Each row starts from zeros, adds the atoms' kernels at that scale,
+        then the smoothed density; the density is smoothed once per ladder
+        grid for every alpha (see ``transforms.mollify_ladder``).
+        """
+        scales = [KernelScale(alpha, self.dim) for alpha in alphas]
+        out = np.zeros((len(scales), xs.shape[0]), dtype=np.complex128)
         if self.atoms:
             diffs = xs[:, None, :] - self.atom_locations[None, :, :]
-            out += weierstrass(scale, diffs) @ self.atom_weights
+            for row, scale in zip(out, scales):
+                row += weierstrass(scale, diffs) @ self.atom_weights
         if self.density is not None:
-            out += _mollify_on_points(self.density, alpha, xs, inner_tol)
+            out += _mollify_ladder(self.density, alphas, xs, inner_tol)
         return out
 
     def spectrum(self, inner_tol: float, max_freq: float) -> Spectrum:
@@ -198,7 +208,14 @@ def weak_convergence_trace(
     """Pair the smoothed measure with h along a ladder of scales.
 
     Each sample integrates (W_alpha * measure)(x) h(x) over the grid and
-    records the limit target, the measure applied to h directly.
+    records the limit target, the measure applied to h directly.  A measure
+    with a density is smoothed once per outer block for every alpha
+    (``BoundedMeasure.mollify_ladder``, which smooths the density once per
+    ladder grid for all the alphas walking on it), and each block's rows are
+    held until the last alpha has integrated it: on an outer grid of several
+    blocks (dim 2 or 3) that holds (N + 1)^dim values per alpha.  Atoms alone
+    are smoothed one alpha at a time.  Either way each alpha integrates its
+    own row, and its value is the one-alpha smoothing's, bit for bit.
     """
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")
@@ -210,13 +227,28 @@ def weak_convergence_trace(
             f"{type(h.envelope).__name__}"
         )
     target = measure.apply(h, tol)
+    alphas = [float(alpha) for alpha in alphas]
+    smoothed = {}  # every alpha's smoothed values, by the bytes of their outer block
+
+    def smoothed_row(pts: np.ndarray, i: int) -> np.ndarray:
+        if measure.density is None:
+            # atoms alone share no work across scales, so no block is held for later scales
+            rows, i = measure.mollify_ladder([alphas[i]], pts, tol), 0
+        else:
+            key = pts.tobytes()
+            if key not in smoothed:
+                smoothed[key] = measure.mollify_ladder(alphas, pts, tol)
+            rows = smoothed[key] if i < len(alphas) - 1 else smoothed.pop(key)  # the last alpha frees the block
+        # a fresh array, not a view: numpy multiplies a large fresh temporary
+        # in place, where its complex multiply may round differently
+        return rows[i].copy()
+
     samples = []
-    for alpha in alphas:
-        alpha = float(alpha)
+    for i, alpha in enumerate(alphas):
         peak = weierstrass_peak(KernelScale(alpha, measure.dim))
 
-        def fn(pts: np.ndarray, _alpha=alpha) -> np.ndarray:
-            return measure.mollify_on_points(_alpha, pts, tol) * h(pts)
+        def fn(pts: np.ndarray, i=i) -> np.ndarray:
+            return smoothed_row(pts, i) * h(pts)
 
         envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY)
         result, _ = integrate_values(fn, envelope, measure.dim, f"weak[{h.name}]@{alpha:g}", grid=grid)

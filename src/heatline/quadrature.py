@@ -16,7 +16,9 @@ two error terms:
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
 ``walk_ladder`` for vector-valued sums, such as the phase sums of a
-transform, which factor exp(+-2 pi i x.xi) per axis); ``integrate`` and
+transform, which factor exp(+-2 pi i x.xi) per axis; ``walk_ladders`` for
+several walks at once, such as smoothing at several scales, which share
+their ladder grids); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -238,7 +240,7 @@ def _evaluated(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     vals = vals.astype(np.float64 if vals.dtype.kind in "biuf" else np.complex128, copy=False)
     if vals.shape != (x.shape[0],):
         raise ValueError(f"test function {name!r} returned shape {vals.shape} for {x.shape[0]} points")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError(f"test function {name!r} returned non-finite values")
     return vals
 
@@ -343,7 +345,7 @@ class TestFunction:
 
     def __call__(self, pts) -> np.ndarray:
         a = np.asarray(pts)
-        if np.iscomplexobj(a):
+        if a.dtype.kind == "c":
             raise ValueError(
                 f"test function {self.name!r} takes real points, got complex input; use "
                 "fourier_complex for complex frequencies, or kernels.gauss/weierstrass, "
@@ -454,7 +456,7 @@ def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     casts the real operand once and takes one BLAS matrix-vector product per
     row, as a matrix-matrix product rounds differently.
     """
-    if not (np.iscomplexobj(a) or np.iscomplexobj(w)):
+    if a.dtype.kind != "c" and w.dtype.kind != "c":
         return np.einsum("ij,kj->ki", a, w)
     a, w = a.astype(np.complex128, copy=False), w.astype(np.complex128, copy=False)
     return np.stack([a @ row for row in w])
@@ -595,13 +597,14 @@ class GridSpec:
         name = getattr(values, "name", "")
         return [self.rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
 
-    def sum(self, block_sum: Callable, width: int = 1) -> np.ndarray:
-        """Sums of ``block_sum(points, weights)`` over the blocks, as a (2, width) array.
+    def sum(self, block_sum: Callable, width: int = 1, walks: int = 1) -> np.ndarray:
+        """Sums of ``block_sum(points, weights)`` over the blocks, as a (2 walks, width) array.
 
         ``weights`` stacks the block's fine and coarse weights, and
-        ``block_sum`` returns one row of sums per weight row.
+        ``block_sum`` returns one row of sums per weight row; for several
+        walks at once (see ``_block_sums``), a pair of rows per walk, stacked.
         """
-        out = np.zeros((2, width), dtype=np.complex128)
+        out = np.zeros((2 * walks, width), dtype=np.complex128)
         for pts, w, index in self.blocks(width):
             out += block_sum(pts, np.stack([w, _block_weights(self.coarse_weights, index)]))
         return out
@@ -678,38 +681,88 @@ def _ladder_grid(radius: float, n: int, dim: int) -> GridSpec:
     return GridSpec(radius, n, dim)
 
 
+def walk_ladders(
+    grid_sums: Callable, envelopes, dim: int, tol: float, labels, phase_rate: float = 0.0,
+) -> list[tuple[np.ndarray, np.ndarray, GridSpec]]:
+    """Several walks up the ladder at once, each to its own grid: one (fine, coarse, grid) per walk.
+
+    Walk i has its own envelope and label, so its own radius (from
+    ``truncation_radius``), and stops at the first rung where its own
+    ``|fine - coarse|`` is at most tol / 2: the rung, the sums and the
+    errors are those of walking it alone (``walk_ladder``).  On each rung,
+    the walks still going that share a radius share the grid:
+    ``grid_sums(grid, walks)`` returns the (2, width) sums of each walk index
+    in ``walks``, in order, so values the walks have in common (such as
+    f(x - u) under kernels of several scales) are computed once per grid.
+    ``phase_rate`` is an oscillation rate (cycles per unit length, e.g. |xi|
+    for a Fourier factor); a walk starts where the phase advances at most a
+    quarter cycle per step.  Each rung evaluates its integrand once: the N/2
+    sum reuses the N-grid's even nodes.  Ladder grids are built once per
+    process and shared by every walk; the node budget is checked before each
+    rung all the same.  When several walks fail, the first one's error is
+    raised.
+    """
+    radii, unreachable = [], None
+    for envelope, label in zip(envelopes, labels):
+        try:
+            radii.append(truncation_radius(envelope, dim, tol, label))
+        except QuadratureError as exc:
+            unreachable = exc  # raised unless a walk before it fails first
+            break
+    budget = node_budget()
+    floors = [8.0 * r * phase_rate for r in radii]  # the fewest points per axis of each walk
+    by_radius = {}
+    for i, r in enumerate(radii):
+        by_radius.setdefault(r, []).append(i)
+    found = [None] * len(radii)
+    tried = [False] * len(radii)
+    capped = False
+    for n in POINTS_LADDER:
+        if n**dim > budget:
+            capped = True
+            break
+        for radius, members in by_radius.items():
+            walks = [i for i in members if found[i] is None and n >= floors[i]]
+            if not walks:
+                continue
+            grid = _ladder_grid(radius, n, dim)
+            for i, (fine, coarse) in zip(walks, grid_sums(grid, walks)):
+                if float(np.abs(fine - coarse).max()) <= tol / 2.0:
+                    found[i] = (fine, coarse, grid)
+                else:
+                    tried[i] = True
+        if None not in found:
+            break
+    for i, result in enumerate(found):
+        if result is None:
+            if tried[i]:
+                reason = "discretization estimate never met the tolerance"
+            elif capped:
+                floor = " at or above the phase cap" if floors[i] > POINTS_LADDER[0] else ""
+                reason = f"the node budget ({budget} nodes) admits no rung of the point ladder{floor}"
+            else:
+                reason = "phase cap exceeds the point ladder"
+            raise QuadratureError(f"tolerance unreachable at budget for {labels[i]!r}: {reason}")
+    if unreachable is not None:
+        raise unreachable
+    return found
+
+
 def walk_ladder(
     grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, GridSpec]:
-    """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid).
+    """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid): ``walk_ladders`` for one walk.
 
     ``grid_sum(grid)`` returns the (2, width) array of a ``GridSpec``'s fine
     sums and the sums with its embedded coarse weights (see ``_value_sum``,
-    ``_block_sum`` and ``_phase_sum``).  The radius comes from
+    ``GridSpec.sum`` and ``_phase_sum``).  The radius comes from
     ``truncation_radius``; the point ladder is then walked until every entry
-    of ``|fine - coarse|`` is at most tol / 2.  ``phase_rate`` is an
-    oscillation rate (cycles per unit length, e.g. |xi| for a Fourier
-    factor); the walk starts where the phase advances at most a quarter cycle
-    per step.  Each rung evaluates its integrand once: the N/2 sum reuses the
-    N-grid's even nodes.  Ladder grids are built once per process and shared
-    by every walk; the budget is checked before each rung all the same.
+    of ``|fine - coarse|`` is at most tol / 2 (see ``walk_ladders``, which
+    also explains ``phase_rate``).  When no rung qualifies, the error names
+    why: the estimate never met tol, the node budget admits no rung, or
+    every rung is below the phase cap.
     """
-    radius = truncation_radius(envelope, dim, tol, label)
-    budget = node_budget()
-    min_points = 8.0 * radius * phase_rate
-    tried = False
-    for n in POINTS_LADDER:
-        if n**dim > budget:
-            break
-        if n < min_points:
-            continue
-        grid = _ladder_grid(radius, n, dim)
-        fine, coarse = grid_sum(grid)
-        if float(np.max(np.abs(fine - coarse))) <= tol / 2.0:
-            return fine, coarse, grid
-        tried = True
-    reason = "discretization estimate never met the tolerance" if tried else "phase cap exceeds the point ladder"
-    raise QuadratureError(f"tolerance unreachable at budget for {label!r}: {reason}")
+    return walk_ladders(lambda grid, walks: [grid_sum(grid)], [envelope], dim, tol, [label], phase_rate)[0]
 
 
 @dataclass(frozen=True)
@@ -748,9 +801,14 @@ def _value_sum(values: Callable) -> Callable:
     return lambda grid: grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))
 
 
-def _block_sum(block_sum: Callable, width: int = 1) -> Callable:
-    """Grid sum of ``block_sum(points, weights)``, a (2, width) array (see ``GridSpec.sum``)."""
-    return lambda grid: grid.sum(block_sum, width)
+def _block_sums(block_for: Callable, width: int) -> Callable:
+    """Grid sums of several walks at once, for ``walk_ladders``: one (2, width) array per walk.
+
+    ``block_for(walks)`` is a block evaluator (see ``GridSpec.sum``) for the
+    listed walks together, returning the fine and the coarse row of each
+    walk in turn, so a block's values can be shared by every walk.
+    """
+    return lambda grid, walks: grid.sum(block_for(walks), width, len(walks)).reshape(len(walks), 2, width)
 
 
 def _phase_sum(values: Callable, xi: np.ndarray, sign: float) -> Callable:

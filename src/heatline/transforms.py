@@ -28,7 +28,7 @@ from .quadrature import (
     GridSpec,
     QuadratureError,
     TestFunction,
-    _block_sum,
+    _block_sums,
     _phase_sum,
     _require_integrable,
     _tiled_matvec_rows,
@@ -36,6 +36,7 @@ from .quadrature import (
     l1_norm,
     truncation_radius,
     walk_ladder,
+    walk_ladders,
 )
 
 _FREQ_CUTOFF = 1e-12  # gauss weight level that sets the sampled-frequency cube
@@ -231,58 +232,80 @@ def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
 
 
 def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
-    """Mollified values at x along a decreasing ladder of scales."""
+    """Mollified values at x along a decreasing ladder of scales, from one ``mollify_ladder`` call."""
     x = real_point(x, f.dim)
     alphas = tuple(float(a) for a in alphas)
-    values = tuple(mollify(f, a, x, tol) for a in alphas)
+    values = tuple(complex(v) for v in mollify_ladder(f, alphas, x.reshape(1, -1), tol)[:, 0])
     return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 
 def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: float) -> np.ndarray:
-    """(W_alpha * f)(x) for each row of xs, on one shared escalating grid.
+    """(W_alpha * f)(x) for each row of xs, on one shared escalating grid; the one-alpha row of mollify_ladder."""
+    return mollify_ladder(f, [alpha], xs, inner_tol)[0]
+
+
+def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) -> np.ndarray:
+    """(W_alpha * f)(x) for each alpha (rows) and each row of xs (columns), a (len(alphas), k) array.
 
     A bounded f is integrated in u = x - y, under a Gaussian envelope from its
     sup bound; an integrable but unbounded f is integrated in y, under its own
-    envelope scaled by the kernel peak.  Each rung's block values are
-    contracted with the fine and the embedded coarse weights alike, so the
-    coarse sum costs no evaluation of f (see ``GridSpec.sum``).  A block's
-    (points x nodes) matrix is built and contracted in row tiles of about
-    2^14 entries, so it stays in cache and needs no fresh memory, while each
-    point keeps its own matrix-vector sum over the block's nodes, bit for bit
-    (see ``quadrature._row_tiles``).  For a real f the kernel weights, the
-    matrices and their products stay real (float64); a complex f makes them
-    complex.
+    envelope scaled by the kernel peak.  Each alpha walks the ladder as it
+    would alone, so its row is ``mollify_on_points(f, alpha, xs, inner_tol)``
+    bit for bit, but the alphas still walking on a ladder grid share it (see
+    ``quadrature.walk_ladders``).  For a bounded f, each tile of the block's
+    f(x - u) matrix is evaluated once per grid and contracted with the
+    kernel weight rows of every alpha on it at once; for an integrable f,
+    f(y) is shared and each alpha builds its own kernel matrix.  Each rung's
+    block values are contracted with the fine and the embedded coarse weights
+    alike, so the coarse sum costs no evaluation of f (see ``GridSpec.sum``).
+    A block's (points x nodes) matrix is built and contracted in row tiles of
+    about 2^14 entries, so it stays in cache and needs no fresh memory, while
+    each point keeps its own matrix-vector sum over the block's nodes, bit
+    for bit (see ``quadrature._row_tiles``).  For a real f the kernel
+    weights, the matrices and their products stay real (float64); a complex
+    f makes them complex.
     """
-    scale = KernelScale(alpha, f.dim)
-    peak = weierstrass_peak(scale)
+    scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
+    peaks = [weierstrass_peak(scale) for scale in scales]
     if f.bounded:
-        envelope = GaussianDecay(1.0 / (4.0 * alpha), max(f.sup_bound, _TINY) * peak)
+        envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
 
-        def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
-            # the kernel weight is shared by every x
-            kw = w * weierstrass(scale, upts)
+        def block_for(walks: list) -> Callable:
+            def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
+                # each alpha's kernel weights are shared by every x, and f(x - u) by every alpha
+                kw = np.concatenate([w * weierstrass(scales[i], upts) for i in walks])
 
-            def values(x_tile: np.ndarray) -> np.ndarray:
-                shifted = x_tile[:, None, :] - upts[None, :, :]
-                return f(shifted.reshape(-1, f.dim)).reshape(x_tile.shape[0], upts.shape[0])
+                def values(x_tile: np.ndarray) -> np.ndarray:
+                    shifted = x_tile[:, None, :] - upts[None, :, :]
+                    return f(shifted.reshape(-1, f.dim)).reshape(x_tile.shape[0], upts.shape[0])
 
-            return _tiled_matvec_rows(xs, kw, values)
+                return _tiled_matvec_rows(xs, kw, values)
+
+            return block
 
     elif f.integrable:
-        envelope = f.envelope.scaled(peak)
+        envelopes = [f.envelope.scaled(peak) for peak in peaks]
 
-        def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
-            # the function values are shared by every x
-            return _tiled_matvec_rows(
-                xs, w * f(ypts), lambda x_tile: weierstrass(scale, x_tile[:, None, :] - ypts[None, :, :])
-            )
+        def block_for(walks: list) -> Callable:
+            def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
+                # the function values are shared by every x and every alpha
+                fw = w * f(ypts)
+                return np.concatenate([
+                    _tiled_matvec_rows(
+                        xs, fw, lambda x_tile, s=scales[i]: weierstrass(s, x_tile[:, None, :] - ypts[None, :, :])
+                    )
+                    for i in walks
+                ])
+
+            return block
 
     else:
         raise QuadratureError(
             f"mollification of {f.name!r} needs a bounded or integrable-certified function"
         )
-    fine, _, _ = walk_ladder(_block_sum(block, xs.shape[0]), envelope, f.dim, inner_tol, f"mollify[{f.name}]")
-    return fine
+    labels = [f"mollify[{f.name}]"] * len(scales)
+    walked = walk_ladders(_block_sums(block_for, xs.shape[0]), envelopes, f.dim, inner_tol, labels)
+    return np.array([fine for fine, _, _ in walked], dtype=np.complex128).reshape(len(walked), xs.shape[0])
 
 
 def mollify_l1_check(

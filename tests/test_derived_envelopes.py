@@ -5,11 +5,13 @@ copies) is spot-checked when the function is constructed.  Integrands the
 library derives from declared functions (Gauss means, smoothing, inversion,
 pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
-(``integrate_values``, ``walk_ladder`` and the grid-sum builders
-``_value_sum``, ``_block_sum`` and ``_phase_sum``) in every heatline module
-that imported them, runs every registered experiment at its default spec
-plus the derived entry points those runs do not reach, and evaluates each
-captured integrand at the runtime spot points with the runtime slack.
+(``integrate_values``, ``walk_ladder``, the shared ``walk_ladders`` and
+the grid-sum builders ``_value_sum``, ``_block_sums`` and ``_phase_sum``)
+in every heatline module that imported them, runs every registered
+experiment at its default spec plus the derived entry points those runs do
+not reach, and evaluates each captured integrand at the runtime spot points
+with the runtime slack.  A shared walk's integrands are read one walk at a
+time.
 
 A phase sum's integrand is read in values form: the phase has modulus 1,
 so the envelope must bound the values.  A block sum's integrand is read
@@ -50,7 +52,7 @@ from heatline.quadrature import _ENVELOPE_SLACK, _spot_points
 # each derived integrand's label, by the routine that derives it
 DERIVED_LABELS = {
     "gauss_mean": r"gauss-mean\[.+\]",
-    "mollify_on_points": r"mollify\[.+\]",
+    "mollify_ladder": r"mollify\[.+\]",
     "fourier_complex": r"fourier\[.+\]@complex",
     "modulate": r"mod\[.+\]",
     "invert_spectrum": r"gauss-inv\[.+\]",
@@ -80,23 +82,39 @@ def captured_integrands():
     """Record every integrand handed to the engine while the block runs."""
     captures = []
     walks = set()
-    integrate_values, walk_ladder = quadrature.integrate_values, quadrature.walk_ladder
-    value_sum, block_sum, phase_sum = quadrature._value_sum, quadrature._block_sum, quadrature._phase_sum
+    single = []  # the walk_ladder calls in progress, whose one-walk walk_ladders call is captured already
+    integrate_values, walk_ladder, walk_ladders = quadrature.integrate_values, quadrature.walk_ladder, quadrature.walk_ladders
+    value_sum, block_sums, phase_sum = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sum
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
         captures.append(Capture(label, envelope, dim, values))
         return integrate_values(values, envelope, dim, label, *args, **kwargs)
 
-    def capture_walk(grid_sum, envelope, dim, tol, label, *args, **kwargs):
-        # every walk sums a grid sum from one of the tagged builders
-        assert hasattr(grid_sum, "integrand"), f"walk for {label!r} sums an untagged grid sum"
-        if grid_sum.integrand is not None:
+    def capture(integrand, envelope, dim, label):
+        if integrand is not None:
             # a pointwise reader (width set) is costly, so it reads a repeated walk once
-            values, width = grid_sum.integrand
+            values, width = integrand
             if width is None or (label, width, envelope) not in walks:
                 walks.add((label, width, envelope))
                 captures.append(Capture(label, envelope, dim, values))
-        return walk_ladder(grid_sum, envelope, dim, tol, label, *args, **kwargs)
+
+    def capture_walk(grid_sum, envelope, dim, tol, label, *args, **kwargs):
+        # every walk sums a grid sum from one of the tagged builders
+        assert hasattr(grid_sum, "integrand"), f"walk for {label!r} sums an untagged grid sum"
+        capture(grid_sum.integrand, envelope, dim, label)
+        single.append(label)
+        try:
+            return walk_ladder(grid_sum, envelope, dim, tol, label, *args, **kwargs)
+        finally:
+            single.pop()
+
+    def capture_walks(grid_sums, envelopes, dim, tol, labels, *args, **kwargs):
+        if not single:
+            # a shared walk sums the tagged grid sums of several walks: each walk is read on its own
+            assert hasattr(grid_sums, "integrands"), f"shared walk for {labels!r} sums untagged grid sums"
+            for i, (envelope, label) in enumerate(zip(envelopes, labels)):
+                capture(grid_sums.integrands(i), envelope, dim, label)
+        return walk_ladders(grid_sums, envelopes, dim, tol, labels, *args, **kwargs)
 
     def tagged(grid_sum, integrand):
         grid_sum.integrand = integrand
@@ -106,18 +124,21 @@ def captured_integrands():
         # integrate_values captured these values already
         return tagged(value_sum(values), None)
 
-    def tag_block_sum(block, width=1):
-        return tagged(block_sum(block, width), (_pointwise(block, width), width))
-
     def tag_phase_sum(values, xi, sign):
         return tagged(phase_sum(values, xi, sign), (values, None))
+
+    def tag_block_sums(block_for, width):
+        grid_sums = block_sums(block_for, width)
+        grid_sums.integrands = lambda i: (_pointwise(block_for([i]), width), width)
+        return grid_sums
 
     wrappers = {
         integrate_values: capture_values,
         walk_ladder: capture_walk,
+        walk_ladders: capture_walks,
         value_sum: tag_value_sum,
-        block_sum: tag_block_sum,
         phase_sum: tag_phase_sum,
+        block_sums: tag_block_sums,
     }
     modules = [m for name, m in sys.modules.items() if name == "heatline" or name.startswith("heatline.")]
     with pytest.MonkeyPatch.context() as mp:

@@ -350,7 +350,7 @@ def _grid_sums(dim: int):
         cases.append((f"plain-{name}", quadrature._value_sum(g), g))
         cases.append((f"phase-{name}", quadrature._phase_sum(g, xi, -1.0), g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
-    block = quadrature._block_sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
+    block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
     cases.append(("block", block, lambda pts: np.max(np.abs(shifted(pts)), axis=0)))
     return cases
 
@@ -376,16 +376,16 @@ def test_one_evaluation_gives_the_fine_sum_and_the_coarse_sum(monkeypatch, dim, 
 def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
     measure = BoundedMeasure(dim=1, atoms=(Atom((0.5,), 1.0 - 0.5j),), density=weierstrass_fn(0.1))
     batches = []
-    smooth = BoundedMeasure.mollify_on_points
+    smooth = BoundedMeasure.mollify_ladder
 
-    def counted(self, alpha, xs, inner_tol=1e-8):
-        batches.append(xs.shape[0])
-        return smooth(self, alpha, xs, inner_tol)
+    def counted(self, alphas, xs, inner_tol=1e-8):
+        batches.append((len(alphas), xs.shape[0]))
+        return smooth(self, alphas, xs, inner_tol)
 
-    monkeypatch.setattr(BoundedMeasure, "mollify_on_points", counted)
+    monkeypatch.setattr(BoundedMeasure, "mollify_ladder", counted)
     weak_convergence_trace(measure, gauss_fn(1.0), [0.2, 0.1], GridSpec(6.0, 256, 1))
-    # one smoothing per alpha, on the 257 outer nodes; the coarse sum takes the even ones
-    assert batches == [257, 257]
+    # one smoothing for both alphas, on the 257 outer nodes; the coarse sum takes the even ones
+    assert batches == [(2, 257)]
 
 
 # -- mirrored nodes and phase matrices ---------------------------------------
@@ -502,19 +502,24 @@ def test_real_values_of_any_real_type_come_back_as_float64():
 def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set:
     """The dtypes of the block sums that mollify_on_points(f) contracts on its walk."""
     dtypes = set()
-    block_sum = transforms._block_sum
+    block_sums = transforms._block_sums
 
-    def recorded(block, width=1):
-        def wrapped(pts, w):
-            out = block(pts, w)
-            dtypes.add(out.dtype)
-            return out
+    def recorded(block_for, width):
+        def recorded_for(walks):
+            block = block_for(walks)
 
-        return block_sum(wrapped, width)
+            def wrapped(pts, w):
+                out = block(pts, w)
+                dtypes.add(out.dtype)
+                return out
 
-    monkeypatch.setattr(transforms, "_block_sum", recorded)
+            return wrapped
+
+        return block_sums(recorded_for, width)
+
+    monkeypatch.setattr(transforms, "_block_sums", recorded)
     mollify_on_points(f, 0.1, xs, 1e-8)
-    monkeypatch.setattr(transforms, "_block_sum", block_sum)
+    monkeypatch.setattr(transforms, "_block_sums", block_sums)
     return dtypes
 
 
@@ -570,3 +575,127 @@ def test_a_lowered_budget_still_refuses_a_cached_ladder_grid(monkeypatch, defaul
     monkeypatch.setenv("HEATLINE_BUDGET", str(grid.points_per_axis**2 - 1))
     with pytest.raises(QuadratureError, match="at budget"):
         integrate_auto(g, 1e-6)
+
+
+# -- one smoothing walk for a ladder of scales --------------------------------
+
+
+def _walked_grids(monkeypatch) -> list:
+    """(radius, points, walks) of every grid the smoothing walks sum on, recorded from transforms."""
+    grids = []
+    walk = transforms.walk_ladders
+
+    def recorded(grid_sums, *args, **kwargs):
+        def recording(grid, walks):
+            grids.append((grid.radius, grid.points_per_axis, tuple(walks)))
+            return grid_sums(grid, walks)
+
+        return walk(recording, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "walk_ladders", recorded)
+    return grids
+
+
+LADDER_CASES = {
+    # (dim, bounded): (weierstrass scale, alphas, tol), so that the alphas walk at more than one
+    # radius, stop on more than one rung, and share some grid
+    (1, True): (0.1, (0.4, 0.1, 0.01, 0.002), 1e-8),
+    (2, True): (0.1, (2.0, 0.1, 0.01), 1e-5),
+    (1, False): (1.0, (0.4, 0.1, 0.01, 0.002), 1e-7),
+    (2, False): (0.5, (0.4, 0.05, 0.002), 1e-4),
+}
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim, bounded", list(LADDER_CASES))
+def test_each_ladder_row_is_the_one_alpha_smoothing(monkeypatch, default_ladders, dim, bounded, complex_values):
+    scale, alphas, tol = LADDER_CASES[dim, bounded]
+    f = weierstrass_fn(scale, dim)
+    if not bounded:
+        f = TestFunction(f.f, dim, f.envelope, name="unbounded-weierstrass")
+    if complex_values:
+        f = f.scaled(1j)
+    # 125 points in dim 1 end one row past a whole tile of a 129-node block
+    xs = np.random.default_rng(dim).uniform(-3.0, 3.0, size=(125 if dim == 1 else 9, dim))
+    grids = _walked_grids(monkeypatch)
+    ladder = transforms.mollify_ladder(f, alphas, xs, tol)
+    assert ladder.shape == (len(alphas), xs.shape[0]) and ladder.dtype == np.complex128
+    assert len({r for r, _, _ in grids}) > 1
+    last_rung = {i: n for _, n, walks in grids for i in walks}
+    assert len(set(last_rung.values())) > 1
+    assert max(len(walks) for _, _, walks in grids) > 1
+    for alpha, row in zip(alphas, ladder):
+        assert row.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+
+
+def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, default_ladders):
+    seen = []
+    f = _counted(weierstrass_fn(0.1), seen)
+    xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    alphas = (0.4, 0.2, 0.05, 0.01)
+    grids = _walked_grids(monkeypatch)
+    seen.clear()
+    ladder = transforms.mollify_ladder(f, alphas, xs, 1e-8)
+    shapes = [(r, n) for r, n, _ in grids]
+    assert len(shapes) == len(set(shapes))  # no grid is walked twice
+    # one f(x - u) per point and node of each grid walked, whichever scales walk on it
+    assert sum(seen) == sum(xs.shape[0] * (n + 1) for _, n in shapes)
+    one_at_a_time = []
+    for alpha, row in zip(alphas, ladder):
+        seen.clear()
+        assert mollify_on_points(f, alpha, xs, 1e-8).tobytes() == row.tobytes()
+        one_at_a_time.append(sum(seen))
+    assert sum(xs.shape[0] * (n + 1) for _, n in shapes) < sum(one_at_a_time)
+
+
+def test_a_ladder_raises_the_one_alpha_error(default_ladders):
+    f, xs = weierstrass_fn(0.1), np.zeros((1, 1))
+    # at alpha 50 the kernel's tail stays above the tolerance at every radius of the ladder
+    with pytest.raises(QuadratureError) as alone:
+        mollify_on_points(f, 50.0, xs, 1e-8)
+    for alphas in ((50.0, 0.1), (0.1, 50.0)):
+        with pytest.raises(QuadratureError) as ladder:
+            transforms.mollify_ladder(f, alphas, xs, 1e-8)
+        assert str(ladder.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("density", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weak_convergence_is_the_one_alpha_pairing_bit_for_bit(monkeypatch, dim, density):
+    if dim == 1:
+        # the outer grid is one block
+        atoms, grid, tol = (Atom((0.05,), 0.7), Atom((-0.3,), 0.2 - 0.1j)), GridSpec(6.0, 256, 1), 1e-8
+    else:
+        # outer blocks of 6 leading-axis rows: the smoothed rows of each block are held for the later alphas
+        monkeypatch.setattr(quadrature, "_CHUNK", 6 * 17)
+        atoms, grid, tol = (Atom((0.1, 0.0), 1.0 + 0.5j), Atom((-0.2, 0.3), -0.4)), GridSpec(4.0, 16, 2), 1e-2
+    measure = BoundedMeasure(dim=dim, atoms=atoms, density=gauss_fn(0.1, dim) if density else None)
+    h, alphas = gauss_fn(1.0, dim), (0.2, 0.05, 0.01)
+    samples = weak_convergence_trace(measure, h, alphas, grid, tol)
+    target = measure.apply(h, tol)
+    for sample, alpha in zip(samples, alphas):
+        # the pairing of one alpha, written out: the measure smoothed at that scale alone, times h
+        peak = transforms.weierstrass_peak(transforms.KernelScale(alpha, dim))
+        envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + quadrature._TINY)
+        want, _ = integrate_values(
+            lambda pts, alpha=alpha: measure.mollify_on_points(alpha, pts, tol) * h(pts), envelope, dim, "one", grid=grid
+        )
+        got = np.array([sample.value, sample.target])
+        assert sample.alpha == alpha
+        assert got.tobytes() == np.array([want.value, target]).tobytes()
+
+
+def test_a_budget_below_every_rung_names_the_budget(monkeypatch, default_ladders):
+    f = weierstrass_fn(0.1)
+    monkeypatch.setenv("HEATLINE_BUDGET", "64")
+    reason = r"the node budget \(64 nodes\) admits no rung of the point ladder$"
+    with pytest.raises(QuadratureError, match=r"for 'weierstrass:0\.1': " + reason):
+        integrate_auto(f, 1e-8)
+    with pytest.raises(QuadratureError, match=r"for 'mollify\[weierstrass:0\.1\]': " + reason):
+        transforms.mollify_ladder(f, (0.2, 0.1), np.zeros((1, 1)), 1e-8)
+
+
+def test_a_phase_cap_above_the_ladder_names_the_phase(default_ladders):
+    # 8 x radius 4 x rate 1e4 points per axis: more than the ladder's last rung, which the budget admits
+    with pytest.raises(QuadratureError, match="phase cap exceeds the point ladder"):
+        integrate_auto(weierstrass_fn(0.1), 1e-8, phase_rate=1e4)
