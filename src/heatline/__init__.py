@@ -67,6 +67,7 @@ from .transforms import (
     fourier_complex,
     fourier_profile,
     gauss_inversion,
+    gauss_inversion_ladder,
     gauss_inversion_on_points,
     gauss_inversion_trace,
     gauss_mean,

@@ -30,7 +30,7 @@ from .transforms import (
     fourier,
     fourier_complex,
     fourier_profile,
-    gauss_inversion_on_points,
+    gauss_inversion_ladder,
     mollify,
     mollify_l1_check,
     mollify_ladder,
@@ -149,7 +149,15 @@ def _integer(value) -> int:
     return int(number)
 
 
-_CASTS = {float: float, int: _integer, str: str, list[float]: lambda values: [float(v) for v in values]}
+def _floats(values) -> list[float]:
+    """A list parameter's values; an empty list is refused, since it would run no check and pass."""
+    values = [float(v) for v in values]
+    if not values:
+        raise ValueError("expected at least one value, got an empty list")
+    return values
+
+
+_CASTS = {float: float, int: _integer, str: str, list[float]: _floats}
 
 
 def _as_measure(value, dim: int | None) -> BoundedMeasure:
@@ -365,7 +373,7 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
         raise ValueError("the inversion experiment runs in dimension 1")
     f = parse_preset(preset, dim)
     quad_tol = tol / 4.0
-    inversions = [gauss_inversion_on_points(f, alpha, xs, quad_tol).tolist() for alpha in alphas]
+    inversions = gauss_inversion_ladder(f, alphas, xs, quad_tol).tolist()
     rows = []
     worst_cross = 0.0
     for i, x in enumerate(xs):
@@ -545,9 +553,10 @@ def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> Resul
     smoothed = [measure.mollify_ladder(alphas, point.reshape(1, -1), tol / 4.0)[:, 0].tolist() for point in points]
     rows = []
     worst = 0.0
-    for j, alpha in enumerate(alphas):
-        inversions = measure.gauss_inversion_on_points(alpha, points, tol / 4.0).tolist()
-        for x, point_values, inv in zip(xs, smoothed, inversions):
+    # one inversion call for the whole ladder; row j is measure.gauss_inversion_on_points(alphas[j], points, tol / 4)
+    inversions = measure.gauss_inversion_ladder(alphas, points, tol / 4.0).tolist()
+    for j, (alpha, alpha_inversions) in enumerate(zip(alphas, inversions)):
+        for x, point_values, inv in zip(xs, smoothed, alpha_inversions):
             mol = point_values[j]
             diff = abs(inv - mol)
             worst = max(worst, diff)

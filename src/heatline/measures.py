@@ -152,13 +152,18 @@ class BoundedMeasure:
         return out
 
     def spectrum(self, inner_tol: float, max_freq: float) -> Spectrum:
-        """The measure's transform: atoms in closed form plus the sampled density transform."""
+        """The measure's transform: atoms in closed form plus the sampled density transform.
+
+        The atoms' part is keyed by their locations and weights, and the
+        density's by its sampling grid (see ``transforms.Spectrum``).
+        """
         locations = self.atom_locations
         weights = self.atom_weights
         spectrum = Spectrum(
             lambda xi_pts: cis(-2.0 * math.pi * (xi_pts @ locations.T)) @ weights,
             float(np.sum(np.abs(weights))),
             float(np.max(np.sqrt(np.sum(locations**2, axis=1)))) if weights.size else 0.0,
+            ("atoms", locations.tobytes(), weights.tobytes()),
         )
         if self.density is not None:
             spectrum = spectrum + sampled_spectrum(self.density, inner_tol, max_freq)
@@ -170,14 +175,21 @@ class BoundedMeasure:
         return complex(self.gauss_inversion_on_points(alpha, x.reshape(1, -1), tol)[0])
 
     def gauss_inversion_on_points(self, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
-        """Gauss-weighted inversion of the measure transform at each row of xs, sampled directly.
+        """Gauss-weighted inversion of the measure transform at each row of xs; the one-alpha row of gauss_inversion_ladder."""
+        return self.gauss_inversion_ladder([alpha], xs, tol)[0]
 
-        The transform is sampled once for the batch; each point keeps its own
-        outer grid (see ``invert_spectrum``).  Cross-checks against
-        ``mollify_on_points``: the two routes share no computation, yet agree
+    def gauss_inversion_ladder(self, alphas, xs, tol: float = 1e-8) -> np.ndarray:
+        """Gauss-weighted inversion of the measure transform for each alpha (rows) at each row of xs (columns).
+
+        Each alpha samples the transform for itself and each point keeps its
+        own outer grid (see ``invert_spectrum``), so row j is
+        ``gauss_inversion_on_points(alphas[j], xs, tol)`` bit for bit; a
+        frequency block of the atoms, or of the density on one x-grid, is
+        sampled once for the whole ladder.  Cross-checks against
+        ``mollify_ladder``: the two routes share no computation, yet agree
         within tolerance.
         """
-        return invert_spectrum(self.spectrum, self.dim, xs, alpha, tol, "measure")
+        return invert_spectrum(self.spectrum, self.dim, xs, alphas, tol, "measure")
 
 
 def dirac(location, weight: complex = 1.0) -> BoundedMeasure:

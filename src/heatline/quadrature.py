@@ -462,6 +462,16 @@ def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([a @ row for row in w])
 
 
+def _mirrored(values: np.ndarray) -> bool:
+    """Whether values[K - 1 - k] is exactly -values[k], bit for bit (sign of zero included), for every k < K/2.
+
+    The centre of an odd K is not compared: a grid's centre is +0.0, whose
+    negation is -0.0.
+    """
+    mid = values.size // 2
+    return values[:mid].tobytes() == (-values[:-mid - 1:-1]).tobytes()
+
+
 def _row_tiles(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, each about _TILE_ENTRIES // width rows.
 
@@ -580,10 +590,21 @@ class GridSpec:
         Only rows 0..N/2 take cos and sin: the nodes are mirrored, so the angle
         c (x xi) of row N - i is exactly the negated angle of row i, and as cos
         is even and sin odd, that row is the conjugate of row i, bit for bit.
+        The same holds for the columns of mirrored frequencies: when ``freqs``
+        has an odd size K >= 3 and xi_{K-1-k} is exactly -xi_k for k < K/2 (as
+        the nodes of a 1-D grid are), only columns 0..K/2 take cos and sin, a
+        quarter of the matrix, and the rest are conjugates.  Other ``freqs``
+        cost one scalar comparison of their end points before the plain path
+        (and a comparison of the two halves' bytes when the ends mirror).
         """
-        half = self.nodes.size // 2
+        half, mid = self.nodes.size // 2, freqs.size // 2
         phase = np.empty((self.nodes.size, freqs.size), dtype=np.complex128)
-        phase[:half + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs))
+        if freqs.size % 2 and freqs.size >= 3 and freqs[0] == -freqs[-1] and _mirrored(freqs):
+            top = phase[:half + 1]
+            top[:, :mid + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs[:mid + 1]))
+            np.conjugate(top[:, mid - 1::-1], out=top[:, mid + 1:])
+        else:
+            phase[:half + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs))
         np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
         return phase
 
@@ -617,7 +638,9 @@ class GridSpec:
         with one (nodes, frequencies) phase matrix per axis, the trailing axes
         first: d (N+1) exponentials per frequency instead of (N+1)^d, of
         which ``phase_matrix`` computes only the N/2 + 1 rows up to the
-        centre node and mirrors the rest as their conjugates.  The
+        centre node and mirrors the rest as their conjugates (and, for a
+        chunk of frequencies mirrored about its centre, as a 1-D grid's
+        nodes are, only the columns up to the centre).  The
         frequencies are taken in chunks so that no phase matrix or
         intermediate exceeds _BLOCK_ENTRIES entries (unless one frequency
         already does).  An integrand that declares ``factors`` is not
@@ -663,9 +686,9 @@ class GridSpec:
         return out
 
 
-def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
-    """Smallest ladder radius whose closed-form tail bound is at most tol / 2."""
-    rungs = radius_ladder()
+def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str, rungs: tuple | None = None) -> float:
+    """Smallest radius of ``rungs`` (default ``radius_ladder()``) whose closed-form tail bound is at most tol / 2."""
+    rungs = radius_ladder() if rungs is None else rungs
     for r in rungs:
         if envelope.tail_bound(r, dim) <= tol / 2.0:
             return r
@@ -702,18 +725,16 @@ def walk_ladders(
     rung all the same.  When several walks fail, the first one's error is
     raised.
     """
-    radii, unreachable = [], None
-    for envelope, label in zip(envelopes, labels):
+    radii, going, unreachable = [], {}, None  # going: the walks still going, by radius
+    rungs = radius_ladder()
+    for i, (envelope, label) in enumerate(zip(envelopes, labels)):
         try:
-            radii.append(truncation_radius(envelope, dim, tol, label))
+            radii.append(truncation_radius(envelope, dim, tol, label, rungs))
         except QuadratureError as exc:
             unreachable = exc  # raised unless a walk before it fails first
             break
+        going.setdefault(radii[i], []).append(i)
     budget = node_budget()
-    floors = [8.0 * r * phase_rate for r in radii]  # the fewest points per axis of each walk
-    by_radius = {}
-    for i, r in enumerate(radii):
-        by_radius.setdefault(r, []).append(i)
     found = [None] * len(radii)
     tried = [False] * len(radii)
     capped = False
@@ -721,16 +742,17 @@ def walk_ladders(
         if n**dim > budget:
             capped = True
             break
-        for radius, members in by_radius.items():
-            walks = [i for i in members if found[i] is None and n >= floors[i]]
-            if not walks:
+        for radius, walks in going.items():
+            if not walks or n < 8.0 * radius * phase_rate:  # the phase cap: the fewest points per axis
                 continue
             grid = _ladder_grid(radius, n, dim)
+            going[radius] = still = []
             for i, (fine, coarse) in zip(walks, grid_sums(grid, walks)):
                 if float(np.abs(fine - coarse).max()) <= tol / 2.0:
                     found[i] = (fine, coarse, grid)
                 else:
                     tried[i] = True
+                    still.append(i)
         if None not in found:
             break
     for i, result in enumerate(found):
@@ -738,7 +760,7 @@ def walk_ladders(
             if tried[i]:
                 reason = "discretization estimate never met the tolerance"
             elif capped:
-                floor = " at or above the phase cap" if floors[i] > POINTS_LADDER[0] else ""
+                floor = " at or above the phase cap" if 8.0 * radii[i] * phase_rate > POINTS_LADDER[0] else ""
                 reason = f"the node budget ({budget} nodes) admits no rung of the point ladder{floor}"
             else:
                 reason = "phase cap exceeds the point ladder"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -98,18 +98,25 @@ class Spectrum:
     """Transform values on demand, with a bound on their modulus and a phase rate.
 
     ``values`` maps (k, dim) frequencies to k values; ``rate`` bounds their
-    oscillation.  Spectra add: values and bounds add, rates take the larger.
+    oscillation.  ``key``, when set, is a hashable name of the values: two
+    spectra with equal keys return the same values, bit for bit, on any
+    frequency block, so ``invert_spectrum`` samples such a block once for
+    both (``sampled_spectrum`` keys by the function, its grid and the sign).
+    Spectra add: values and bounds add, rates take the larger, and the key
+    is the pair of keys (none when either part has none).
     """
 
     values: Callable[[np.ndarray], np.ndarray]
     bound: float
     rate: float
+    key: Hashable | None = None
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         return Spectrum(
             lambda xi_pts: self.values(xi_pts) + other.values(xi_pts),
             self.bound + other.bound,
             max(self.rate, other.rate),
+            None if self.key is None or other.key is None else (self.key, other.key),
         )
 
 
@@ -355,7 +362,10 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
     weights bound the values by the quadrature L1 mass (a product of per-axis
     masses when f declares factors); the phase rate is the grid's
-    half-diagonal.
+    half-diagonal.  The values on a block of frequencies are one phase sum
+    (``GridSpec.phase_sum``), whose phase matrices take cos and sin on a
+    quarter of their entries when the block is a 1-D grid's mirrored nodes.
+    The key is (f, grid, sign): the values depend on nothing else.
     """
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
@@ -372,60 +382,77 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
         l1_mass = float(grid.sum(lambda pts, w: np.sum(np.abs(w * f(pts)), axis=-1, keepdims=True))[0, 0].real)
     else:
         l1_mass = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
-    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim))
+    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim), ("sampled", f, grid, sign))
 
 
-def invert_spectrum(spectrum_at: Callable, dim: int, xs, alpha: float, tol: float, label: str) -> np.ndarray:
-    """Gauss-weighted inversion at each row of xs: the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi).
+def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, label: str) -> np.ndarray:
+    """Gauss-weighted inversion for each alpha (rows) at each row of xs (columns), a (len(alphas), k) array.
 
-    ``spectrum_at(inner_tol, max_freq)`` supplies s once for the batch,
-    sampled out to where the gauss weight falls to _FREQ_CUTOFF; its bound
-    and rate certify the integrand.  Each point walks its own ladder, so its
-    value does not depend on the batch; the values of s on a frequency block
-    are computed once per call and shared by every point whose walk meets it.
+    Row j is the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi) for
+    alpha = alphas[j], where ``spectrum_at(inner_tol, max_freq)`` supplies s
+    for that alpha, sampled out to where its gauss weight falls to
+    _FREQ_CUTOFF; its bound and rate certify the integrand.  Each alpha and
+    each point walks its own ladder, so a value depends neither on the batch
+    of points nor on the other alphas.  The values of s on a frequency block
+    are computed once per call, keyed by the block's bytes and the
+    spectrum's ``key``: every point whose walk meets the block shares them,
+    and so does every alpha whose spectrum has an equal key (in 1-D, alphas
+    whose outer walks stop on one grid and whose spectra were sampled on one
+    x-grid).  A spectrum without a key shares its blocks only among its
+    alpha's points.
     """
     xs = real_points(xs, dim)
-    scale = KernelScale(alpha, dim)
-    peak = weierstrass_peak(scale)  # integral of the gauss weight
-    freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * alpha))
-    spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
-    sampled = {}  # spectrum values by the bytes of their frequency block
+    out = np.empty((len(alphas), xs.shape[0]), dtype=np.complex128)
+    sampled = {}  # spectrum values by the spectrum's key, then by the bytes of their frequency block
+    for row, alpha in zip(out, alphas):
+        scale = KernelScale(float(alpha), dim)
+        peak = weierstrass_peak(scale)  # integral of the gauss weight
+        freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * scale.alpha))
+        spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
+        blocks = {} if spectrum.key is None else sampled.setdefault(spectrum.key, {})
 
-    def spectrum_values(xi_pts: np.ndarray) -> np.ndarray:
-        key = xi_pts.tobytes()
-        if key not in sampled:
-            sampled[key] = spectrum.values(xi_pts)
-        # a fresh array, as an unshared one would be: numpy multiplies a large
-        # temporary in place, where its complex multiply may round differently
-        return sampled[key].copy()
+        def spectrum_values(xi_pts: np.ndarray, spectrum=spectrum, blocks=blocks) -> np.ndarray:
+            key = xi_pts.tobytes()
+            if key not in blocks:
+                blocks[key] = spectrum.values(xi_pts)
+            # a fresh array, as an unshared one would be: numpy multiplies a large
+            # temporary in place, where its complex multiply may round differently
+            return blocks[key].copy()
 
-    envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
-    out = np.empty(xs.shape[0], dtype=np.complex128)
-    for i, x in enumerate(xs):
+        envelope = GaussianDecay(4.0 * math.pi**2 * scale.alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
+        for i, x in enumerate(xs):
 
-        def fn(xi_pts: np.ndarray, x=x) -> np.ndarray:
-            return spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
+            def fn(xi_pts: np.ndarray, x=x, scale=scale, spectrum_values=spectrum_values) -> np.ndarray:
+                return spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
 
-        rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
-        result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
-        out[i] = result.value
+            rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
+            result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
+            row[i] = result.value
     return out
 
 
-def gauss_inversion_on_points(f: TestFunction, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
-    """Gauss-weighted inversion at each row of xs, from one sampled transform.
+def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np.ndarray:
+    """Gauss-weighted inversion for each alpha (rows) at each row of xs (columns), a (len(alphas), k) array.
 
     Computes the xi-integral of fhat(xi) exp(2 pi i x.xi) gauss_alpha(xi)
     with fhat itself obtained by quadrature, so agreement with the
-    mollified value (W_alpha * f)(x) is a genuine two-route check.  The
-    transform is sampled once for the batch; each point keeps its own
-    outer grid (see ``invert_spectrum``).  ``xs`` has shape (k, dim), or is
-    a list of k points in dim 1.
+    mollified value (W_alpha * f)(x) is a genuine two-route check.  Each
+    alpha samples the transform on the x-grid its own inner tolerance and
+    frequency reach pick, and each point keeps its own outer grid, so row j
+    is ``gauss_inversion_on_points(f, alphas[j], xs, tol)`` bit for bit; a
+    frequency block is sampled once per x-grid for the whole ladder (see
+    ``invert_spectrum``).  ``xs`` has shape (k, dim), or is a list of k
+    points in dim 1.
     """
     _require_integrable(f.envelope, f.name, "Gauss-summable inversion")
     return invert_spectrum(
-        lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, xs, alpha, tol, f.name
+        lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, xs, alphas, tol, f.name
     )
+
+
+def gauss_inversion_on_points(f: TestFunction, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
+    """Gauss-weighted inversion at each row of xs, from one sampled transform; the one-alpha row of gauss_inversion_ladder."""
+    return gauss_inversion_ladder(f, [alpha], xs, tol)[0]
 
 
 def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> complex:
@@ -435,10 +462,10 @@ def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> comp
 
 
 def gauss_inversion_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
-    """Inversion values at x along a decreasing ladder of scales."""
+    """Inversion values at x along a decreasing ladder of scales, from one ``gauss_inversion_ladder`` call."""
     x = real_point(x, f.dim)
     alphas = tuple(float(a) for a in alphas)
-    values = tuple(gauss_inversion(f, a_, x, tol) for a_ in alphas)
+    values = tuple(complex(v) for v in gauss_inversion_ladder(f, alphas, x.reshape(1, -1), tol)[:, 0])
     return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 

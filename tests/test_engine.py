@@ -426,6 +426,81 @@ def test_the_mirrored_phase_matrix_is_the_direct_one_bit_for_bit(radius, n, sign
     assert np.array_equal(grid.phase_matrix(c, xi).view(np.int64), direct.view(np.int64))
 
 
+def _phase_matrix_and_cis_entries(monkeypatch, grid: GridSpec, c: float, freqs: np.ndarray):
+    """grid.phase_matrix(c, freqs), with the number of entries it took cos and sin of."""
+    entries = []
+
+    def counted(theta):
+        entries.append(np.size(theta))
+        return cis(theta)
+
+    monkeypatch.setattr(quadrature, "cis", counted)
+    return grid.phase_matrix(c, freqs), sum(entries)
+
+
+def _mirrored_freqs() -> np.ndarray:
+    """An odd array mirrored bit for bit about a nonzero centre, not a grid's nodes."""
+    half = np.random.default_rng(7).normal(scale=3.0, size=20)
+    return np.concatenate([half, [0.41], -half[::-1]])
+
+
+def _off_by_one_ulp() -> np.ndarray:
+    freqs = _mirrored_freqs()
+    freqs[3] = np.nextafter(freqs[3], math.inf)
+    return freqs
+
+
+def _signed_zero_pair() -> np.ndarray:
+    # freqs[0] == -freqs[-1] holds, but the sign bits do not mirror
+    freqs = _mirrored_freqs()
+    freqs[0] = freqs[-1] = 0.0
+    return freqs
+
+
+def _negative_zero_centre() -> np.ndarray:
+    freqs = GridSpec(4.0, 128, 1).nodes.copy()
+    freqs[64] = -0.0
+    return freqs
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("radius, n", LADDER_GRIDS + NON_DYADIC_GRIDS)
+def test_mirrored_frequency_columns_are_the_direct_ones_bit_for_bit(monkeypatch, radius, n, sign):
+    grid = GridSpec(6.0, 128, 1)
+    freqs = GridSpec(radius, n, 1).nodes
+    c = sign * 2.0 * math.pi
+    direct = cis(c * np.multiply.outer(grid.nodes, freqs))
+    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, c, freqs)
+    assert np.array_equal(phase.view(np.int64), direct.view(np.int64))
+    # cos and sin of the top-left quarter only: rows up to the centre node, columns up to the centre frequency
+    assert entries == 65 * (n // 2 + 1)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "freqs, mirrored",
+    [
+        (_mirrored_freqs(), True),
+        # the centre column is computed, not mirrored, so a -0.0 centre keeps the quarter path
+        (_negative_zero_centre(), True),
+        (_off_by_one_ulp(), False),
+        (_signed_zero_pair(), False),
+        (GridSpec(4.0, 128, 1).nodes[1:], False),  # an even size
+        (np.array([0.0, -0.0]), False),
+        (np.array([-0.0]), False),
+        (np.array([1.0, 5.0, -1.0]), True),
+    ],
+    ids=["odd-mirrored", "negative-zero-centre", "one-ulp-off", "signed-zero-pair", "even", "two", "one", "three"],
+)
+def test_only_exactly_mirrored_columns_are_mirrored(monkeypatch, freqs, mirrored, sign):
+    grid = GridSpec(4.0, 128, 1)
+    c = sign * 2.0 * math.pi
+    direct = cis(c * np.multiply.outer(grid.nodes, freqs))
+    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, c, freqs)
+    assert np.array_equal(phase.view(np.int64), direct.view(np.int64))
+    assert entries == 65 * (freqs.size // 2 + 1 if mirrored else freqs.size)
+
+
 # -- smoothing in row tiles --------------------------------------------------
 
 

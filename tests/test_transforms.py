@@ -37,6 +37,7 @@ from heatline.transforms import (
     fourier_complex,
     fourier_profile,
     gauss_inversion,
+    gauss_inversion_ladder,
     gauss_inversion_on_points,
     gauss_mean,
     gauss_mean_trace,
@@ -315,19 +316,19 @@ class TestGaussInversion:
 BATCH_XS = [-1.0, 0.0, 0.5, 1.2, 3.0]
 
 
-def counting_spectrum_at(f: TestFunction, blocks: list) -> Callable:
-    """A spectrum_at for invert_spectrum that records each frequency block it is asked for."""
+def counting_spectrum_at(spectrum_at: Callable, blocks: list) -> Callable:
+    """spectrum_at for invert_spectrum, recording each (spectrum key, frequency block) its spectra are asked for."""
 
-    def spectrum_at(inner_tol, max_freq):
-        inner = sampled_spectrum(f, inner_tol, max_freq)
+    def counted(inner_tol, max_freq):
+        inner = spectrum_at(inner_tol, max_freq)
 
         def values(xi_pts):
-            blocks.append(xi_pts.tobytes())
+            blocks.append((inner.key, xi_pts.tobytes()))
             return inner.values(xi_pts)
 
-        return Spectrum(values, inner.bound, inner.rate)
+        return Spectrum(values, inner.bound, inner.rate, inner.key)
 
-    return spectrum_at
+    return counted
 
 
 def reference_inversion(spectrum_at: Callable, x: np.ndarray, alpha: float, tol: float) -> complex:
@@ -375,17 +376,69 @@ class TestBatchedInversion:
         f = weierstrass_fn(0.1)
         xs = np.array(BATCH_XS).reshape(-1, 1)
         blocks = []
-        invert_spectrum(counting_spectrum_at(f, blocks), 1, xs, 0.1, 2e-7, "counted")
+        invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), blocks), 1, xs, [0.1], 2e-7, "counted")
         assert len(blocks) == len(set(blocks))
         # the memo is local to the call: a second call samples every block afresh
         again = []
-        invert_spectrum(counting_spectrum_at(f, again), 1, xs, 0.1, 2e-7, "counted")
+        invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), again), 1, xs, [0.1], 2e-7, "counted")
         assert again == blocks
         # one call per point would sample blocks the points share more than once
         per_point = []
         for x in xs:
-            invert_spectrum(counting_spectrum_at(f, per_point), 1, x.reshape(1, 1), 0.1, 2e-7, "counted")
+            invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), per_point), 1, x.reshape(1, 1), [0.1], 2e-7, "counted")
         assert set(per_point) == set(blocks) and len(per_point) > len(blocks)
+
+    def test_a_ladder_samples_each_grid_block_once(self):
+        # the default invert spec: its ladder, points and quadrature tolerance
+        f = weierstrass_fn(0.1)
+        alphas = [0.2 * 2.0**-k for k in range(6)]
+        xs = np.array([[0.0], [0.5], [1.0]])
+        blocks = []
+        invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), blocks), 1, xs, alphas, 2.5e-7, "counted")
+        assert len(blocks) == len(set(blocks))
+        # one call per alpha samples again the blocks that alphas on one x-grid share
+        per_alpha = []
+        for alpha in alphas:
+            invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), per_alpha), 1, xs, [alpha], 2.5e-7, "counted")
+        assert set(per_alpha) == set(blocks) and len(blocks) < len(per_alpha)
+
+    @pytest.mark.parametrize(
+        "dim, source, alphas, tol",
+        [
+            (1, "function", [0.2, 0.15, 0.1, 0.0125], 2e-7),
+            (1, "measure", [0.4, 0.3, 0.1, 0.0125], 2e-7),
+            # within the matrix budget every dim-2 alpha samples on the same x-grid
+            (2, "function", [2.0, 0.6], 1e-3),
+            (2, "measure", [2.0, 0.6], 1e-3),
+        ],
+    )
+    def test_each_ladder_row_is_the_one_alpha_call(self, dim, source, alphas, tol):
+        xs = np.zeros((2, dim))
+        xs[:, 0] = [0.0, 0.7]
+        if source == "function":
+            f = gauss_fn(0.1, dim) if dim > 1 else weierstrass_fn(0.1)
+            spectrum_at, ladder, one = partial(sampled_spectrum, f), partial(gauss_inversion_ladder, f), partial(gauss_inversion_on_points, f)
+        else:
+            atoms = (Atom((0.3,) + (0.0,) * (dim - 1), 1.0), Atom((-0.5,) + (0.2,) * (dim - 1), -0.4 + 0.2j))
+            measure = BoundedMeasure(dim=dim, atoms=atoms, density=gauss_fn(0.1, dim))
+            spectrum_at, ladder, one = measure.spectrum, measure.gauss_inversion_ladder, measure.gauss_inversion_on_points
+        # the ladder, recording the spectrum key (the x-grid) of each frequency block it samples
+        blocks = []
+        rows = invert_spectrum(counting_spectrum_at(spectrum_at, blocks), dim, xs, alphas, tol, source)
+        assert rows.shape == (len(alphas), 2)
+        assert len(blocks) == len(set(blocks))
+        keys = {key for key, _ in blocks}
+        assert len(keys) < len(alphas)  # some alphas share an x-grid
+        if dim == 1:
+            assert len(keys) > 2  # and others sample on different x-grids
+            # two alphas meet the same outer block on different x-grids: each samples its own spectrum there
+            by_block = {}
+            for key, block in blocks:
+                by_block.setdefault(block, set()).add(key)
+            assert any(len(block_keys) > 1 for block_keys in by_block.values())
+            assert ladder(alphas, xs, tol).tobytes() == rows.tobytes()
+        for alpha, row in zip(alphas, rows):
+            assert row.tobytes() == one(alpha, xs, tol).tobytes()
 
     @pytest.mark.parametrize(
         "xs", [[], np.zeros((0, 1)), [[0.0, 1.0]], [[[0.0]]], [0.0, math.nan], [[math.inf]]],

@@ -151,3 +151,23 @@ def test_a_boolean_dim_is_refused_by_name(build):
     # True == 1, but a flag is not a dimension
     with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
         build()
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("invert", "alphas"),
+        ("measure-invert", "alphas"),
+        ("weak-convergence", "alphas"),
+        ("verify-kernels", "alphas"),
+        ("mollify", "xs"),
+        ("modulate", "shifts"),
+    ],
+)
+def test_an_empty_list_is_refused_by_name(runner, name, param):
+    # an empty list would run no check at all and report a pass
+    result = runner.invoke(main, [name, f"--{param}", ""])
+    assert result.exit_code == 2, result.output
+    assert f"parameter {param!r}: expected at least one value" in result.output
+    with pytest.raises(ValueError, match=f"parameter {param!r}: expected at least one value"):
+        run(ExperimentSpec(name, params={param: []}))
