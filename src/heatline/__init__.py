@@ -55,7 +55,6 @@ from .quadrature import (
     integrate_auto,
     l1_norm,
     node_budget,
-    radius_ladder,
 )
 from .transforms import (
     FrequencySample,

@@ -6,10 +6,10 @@ tables in CSV or JSON.  Exit code 0 means every check in the run stayed
 within tolerance, 1 means a check or quadrature certification failed, 2 means
 the invocation itself was invalid.  A key=value config file, keyed by flag
 name, can stand in for flags; explicit flags win.  HEATLINE_BUDGET overrides
-the quadrature node budget; HEATLINE_RADIUS_LADDER replaces the radius ladder
-the engine walks.  A grid given by --radius and --points needs a finite
-radius and a multiple of 4 points (so it embeds its N/2 grid); any other
-value exits 2.
+the quadrature node budget, the one environment variable the engine reads;
+its radius ladder (4 to 64) and point ladder are fixed.  A grid given by
+--radius and --points needs a finite radius and a multiple of 4 points (so
+it embeds its N/2 grid); any other value exits 2.
 """
 
 from __future__ import annotations

@@ -220,14 +220,14 @@ def weak_convergence_trace(
     """Pair the smoothed measure with h along a ladder of scales.
 
     Each sample integrates (W_alpha * measure)(x) h(x) over the grid and
-    records the limit target, the measure applied to h directly.  A measure
-    with a density is smoothed once per outer block for every alpha
-    (``BoundedMeasure.mollify_ladder``, which smooths the density once per
+    records the limit target, the measure applied to h directly.  The
+    measure is smoothed once per outer block for every alpha
+    (``BoundedMeasure.mollify_ladder``, which smooths a density once per
     ladder grid for all the alphas walking on it), and each block's rows are
     held until the last alpha has integrated it: on an outer grid of several
-    blocks (dim 2 or 3) that holds (N + 1)^dim values per alpha.  Atoms alone
-    are smoothed one alpha at a time.  Either way each alpha integrates its
-    own row, and its value is the one-alpha smoothing's, bit for bit.
+    blocks (dim 2 or 3) that holds (N + 1)^dim values per alpha.  Each alpha
+    integrates its own row, and its value is the one-alpha smoothing's, bit
+    for bit.
     """
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")
@@ -243,14 +243,10 @@ def weak_convergence_trace(
     smoothed = {}  # every alpha's smoothed values, by the bytes of their outer block
 
     def smoothed_row(pts: np.ndarray, i: int) -> np.ndarray:
-        if measure.density is None:
-            # atoms alone share no work across scales, so no block is held for later scales
-            rows, i = measure.mollify_ladder([alphas[i]], pts, tol), 0
-        else:
-            key = pts.tobytes()
-            if key not in smoothed:
-                smoothed[key] = measure.mollify_ladder(alphas, pts, tol)
-            rows = smoothed[key] if i < len(alphas) - 1 else smoothed.pop(key)  # the last alpha frees the block
+        key = pts.tobytes()
+        if key not in smoothed:
+            smoothed[key] = measure.mollify_ladder(alphas, pts, tol)
+        rows = smoothed[key] if i < len(alphas) - 1 else smoothed.pop(key)  # the last alpha frees the block
         # a fresh array, not a view: numpy multiplies a large fresh temporary
         # in place, where its complex multiply may round differently
         return rows[i].copy()

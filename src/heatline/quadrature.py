@@ -57,7 +57,7 @@ import numpy as np
 from .points import check_dim, cis
 
 DEFAULT_NODE_BUDGET = 2**24
-RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0)
+RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 POINTS_LADDER = (128, 256, 512, 1024, 2048, 4096, 8192)
 
 _CHUNK = 1 << 17  # nodes per evaluation block
@@ -85,20 +85,6 @@ def node_budget() -> int:
     if value < 8:
         raise QuadratureError(f"HEATLINE_BUDGET too small: {value}")
     return value
-
-
-def radius_ladder() -> tuple[float, ...]:
-    """Truncation radii tried by the auto machinery; HEATLINE_RADIUS_LADDER overrides."""
-    raw = os.environ.get("HEATLINE_RADIUS_LADDER")
-    if raw is None:
-        return RADIUS_LADDER
-    try:
-        values = tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise QuadratureError(f"HEATLINE_RADIUS_LADDER must be comma-separated reals, got {raw!r}") from exc
-    if not all(0.0 < v < math.inf for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-        raise QuadratureError("HEATLINE_RADIUS_LADDER must be positive, finite and increasing")
-    return values
 
 
 def _sphere_area(dim: int) -> float:
@@ -449,17 +435,12 @@ def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
 def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a @ row for each weight row of w, stacked; real when a and w are both real.
 
-    Each output keeps its bits whatever the height of a (see ``_row_tiles``).
-    A real product is np.einsum's, which sums every output on its own in the
-    same order, for any height of a and any number of BLAS threads (a real
-    BLAS product split over threads rounds differently).  A complex product
-    casts the real operand once and takes one BLAS matrix-vector product per
-    row, as a matrix-matrix product rounds differently.
+    The product is np.einsum's, real or complex, which sums every output on
+    its own in the same order, so each output keeps its bits whatever the
+    height of a and the number of BLAS threads (a BLAS product split over
+    threads rounds differently).
     """
-    if a.dtype.kind != "c" and w.dtype.kind != "c":
-        return np.einsum("ij,kj->ki", a, w)
-    a, w = a.astype(np.complex128, copy=False), w.astype(np.complex128, copy=False)
-    return np.stack([a @ row for row in w])
+    return np.einsum("ij,kj->ki", a, w)
 
 
 def _mirrored(values: np.ndarray) -> bool:
@@ -473,18 +454,9 @@ def _mirrored(values: np.ndarray) -> bool:
 
 
 def _row_tiles(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows) in order, each about _TILE_ENTRIES // width rows.
-
-    Tiles are a multiple of 4 rows long, and a trailing single row joins the
-    tile before it: a matrix-vector product gives each row the bits it has in
-    the untiled product, except for a one-row matrix, which BLAS sums as a
-    dot product.
-    """
-    size = max(4, _TILE_ENTRIES // width // 4 * 4)
-    starts = list(range(0, rows, size))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+    """Slices covering range(rows) in order, each of at most _TILE_ENTRIES // width rows (at least one)."""
+    size = max(1, _TILE_ENTRIES // width)
+    return [slice(a, min(a + size, rows)) for a in range(0, rows, size)]
 
 
 def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.ndarray:
@@ -686,15 +658,19 @@ class GridSpec:
         return out
 
 
-def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str, rungs: tuple | None = None) -> float:
-    """Smallest radius of ``rungs`` (default ``radius_ladder()``) whose closed-form tail bound is at most tol / 2."""
-    rungs = radius_ladder() if rungs is None else rungs
-    for r in rungs:
+def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
+    """Smallest radius of ``RADIUS_LADDER`` whose closed-form tail bound is at most tol / 2.
+
+    Rungs are tried smallest first, so the wide rungs serve only integrands
+    whose tails need them, such as the Gauss weight of ``gauss_inversion``
+    at small alpha, whose length scale 1/(2 pi sqrt(alpha)) outgrows 16.
+    """
+    for r in RADIUS_LADDER:
         if envelope.tail_bound(r, dim) <= tol / 2.0:
             return r
     raise QuadratureError(
         f"tolerance unreachable at budget: tail bound for {label!r} stays above "
-        f"{tol / 2:.3e} at radius {rungs[-1]}"
+        f"{tol / 2:.3e} at radius {RADIUS_LADDER[-1]}"
     )
 
 
@@ -709,11 +685,12 @@ def walk_ladders(
 ) -> list[tuple[np.ndarray, np.ndarray, GridSpec]]:
     """Several walks up the ladder at once, each to its own grid: one (fine, coarse, grid) per walk.
 
-    Walk i has its own envelope and label, so its own radius (from
-    ``truncation_radius``), and stops at the first rung where its own
-    ``|fine - coarse|`` is at most tol / 2: the rung, the sums and the
-    errors are those of walking it alone (``walk_ladder``).  On each rung,
-    the walks still going that share a radius share the grid:
+    Walk i has its own envelope and label, so its own radius (a rung of
+    ``RADIUS_LADDER``, from ``truncation_radius``), and stops at the first
+    rung where its own ``|fine - coarse|`` is at most tol / 2: the rung, the
+    sums and the errors are those of walking it alone (``walk_ladder``).
+    Radii are discrete, so walks of different envelopes often share one; on
+    each rung, the walks still going that share a radius share the grid:
     ``grid_sums(grid, walks)`` returns the (2, width) sums of each walk index
     in ``walks``, in order, so values the walks have in common (such as
     f(x - u) under kernels of several scales) are computed once per grid.
@@ -726,10 +703,9 @@ def walk_ladders(
     raised.
     """
     radii, going, unreachable = [], {}, None  # going: the walks still going, by radius
-    rungs = radius_ladder()
     for i, (envelope, label) in enumerate(zip(envelopes, labels)):
         try:
-            radii.append(truncation_radius(envelope, dim, tol, label, rungs))
+            radii.append(truncation_radius(envelope, dim, tol, label))
         except QuadratureError as exc:
             unreachable = exc  # raised unless a walk before it fails first
             break

@@ -267,8 +267,8 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     alike, so the coarse sum costs no evaluation of f (see ``GridSpec.sum``).
     A block's (points x nodes) matrix is built and contracted in row tiles of
     about 2^14 entries, so it stays in cache and needs no fresh memory, while
-    each point keeps its own matrix-vector sum over the block's nodes, bit
-    for bit (see ``quadrature._row_tiles``).  For a real f the kernel
+    each point keeps its own sum over the block's nodes, bit for bit (see
+    ``quadrature._matvec_rows``).  For a real f the kernel
     weights, the matrices and their products stay real (float64); a complex
     f makes them complex.
     """

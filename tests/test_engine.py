@@ -30,8 +30,7 @@ from heatline.transforms import Spectrum, modulate, mollify_on_points, sampled_s
 
 @pytest.fixture
 def default_ladders(monkeypatch):
-    for var in ("HEATLINE_BUDGET", "HEATLINE_RADIUS_LADDER"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("HEATLINE_BUDGET", raising=False)
 
 
 def _counted(base: TestFunction, seen: list) -> TestFunction:
@@ -507,14 +506,12 @@ def test_only_exactly_mirrored_columns_are_mirrored(monkeypatch, freqs, mirrored
 @pytest.mark.parametrize("rows", [1, 2, 5, 124, 125, 993, 1025])
 @pytest.mark.parametrize("width", [1, 129, 1935, 4097, 1 << 20])
 def test_row_tiles_cover_the_batch_in_runs_of_four(rows, width):
+    # a tile of any height keeps each row's bits (the einsum product), so tiles need only cover the batch in order
     tiles = quadrature._row_tiles(rows, width)
-    assert tiles[0].start == 0 and tiles[-1].stop == rows
-    assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-    size = max(4, quadrature._TILE_ENTRIES // width // 4 * 4)
-    assert size % 4 == 0
-    assert all(t.start % size == 0 and t.stop - t.start <= size + 1 for t in tiles)
-    # no one-row tile, unless the batch is one row
-    assert rows == 1 or min(t.stop - t.start for t in tiles) > 1
+    size = max(1, quadrature._TILE_ENTRIES // width)
+    assert [i for t in tiles for i in range(rows)[t]] == list(range(rows))
+    assert all(0 < t.stop - t.start <= size for t in tiles)
+    assert len(tiles) == -(-rows // size)
 
 
 def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, np.ndarray]:
@@ -526,17 +523,31 @@ def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, 
     return f, xs
 
 
+def _assert_tiles_keep_every_bit(monkeypatch, f: TestFunction, xs: np.ndarray, alpha: float, tol: float) -> None:
+    tiled = mollify_on_points(f, alpha, xs, tol)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
+        assert tiled.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+
+
 @pytest.mark.parametrize("bounded", [True, False])
 @pytest.mark.parametrize("dim, count, alpha, tol", [(1, 1025, 0.025, 1e-8), (1, 125, 0.2, 1e-8), (2, 1025, 0.2, 1e-2)])
 def test_smoothing_in_row_tiles_keeps_every_bit(monkeypatch, dim, count, alpha, tol, bounded):
-    # 125 points against the 129 nodes of a dim-1 block (tiles of 124 rows)
-    # end one row past a whole tile on the walk's one rung, where a one-row
-    # product would move a value; in dim 2 a loose tolerance keeps the walk on
-    # its first rung
+    # 1,025 points against the 129 nodes of a dim-1 block make 8 tiles of 127
+    # rows and a 9-row one, while 125 points fit one tile; in dim 2 a loose
+    # tolerance keeps the walk on its first rung
     f, xs = _smoothing_case(dim, bounded, count)
-    tiled = mollify_on_points(f, alpha, xs, tol)
-    monkeypatch.setattr(quadrature, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
-    assert tiled.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+    _assert_tiles_keep_every_bit(monkeypatch, f, xs, alpha, tol)
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("dim, count, alpha, tol", [(1, 1025, 0.025, 1e-8), (1, 128, 0.2, 1e-8), (2, 1025, 0.2, 1e-2)])
+def test_complex_smoothing_in_row_tiles_keeps_every_bit(monkeypatch, dim, count, alpha, tol, bounded):
+    # f scaled by 1j smooths in complex128 through the same einsum product;
+    # 128 points against a 129-node block end in a one-row tile, which a BLAS
+    # product would sum as a dot product
+    f, xs = _smoothing_case(dim, bounded, count)
+    _assert_tiles_keep_every_bit(monkeypatch, f.scaled(1j), xs, alpha, tol)
 
 
 def test_smoothing_a_large_batch_stays_small_in_memory():
@@ -725,10 +736,10 @@ def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, defau
 
 def test_a_ladder_raises_the_one_alpha_error(default_ladders):
     f, xs = weierstrass_fn(0.1), np.zeros((1, 1))
-    # at alpha 50 the kernel's tail stays above the tolerance at every radius of the ladder
+    # at alpha 5000 the kernel's tail stays above the tolerance at every radius of the ladder
     with pytest.raises(QuadratureError) as alone:
-        mollify_on_points(f, 50.0, xs, 1e-8)
-    for alphas in ((50.0, 0.1), (0.1, 50.0)):
+        mollify_on_points(f, 5000.0, xs, 1e-8)
+    for alphas in ((5000.0, 0.1), (0.1, 5000.0)):
         with pytest.raises(QuadratureError) as ladder:
             transforms.mollify_ladder(f, alphas, xs, 1e-8)
         assert str(ladder.value) == str(alone.value)

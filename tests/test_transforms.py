@@ -39,6 +39,7 @@ from heatline.transforms import (
     gauss_inversion,
     gauss_inversion_ladder,
     gauss_inversion_on_points,
+    gauss_inversion_trace,
     gauss_mean,
     gauss_mean_trace,
     gauss_summable_limit,
@@ -310,6 +311,20 @@ class TestGaussInversion:
             fx = weierstrass_oracle(0.1, x)
             errors = [abs(gauss_inversion(f, [x], a, 2e-7) - fx) for a in alphas]
             assert all(errors[k + 1] <= errors[k] for k in range(len(errors) - 1))
+
+    def test_the_small_alpha_ladder_reaches_k_10(self):
+        # from k = 7 the Gauss weight's tail needs a radius above 16 (24 for k = 7, 8 and 48 for k = 9, 10)
+        f, tol = weierstrass_fn(0.1), 2.5e-7
+        alphas = [0.2 * 2.0**-k for k in range(11)]
+        xs = [0.0, 0.5, 1.0]
+        ladder = gauss_inversion_ladder(f, alphas, np.array(xs).reshape(-1, 1), tol)
+        for j, x in enumerate(xs):
+            inv = gauss_inversion_trace(f, alphas, [x], tol).values
+            mol = mollify_trace(f, alphas, [x], tol).values
+            assert np.array(inv).tobytes() == ladder[:, j].tobytes()
+            for alpha, v, m in zip(alphas, inv, mol):
+                assert abs(v - m) <= 1e-6
+                assert abs(v - weierstrass_oracle(0.1 + alpha, x)) <= 1e-6
 
 
 # points with phase rates far enough apart that their outer walks start on different rungs
