@@ -182,12 +182,13 @@ def parse_preset(text: str, dim: int = 1) -> TestFunction:
 class ClosedForm:
     """Exact values for a preset f in dimension n.
 
-    The integral of f over R^n, its transform at a real xi, and its
+    The integral of f over R^n, its transform at real frequencies (one xi
+    of shape (n,), or a (k, n) batch with one value per row), and its
     mollified value (W_alpha * f)(x).
     """
 
     integral: float
-    transform: Callable[[np.ndarray], float]
+    transform: Callable[[np.ndarray], np.ndarray]
     smoothed: Callable[[float, np.ndarray], float]
 
 
@@ -198,7 +199,7 @@ def closed_form(text: str, dim: int = 1) -> ClosedForm | None:
         scale = KernelScale(float(arg), dim)
         return ClosedForm(
             1.0,
-            lambda xi: float(gauss(scale, xi)),
+            lambda xi: gauss(scale, xi),
             # the semigroup property: W_alpha * W_a = W_{a + alpha}
             lambda alpha, x: float(weierstrass(KernelScale(scale.alpha + alpha, dim), x)),
         )
@@ -212,4 +213,4 @@ def closed_form(text: str, dim: int = 1) -> ClosedForm | None:
         spread = 1.0 + 16.0 * math.pi**2 * alpha * scale.alpha
         return spread ** (-dim / 2.0) * float(gauss(KernelScale(scale.alpha / spread, dim), x))
 
-    return ClosedForm(weierstrass_peak(scale), lambda xi: float(weierstrass(scale, xi)), smoothed)
+    return ClosedForm(weierstrass_peak(scale), lambda xi: weierstrass(scale, xi), smoothed)

@@ -250,8 +250,7 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
         ]
         for label, fn, inv, expected in cases:
             samples = fourier_profile(fn, xi_pts, quad_tol, inverse=inv)
-            for sample in samples:
-                want = float(expected(np.asarray(sample.xi)))
+            for sample, want in zip(samples, expected(xi_pts).tolist()):
                 resid = abs(sample.value - want)
                 worst = max(worst, resid)
                 rows.append([alpha, label, *sample.xi, sample.value.real, sample.value.imag, want, resid])
@@ -331,14 +330,16 @@ def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultT
     sup_cap = l1_norm(f, tol / 4.0).value.real + tol
     forms = closed_form(preset, dim)
     closed = None if forms is None else forms.transform
-    samples = fourier_profile(f, _xi_axis_points(xi_max, xi_count, dim), tol / 4.0)
+    xi_pts = _xi_axis_points(xi_max, xi_count, dim)
+    samples = fourier_profile(f, xi_pts, tol / 4.0)
+    wants = closed(xi_pts).tolist() if closed else [math.nan] * len(samples)
     rows = []
     worst = 0.0
     sup_ok = True
-    for sample in samples:
+    for sample, want in zip(samples, wants):
         mag = abs(sample.value)
         sup_ok = sup_ok and mag <= sup_cap
-        resid = abs(sample.value - closed(np.asarray(sample.xi))) if closed else float("nan")
+        resid = abs(sample.value - want)
         if closed:
             worst = max(worst, resid)
         rows.append([

@@ -148,7 +148,7 @@ def fourier_profile(
     """Transform values over a list of frequencies, sharing one grid."""
     arr = real_points(xi_list, f.dim, "frequency list")
     values = _transform_profile(f, f.envelope, f.dim, f.name, arr, tol, +1.0 if inverse else -1.0)
-    return [FrequencySample(tuple(map(float, row)), complex(v)) for row, v in zip(arr, values)]
+    return [FrequencySample(tuple(row), v) for row, v in zip(arr.tolist(), values.tolist())]
 
 
 def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:

@@ -1,5 +1,6 @@
 """Certified quadrature: tail bounds, Simpson grids, and the auto ladder."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from heatline.catalog import bump_fn, constant_fn, gauss_fn, unit_gaussian, weierstrass_fn
 from heatline import quadrature
 from heatline.kernels import KernelScale, gauss, weierstrass_peak
+from heatline.points import cis
 from heatline.quadrature import (
     CompactSupport,
     GaussianDecay,
@@ -341,3 +343,92 @@ class TestHelpers:
         assert moved.envelope.rate == pytest.approx(g.envelope.rate / 2.0)
         # the shifted function still peaks at its new center
         assert abs(moved(0.8)) == pytest.approx(1.0)
+
+
+# -- distinct-column contraction of factored phase sums ----------------------
+
+
+def _lattice(axis: np.ndarray, dim: int = 2) -> np.ndarray:
+    """Every point of axis^dim, one per row, in row-major order."""
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _shuffled_lattice_with_duplicates() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    xi = _lattice(np.linspace(-1.5, 1.5, 7))
+    xi = np.concatenate([xi, xi[rng.choice(49, size=10, replace=False)]])
+    return xi[rng.permutation(xi.shape[0])]
+
+
+def _one_at_a_time(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.ndarray:
+    return np.concatenate([grid.phase_sum(values, xi[i:i + 1], sign) for i in range(xi.shape[0])], axis=1)
+
+
+def _cis_entries(monkeypatch) -> list:
+    entries = []
+
+    def counted(theta):
+        entries.append(np.size(theta))
+        return cis(theta)
+
+    monkeypatch.setattr(quadrature, "cis", counted)
+    return entries
+
+
+class TestDistinctColumns:
+    def test_distinct_values_ascend_with_signed_zeros_apart(self):
+        values = np.array([1.0, 0.0, -2.0, -0.0, 1.0, 0.0, -0.0, 5e-324, -5e-324, -2.0])
+        distinct, back = quadrature._distinct(values)
+        assert distinct.view(np.int64).tolist() == np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 1.0]).view(np.int64).tolist()
+        assert distinct[back].view(np.int64).tolist() == values.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("f", [gauss_fn(0.1, 2), weierstrass_fn(0.2, 2).shifted([0.3, -0.2])], ids=["gauss", "shifted"])
+    def test_a_shuffled_lattice_with_duplicates_matches_one_frequency_at_a_time(self, f, sign):
+        grid = GridSpec(4.0, 64, 2)
+        xi = _shuffled_lattice_with_duplicates()
+        sums = grid.phase_sum(f, xi, sign)
+        # a repeated frequency gathers the same columns, so its sums repeat bit for bit
+        for a, b in itertools.combinations(range(xi.shape[0]), 2):
+            if np.array_equal(xi[a], xi[b]):
+                assert sums[:, a].tobytes() == sums[:, b].tobytes()
+        assert np.max(np.abs(sums - _one_at_a_time(grid, f, xi, sign))) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_signed_zero_frequencies_keep_their_columns(self, sign):
+        grid = GridSpec(4.0, 32, 2)
+        axis = np.array([-1.0, -0.0, 0.0, 1.0])
+        xi = _lattice(axis)
+        # each zero's phase column is its own, bit for bit (the sine of -0.0 x is -(+0.0 x)'s, signed zeros included)
+        distinct, back = quadrature._distinct(axis)
+        c = sign * 2.0 * math.pi
+        direct = cis(c * np.multiply.outer(grid.nodes, axis))
+        assert grid.phase_matrix(c, distinct)[:, back].tobytes() == direct.tobytes()
+        f = gauss_fn(0.1, 2).scaled(-1.0)
+        sums, alone = grid.phase_sum(f, xi, sign), _one_at_a_time(grid, f, xi, sign)
+        zero = alone.imag == 0.0
+        assert zero[:, [5, 6, 9, 10]].all()  # the four frequencies (+-0, +-0)
+        assert np.signbit(sums.imag[zero]).tolist() == np.signbit(alone.imag[zero]).tolist()
+        assert np.max(np.abs(sums - alone)) <= 1e-15
+
+    @pytest.mark.parametrize("axis", [np.linspace(-1.0, 1.0, 7), np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 7)])
+    def test_a_factored_lattice_pays_one_phase_column_per_axis_value(self, monkeypatch, axis):
+        grid = GridSpec(4.0, 64, 2)
+        k = axis.size
+        xi = _lattice(axis)[np.random.default_rng(3).permutation(k * k)]
+        entries = _cis_entries(monkeypatch)
+        grid.phase_sum(gauss_fn(0.1, 2), xi, -1.0)
+        assert sum(entries) <= 2 * (64 // 2 + 1) * k
+        if quadrature._mirrored(axis):
+            # a symmetric axis, sorted, is mirrored about its centre: the quarter path
+            assert sum(entries) == 2 * (64 // 2 + 1) * (k // 2 + 1)
+
+    @pytest.mark.parametrize("f", [gauss_fn(0.1, 1), bump_fn(1.0, 1)], ids=["factored", "unfactored"])
+    def test_dim_1_contracts_the_frequencies_as_given(self, monkeypatch, f):
+        def refused(values):
+            raise AssertionError("dim 1 needs no dedupe")
+
+        monkeypatch.setattr(quadrature, "_distinct", refused)
+        xi = np.array([[0.5], [-0.5], [0.5], [0.0]])
+        sums = GridSpec(4.0, 64, 1).phase_sum(f, xi, -1.0)
+        assert sums.shape == (2, 4)
