@@ -27,14 +27,13 @@ from .kernels import KernelScale, gauss, weierstrass
 from .measures import BoundedMeasure, measure_from_json, weak_convergence_trace
 from .quadrature import GridSpec, integrate, integrate_auto, l1_norm
 from .transforms import (
-    fourier,
+    _fourier_rows,
+    _modulated_rows,
+    _mollify_walks,
     fourier_complex,
     fourier_profile,
     gauss_inversion_ladder,
-    mollify,
     mollify_l1_check,
-    mollify_ladder,
-    modulate,
     multiplication_formula_check,
 )
 
@@ -212,9 +211,24 @@ def _preset(default: str, help: str) -> Param:
 
 
 def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
-    """Frequencies along the first axis, embedded in R^dim."""
+    """``count`` frequencies on [-xi_max, xi_max] along the first axis, embedded in R^dim.
+
+    The axis is mirrored as a grid's nodes are (see ``GridSpec``):
+    np.linspace's lower half, a +0.0 centre for an odd count, and the
+    negated lower half above it, so an odd count takes the quarter path of
+    ``GridSpec.phase_matrix``.  A count below 1 is refused: it would check
+    nothing and pass.
+    """
+    if count < 1:
+        raise ValueError(f"parameter 'xi_count' must be at least 1 (one frequency sample), got {count}")
+    half = count // 2
+    axis = np.linspace(-xi_max, xi_max, count)
+    if count > 1:
+        if count % 2:
+            axis[half] = 0.0
+        axis[count - half:] = -axis[half - 1::-1]
     pts = np.zeros((count, dim))
-    pts[:, 0] = np.linspace(-xi_max, xi_max, count)
+    pts[:, 0] = axis
     return pts
 
 
@@ -326,11 +340,11 @@ def _run_integrate(spec: ExperimentSpec, preset, tol, radius, points) -> ResultT
 def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultTable:
     """Tabulate the transform of a preset along the first frequency axis."""
     dim = spec.dim or 1
+    xi_pts = _xi_axis_points(xi_max, xi_count, dim)
     f = parse_preset(preset, dim)
     sup_cap = l1_norm(f, tol / 4.0).value.real + tol
     forms = closed_form(preset, dim)
     closed = None if forms is None else forms.transform
-    xi_pts = _xi_axis_points(xi_max, xi_count, dim)
     samples = fourier_profile(f, xi_pts, tol / 4.0)
     wants = closed(xi_pts).tolist() if closed else [math.nan] * len(samples)
     rows = []
@@ -377,12 +391,12 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
     inversions = gauss_inversion_ladder(f, alphas, xs, quad_tol).tolist()
     rows = []
     worst_cross = 0.0
+    # one smoothing call, one walk per (alpha, point); each value is mollify(f, alpha, x, quad_tol)'s
+    smoothed = _mollify_walks(f, alphas, np.array(xs, dtype=float).reshape(-1, 1), quad_tol, per_point=True).tolist()
     for i, x in enumerate(xs):
         fx = complex(f(np.array([[x]]))[0])
-        # one smoothing walk per point for the whole ladder; each value is mollify(f, alpha, x, quad_tol)'s
-        smoothed = mollify_ladder(f, alphas, np.array([[x]], dtype=float), quad_tol)[:, 0].tolist()
-        for alpha, inv_row, mol in zip(alphas, inversions, smoothed):
-            inv = inv_row[i]
+        for inv_row, mol_row, alpha in zip(inversions, smoothed, alphas):
+            inv, mol = inv_row[i], mol_row[i]
             cross = abs(inv - mol)
             worst_cross = max(worst_cross, cross)
             rows.append([x, alpha, inv.real, inv.imag, mol.real, mol.imag, cross, abs(inv - fx)])
@@ -412,8 +426,9 @@ def _run_mollify(spec: ExperimentSpec, preset, alpha, tol, xs) -> ResultTable:
     f = parse_preset(preset, dim)
     rows = []
     sup_moll = 0.0
-    for x in xs:
-        value = mollify(f, alpha, x, tol / 4.0)
+    # one smoothing call, one walk per point; each value is mollify(f, alpha, x, tol / 4)'s
+    values = _mollify_walks(f, [alpha], np.array(xs, dtype=float).reshape(-1, 1), tol / 4.0, per_point=True)[0]
+    for x, value in zip(xs, values.tolist()):
         sup_moll = max(sup_moll, abs(value))
         rows.append([x, value.real, value.imag])
     sup_ok = sup_moll <= f.sup_bound + tol
@@ -481,15 +496,18 @@ def _run_modulate(spec: ExperimentSpec, preset, tol, shifts, etas) -> ResultTabl
     if dim != 1:
         raise ValueError("the modulation experiment runs in dimension 1")
     h = parse_preset(preset, dim)
+    pairs = [(a, eta) for a in shifts for eta in etas]
+    eta_pts = np.array(etas, dtype=float).reshape(-1, 1)
+    # one call per shift, one walk per eta; each value is modulate(h, [a], [eta], tol / 4)'s
+    direct = [v for a in shifts for v in _modulated_rows(h, [a], eta_pts, tol / 4.0, per_row=True).tolist()]
+    # one call for every shifted frequency, one walk each; each value is fourier(h, [eta - a], tol / 4)'s
+    shifted = _fourier_rows(h, np.array([[eta - a] for a, eta in pairs]), tol / 4.0, per_row=True).tolist()
     rows = []
     worst = 0.0
-    for a in shifts:
-        for eta in etas:
-            direct = modulate(h, [a], [eta], tol / 4.0)
-            shifted = fourier(h, [eta - a], tol / 4.0)
-            resid = abs(direct - shifted)
-            worst = max(worst, resid)
-            rows.append([a, eta, direct.real, direct.imag, shifted.real, shifted.imag, resid])
+    for (a, eta), mod, shift in zip(pairs, direct, shifted):
+        resid = abs(mod - shift)
+        worst = max(worst, resid)
+        rows.append([a, eta, mod.real, mod.imag, shift.real, shift.imag, resid])
     passed = worst <= 2.0 * tol
     return ResultTable(
         name=spec.name,
@@ -517,11 +535,11 @@ def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> Res
     xi_pts = _xi_axis_points(xi_max, xi_count, measure.dim)
     rows = []
     bounded_ok = True
-    for xi in xi_pts:
-        value = measure.fourier(xi, tol)
+    # one call, one density walk per frequency; each value is measure.fourier(xi, tol)'s
+    for xi, value in zip(xi_pts.tolist(), measure._fourier_rows(xi_pts, tol, per_row=True).tolist()):
         mag = abs(value)
         bounded_ok = bounded_ok and mag <= measure.bound + tol
-        rows.append([*[float(v) for v in xi], value.real, value.imag, mag])
+        rows.append([*xi, value.real, value.imag, mag])
     return ResultTable(
         name=spec.name,
         columns=[*[f"xi{j+1}" for j in range(measure.dim)], "value_re", "value_im", "modulus"],
@@ -550,15 +568,14 @@ def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> Resul
     """Measure inversion against direct measure smoothing."""
     points = np.zeros((len(xs), measure.dim))
     points[:, 0] = xs
-    # one smoothing walk per point for the whole ladder; row j is measure.mollify(alphas[j], point, tol / 4)
-    smoothed = [measure.mollify_ladder(alphas, point.reshape(1, -1), tol / 4.0)[:, 0].tolist() for point in points]
+    # one smoothing call, one density walk per (alpha, point); entry (j, i) is measure.mollify(alphas[j], points[i], tol / 4)
+    smoothed = measure._mollify_walks(alphas, points, tol / 4.0, per_point=True).tolist()
     rows = []
     worst = 0.0
     # one inversion call for the whole ladder; row j is measure.gauss_inversion_on_points(alphas[j], points, tol / 4)
     inversions = measure.gauss_inversion_ladder(alphas, points, tol / 4.0).tolist()
-    for j, (alpha, alpha_inversions) in enumerate(zip(alphas, inversions)):
-        for x, point_values, inv in zip(xs, smoothed, alpha_inversions):
-            mol = point_values[j]
+    for alpha, alpha_inversions, alpha_smoothed in zip(alphas, inversions, smoothed):
+        for x, inv, mol in zip(xs, alpha_inversions, alpha_smoothed):
             diff = abs(inv - mol)
             worst = max(worst, diff)
             rows.append([alpha, x, inv.real, inv.imag, mol.real, mol.imag, diff])

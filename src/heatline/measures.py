@@ -33,9 +33,9 @@ from .quadrature import (
 )
 from .transforms import (
     Spectrum,
-    fourier as _fourier,
+    _fourier_rows,
+    _mollify_walks,
     invert_spectrum,
-    mollify_ladder as _mollify_ladder,
     sampled_spectrum,
 )
 
@@ -117,12 +117,16 @@ class BoundedMeasure:
     def fourier(self, xi, tol: float = 1e-8) -> complex:
         """Transform value: the measure applied to the character at xi."""
         xi = real_point(xi, self.dim)
-        out = 0.0 + 0.0j
+        return complex(self._fourier_rows(xi.reshape(1, -1), tol, per_row=False)[0])
+
+    def _fourier_rows(self, xi_pts: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
+        """``fourier`` at each row of xi_pts: the atoms in closed form, the density in one walk per row (or one for all)."""
+        out = np.zeros(xi_pts.shape[0], dtype=np.complex128)
         if self.atoms:
-            phases = cis(-2.0 * math.pi * (self.atom_locations @ xi))
-            out += complex(np.sum(self.atom_weights * phases))
+            phases = cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T))
+            out += (self.atom_weights * phases).sum(axis=1)
         if self.density is not None:
-            out += _fourier(self.density, xi, tol)
+            out += _fourier_rows(self.density, xi_pts, tol, per_row)
         return out
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
@@ -141,6 +145,14 @@ class BoundedMeasure:
         then the smoothed density; the density is smoothed once per ladder
         grid for every alpha (see ``transforms.mollify_ladder``).
         """
+        return self._mollify_walks(alphas, xs, inner_tol, per_point=False)
+
+    def _mollify_walks(self, alphas, xs: np.ndarray, inner_tol: float, per_point: bool) -> np.ndarray:
+        """``mollify_ladder``, with the density smoothed in one walk per (alpha, point) when ``per_point``.
+
+        See ``transforms._mollify_walks``.  The atoms' kernel sum is one
+        matrix product per alpha over every row of xs either way.
+        """
         scales = [KernelScale(alpha, self.dim) for alpha in alphas]
         out = np.zeros((len(scales), xs.shape[0]), dtype=np.complex128)
         if self.atoms:
@@ -148,7 +160,7 @@ class BoundedMeasure:
             for row, scale in zip(out, scales):
                 row += weierstrass(scale, diffs) @ self.atom_weights
         if self.density is not None:
-            out += _mollify_ladder(self.density, alphas, xs, inner_tol)
+            out += _mollify_walks(self.density, alphas, xs, inner_tol, per_point)
         return out
 
     def spectrum(self, inner_tol: float, max_freq: float) -> Spectrum:

@@ -15,10 +15,10 @@ two error terms:
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
-``walk_ladder`` for vector-valued sums, such as the phase sums of a
-transform, which factor exp(+-2 pi i x.xi) per axis; ``walk_ladders`` for
-several walks at once, such as smoothing at several scales, which share
-their ladder grids); ``integrate`` and
+``walk_ladder`` for vector-valued sums; ``walk_ladders`` for several walks
+at once, such as smoothing at several scales and points or the phase sums
+of a transform at several frequencies, which factor exp(+-2 pi i x.xi) per
+axis: the walks share their ladder grids); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -622,10 +622,13 @@ class GridSpec:
         ``weights`` stacks the block's fine and coarse weights, and
         ``block_sum`` returns one row of sums per weight row; for several
         walks at once (see ``_block_sums``), a pair of rows per walk, stacked.
+        Blocks are sized by one walk's ``width`` (see ``blocks``).
         """
         out = np.zeros((2 * walks, width), dtype=np.complex128)
         for pts, w, index in self.blocks(width):
-            out += block_sum(pts, np.stack([w, _block_weights(self.coarse_weights, index)]))
+            # in dim 1 a block's weight rows are a slice of ``rows``, bit for bit
+            rows = self.rows[:, index[0]] if self.dim == 1 else np.stack([w, _block_weights(self.coarse_weights, index)])
+            out += block_sum(pts, rows)
         return out
 
     def phase_sum(self, values: Callable, xi: np.ndarray, sign: float, coarse: bool = True) -> np.ndarray:
@@ -719,7 +722,7 @@ def _ladder_grid(radius: float, n: int, dim: int) -> GridSpec:
 
 
 def walk_ladders(
-    grid_sums: Callable, envelopes, dim: int, tol: float, labels, phase_rate: float = 0.0,
+    grid_sums: Callable, envelopes, dim: int, tol: float, labels, phase_rate: float | list = 0.0,
 ) -> list[tuple[np.ndarray, np.ndarray, GridSpec]]:
     """Several walks up the ladder at once, each to its own grid: one (fine, coarse, grid) per walk.
 
@@ -731,23 +734,33 @@ def walk_ladders(
     each rung, the walks still going that share a radius share the grid:
     ``grid_sums(grid, walks)`` returns the (2, width) sums of each walk index
     in ``walks``, in order, so values the walks have in common (such as
-    f(x - u) under kernels of several scales) are computed once per grid.
+    f(x - u) under kernels of several scales, or the phase matrices of
+    several frequencies) are computed once per grid.
     ``phase_rate`` is an oscillation rate (cycles per unit length, e.g. |xi|
-    for a Fourier factor); a walk starts where the phase advances at most a
-    quarter cycle per step.  Each rung evaluates its integrand once: the N/2
-    sum reuses the N-grid's even nodes.  Ladder grids are built once per
-    process and shared by every walk; the node budget is checked before each
-    rung all the same.  When several walks fail, the first one's error is
-    raised.
+    for a Fourier factor), one float for every walk or a list of one rate
+    per walk; a walk starts where its phase advances at most a quarter cycle
+    per step, so it joins only the rungs that meet its own cap.  Each rung
+    evaluates its integrand once: the N/2 sum reuses the N-grid's even
+    nodes.  Ladder grids are built once per process and shared by every
+    walk; the node budget is checked before each rung all the same.  When
+    several walks fail, the first one's error is raised, naming its label
+    and, for a walk that reached no rung, its own phase cap.
     """
-    radii, going, unreachable = [], {}, None  # going: the walks still going, by radius
+    per_walk = isinstance(phase_rate, (list, tuple))
+    # going: by radius, the walks still going; waiting: the walks whose phase cap is above the rungs so far
+    radii, floors, going, waiting, unreachable = [], [], {}, [], None
     for i, (envelope, label) in enumerate(zip(envelopes, labels)):
         try:
-            radii.append(truncation_radius(envelope, dim, tol, label))
+            radius = truncation_radius(envelope, dim, tol, label)
         except QuadratureError as exc:
             unreachable = exc  # raised unless a walk before it fails first
             break
-        going.setdefault(radii[i], []).append(i)
+        radii.append(radius)
+        floors.append(8.0 * radius * (phase_rate[i] if per_walk else phase_rate))  # the phase cap: the fewest points per axis
+        if floors[i] <= POINTS_LADDER[0]:
+            going.setdefault(radius, []).append(i)
+        else:
+            waiting.append(i)
     budget = node_budget()
     found = [None] * len(radii)
     tried = [False] * len(radii)
@@ -756,8 +769,13 @@ def walk_ladders(
         if n**dim > budget:
             capped = True
             break
+        if waiting:  # the walks whose cap this rung meets join it
+            for i in waiting:
+                if floors[i] <= n:
+                    going.setdefault(radii[i], []).append(i)
+            waiting = [i for i in waiting if floors[i] > n]
         for radius, walks in going.items():
-            if not walks or n < 8.0 * radius * phase_rate:  # the phase cap: the fewest points per axis
+            if not walks:
                 continue
             grid = _ladder_grid(radius, n, dim)
             going[radius] = still = []
@@ -774,7 +792,7 @@ def walk_ladders(
             if tried[i]:
                 reason = "discretization estimate never met the tolerance"
             elif capped:
-                floor = " at or above the phase cap" if 8.0 * radii[i] * phase_rate > POINTS_LADDER[0] else ""
+                floor = " at or above the phase cap" if floors[i] > POINTS_LADDER[0] else ""
                 reason = f"the node budget ({budget} nodes) admits no rung of the point ladder{floor}"
             else:
                 reason = "phase cap exceeds the point ladder"
@@ -790,8 +808,8 @@ def walk_ladder(
     """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid): ``walk_ladders`` for one walk.
 
     ``grid_sum(grid)`` returns the (2, width) array of a ``GridSpec``'s fine
-    sums and the sums with its embedded coarse weights (see ``_value_sum``,
-    ``GridSpec.sum`` and ``_phase_sum``).  The radius comes from
+    sums and the sums with its embedded coarse weights (see ``_value_sum``
+    and ``GridSpec.sum``).  The radius comes from
     ``truncation_radius``; the point ladder is then walked until every entry
     of ``|fine - coarse|`` is at most tol / 2 (see ``walk_ladders``, which
     also explains ``phase_rate``).  When no rung qualifies, the error names
@@ -842,14 +860,26 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
 
     ``block_for(walks)`` is a block evaluator (see ``GridSpec.sum``) for the
     listed walks together, returning the fine and the coarse row of each
-    walk in turn, so a block's values can be shared by every walk.
+    walk in turn, so a block's values can be shared by every walk.  Blocks
+    are sized by one walk's width, so a walk's sums do not depend on how
+    many walks share its grid.
     """
     return lambda grid, walks: grid.sum(block_for(walks), width, len(walks)).reshape(len(walks), 2, width)
 
 
-def _phase_sum(values: Callable, xi: np.ndarray, sign: float) -> Callable:
-    """Grid sums of values(x) exp(sign 2 pi i x.xi), one column per row of xi (see ``GridSpec.phase_sum``)."""
-    return lambda grid: grid.phase_sum(values, xi, sign)
+def _phase_sums(values: Callable, xi: np.ndarray, sign: float, per_row: bool = False) -> Callable:
+    """Grid sums of values(x) exp(sign 2 pi i x.xi) for ``walk_ladders``, one column per frequency (see ``GridSpec.phase_sum``).
+
+    One walk sums every row of xi; with ``per_row``, walk i sums row i
+    alone, and the walks on one grid share one phase sum over their rows, so
+    its phase matrices are built once per axis for all of them.
+    """
+
+    def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
+        sums = grid.phase_sum(values, xi[walks] if per_row else xi, sign)
+        return sums.reshape(2, len(walks), -1).swapaxes(0, 1)
+
+    return grid_sums
 
 
 def integrate_values(

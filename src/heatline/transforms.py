@@ -29,13 +29,12 @@ from .quadrature import (
     QuadratureError,
     TestFunction,
     _block_sums,
-    _phase_sum,
+    _phase_sums,
     _require_integrable,
     _tiled_matvec_rows,
     integrate_values,
     l1_norm,
     truncation_radius,
-    walk_ladder,
     walk_ladders,
 )
 
@@ -121,19 +120,39 @@ class Spectrum:
 
 
 def _transform_profile(
-    values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float, sign: float
+    values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float, sign: float,
+    per_row: bool = False,
 ) -> np.ndarray:
-    """Transform values at a batch of real frequencies, on one escalating grid."""
+    """Transform values at a batch of real frequencies, one value per row of xi_arr.
+
+    One ladder walk, to the largest |xi|, sums every row on one grid.  With
+    ``per_row``, each row is a walk of its own, with the phase cap of its
+    own |xi| and its own stopping rung, so a row gives the value of walking
+    that frequency alone, up to rounding: the walks on one grid share one
+    phase sum (see ``quadrature._phase_sums``), and BLAS rounds a product
+    over several columns differently from one over a single column.
+    """
     _require_integrable(envelope, label, "the Fourier transform")
-    worst = float(np.max(np.sqrt(np.sum(xi_arr * xi_arr, axis=1)))) if xi_arr.size else 0.0
-    fine, _, _ = walk_ladder(_phase_sum(values, xi_arr, sign), envelope, dim, tol, label, worst)
-    return fine
+    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    grid_sums = _phase_sums(values, xi_arr, sign, per_row)
+    if not per_row:
+        worst = float(norms.max()) if xi_arr.size else 0.0
+        [(fine, _, _)] = walk_ladders(grid_sums, [envelope], dim, tol, [label], worst)
+        return fine
+    walks = xi_arr.shape[0]
+    walked = walk_ladders(grid_sums, [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
+    return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
 
 
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     """Transform value integral of f(x) exp(-2 pi i x.xi) over R^n."""
     xi = real_point(xi, f.dim)
-    return complex(_transform_profile(f, f.envelope, f.dim, f.name, xi.reshape(1, -1), tol, -1.0)[0])
+    return complex(_fourier_rows(f, xi.reshape(1, -1), tol, per_row=False)[0])
+
+
+def _fourier_rows(f: TestFunction, xi_arr: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
+    """``fourier`` at each row of xi_arr: one walk per row on shared ladder grids, or one walk for them all."""
+    return _transform_profile(f, f.envelope, f.dim, f.name, xi_arr, tol, -1.0, per_row)
 
 
 def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
@@ -259,11 +278,13 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     envelope scaled by the kernel peak.  Each alpha walks the ladder as it
     would alone, so its row is ``mollify_on_points(f, alpha, xs, inner_tol)``
     bit for bit, but the alphas still walking on a ladder grid share it (see
-    ``quadrature.walk_ladders``).  For a bounded f, each tile of the block's
-    f(x - u) matrix is evaluated once per grid and contracted with the
-    kernel weight rows of every alpha on it at once; for an integrable f,
-    f(y) is shared and each alpha builds its own kernel matrix.  Each rung's
-    block values are contracted with the fine and the embedded coarse weights
+    ``quadrature.walk_ladders``); ``_mollify_walks`` walks each (alpha,
+    point) pair on its own instead.  For a bounded f,
+    each tile of the block's f(x - u) matrix is evaluated once per grid, on
+    the rows of xs that some walk on it needs, and contracted with the kernel
+    weight rows of every alpha on it at once; for an integrable f, f(y) is
+    shared and each alpha builds its own kernel matrix.  Each rung's block
+    values are contracted with the fine and the embedded coarse weights
     alike, so the coarse sum costs no evaluation of f (see ``GridSpec.sum``).
     A block's (points x nodes) matrix is built and contracted in row tiles of
     about 2^14 entries, so it stays in cache and needs no fresh memory, while
@@ -272,21 +293,58 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     weights, the matrices and their products stay real (float64); a complex
     f makes them complex.
     """
+    return _mollify_walks(f, alphas, xs, inner_tol, per_point=False)
+
+
+def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, per_point: bool) -> np.ndarray:
+    """``mollify_ladder``, or with ``per_point`` one walk per (alpha, point): a (len(alphas), k) array.
+
+    A walk is an alpha and the rows of xs it smooths: every row, or with
+    ``per_point`` one row (walk j k + i is alphas[j] at xs[i]).  Each walk
+    stops on its own rung, so with ``per_point`` entry (j, i) is
+    ``mollify(f, alphas[j], xs[i], inner_tol)`` bit for bit, while the walks
+    on one ladder grid share its f(x - u) tiles and kernel weights, evaluated
+    on the rows of xs that some walk on the grid still needs.
+    """
     scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
     peaks = [weierstrass_peak(scale) for scale in scales]
+    k = xs.shape[0]
+    sets, width = (k, 1) if per_point else (1, k)  # one alpha's walks: one per row of xs, or one for every row
+    row_sets = xs.reshape(sets, width, f.dim)
+
+    def gathered(walks: list) -> tuple:
+        """The alphas and the rows of xs that these walks need, and a reader of each walk's sums from a block's product.
+
+        Walk i is alpha i // sets on row set i % sets.  The product has a row
+        per weight row for each alpha on the grid, in turn, and a column per
+        row of xs needed; the reader returns the weight rows of each walk in
+        turn (see ``_block_sums``).
+        """
+        on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
+        slot, spot = {a: p * len(chosen) for p, a in enumerate(on)}, {s: p for p, s in enumerate(chosen)}
+        pairs = np.array([slot[i // sets] + spot[i % sets] for i in walks])  # each walk's (alpha, row set) pair
+
+        def read(product: np.ndarray) -> np.ndarray:
+            by_pair = product.reshape(len(on), -1, len(chosen), width).swapaxes(1, 2)
+            return by_pair.reshape(len(on) * len(chosen), -1).take(pairs, axis=0).reshape(-1, width)
+
+        return on, row_sets.take(chosen, axis=0).reshape(-1, f.dim), read
+
     if f.bounded:
         envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
 
         def block_for(walks: list) -> Callable:
+            on, x_rows, read = gathered(walks)
+
             def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
                 # each alpha's kernel weights are shared by every x, and f(x - u) by every alpha
-                kw = np.concatenate([w * weierstrass(scales[i], upts) for i in walks])
+                kw = np.concatenate([w * weierstrass(scales[a], upts) for a in on])
 
                 def values(x_tile: np.ndarray) -> np.ndarray:
                     shifted = x_tile[:, None, :] - upts[None, :, :]
                     return f(shifted.reshape(-1, f.dim)).reshape(x_tile.shape[0], upts.shape[0])
 
-                return _tiled_matvec_rows(xs, kw, values)
+                return read(_tiled_matvec_rows(x_rows, kw, values))
 
             return block
 
@@ -294,15 +352,17 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
         envelopes = [f.envelope.scaled(peak) for peak in peaks]
 
         def block_for(walks: list) -> Callable:
+            on, x_rows, read = gathered(walks)
+
             def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
                 # the function values are shared by every x and every alpha
                 fw = w * f(ypts)
-                return np.concatenate([
+                return read(np.concatenate([
                     _tiled_matvec_rows(
-                        xs, fw, lambda x_tile, s=scales[i]: weierstrass(s, x_tile[:, None, :] - ypts[None, :, :])
+                        x_rows, fw, lambda x_tile, s=scales[a]: weierstrass(s, x_tile[:, None, :] - ypts[None, :, :])
                     )
-                    for i in walks
-                ])
+                    for a in on
+                ]))
 
             return block
 
@@ -310,9 +370,9 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
         raise QuadratureError(
             f"mollification of {f.name!r} needs a bounded or integrable-certified function"
         )
-    labels = [f"mollify[{f.name}]"] * len(scales)
-    walked = walk_ladders(_block_sums(block_for, xs.shape[0]), envelopes, f.dim, inner_tol, labels)
-    return np.array([fine for fine, _, _ in walked], dtype=np.complex128).reshape(len(walked), xs.shape[0])
+    envelopes = [envelope for envelope in envelopes for _ in range(sets)]
+    walked = walk_ladders(_block_sums(block_for, width), envelopes, f.dim, inner_tol, [f"mollify[{f.name}]"] * len(envelopes))
+    return np.array([fine for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
 
 
 def mollify_l1_check(
@@ -370,7 +430,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    _, _, grid = walk_ladder(_phase_sum(f, probe, sign), f.envelope, f.dim, inner_tol, f.name, max_freq)
+    [(_, _, grid)] = walk_ladders(_phase_sums(f, probe, sign), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
@@ -391,24 +451,30 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
     Row j is the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi) for
     alpha = alphas[j], where ``spectrum_at(inner_tol, max_freq)`` supplies s
     for that alpha, sampled out to where its gauss weight falls to
-    _FREQ_CUTOFF; its bound and rate certify the integrand.  Each alpha and
-    each point walks its own ladder, so a value depends neither on the batch
-    of points nor on the other alphas.  The values of s on a frequency block
-    are computed once per call, keyed by the block's bytes and the
-    spectrum's ``key``: every point whose walk meets the block shares them,
-    and so does every alpha whose spectrum has an equal key (in 1-D, alphas
-    whose outer walks stop on one grid and whose spectra were sampled on one
-    x-grid).  A spectrum without a key shares its blocks only among its
-    alpha's points.
+    _FREQ_CUTOFF; its bound and rate certify the integrand.  Each alpha makes
+    one ``walk_ladders`` call with one walk per point, and each walk keeps
+    its own phase cap (|x| plus the spectrum's rate) and stopping rung, so a
+    value depends neither on the batch of points nor on the other alphas.
+    The walks on one grid share its Gauss weights, and the values of s on a
+    frequency block are computed once per call, keyed by the block's bytes
+    and the spectrum's ``key``: every point whose walk meets the block shares
+    them, and so does every alpha whose spectrum has an equal key (in 1-D,
+    alphas whose outer walks stop on one grid and whose spectra were sampled
+    on one x-grid).  A spectrum without a key shares its blocks only among
+    its alpha's points.  Each point's integrand is evaluated as it would be
+    alone, on a fresh copy of the spectrum values.
     """
     xs = real_points(xs, dim)
     out = np.empty((len(alphas), xs.shape[0]), dtype=np.complex128)
     sampled = {}  # spectrum values by the spectrum's key, then by the bytes of their frequency block
+    name = f"gauss-inv[{label}]"
     for row, alpha in zip(out, alphas):
         scale = KernelScale(float(alpha), dim)
         peak = weierstrass_peak(scale)  # integral of the gauss weight
         freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * scale.alpha))
         spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
+        if not tol > 0.0:
+            raise ValueError(f"target tolerance must be positive, got {tol / 2.0}")
         blocks = {} if spectrum.key is None else sampled.setdefault(spectrum.key, {})
 
         def spectrum_values(xi_pts: np.ndarray, spectrum=spectrum, blocks=blocks) -> np.ndarray:
@@ -419,15 +485,23 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
             # temporary in place, where its complex multiply may round differently
             return blocks[key].copy()
 
+        def block_for(walks: list, scale=scale, spectrum_values=spectrum_values) -> Callable:
+            def block(xi_pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+                weight = gauss(scale, xi_pts)  # shared by every point
+                return np.concatenate([
+                    np.sum(w * (spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ xs[i])) * weight), axis=-1, keepdims=True)
+                    for i in walks
+                ])
+
+            return block
+
         envelope = GaussianDecay(4.0 * math.pi**2 * scale.alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
-        for i, x in enumerate(xs):
-
-            def fn(xi_pts: np.ndarray, x=x, scale=scale, spectrum_values=spectrum_values) -> np.ndarray:
-                return spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ x)) * gauss(scale, xi_pts)
-
-            rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
-            result, _ = integrate_values(fn, envelope, dim, f"gauss-inv[{label}]", tol / 2.0, phase_rate=rate)
-            row[i] = result.value
+        rates = [float(np.sqrt(np.sum(x * x))) + spectrum.rate for x in xs]
+        k = xs.shape[0]
+        walked = walk_ladders(_block_sums(block_for, 1), [envelope] * k, dim, tol / 2.0, [name] * k, rates)
+        row[:] = [fine[0] for fine, _, _ in walked]
+        if not np.isfinite(row).all():
+            raise QuadratureError(f"integrand {name!r} summed to a non-finite value")
     return out
 
 
@@ -510,11 +584,16 @@ def _dual_pairing(transformed: TestFunction, weight: TestFunction, tol: float) -
 
 def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
     """Transform of h(x) exp(2 pi i a.x) at eta; the shift rule sends it to eta - a."""
+    eta = real_point(eta, h.dim)
+    return complex(_modulated_rows(h, a, eta.reshape(1, -1), tol, per_row=False)[0])
+
+
+def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
+    """``modulate`` at each row of etas: one walk per row on shared ladder grids, or one walk for them all."""
     _require_integrable(h.envelope, h.name, "modulation")
     a = real_point(a, h.dim)
-    eta = real_point(eta, h.dim)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return h(pts) * cis(2.0 * math.pi * (pts @ a))
 
-    return complex(_transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", eta.reshape(1, -1), tol, -1.0)[0])
+    return _transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol, -1.0, per_row)

@@ -6,7 +6,7 @@ library derives from declared functions (Gauss means, smoothing, inversion,
 pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
 (``integrate_values``, ``walk_ladder``, the shared ``walk_ladders`` and
-the grid-sum builders ``_value_sum``, ``_block_sums`` and ``_phase_sum``)
+the grid-sum builders ``_value_sum``, ``_block_sums`` and ``_phase_sums``)
 in every heatline module that imported them, runs every registered
 experiment at its default spec plus the derived entry points those runs do
 not reach, and evaluates each captured integrand at the runtime spot points
@@ -84,7 +84,7 @@ def captured_integrands():
     walks = set()
     single = []  # the walk_ladder calls in progress, whose one-walk walk_ladders call is captured already
     integrate_values, walk_ladder, walk_ladders = quadrature.integrate_values, quadrature.walk_ladder, quadrature.walk_ladders
-    value_sum, block_sums, phase_sum = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sum
+    value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
         captures.append(Capture(label, envelope, dim, values))
@@ -124,8 +124,11 @@ def captured_integrands():
         # integrate_values captured these values already
         return tagged(value_sum(values), None)
 
-    def tag_phase_sum(values, xi, sign):
-        return tagged(phase_sum(values, xi, sign), (values, None))
+    def tag_phase_sums(values, xi, sign, per_row=False):
+        # every walk of a phase sum sums the same values, at its own frequencies
+        grid_sums = phase_sums(values, xi, sign, per_row)
+        grid_sums.integrands = lambda i: (values, None)
+        return grid_sums
 
     def tag_block_sums(block_for, width):
         grid_sums = block_sums(block_for, width)
@@ -137,7 +140,7 @@ def captured_integrands():
         walk_ladder: capture_walk,
         walk_ladders: capture_walks,
         value_sum: tag_value_sum,
-        phase_sum: tag_phase_sum,
+        phase_sums: tag_phase_sums,
         block_sums: tag_block_sums,
     }
     modules = [m for name, m in sys.modules.items() if name == "heatline" or name.startswith("heatline.")]

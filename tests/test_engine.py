@@ -347,7 +347,8 @@ def _grid_sums(dim: int):
     cases = []
     for name, g in (("skewed", _skewed_gaussian), ("factored", factored)):
         cases.append((f"plain-{name}", quadrature._value_sum(g), g))
-        cases.append((f"phase-{name}", quadrature._phase_sum(g, xi, -1.0), g))
+        phase_sums = quadrature._phase_sums(g, xi, -1.0)  # one walk holding every frequency
+        cases.append((f"phase-{name}", lambda grid, phase_sums=phase_sums: phase_sums(grid, [0])[0], g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
     block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
     cases.append(("block", block, lambda pts: np.max(np.abs(shifted(pts)), axis=0)))
@@ -618,13 +619,13 @@ def test_smoothing_blocks_are_real_for_a_real_function(monkeypatch, bounded):
 
 def test_a_modulated_integrand_stays_complex(monkeypatch):
     integrands = []
-    phase_sum = transforms._phase_sum
+    phase_sums = transforms._phase_sums
 
-    def recorded(values, xi, sign):
+    def recorded(values, xi, sign, per_row=False):
         integrands.append(values)
-        return phase_sum(values, xi, sign)
+        return phase_sums(values, xi, sign, per_row)
 
-    monkeypatch.setattr(transforms, "_phase_sum", recorded)
+    monkeypatch.setattr(transforms, "_phase_sums", recorded)
     modulate(gauss_fn(0.1), [0.5], [0.0], 1e-8)
     assert integrands[0](np.zeros((3, 1))).dtype == np.complex128
 
@@ -712,6 +713,19 @@ def test_each_ladder_row_is_the_one_alpha_smoothing(monkeypatch, default_ladders
     assert max(len(walks) for _, _, walks in grids) > 1
     for alpha, row in zip(alphas, ladder):
         assert row.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+
+
+def test_a_ladder_row_does_not_depend_on_how_many_alphas_share_its_grid(monkeypatch, default_ladders):
+    # three alphas walk on one 513 x 513 grid: its blocks are sized for one alpha's points, as a
+    # one-alpha call's are, not for every alpha's together, which would split it and sum it in another order
+    f = weierstrass_fn(0.005, 2)
+    alphas = (0.5, 0.4, 0.3, 0.2)
+    xs = np.random.default_rng(2).uniform(-1.0, 1.0, size=(9, 2))
+    grids = _walked_grids(monkeypatch)
+    ladder = transforms.mollify_ladder(f, alphas, xs, 1e-5)
+    assert (6.0, 512, (0, 1, 2)) in grids
+    for alpha, row in zip(alphas, ladder):
+        assert row.tobytes() == mollify_on_points(f, alpha, xs, 1e-5).tobytes()
 
 
 def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, default_ladders):

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from heatline import measure_from_json, parse_preset, quadrature
 from heatline.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     ResultTable,
+    _xi_axis_points,
     export,
     export_csv,
     export_json,
@@ -15,6 +18,7 @@ from heatline.experiments import (
     run,
 )
 from heatline.quadrature import QuadratureError
+from heatline.transforms import fourier, modulate, mollify, mollify_ladder
 
 
 def test_unknown_experiment_rejected():
@@ -152,3 +156,98 @@ def test_invert_experiment_reports_nonincreasing_errors():
     table = run(ExperimentSpec(name="invert", params={"xs": [0.0], "tol": 1e-6}))
     errors = [row[-1] for row in table.rows]
     assert all(errors[k + 1] <= errors[k] for k in range(len(errors) - 1))
+
+
+# -- batched runners: one ladder call per table, each row the library's one-point call ----------
+
+
+def _column(table: ResultTable, name: str) -> list:
+    return [row[table.columns.index(name)] for row in table.rows]
+
+
+def _complex_column(table: ResultTable, re: str, im: str) -> np.ndarray:
+    return np.array([complex(a, b) for a, b in zip(_column(table, re), _column(table, im))])
+
+
+MOLLIFY_SPECS = [{}, {"preset": "gauss:0.2", "alpha": 0.05, "xs": [float(x) for x in np.linspace(-1.5, 1.5, 13)]}]
+
+
+@pytest.mark.parametrize("params", MOLLIFY_SPECS, ids=["default", "gauss"])
+def test_each_mollify_row_is_the_one_point_call(params):
+    table = run(ExperimentSpec("mollify", params=params))
+    f = parse_preset(table.config["preset"], 1)
+    want = [mollify(f, table.config["alpha"], [x], table.config["tol"] / 4.0) for x in _column(table, "x")]
+    assert _complex_column(table, "value_re", "value_im").tobytes() == np.array(want).tobytes()
+
+
+INVERT_SPECS = [{}, {"preset": "gauss:0.1", "alphas": [0.2, 0.1, 0.05, 0.025], "xs": [-0.7, 0.3]}]
+
+
+@pytest.mark.parametrize("params", INVERT_SPECS, ids=["default", "gauss"])
+def test_each_smoothed_invert_column_is_the_one_point_ladder(params):
+    table = run(ExperimentSpec("invert", params=params))
+    config = table.config
+    f = parse_preset(config["preset"], 1)
+    got = _complex_column(table, "mollified_re", "mollified_im").reshape(len(config["xs"]), len(config["alphas"]))
+    for x, column in zip(config["xs"], got):
+        want = mollify_ladder(f, config["alphas"], np.array([[x]]), config["tol"] / 4.0)[:, 0]
+        assert column.tobytes() == want.tobytes()
+
+
+MEASURE = '{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}, {"at": [-0.6], "re": -0.4, "im": 0.2}], "density": "gauss:0.1"}'
+
+
+def test_each_smoothed_measure_invert_column_is_the_one_point_ladder():
+    # the atoms' kernel sum is a matrix product over the batch, which BLAS may round differently for one point
+    table = run(ExperimentSpec("measure-invert", params={"measure": MEASURE}))
+    config, measure = table.config, measure_from_json(MEASURE)
+    got = _complex_column(table, "mollified_re", "mollified_im").reshape(len(config["alphas"]), len(config["xs"]))
+    for i, x in enumerate(config["xs"]):
+        want = measure.mollify_ladder(config["alphas"], np.array([[x]]), config["tol"] / 4.0)[:, 0]
+        assert np.max(np.abs(got[:, i] - want)) <= 1e-15
+
+
+def test_each_modulate_row_is_the_one_frequency_call():
+    # the walks on one grid share a phase sum, which BLAS rounds differently over several columns
+    params = {"preset": "gauss:0.05", "shifts": [-0.3, 0.0, 0.45], "etas": [-0.5, 0.1, 0.4, 1.5]}
+    table = run(ExperimentSpec("modulate", params=params))
+    h, tol = parse_preset("gauss:0.05", 1), table.config["tol"] / 4.0
+    pairs = list(zip(_column(table, "a"), _column(table, "eta")))
+    assert pairs == [(a, eta) for a in params["shifts"] for eta in params["etas"]]
+    direct = [modulate(h, [a], [eta], tol) for a, eta in pairs]
+    shifted = [fourier(h, [eta - a], tol) for a, eta in pairs]
+    assert np.max(np.abs(_complex_column(table, "modulated_re", "modulated_im") - direct)) <= 1e-15
+    assert np.max(np.abs(_complex_column(table, "shifted_re", "shifted_im") - shifted)) <= 1e-15
+
+
+@pytest.mark.parametrize("literal", [None, MEASURE], ids=["default", "density"])
+def test_each_measure_ft_row_is_the_one_frequency_call(literal):
+    params = {} if literal is None else {"measure": literal}
+    table = run(ExperimentSpec("measure-ft", params=params))
+    measure = measure_from_json(literal or '{"dim": 1, "atoms": [{"at": [0.5], "re": 1.0}]}')
+    want = [measure.fourier([xi], table.config["tol"]) for xi in _column(table, "xi1")]
+    assert np.max(np.abs(_complex_column(table, "value_re", "value_im") - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 20, 21, 41])
+def test_the_frequency_axis_is_mirrored_as_a_grid_is(count):
+    pts = _xi_axis_points(2.0, count, 2)
+    axis, spaced = pts[:, 0], np.linspace(-2.0, 2.0, count)
+    assert not pts[:, 1].any()
+    half = count // 2
+    # np.linspace's lower half, negated above the centre, within an ulp of np.linspace
+    assert axis[:half].tobytes() == spaced[:half].tobytes()
+    assert (-axis[count - half:][::-1]).tobytes() == axis[:half].tobytes()
+    assert np.max(np.abs(axis - spaced)) <= np.spacing(2.0)
+    if count % 2 and count > 1:
+        assert axis[half] == 0.0 and not np.signbit(axis[half])
+        assert quadrature._mirrored(axis)  # so its phase matrices take the quarter path
+    if count == 1:
+        assert axis.tolist() == [-2.0]  # a single sample sits where np.linspace puts it
+
+
+@pytest.mark.parametrize("name", ["fourier", "measure-ft"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_frequency_count_below_one_is_refused(name, count):
+    with pytest.raises(ValueError, match="'xi_count' must be at least 1"):
+        run(ExperimentSpec(name, params={"xi_count": count}))

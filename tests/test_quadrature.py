@@ -22,6 +22,8 @@ from heatline.quadrature import (
     integrate_auto,
     l1_norm,
     node_budget,
+    walk_ladder,
+    walk_ladders,
 )
 
 
@@ -432,3 +434,72 @@ class TestDistinctColumns:
         xi = np.array([[0.5], [-0.5], [0.5], [0.0]])
         sums = GridSpec(4.0, 64, 1).phase_sum(f, xi, -1.0)
         assert sums.shape == (2, 4)
+
+
+class TestPerWalkPhaseRates:
+    """walk_ladders with one phase rate per walk: a walk joins only the rungs that meet its own cap."""
+
+    TOL = 1e-8
+
+    @staticmethod
+    def _recorded(fs: list, rungs: list):
+        """Grid sums of the plain integral of each f, one walk each, recording (points, walks) of every rung."""
+        sums = [quadrature._value_sum(f) for f in fs]
+
+        def grid_sums(grid, walks):
+            rungs.append((grid.points_per_axis, tuple(walks)))
+            return [sums[i](grid) for i in walks]
+
+        return grid_sums
+
+    def _walk_all(self, fs: list, rates, rungs: list | None = None):
+        grid_sums = self._recorded(fs, [] if rungs is None else rungs)
+        return walk_ladders(grid_sums, [f.envelope for f in fs], 1, self.TOL, [f.name for f in fs], rates)
+
+    def test_each_walk_is_its_solo_walk(self):
+        # rate 0 starts on the first rung; rate 12 at radius 4 caps below 8 * 4 * 12 = 384 points
+        fs = [weierstrass_fn(0.1), gauss_fn(0.1), weierstrass_fn(0.005), gauss_fn(0.2)]
+        rates = [0.0, 12.0, 0.0, 6.0]
+        rungs = []
+        walked = self._walk_all(fs, rates, rungs)
+        for f, rate, (fine, coarse, grid) in zip(fs, rates, walked):
+            solo_fine, solo_coarse, solo_grid = walk_ladder(quadrature._value_sum(f), f.envelope, 1, self.TOL, f.name, rate)
+            assert fine.tobytes() == solo_fine.tobytes() and coarse.tobytes() == solo_coarse.tobytes()
+            assert grid is solo_grid
+        assert [grid.points_per_axis for _, _, grid in walked][:2] == [128, 512]
+        for i, (f, rate, (_, _, grid)) in enumerate(zip(fs, rates, walked)):
+            joined = [n for n, walks in rungs if i in walks]
+            # a walk joins every rung from its cap up to the rung it stops on, and no other
+            assert joined == [n for n in quadrature.POINTS_LADDER if 8.0 * grid.radius * rate <= n <= grid.points_per_axis]
+        assert any(len(walks) > 1 for _, walks in rungs)  # walks that meet on a rung share its grid
+
+    def test_one_rate_for_every_walk_is_a_list_of_that_rate(self):
+        fs = [weierstrass_fn(0.1), gauss_fn(0.1)]
+        shared, listed = self._walk_all(fs, 6.0), self._walk_all(fs, [6.0, 6.0])
+        for (a_fine, a_coarse, a_grid), (b_fine, b_coarse, b_grid) in zip(shared, listed):
+            assert a_fine.tobytes() == b_fine.tobytes() and a_coarse.tobytes() == b_coarse.tobytes() and a_grid is b_grid
+
+    def _solo_error(self, f, rate) -> str:
+        with pytest.raises(QuadratureError) as solo:
+            walk_ladder(quadrature._value_sum(f), f.envelope, 1, self.TOL, f.name, rate)
+        return str(solo.value)
+
+    def test_an_unreachable_cap_raises_its_own_walks_error(self):
+        fs = [weierstrass_fn(0.1), gauss_fn(0.1)]
+        rates = [0.0, 1000.0]  # 8 * 4 * 1000 points per axis: above the point ladder
+        with pytest.raises(QuadratureError) as batch:
+            self._walk_all(fs, rates)
+        assert str(batch.value) == self._solo_error(fs[1], 1000.0)
+        assert str(batch.value) == "tolerance unreachable at budget for 'gauss:0.1': phase cap exceeds the point ladder"
+
+    def test_a_budget_below_the_cap_names_the_cap_of_that_walk(self, monkeypatch):
+        monkeypatch.setenv("HEATLINE_BUDGET", "300")  # rungs of 128 and 256 points
+        fs = [weierstrass_fn(0.1), gauss_fn(0.1)]
+        rates = [0.0, 12.0]  # the second walk needs at least 384 points
+        with pytest.raises(QuadratureError) as batch:
+            self._walk_all(fs, rates)
+        assert str(batch.value) == self._solo_error(fs[1], 12.0)
+        assert "for 'gauss:0.1': the node budget (300 nodes) admits no rung of the point ladder at or above the phase cap" in str(batch.value)
+        # the rate-0 walk alone still meets the tolerance under that budget
+        [(_, _, grid)] = self._walk_all(fs[:1], [0.0])
+        assert grid.points_per_axis == 128

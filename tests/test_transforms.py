@@ -375,6 +375,14 @@ class TestBatchedInversion:
         batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
         assert list(batch) == [reference_inversion(measure.spectrum, x, 0.1, 2.5e-7) for x in xs]
 
+    def test_a_large_dim_2_batch_is_the_one_point_calls(self):
+        # 34 of these 40 points walk on one 257 x 257 grid: its blocks are sized for one point,
+        # as a one-point call's are, not for every point on the grid, which would split it
+        measure = BoundedMeasure(dim=2, atoms=(Atom((0.0, 0.0), 1.0), Atom((0.7, -0.2), -0.5)))
+        xs = np.random.default_rng(3).uniform(-3.5, 3.5, size=(40, 2))
+        batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
+        assert list(batch) == [measure.gauss_inversion_on_points(0.1, x[None], 2.5e-7)[0] for x in xs]
+
     @pytest.mark.parametrize("f", [weierstrass_fn(0.1), gauss_fn(0.05)], ids=lambda f: f.name)
     def test_each_row_is_the_one_point_call(self, f):
         batch = gauss_inversion_on_points(f, 0.1, BATCH_XS, 2e-7)

@@ -73,6 +73,16 @@ def test_grid_flags_are_only_taken_where_they_are_used(runner, args):
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("name", ["fourier", "measure-ft"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_frequency_count_below_one_is_a_usage_error(runner, name, count):
+    # zero frequencies would check nothing and pass; a negative count is no count at all
+    result = runner.invoke(main, [name, "--xi-count", count])
+    assert result.exit_code == 2, result.output
+    assert "'xi_count' must be at least 1" in result.output
+    assert "PASS" not in result.output
+
+
 def test_integrate_still_takes_an_explicit_grid(runner, tmp_path):
     out = tmp_path / "grid.csv"
     result = runner.invoke(main, ["integrate", "--radius", "6", "--points", "256", "--out", str(out)])
