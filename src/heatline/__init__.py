@@ -67,7 +67,6 @@ from .transforms import (
     fourier_profile,
     gauss_inversion,
     gauss_inversion_ladder,
-    gauss_inversion_on_points,
     gauss_inversion_trace,
     gauss_mean,
     gauss_mean_trace,

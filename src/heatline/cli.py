@@ -9,7 +9,8 @@ name, can stand in for flags; explicit flags win.  HEATLINE_BUDGET overrides
 the quadrature node budget, the one environment variable the engine reads;
 its radius ladder (4 to 64) and point ladder are fixed.  A grid given by
 --radius and --points needs a finite radius and a multiple of 4 points (so
-it embeds its N/2 grid); any other value exits 2.
+it embeds its N/2 grid), --tol a positive, finite number, and --format an
+--out to write; anything else exits 2.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def _execute(name: str, config_path: str | None, **flags) -> None:
     params.update((key, value) for key, value in flags.items() if value is not None)
     dim = params.pop("dim", None)
     out = params.pop("out", None)
-    fmt = params.pop("format", "csv")
+    fmt = params.pop("format", None)
+    if fmt is not None and out is None:
+        raise click.UsageError("--format chooses the export format of --out; give --out too, or drop --format")
     try:
         table = run(ExperimentSpec(name=name, dim=dim, params=params))
     except QuadratureError as exc:
@@ -99,7 +102,7 @@ def _execute(name: str, config_path: str | None, **flags) -> None:
         raise click.UsageError(str(exc))
     _print_table(table)
     if out:
-        data = export(table, fmt)
+        data = export(table, fmt or "csv")
         Path(out).write_bytes(data)
         click.echo(f"wrote {out} ({len(data)} bytes)")
     raise SystemExit(0 if table.passed else 1)
@@ -110,7 +113,7 @@ def _command(name: str) -> click.Command:
         click.Option(["--dim"], type=int, help="Ambient dimension n (default 1, or a measure literal's own)."),
         *(click.Option([p.option, p.name], type=_CLICK_TYPES[p.type], help=p.help) for p in PARAMS[name]),
         click.Option(["--out"], type=click.Path(dir_okay=False), help="Write the table to this path."),
-        click.Option(["--format"], type=click.Choice(["csv", "json"]), help="Export format (default csv)."),
+        click.Option(["--format"], type=click.Choice(["csv", "json"]), help="Export format of --out (default csv)."),
         click.Option(
             ["--config", "config_path"], type=click.Path(exists=True, dir_okay=False), help="key = value config file; flags win."
         ),

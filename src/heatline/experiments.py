@@ -5,8 +5,12 @@ returns a ResultTable whose rows carry the inputs that produced them.
 Grids, ladders, and seeds are fixed, so a given spec always produces the
 same table; exports omit wall time so repeated runs are byte-identical.
 Each experiment declares its parameters once (``PARAMS``): ``run`` rejects
-an undeclared key, fills in defaults and applies the declared types, and the
-CLI builds its subcommands and config-file keys from the same declarations.
+an undeclared key, fills in defaults (some depend on the run's dim) and
+applies the declared types, and the CLI builds its subcommands and
+config-file keys from the same declarations.  A runner returns only its
+columns, rows, verdict, summary and the config entries it computes; the
+table and its config echo, the dim plus every typed parameter but the
+measure literal, are built from the declarations.
 """
 
 from __future__ import annotations
@@ -123,10 +127,12 @@ def import_csv(data: bytes) -> tuple[list[str], list[list]]:
 
 @dataclass(frozen=True)
 class Param:
-    """One declared experiment parameter; a None ``default`` is resolved by the runner.
+    """One declared experiment parameter.
 
     ``type`` is float, int, str, list[float] or BoundedMeasure (a JSON literal,
     a mapping or a measure).  ``option`` is the CLI flag and, undashed, the config key.
+    A callable ``default`` is a function of the run's dim; a None default is
+    resolved by the runner.  ``cast`` replaces the type's own parser.
     """
 
     name: str
@@ -134,6 +140,7 @@ class Param:
     default: object
     help: str
     flag: str | None = None
+    cast: Callable | None = None
 
     @property
     def option(self) -> str:
@@ -156,6 +163,14 @@ def _floats(values) -> list[float]:
     return values
 
 
+def _tolerance(value) -> float:
+    """A check tolerance; zero, a negative value, nan and inf are refused: a check against them cannot pass, or cannot fail."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"expected a positive, finite tolerance, got {value!r}")
+    return value
+
+
 _CASTS = {float: float, int: _integer, str: str, list[float]: _floats}
 
 
@@ -167,24 +182,32 @@ def _as_measure(value, dim: int | None) -> BoundedMeasure:
     return value
 
 
-def _typed_params(spec: ExperimentSpec, declared: tuple[Param, ...]) -> dict:
-    """Every declared parameter, typed, with a given None meaning the default."""
+def _typed_params(spec: ExperimentSpec, declared: tuple[Param, ...]) -> tuple[int, dict]:
+    """The run's dim and every declared parameter, typed, with a given None meaning the default.
+
+    The dim is the spec's, else the measure literal's, else 1; the measure is
+    read first, so a default that depends on the dim sees it.
+    """
     names = [param.name for param in declared]
     unknown = sorted(set(spec.params) - set(names))
     if unknown:
         accepted = ", ".join(names)
         raise ValueError(f"experiment {spec.name!r} takes no parameter {', '.join(map(repr, unknown))}; it accepts {accepted}")
-    params = {}
-    for param in declared:
+    dim, params = spec.dim, {}
+    for param in sorted(declared, key=lambda p: p.type is not BoundedMeasure):
         value = spec.params.get(param.name)
-        value = param.default if value is None else value
+        if value is None:
+            value = param.default(dim or 1) if callable(param.default) else param.default
         try:
-            if value is not None:
-                value = _as_measure(value, spec.dim) if param.type is BoundedMeasure else _CASTS[param.type](value)
+            if param.type is BoundedMeasure:
+                value = _as_measure(value, spec.dim)
+                dim = value.dim
+            elif value is not None:
+                value = (param.cast or _CASTS[param.type])(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"experiment {spec.name!r}, parameter {param.name!r}: {exc}") from exc
         params[param.name] = value
-    return params
+    return dim or 1, params
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ResultTable]] = {}
@@ -192,18 +215,31 @@ PARAMS: dict[str, tuple[Param, ...]] = {}
 
 
 def _experiment(name: str, *params: Param):
-    """Register a runner under ``name``; it is called with the spec and its typed parameters."""
+    """Register a runner under ``name``; it is called with the run's dim and its typed parameters.
+
+    The runner returns (columns, rows, passed, summary, computed), where
+    ``computed`` holds the config entries it works out itself.  The table's
+    config echoes the dim and every typed parameter but the measure literal,
+    then ``computed``, so a run can be repeated from its export.
+    """
 
     def register(runner):
-        EXPERIMENTS[name] = wraps(runner)(lambda spec: runner(spec, **_typed_params(spec, params)))
+        @wraps(runner)
+        def table(spec: ExperimentSpec) -> ResultTable:
+            dim, typed = _typed_params(spec, params)
+            columns, rows, passed, summary, computed = runner(dim, **typed)
+            echo = {p.name: typed[p.name] for p in params if p.type is not BoundedMeasure}
+            return ResultTable(spec.name, columns, rows, {"dim": dim, **echo, **computed}, passed, summary)
+
+        EXPERIMENTS[name] = table
         PARAMS[name] = params
         return runner
 
     return register
 
 
-def _tol(default: float | None) -> Param:
-    return Param("tol", float, default, "Check tolerance.")
+def _tol(default) -> Param:
+    return Param("tol", float, default, "Check tolerance.", cast=_tolerance)
 
 
 def _preset(default: str, help: str) -> Param:
@@ -234,16 +270,14 @@ def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
 
 @_experiment(
     "verify-kernels",
-    Param("alphas", list[float], None, "Comma-separated kernel scales (default 0.05,0.1,0.5 in dim 1, else 0.1)."),
-    _tol(None),
+    Param(
+        "alphas", list[float], lambda dim: [0.05, 0.1, 0.5] if dim == 1 else [0.1],
+        "Comma-separated kernel scales (default 0.05,0.1,0.5 in dim 1, else 0.1).",
+    ),
+    _tol(lambda dim: 1e-6 if dim == 1 else 1e-5),
 )
-def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
+def _run_verify_kernels(dim, alphas, tol) -> tuple:
     """Check the kernel transform pair on a frequency grid."""
-    dim = spec.dim or 1
-    if alphas is None:
-        alphas = [0.05, 0.1, 0.5] if dim == 1 else [0.1]
-    if tol is None:
-        tol = 1e-6 if dim == 1 else 1e-5
     if dim == 1:
         xi_pts = _xi_axis_points(2.0, 41, 1)
     else:
@@ -276,15 +310,7 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
             resid = abs(value - want)
             worst = max(worst, resid)
             rows.append([alpha, "fourier[gauss]@0.3i", 0.3, value.real, value.imag, want.real, resid])
-    passed = worst <= tol
-    return ResultTable(
-        name=spec.name,
-        columns=columns,
-        rows=rows,
-        config={"dim": dim, "alphas": alphas, "tol": tol},
-        passed=passed,
-        summary=f"max kernel-pair residual {worst:.3e} (tolerance {tol:g})",
-    )
+    return columns, rows, worst <= tol, f"max kernel-pair residual {worst:.3e} (tolerance {tol:g})", {}
 
 
 @_experiment(
@@ -294,9 +320,8 @@ def _run_verify_kernels(spec: ExperimentSpec, alphas, tol) -> ResultTable:
     Param("radius", float, None, "Quadrature cube radius (with --points; default chosen from --tol)."),
     Param("points", int, None, "Simpson intervals per axis (with --radius)."),
 )
-def _run_integrate(spec: ExperimentSpec, preset, tol, radius, points) -> ResultTable:
+def _run_integrate(dim, preset, tol, radius, points) -> tuple:
     """Integrate a preset over R^n with certified error terms."""
-    dim = spec.dim or 1
     if (radius is None) != (points is None):
         raise ValueError("integrate takes radius and points together, or neither")
     g = parse_preset(preset, dim)
@@ -320,14 +345,9 @@ def _run_integrate(spec: ExperimentSpec, preset, tol, radius, points) -> ResultT
         closed if closed is not None else "",
         err if closed is not None else "",
     ]]
-    return ResultTable(
-        name=spec.name,
-        columns=["preset", "radius", "points", "value_re", "value_im", "disc_error_est", "tail_bound", "closed_form", "abs_error"],
-        rows=rows,
-        config={"dim": dim, "preset": preset, "tol": tol, "radius": grid.radius, "points": grid.points_per_axis},
-        passed=passed,
-        summary=f"integral {result.value.real!r} (error budget {result.error_budget:.3e})",
-    )
+    columns = ["preset", "radius", "points", "value_re", "value_im", "disc_error_est", "tail_bound", "closed_form", "abs_error"]
+    summary = f"integral {result.value.real!r} (error budget {result.error_budget:.3e})"
+    return columns, rows, passed, summary, {"radius": grid.radius, "points": grid.points_per_axis}
 
 
 @_experiment(
@@ -337,9 +357,8 @@ def _run_integrate(spec: ExperimentSpec, preset, tol, radius, points) -> ResultT
     Param("xi_max", float, 2.0, "Frequency grid half-width."),
     Param("xi_count", int, 21, "Number of frequency samples."),
 )
-def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultTable:
+def _run_fourier(dim, preset, tol, xi_max, xi_count) -> tuple:
     """Tabulate the transform of a preset along the first frequency axis."""
-    dim = spec.dim or 1
     xi_pts = _xi_axis_points(xi_max, xi_count, dim)
     f = parse_preset(preset, dim)
     sup_cap = l1_norm(f, tol / 4.0).value.real + tol
@@ -364,14 +383,8 @@ def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultT
             resid if closed else "",
         ])
     passed = sup_ok and (closed is None or worst <= tol)
-    return ResultTable(
-        name=spec.name,
-        columns=[*[f"xi{j+1}" for j in range(dim)], "value_re", "value_im", "modulus", "residual"],
-        rows=rows,
-        config={"dim": dim, "preset": preset, "tol": tol, "xi_max": xi_max, "xi_count": xi_count},
-        passed=passed,
-        summary=f"sup bound {'holds' if sup_ok else 'fails'}; max residual {worst:.3e}",
-    )
+    columns = [*[f"xi{j+1}" for j in range(dim)], "value_re", "value_im", "modulus", "residual"]
+    return columns, rows, passed, f"sup bound {'holds' if sup_ok else 'fails'}; max residual {worst:.3e}", {}
 
 
 @_experiment(
@@ -381,9 +394,8 @@ def _run_fourier(spec: ExperimentSpec, preset, tol, xi_max, xi_count) -> ResultT
     Param("xs", list[float], [0.0, 0.5, 1.0], "Sample points."),
     _tol(1e-6),
 )
-def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
+def _run_invert(dim, preset, alphas, xs, tol) -> tuple:
     """Gauss-summable inversion against direct smoothing, along a ladder."""
-    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the inversion experiment runs in dimension 1")
     f = parse_preset(preset, dim)
@@ -400,15 +412,8 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
             cross = abs(inv - mol)
             worst_cross = max(worst_cross, cross)
             rows.append([x, alpha, inv.real, inv.imag, mol.real, mol.imag, cross, abs(inv - fx)])
-    passed = worst_cross <= tol
-    return ResultTable(
-        name=spec.name,
-        columns=["x", "alpha", "inversion_re", "inversion_im", "mollified_re", "mollified_im", "cross_difference", "error_vs_f"],
-        rows=rows,
-        config={"dim": dim, "preset": preset, "alphas": alphas, "xs": xs, "tol": tol},
-        passed=passed,
-        summary=f"max inversion/mollification cross-difference {worst_cross:.3e}",
-    )
+    columns = ["x", "alpha", "inversion_re", "inversion_im", "mollified_re", "mollified_im", "cross_difference", "error_vs_f"]
+    return columns, rows, worst_cross <= tol, f"max inversion/mollification cross-difference {worst_cross:.3e}", {}
 
 
 @_experiment(
@@ -418,9 +423,8 @@ def _run_invert(spec: ExperimentSpec, preset, alphas, xs, tol) -> ResultTable:
     Param("xs", list[float], list(np.linspace(-2.0, 2.0, 41)), "Sample points."),
     _tol(1e-6),
 )
-def _run_mollify(spec: ExperimentSpec, preset, alpha, tol, xs) -> ResultTable:
+def _run_mollify(dim, preset, alpha, tol, xs) -> tuple:
     """Smooth a preset and check both contraction inequalities."""
-    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the mollify experiment runs in dimension 1")
     f = parse_preset(preset, dim)
@@ -434,27 +438,9 @@ def _run_mollify(spec: ExperimentSpec, preset, alpha, tol, xs) -> ResultTable:
     sup_ok = sup_moll <= f.sup_bound + tol
     report = mollify_l1_check(f, alpha, GridSpec(8.0, 1024, 1), inner_tol=tol / 100.0)
     l1_ok = report.lhs <= report.rhs + tol
-    passed = sup_ok and l1_ok
-    return ResultTable(
-        name=spec.name,
-        columns=["x", "value_re", "value_im"],
-        rows=rows,
-        config={
-            "dim": dim,
-            "preset": preset,
-            "alpha": alpha,
-            "tol": tol,
-            "sup_original": f.sup_bound,
-            "sup_mollified": sup_moll,
-            "l1_lhs": report.lhs,
-            "l1_rhs": report.rhs,
-        },
-        passed=passed,
-        summary=(
-            f"sup {sup_moll:.6f} vs {f.sup_bound:.6f}; "
-            f"L1 {report.lhs:.6f} vs {report.rhs:.6f}"
-        ),
-    )
+    summary = f"sup {sup_moll:.6f} vs {f.sup_bound:.6f}; L1 {report.lhs:.6f} vs {report.rhs:.6f}"
+    computed = {"sup_original": f.sup_bound, "sup_mollified": sup_moll, "l1_lhs": report.lhs, "l1_rhs": report.rhs}
+    return ["x", "value_re", "value_im"], rows, sup_ok and l1_ok, summary, computed
 
 
 @_experiment(
@@ -463,9 +449,8 @@ def _run_mollify(spec: ExperimentSpec, preset, alpha, tol, xs) -> ResultTable:
     Param("b", float, 0.2, "Second kernel scale."),
     _tol(1e-6),
 )
-def _run_multiplication(spec: ExperimentSpec, a, b, tol) -> ResultTable:
+def _run_multiplication(dim, a, b, tol) -> tuple:
     """Both sides of the transform duality for a pair of kernels."""
-    dim = spec.dim or 1
     report = multiplication_formula_check(gauss_fn(a, dim), gauss_fn(b, dim), tol / 4.0)
     closed = (1.0 + 16.0 * math.pi**2 * a * b) ** (-dim / 2.0)
     err_l = abs(report.lhs - closed)
@@ -473,14 +458,8 @@ def _run_multiplication(spec: ExperimentSpec, a, b, tol) -> ResultTable:
     gap = abs(report.lhs - report.rhs)
     passed = gap <= 2.0 * tol and err_l <= tol and err_r <= tol
     rows = [[a, b, report.lhs.real, report.lhs.imag, report.rhs.real, report.rhs.imag, closed, gap, err_l, err_r]]
-    return ResultTable(
-        name=spec.name,
-        columns=["a", "b", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "closed_form", "gap", "lhs_error", "rhs_error"],
-        rows=rows,
-        config={"dim": dim, "a": a, "b": b, "tol": tol},
-        passed=passed,
-        summary=f"duality gap {gap:.3e}, closed-form errors {err_l:.3e}/{err_r:.3e}",
-    )
+    columns = ["a", "b", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "closed_form", "gap", "lhs_error", "rhs_error"]
+    return columns, rows, passed, f"duality gap {gap:.3e}, closed-form errors {err_l:.3e}/{err_r:.3e}", {}
 
 
 @_experiment(
@@ -490,9 +469,8 @@ def _run_multiplication(spec: ExperimentSpec, a, b, tol) -> ResultTable:
     Param("shifts", list[float], [-0.5, 0.0, 0.5], "Modulation frequencies a."),
     Param("etas", list[float], [-0.5, 0.0, 0.5], "Evaluation frequencies eta."),
 )
-def _run_modulate(spec: ExperimentSpec, preset, tol, shifts, etas) -> ResultTable:
+def _run_modulate(dim, preset, tol, shifts, etas) -> tuple:
     """Check the shift rule for modulated transforms on an (a, eta) grid."""
-    dim = spec.dim or 1
     if dim != 1:
         raise ValueError("the modulation experiment runs in dimension 1")
     h = parse_preset(preset, dim)
@@ -508,15 +486,8 @@ def _run_modulate(spec: ExperimentSpec, preset, tol, shifts, etas) -> ResultTabl
         resid = abs(mod - shift)
         worst = max(worst, resid)
         rows.append([a, eta, mod.real, mod.imag, shift.real, shift.imag, resid])
-    passed = worst <= 2.0 * tol
-    return ResultTable(
-        name=spec.name,
-        columns=["a", "eta", "modulated_re", "modulated_im", "shifted_re", "shifted_im", "residual"],
-        rows=rows,
-        config={"dim": dim, "preset": preset, "shifts": shifts, "etas": etas, "tol": tol},
-        passed=passed,
-        summary=f"max modulation residual {worst:.3e} (tolerance {2 * tol:g})",
-    )
+    columns = ["a", "eta", "modulated_re", "modulated_im", "shifted_re", "shifted_im", "residual"]
+    return columns, rows, worst <= 2.0 * tol, f"max modulation residual {worst:.3e} (tolerance {2 * tol:g})", {}
 
 
 def _measure(literal: str) -> Param:
@@ -530,9 +501,9 @@ def _measure(literal: str) -> Param:
     Param("xi_max", float, 2.0, "Frequency grid half-width."),
     Param("xi_count", int, 41, "Number of frequency samples."),
 )
-def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> ResultTable:
+def _run_measure_ft(dim, measure, tol, xi_max, xi_count) -> tuple:
     """Tabulate the transform of a bounded measure."""
-    xi_pts = _xi_axis_points(xi_max, xi_count, measure.dim)
+    xi_pts = _xi_axis_points(xi_max, xi_count, dim)
     rows = []
     bounded_ok = True
     # one call, one density walk per frequency; each value is measure.fourier(xi, tol)'s
@@ -540,21 +511,9 @@ def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> Res
         mag = abs(value)
         bounded_ok = bounded_ok and mag <= measure.bound + tol
         rows.append([*xi, value.real, value.imag, mag])
-    return ResultTable(
-        name=spec.name,
-        columns=[*[f"xi{j+1}" for j in range(measure.dim)], "value_re", "value_im", "modulus"],
-        rows=rows,
-        config={
-            "dim": measure.dim,
-            "atoms": len(measure.atoms),
-            "bound": measure.bound,
-            "tol": tol,
-            "xi_max": xi_max,
-            "xi_count": xi_count,
-        },
-        passed=bounded_ok,
-        summary=f"transform bounded by {measure.bound:.6f} {'holds' if bounded_ok else 'fails'}",
-    )
+    columns = [*[f"xi{j+1}" for j in range(dim)], "value_re", "value_im", "modulus"]
+    summary = f"transform bounded by {measure.bound:.6f} {'holds' if bounded_ok else 'fails'}"
+    return columns, rows, bounded_ok, summary, {"atoms": len(measure.atoms), "bound": measure.bound}
 
 
 @_experiment(
@@ -564,30 +523,23 @@ def _run_measure_ft(spec: ExperimentSpec, measure, tol, xi_max, xi_count) -> Res
     Param("alphas", list[float], [0.2, 0.1, 0.05], "Summability ladder."),
     Param("xs", list[float], [-1.0, -0.5, 0.0, 0.5, 1.0], "Sample points along the first axis."),
 )
-def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> ResultTable:
+def _run_measure_invert(dim, measure, tol, alphas, xs) -> tuple:
     """Measure inversion against direct measure smoothing."""
-    points = np.zeros((len(xs), measure.dim))
+    points = np.zeros((len(xs), dim))
     points[:, 0] = xs
     # one smoothing call, one density walk per (alpha, point); entry (j, i) is measure.mollify(alphas[j], points[i], tol / 4)
     smoothed = measure._mollify_walks(alphas, points, tol / 4.0, per_point=True).tolist()
     rows = []
     worst = 0.0
-    # one inversion call for the whole ladder; row j is measure.gauss_inversion_on_points(alphas[j], points, tol / 4)
+    # one inversion call for the whole ladder; row j is what alphas[j] gives alone
     inversions = measure.gauss_inversion_ladder(alphas, points, tol / 4.0).tolist()
     for alpha, alpha_inversions, alpha_smoothed in zip(alphas, inversions, smoothed):
         for x, inv, mol in zip(xs, alpha_inversions, alpha_smoothed):
             diff = abs(inv - mol)
             worst = max(worst, diff)
             rows.append([alpha, x, inv.real, inv.imag, mol.real, mol.imag, diff])
-    passed = worst <= tol
-    return ResultTable(
-        name=spec.name,
-        columns=["alpha", "x", "inversion_re", "inversion_im", "mollified_re", "mollified_im", "difference"],
-        rows=rows,
-        config={"dim": measure.dim, "atoms": len(measure.atoms), "alphas": alphas, "xs": xs, "tol": tol},
-        passed=passed,
-        summary=f"max inversion/smoothing difference {worst:.3e}",
-    )
+    columns = ["alpha", "x", "inversion_re", "inversion_im", "mollified_re", "mollified_im", "difference"]
+    return columns, rows, worst <= tol, f"max inversion/smoothing difference {worst:.3e}", {"atoms": len(measure.atoms)}
 
 
 @_experiment(
@@ -599,10 +551,10 @@ def _run_measure_invert(spec: ExperimentSpec, measure, tol, alphas, xs) -> Resul
     Param("radius", float, 6.0, "Quadrature cube radius."),
     Param("points", int, 1024, "Simpson intervals per axis."),
 )
-def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius, points) -> ResultTable:
+def _run_weak_convergence(dim, measure, h, tol, alphas, radius, points) -> tuple:
     """Pair the smoothed measure against h along a ladder of scales."""
-    pairing = parse_preset(h, measure.dim)
-    grid = GridSpec(radius, points, measure.dim)
+    pairing = parse_preset(h, dim)
+    grid = GridSpec(radius, points, dim)
     samples = weak_convergence_trace(measure, pairing, alphas, grid, tol=tol / 100.0)
 
     # a unit atom at the origin smooths to W_alpha, and pairing W_alpha with
@@ -613,7 +565,7 @@ def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius,
         and measure.atoms[0].weight == 1.0
         and all(v == 0.0 for v in measure.atoms[0].location)
     )
-    forms = closed_form(h, measure.dim) if single_origin_atom else None
+    forms = closed_form(h, dim) if single_origin_atom else None
 
     rows = []
     errors = []
@@ -622,7 +574,7 @@ def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius,
         err = abs(sample.value - sample.target)
         errors.append(err)
         if forms is not None:
-            cf = forms.smoothed(sample.alpha, np.zeros(measure.dim))
+            cf = forms.smoothed(sample.alpha, np.zeros(dim))
             cf_err = abs(sample.value - cf)
             worst_cf = max(worst_cf, cf_err)
         else:
@@ -631,25 +583,11 @@ def _run_weak_convergence(spec: ExperimentSpec, measure, h, tol, alphas, radius,
         rows.append([sample.alpha, sample.value.real, sample.value.imag, sample.target.real, err, cf, cf_err])
     nonincreasing = all(errors[k + 1] <= errors[k] + 1e-7 for k in range(len(errors) - 1))
     passed = nonincreasing and (forms is None or worst_cf <= tol)
-    return ResultTable(
-        name=spec.name,
-        columns=["alpha", "value_re", "value_im", "target_re", "abs_error", "closed_form", "closed_form_error"],
-        rows=rows,
-        config={
-            "dim": measure.dim,
-            "h": h,
-            "alphas": alphas,
-            "radius": radius,
-            "points": points,
-            "tol": tol,
-        },
-        passed=passed,
-        summary=(
-            f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}; "
-            f"max closed-form error {worst_cf:.3e}" if forms is not None else
-            f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}"
-        ),
-    )
+    summary = f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}"
+    if forms is not None:
+        summary += f"; max closed-form error {worst_cf:.3e}"
+    columns = ["alpha", "value_re", "value_im", "target_re", "abs_error", "closed_form", "closed_form_error"]
+    return columns, rows, passed, summary, {}
 
 
 def run(spec: ExperimentSpec) -> ResultTable:

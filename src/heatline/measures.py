@@ -182,20 +182,16 @@ class BoundedMeasure:
         return spectrum
 
     def gauss_inversion(self, x, alpha: float, tol: float = 1e-8) -> complex:
-        """Gauss-weighted inversion at x; one row of gauss_inversion_on_points."""
+        """Gauss-weighted inversion at x; a one-alpha, one-point gauss_inversion_ladder."""
         x = real_point(x, self.dim)
-        return complex(self.gauss_inversion_on_points(alpha, x.reshape(1, -1), tol)[0])
-
-    def gauss_inversion_on_points(self, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
-        """Gauss-weighted inversion of the measure transform at each row of xs; the one-alpha row of gauss_inversion_ladder."""
-        return self.gauss_inversion_ladder([alpha], xs, tol)[0]
+        return complex(self.gauss_inversion_ladder([alpha], x.reshape(1, -1), tol)[0, 0])
 
     def gauss_inversion_ladder(self, alphas, xs, tol: float = 1e-8) -> np.ndarray:
         """Gauss-weighted inversion of the measure transform for each alpha (rows) at each row of xs (columns).
 
         Each alpha samples the transform for itself and each point keeps its
         own outer grid (see ``invert_spectrum``), so row j is
-        ``gauss_inversion_on_points(alphas[j], xs, tol)`` bit for bit; a
+        ``gauss_inversion_ladder([alphas[j]], xs, tol)[0]`` bit for bit; a
         frequency block of the atoms, or of the density on one x-grid, is
         sampled once for the whole ladder.  Cross-checks against
         ``mollify_ladder``: the two routes share no computation, yet agree

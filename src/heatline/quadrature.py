@@ -15,10 +15,10 @@ two error terms:
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
-``walk_ladder`` for vector-valued sums; ``walk_ladders`` for several walks
-at once, such as smoothing at several scales and points or the phase sums
-of a transform at several frequencies, which factor exp(+-2 pi i x.xi) per
-axis: the walks share their ladder grids); ``integrate`` and
+``walk_ladders`` for vector-valued sums and for several walks at once, such
+as smoothing at several scales and points or the phase sums of a transform
+at several frequencies, which factor exp(+-2 pi i x.xi) per axis: the walks
+share their ladder grids); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -729,7 +729,7 @@ def walk_ladders(
     Walk i has its own envelope and label, so its own radius (a rung of
     ``RADIUS_LADDER``, from ``truncation_radius``), and stops at the first
     rung where its own ``|fine - coarse|`` is at most tol / 2: the rung, the
-    sums and the errors are those of walking it alone (``walk_ladder``).
+    sums and the errors are those of walking it alone.
     Radii are discrete, so walks of different envelopes often share one; on
     each rung, the walks still going that share a radius share the grid:
     ``grid_sums(grid, walks)`` returns the (2, width) sums of each walk index
@@ -802,23 +802,6 @@ def walk_ladders(
     return found
 
 
-def walk_ladder(
-    grid_sum: Callable, envelope: Envelope, dim: int, tol: float, label: str, phase_rate: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, GridSpec]:
-    """Grid sums on the smallest ladder grid that meets tol, as (fine, coarse, grid): ``walk_ladders`` for one walk.
-
-    ``grid_sum(grid)`` returns the (2, width) array of a ``GridSpec``'s fine
-    sums and the sums with its embedded coarse weights (see ``_value_sum``
-    and ``GridSpec.sum``).  The radius comes from
-    ``truncation_radius``; the point ladder is then walked until every entry
-    of ``|fine - coarse|`` is at most tol / 2 (see ``walk_ladders``, which
-    also explains ``phase_rate``).  When no rung qualifies, the error names
-    why: the estimate never met tol, the node budget admits no rung, or
-    every rung is below the phase cap.
-    """
-    return walk_ladders(lambda grid, walks: [grid_sum(grid)], [envelope], dim, tol, [label], phase_rate)[0]
-
-
 @dataclass(frozen=True)
 class _Integrand:
     """Values ``f`` with optional per-axis ``factors`` (see ``TestFunction``), derived and not spot-checked."""
@@ -841,7 +824,7 @@ def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
 
 
 def _value_sum(values: Callable) -> Callable:
-    """Grid sum of the plain integral of values, a (2, 1) array of the fine and the coarse sum.
+    """Grid sums of the plain integral of values for ``walk_ladders``: one walk, a (2, 1) array of the fine and the coarse sum.
 
     An integrand that declares ``factors`` sums as prod_j sum_k w_k f_j(x_k).
     Real values are weighted and summed in float64; the sums are added onto
@@ -849,10 +832,10 @@ def _value_sum(values: Callable) -> Callable:
     """
     if getattr(values, "factors", None) is not None:
         # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
-        return lambda grid: np.zeros((2, 1), np.complex128) + _product(
+        return lambda grid, walks: [np.zeros((2, 1), np.complex128) + _product(
             np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values)
-        )
-    return lambda grid: grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))
+        )]
+    return lambda grid, walks: [grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))]
 
 
 def _block_sums(block_for: Callable, width: int) -> Callable:
@@ -892,8 +875,8 @@ def integrate_values(
     vouches that ``envelope`` bounds them.  Given a ``grid``, the result
     pairs its fine sum with the sum at half the points, which reuses the
     grid's even nodes, so the integrand is evaluated once; given ``tol``
-    instead, the ladder is
-    walked to it (see ``walk_ladder``, which also explains ``phase_rate``).
+    instead, the ladder is walked to it as one walk (see ``walk_ladders``,
+    which also explains ``phase_rate``).
     ``label`` names the integrand in errors.
 
     Raises
@@ -905,15 +888,15 @@ def integrate_values(
     if grid is not None and grid.dim != dim:
         raise ValueError(f"dimension mismatch: integrand {dim}, grid {grid.dim}")
     _require_integrable(envelope, label, "integration")
-    grid_sum = _value_sum(values)
+    grid_sums = _value_sum(values)
     if grid is None:
         if tol is None or not tol > 0.0:
             raise ValueError(f"target tolerance must be positive, got {tol}")
-        fine, coarse, grid = walk_ladder(grid_sum, envelope, dim, tol, label, phase_rate)
+        [(fine, coarse, grid)] = walk_ladders(grid_sums, [envelope], dim, tol, [label], phase_rate)
     else:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
-        fine, coarse = grid_sum(grid)
+        [(fine, coarse)] = grid_sums(grid, [0])
     value = complex(fine[0])
     if not math.isfinite(abs(value)):
         raise QuadratureError(f"integrand {label!r} summed to a non-finite value")
@@ -941,7 +924,7 @@ def integrate_auto(
 
     The radius ladder is walked until the closed-form tail bound is at most
     target_tol / 2, then the per-axis point ladder until the two-resolution
-    discretization estimate is at most target_tol / 2 (see ``walk_ladder``,
+    discretization estimate is at most target_tol / 2 (see ``walk_ladders``,
     which also explains ``phase_rate``).
 
     Raises

@@ -252,9 +252,9 @@ def gauss_summable_limit(trace: SummabilityTrace, tol: float = 1e-6) -> Summabil
 
 
 def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
-    """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy; one row of mollify_on_points."""
+    """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy; a one-alpha, one-point mollify_ladder."""
     x = real_point(x, f.dim)
-    return complex(mollify_on_points(f, alpha, x.reshape(1, -1), tol)[0])
+    return complex(mollify_ladder(f, [alpha], x.reshape(1, -1), tol)[0, 0])
 
 
 def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
@@ -265,18 +265,13 @@ def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityT
     return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 
-def mollify_on_points(f: TestFunction, alpha: float, xs: np.ndarray, inner_tol: float) -> np.ndarray:
-    """(W_alpha * f)(x) for each row of xs, on one shared escalating grid; the one-alpha row of mollify_ladder."""
-    return mollify_ladder(f, [alpha], xs, inner_tol)[0]
-
-
 def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) -> np.ndarray:
     """(W_alpha * f)(x) for each alpha (rows) and each row of xs (columns), a (len(alphas), k) array.
 
     A bounded f is integrated in u = x - y, under a Gaussian envelope from its
     sup bound; an integrable but unbounded f is integrated in y, under its own
     envelope scaled by the kernel peak.  Each alpha walks the ladder as it
-    would alone, so its row is ``mollify_on_points(f, alpha, xs, inner_tol)``
+    would alone, so its row is ``mollify_ladder(f, [alpha], xs, inner_tol)[0]``
     bit for bit, but the alphas still walking on a ladder grid share it (see
     ``quadrature.walk_ladders``); ``_mollify_walks`` walks each (alpha,
     point) pair on its own instead.  For a bounded f,
@@ -404,7 +399,7 @@ def mollify_l1_check(
     outer_env = GaussianDecay(env.rate / spread, env.scale * spread ** (-f.dim / 2.0))
 
     def outer_fn(pts: np.ndarray) -> np.ndarray:
-        return np.abs(mollify_on_points(f, alpha, pts, inner_tol))
+        return np.abs(mollify_ladder(f, [alpha], pts, inner_tol)[0])
 
     lhs, _ = integrate_values(outer_fn, outer_env, f.dim, f"|smooth[{f.name}]|", grid=grid)
     inner_mass = (2.0 * grid.radius) ** f.dim
@@ -513,7 +508,7 @@ def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np
     mollified value (W_alpha * f)(x) is a genuine two-route check.  Each
     alpha samples the transform on the x-grid its own inner tolerance and
     frequency reach pick, and each point keeps its own outer grid, so row j
-    is ``gauss_inversion_on_points(f, alphas[j], xs, tol)`` bit for bit; a
+    is ``gauss_inversion_ladder(f, [alphas[j]], xs, tol)[0]`` bit for bit; a
     frequency block is sampled once per x-grid for the whole ladder (see
     ``invert_spectrum``).  ``xs`` has shape (k, dim), or is a list of k
     points in dim 1.
@@ -524,15 +519,10 @@ def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np
     )
 
 
-def gauss_inversion_on_points(f: TestFunction, alpha: float, xs, tol: float = 1e-8) -> np.ndarray:
-    """Gauss-weighted inversion at each row of xs, from one sampled transform; the one-alpha row of gauss_inversion_ladder."""
-    return gauss_inversion_ladder(f, [alpha], xs, tol)[0]
-
-
 def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> complex:
-    """Gauss-weighted inversion integral at x; one row of gauss_inversion_on_points."""
+    """Gauss-weighted inversion integral at x; a one-alpha, one-point gauss_inversion_ladder."""
     x = real_point(x, f.dim)
-    return complex(gauss_inversion_on_points(f, alpha, x.reshape(1, -1), tol)[0])
+    return complex(gauss_inversion_ladder(f, [alpha], x.reshape(1, -1), tol)[0, 0])
 
 
 def gauss_inversion_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:

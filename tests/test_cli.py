@@ -121,3 +121,15 @@ def test_an_invalid_grid_or_literal_is_a_usage_error_naming_it(runner, args, nam
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert named in result.output
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_format_without_out_is_a_usage_error(runner, tmp_path, source):
+    # there is no export for --format to choose the format of: it would be accepted and ignored
+    config = tmp_path / "run.cfg"
+    config.write_text("format = json\n")
+    args = ["fourier", "--format", "json"] if source == "flag" else ["fourier", "--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "--format chooses the export format of --out" in result.output
+    assert "PASS" not in result.output

@@ -5,9 +5,9 @@ copies) is spot-checked when the function is constructed.  Integrands the
 library derives from declared functions (Gauss means, smoothing, inversion,
 pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
-(``integrate_values``, ``walk_ladder``, the shared ``walk_ladders`` and
-the grid-sum builders ``_value_sum``, ``_block_sums`` and ``_phase_sums``)
-in every heatline module that imported them, runs every registered
+(``integrate_values``, the ladder walk ``walk_ladders`` and the grid-sum
+builders ``_value_sum``, ``_block_sums`` and ``_phase_sums``) in every
+heatline module that imported them, runs every registered
 experiment at its default spec plus the derived entry points those runs do
 not reach, and evaluates each captured integrand at the runtime spot points
 with the runtime slack.  A shared walk's integrands are read one walk at a
@@ -82,8 +82,7 @@ def captured_integrands():
     """Record every integrand handed to the engine while the block runs."""
     captures = []
     walks = set()
-    single = []  # the walk_ladder calls in progress, whose one-walk walk_ladders call is captured already
-    integrate_values, walk_ladder, walk_ladders = quadrature.integrate_values, quadrature.walk_ladder, quadrature.walk_ladders
+    integrate_values, walk_ladders = quadrature.integrate_values, quadrature.walk_ladders
     value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
@@ -98,31 +97,18 @@ def captured_integrands():
                 walks.add((label, width, envelope))
                 captures.append(Capture(label, envelope, dim, values))
 
-    def capture_walk(grid_sum, envelope, dim, tol, label, *args, **kwargs):
-        # every walk sums a grid sum from one of the tagged builders
-        assert hasattr(grid_sum, "integrand"), f"walk for {label!r} sums an untagged grid sum"
-        capture(grid_sum.integrand, envelope, dim, label)
-        single.append(label)
-        try:
-            return walk_ladder(grid_sum, envelope, dim, tol, label, *args, **kwargs)
-        finally:
-            single.pop()
-
     def capture_walks(grid_sums, envelopes, dim, tol, labels, *args, **kwargs):
-        if not single:
-            # a shared walk sums the tagged grid sums of several walks: each walk is read on its own
-            assert hasattr(grid_sums, "integrands"), f"shared walk for {labels!r} sums untagged grid sums"
-            for i, (envelope, label) in enumerate(zip(envelopes, labels)):
-                capture(grid_sums.integrands(i), envelope, dim, label)
+        # every walk sums the tagged grid sums of one of the builders: each walk is read on its own
+        assert hasattr(grid_sums, "integrands"), f"walk for {labels!r} sums untagged grid sums"
+        for i, (envelope, label) in enumerate(zip(envelopes, labels)):
+            capture(grid_sums.integrands(i), envelope, dim, label)
         return walk_ladders(grid_sums, envelopes, dim, tol, labels, *args, **kwargs)
-
-    def tagged(grid_sum, integrand):
-        grid_sum.integrand = integrand
-        return grid_sum
 
     def tag_value_sum(values):
         # integrate_values captured these values already
-        return tagged(value_sum(values), None)
+        grid_sums = value_sum(values)
+        grid_sums.integrands = lambda i: None
+        return grid_sums
 
     def tag_phase_sums(values, xi, sign, per_row=False):
         # every walk of a phase sum sums the same values, at its own frequencies
@@ -137,7 +123,6 @@ def captured_integrands():
 
     wrappers = {
         integrate_values: capture_values,
-        walk_ladder: capture_walk,
         walk_ladders: capture_walks,
         value_sum: tag_value_sum,
         phase_sums: tag_phase_sums,

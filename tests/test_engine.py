@@ -25,7 +25,7 @@ from heatline.catalog import bump_pair_fn, parse_preset
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
-from heatline.transforms import Spectrum, modulate, mollify_on_points, sampled_spectrum
+from heatline.transforms import Spectrum, modulate, mollify_ladder, sampled_spectrum
 
 
 @pytest.fixture
@@ -188,7 +188,7 @@ def test_smoothing_an_unbounded_integrable_function_meets_the_semigroup(alpha):
     xs = np.array([[0.0], [0.5], [1.0]])
     # the semigroup property: W_alpha * W_0.1 = W_{0.1 + alpha}
     expected = (4.0 * math.pi * (0.1 + alpha)) ** -0.5 * np.exp(-xs[:, 0] ** 2 / (4.0 * (0.1 + alpha)))
-    batched = mollify_on_points(f, alpha, xs, 1e-9)
+    batched = mollify_ladder(f, [alpha], xs, 1e-9)[0]
     assert np.max(np.abs(batched - expected)) <= 1e-9
     for x, want in zip(xs, expected):
         assert abs(mollify(f, alpha, x, 1e-9) - want) <= 1e-9
@@ -238,7 +238,7 @@ def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: GridSpec) 
     """
     block = _unfactored(g)
     xi = _frequencies(g.dim)
-    pairs = [(quadrature._value_sum(g)(grid), quadrature._value_sum(block)(grid))]
+    pairs = [(quadrature._value_sum(g)(grid, [0])[0], quadrature._value_sum(block)(grid, [0])[0])]
     pairs += [(grid.phase_sum(g, xi, sign), grid.phase_sum(block, xi, sign)) for sign in (-1.0, 1.0)]
     if g.dim == 1:
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
@@ -346,7 +346,8 @@ def _grid_sums(dim: int):
     shifted = _shifted_values(dim)
     cases = []
     for name, g in (("skewed", _skewed_gaussian), ("factored", factored)):
-        cases.append((f"plain-{name}", quadrature._value_sum(g), g))
+        value_sum = quadrature._value_sum(g)  # one walk
+        cases.append((f"plain-{name}", lambda grid, value_sum=value_sum: value_sum(grid, [0])[0], g))
         phase_sums = quadrature._phase_sums(g, xi, -1.0)  # one walk holding every frequency
         cases.append((f"phase-{name}", lambda grid, phase_sums=phase_sums: phase_sums(grid, [0])[0], g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
@@ -525,10 +526,10 @@ def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, 
 
 
 def _assert_tiles_keep_every_bit(monkeypatch, f: TestFunction, xs: np.ndarray, alpha: float, tol: float) -> None:
-    tiled = mollify_on_points(f, alpha, xs, tol)
+    tiled = mollify_ladder(f, [alpha], xs, tol)[0]
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
-        assert tiled.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+        assert tiled.tobytes() == mollify_ladder(f, [alpha], xs, tol)[0].tobytes()
 
 
 @pytest.mark.parametrize("bounded", [True, False])
@@ -553,10 +554,10 @@ def test_complex_smoothing_in_row_tiles_keeps_every_bit(monkeypatch, dim, count,
 
 def test_smoothing_a_large_batch_stays_small_in_memory():
     f, xs = _smoothing_case(1, True, 1025)
-    mollify_on_points(f, 0.025, xs, 1e-8)  # first-call caches are not part of the call's footprint
+    mollify_ladder(f, [0.025], xs, 1e-8)  # first-call caches are not part of the call's footprint
     tracemalloc.start()
     try:
-        mollify_on_points(f, 0.025, xs, 1e-8)
+        mollify_ladder(f, [0.025], xs, 1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -587,7 +588,7 @@ def test_real_values_of_any_real_type_come_back_as_float64():
 
 
 def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set:
-    """The dtypes of the block sums that mollify_on_points(f) contracts on its walk."""
+    """The dtypes of the block sums that mollify_ladder(f, [0.1]) contracts on its walk."""
     dtypes = set()
     block_sums = transforms._block_sums
 
@@ -605,7 +606,7 @@ def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set
         return block_sums(recorded_for, width)
 
     monkeypatch.setattr(transforms, "_block_sums", recorded)
-    mollify_on_points(f, 0.1, xs, 1e-8)
+    mollify_ladder(f, [0.1], xs, 1e-8)
     monkeypatch.setattr(transforms, "_block_sums", block_sums)
     return dtypes
 
@@ -638,9 +639,9 @@ def test_real_smoothing_agrees_with_the_complex_path(dim, tol, bounded):
     sup = {"bounded": True, "sup_bound": f.sup_bound} if bounded else {}
     f = TestFunction(f.f, dim, f.envelope, name="bumppair", **sup)
     xs = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(9, dim))
-    real = mollify_on_points(f, 0.1, xs, tol)
+    real = mollify_ladder(f, [0.1], xs, tol)[0]
     assert real.dtype == np.complex128  # the accumulators stay complex
-    complex_path = mollify_on_points(f.scaled(1 + 0j), 0.1, xs, tol)
+    complex_path = mollify_ladder(f.scaled(1 + 0j), [0.1], xs, tol)[0]
     assert np.max(np.abs(real - complex_path)) <= 1e-15 * l1_norm(f).value
 
 
@@ -712,7 +713,7 @@ def test_each_ladder_row_is_the_one_alpha_smoothing(monkeypatch, default_ladders
     assert len(set(last_rung.values())) > 1
     assert max(len(walks) for _, _, walks in grids) > 1
     for alpha, row in zip(alphas, ladder):
-        assert row.tobytes() == mollify_on_points(f, alpha, xs, tol).tobytes()
+        assert row.tobytes() == mollify_ladder(f, [alpha], xs, tol)[0].tobytes()
 
 
 def test_a_ladder_row_does_not_depend_on_how_many_alphas_share_its_grid(monkeypatch, default_ladders):
@@ -725,7 +726,7 @@ def test_a_ladder_row_does_not_depend_on_how_many_alphas_share_its_grid(monkeypa
     ladder = transforms.mollify_ladder(f, alphas, xs, 1e-5)
     assert (6.0, 512, (0, 1, 2)) in grids
     for alpha, row in zip(alphas, ladder):
-        assert row.tobytes() == mollify_on_points(f, alpha, xs, 1e-5).tobytes()
+        assert row.tobytes() == mollify_ladder(f, [alpha], xs, 1e-5)[0].tobytes()
 
 
 def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, default_ladders):
@@ -743,7 +744,7 @@ def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, defau
     one_at_a_time = []
     for alpha, row in zip(alphas, ladder):
         seen.clear()
-        assert mollify_on_points(f, alpha, xs, 1e-8).tobytes() == row.tobytes()
+        assert mollify_ladder(f, [alpha], xs, 1e-8)[0].tobytes() == row.tobytes()
         one_at_a_time.append(sum(seen))
     assert sum(xs.shape[0] * (n + 1) for _, n in shapes) < sum(one_at_a_time)
 
@@ -752,7 +753,7 @@ def test_a_ladder_raises_the_one_alpha_error(default_ladders):
     f, xs = weierstrass_fn(0.1), np.zeros((1, 1))
     # at alpha 5000 the kernel's tail stays above the tolerance at every radius of the ladder
     with pytest.raises(QuadratureError) as alone:
-        mollify_on_points(f, 5000.0, xs, 1e-8)
+        mollify_ladder(f, [5000.0], xs, 1e-8)
     for alphas in ((5000.0, 0.1), (0.1, 5000.0)):
         with pytest.raises(QuadratureError) as ladder:
             transforms.mollify_ladder(f, alphas, xs, 1e-8)

@@ -216,10 +216,10 @@ class TestMeasureInversion:
             dim=1, atoms=(Atom((0.3,), 1.0), Atom((-0.4,), 0.25j)), density=gauss_fn(0.1)
         )
         xs = [-1.0, 0.0, 0.5, 2.0]
-        batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
+        batch = measure.gauss_inversion_ladder([0.1], xs, 2.5e-7)[0]
         assert list(batch) == [measure.gauss_inversion([x], 0.1, 2.5e-7) for x in xs]
-        assert list(measure.gauss_inversion_on_points(0.1, xs[::-1], 2.5e-7)) == list(batch[::-1])
-        assert list(measure.gauss_inversion_on_points(0.1, xs[1:3], 2.5e-7)) == list(batch[1:3])
+        assert list(measure.gauss_inversion_ladder([0.1], xs[::-1], 2.5e-7)[0]) == list(batch[::-1])
+        assert list(measure.gauss_inversion_ladder([0.1], xs[1:3], 2.5e-7)[0]) == list(batch[1:3])
 
     @pytest.mark.parametrize(
         "xs", [[], [[0.0, 1.0]], [[[0.0]]], [0.0, math.nan], [[-math.inf]]],
@@ -227,7 +227,7 @@ class TestMeasureInversion:
     )
     def test_a_malformed_batch_is_refused(self, xs):
         with pytest.raises(ValueError, match=r"shape \(k, 1\)"):
-            dirac([0.0]).gauss_inversion_on_points(0.1, xs)
+            dirac([0.0]).gauss_inversion_ladder([0.1], xs)
 
 
 class TestWeakConvergence:

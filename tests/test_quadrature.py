@@ -22,7 +22,6 @@ from heatline.quadrature import (
     integrate_auto,
     l1_norm,
     node_budget,
-    walk_ladder,
     walk_ladders,
 )
 
@@ -448,7 +447,7 @@ class TestPerWalkPhaseRates:
 
         def grid_sums(grid, walks):
             rungs.append((grid.points_per_axis, tuple(walks)))
-            return [sums[i](grid) for i in walks]
+            return [sums[i](grid, [0])[0] for i in walks]
 
         return grid_sums
 
@@ -463,7 +462,7 @@ class TestPerWalkPhaseRates:
         rungs = []
         walked = self._walk_all(fs, rates, rungs)
         for f, rate, (fine, coarse, grid) in zip(fs, rates, walked):
-            solo_fine, solo_coarse, solo_grid = walk_ladder(quadrature._value_sum(f), f.envelope, 1, self.TOL, f.name, rate)
+            [(solo_fine, solo_coarse, solo_grid)] = walk_ladders(quadrature._value_sum(f), [f.envelope], 1, self.TOL, [f.name], rate)
             assert fine.tobytes() == solo_fine.tobytes() and coarse.tobytes() == solo_coarse.tobytes()
             assert grid is solo_grid
         assert [grid.points_per_axis for _, _, grid in walked][:2] == [128, 512]
@@ -481,7 +480,7 @@ class TestPerWalkPhaseRates:
 
     def _solo_error(self, f, rate) -> str:
         with pytest.raises(QuadratureError) as solo:
-            walk_ladder(quadrature._value_sum(f), f.envelope, 1, self.TOL, f.name, rate)
+            walk_ladders(quadrature._value_sum(f), [f.envelope], 1, self.TOL, [f.name], rate)
         return str(solo.value)
 
     def test_an_unreachable_cap_raises_its_own_walks_error(self):

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from heatline.cli import main
 from heatline.experiments import EXPERIMENTS, PARAMS, ExperimentSpec, export, import_csv, run
+from heatline.measures import BoundedMeasure
 
 SHARED_FLAGS = {"--dim", "--out", "--format", "--config"}
 
@@ -92,3 +93,31 @@ def test_an_int_parameter_refuses_a_fractional_value():
     with pytest.raises(ValueError, match="'xi_count'"):
         run(ExperimentSpec(name="fourier", params={"xi_count": 5.7}))
     assert len(run(ExperimentSpec(name="fourier", params={"xi_count": 5})).rows) == 5
+
+
+# a value other than the default for every declared parameter but the measure literal, typed
+NON_DEFAULT = {
+    "verify-kernels": {"alphas": [0.2], "tol": 2e-6},
+    "integrate": {"preset": "gauss:0.2", "tol": 1e-7, "radius": 6.0, "points": 256},
+    "fourier": {"preset": "gauss:0.2", "tol": 2e-6, "xi_max": 1.0, "xi_count": 5},
+    "invert": {"preset": "gauss:0.1", "alphas": [0.1, 0.05], "xs": [0.25], "tol": 2e-6},
+    "mollify": {"preset": "gauss:0.1", "alpha": 0.05, "xs": [0.0, 0.5], "tol": 2e-6},
+    "multiplication": {"a": 0.1, "b": 0.1, "tol": 2e-6},
+    "modulate": {"preset": "gauss:0.2", "tol": 2e-6, "shifts": [0.25], "etas": [0.0, 0.5]},
+    "measure-ft": {"tol": 1e-7, "xi_max": 1.0, "xi_count": 5},
+    "measure-invert": {"tol": 2e-6, "alphas": [0.1], "xs": [0.0, 0.5]},
+    "weak-convergence": {"h": "gauss:0.5", "tol": 2e-6, "alphas": [0.1, 0.05], "radius": 8.0, "points": 512},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_the_config_echoes_every_parameter(name):
+    # an export can be re-run from its config line only if the line holds every parameter
+    echoed = [param for param in PARAMS[name] if param.type is not BoundedMeasure]
+    values = NON_DEFAULT[name]
+    assert sorted(values) == sorted(param.name for param in echoed)
+    for param in echoed:
+        default = param.default(1) if callable(param.default) else param.default
+        assert values[param.name] != default, param.name
+    table = run(ExperimentSpec(name, params=values))
+    assert {key: table.config[key] for key in values} == values

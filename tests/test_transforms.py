@@ -38,7 +38,6 @@ from heatline.transforms import (
     fourier_profile,
     gauss_inversion,
     gauss_inversion_ladder,
-    gauss_inversion_on_points,
     gauss_inversion_trace,
     gauss_mean,
     gauss_mean_trace,
@@ -365,14 +364,14 @@ class TestBatchedInversion:
     def test_rows_match_the_unshared_reference(self):
         f = weierstrass_fn(0.1)
         xs = np.array(BATCH_XS).reshape(-1, 1)
-        batch = gauss_inversion_on_points(f, 0.1, xs, 2e-7)
+        batch = gauss_inversion_ladder(f, [0.1], xs, 2e-7)[0]
         assert list(batch) == [reference_inversion(partial(sampled_spectrum, f), x, 0.1, 2e-7) for x in xs]
 
     def test_dim_2_rows_match_the_unshared_reference(self):
         # dim-2 blocks are large enough for numpy to multiply a temporary in place
         measure = BoundedMeasure(dim=2, atoms=(Atom((0.0, 0.0), 1.0), Atom((0.7, -0.2), -0.5)))
         xs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.3]])
-        batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
+        batch = measure.gauss_inversion_ladder([0.1], xs, 2.5e-7)[0]
         assert list(batch) == [reference_inversion(measure.spectrum, x, 0.1, 2.5e-7) for x in xs]
 
     def test_a_large_dim_2_batch_is_the_one_point_calls(self):
@@ -380,20 +379,20 @@ class TestBatchedInversion:
         # as a one-point call's are, not for every point on the grid, which would split it
         measure = BoundedMeasure(dim=2, atoms=(Atom((0.0, 0.0), 1.0), Atom((0.7, -0.2), -0.5)))
         xs = np.random.default_rng(3).uniform(-3.5, 3.5, size=(40, 2))
-        batch = measure.gauss_inversion_on_points(0.1, xs, 2.5e-7)
-        assert list(batch) == [measure.gauss_inversion_on_points(0.1, x[None], 2.5e-7)[0] for x in xs]
+        batch = measure.gauss_inversion_ladder([0.1], xs, 2.5e-7)[0]
+        assert list(batch) == [measure.gauss_inversion_ladder([0.1], x[None], 2.5e-7)[0, 0] for x in xs]
 
     @pytest.mark.parametrize("f", [weierstrass_fn(0.1), gauss_fn(0.05)], ids=lambda f: f.name)
     def test_each_row_is_the_one_point_call(self, f):
-        batch = gauss_inversion_on_points(f, 0.1, BATCH_XS, 2e-7)
+        batch = gauss_inversion_ladder(f, [0.1], BATCH_XS, 2e-7)[0]
         assert batch.shape == (len(BATCH_XS),)
         assert list(batch) == [gauss_inversion(f, [x], 0.1, 2e-7) for x in BATCH_XS]
 
     def test_a_point_does_not_depend_on_its_batch(self):
         f = weierstrass_fn(0.1)
-        full = gauss_inversion_on_points(f, 0.05, BATCH_XS, 2e-7)
-        assert list(gauss_inversion_on_points(f, 0.05, BATCH_XS[::-1], 2e-7)) == list(full[::-1])
-        assert list(gauss_inversion_on_points(f, 0.05, BATCH_XS[1::2], 2e-7)) == list(full[1::2])
+        full = gauss_inversion_ladder(f, [0.05], BATCH_XS, 2e-7)[0]
+        assert list(gauss_inversion_ladder(f, [0.05], BATCH_XS[::-1], 2e-7)[0]) == list(full[::-1])
+        assert list(gauss_inversion_ladder(f, [0.05], BATCH_XS[1::2], 2e-7)[0]) == list(full[1::2])
 
     def test_each_frequency_block_is_sampled_once_per_call(self):
         f = weierstrass_fn(0.1)
@@ -440,11 +439,11 @@ class TestBatchedInversion:
         xs[:, 0] = [0.0, 0.7]
         if source == "function":
             f = gauss_fn(0.1, dim) if dim > 1 else weierstrass_fn(0.1)
-            spectrum_at, ladder, one = partial(sampled_spectrum, f), partial(gauss_inversion_ladder, f), partial(gauss_inversion_on_points, f)
+            spectrum_at, ladder = partial(sampled_spectrum, f), partial(gauss_inversion_ladder, f)
         else:
             atoms = (Atom((0.3,) + (0.0,) * (dim - 1), 1.0), Atom((-0.5,) + (0.2,) * (dim - 1), -0.4 + 0.2j))
             measure = BoundedMeasure(dim=dim, atoms=atoms, density=gauss_fn(0.1, dim))
-            spectrum_at, ladder, one = measure.spectrum, measure.gauss_inversion_ladder, measure.gauss_inversion_on_points
+            spectrum_at, ladder = measure.spectrum, measure.gauss_inversion_ladder
         # the ladder, recording the spectrum key (the x-grid) of each frequency block it samples
         blocks = []
         rows = invert_spectrum(counting_spectrum_at(spectrum_at, blocks), dim, xs, alphas, tol, source)
@@ -461,7 +460,7 @@ class TestBatchedInversion:
             assert any(len(block_keys) > 1 for block_keys in by_block.values())
             assert ladder(alphas, xs, tol).tobytes() == rows.tobytes()
         for alpha, row in zip(alphas, rows):
-            assert row.tobytes() == one(alpha, xs, tol).tobytes()
+            assert row.tobytes() == ladder([alpha], xs, tol)[0].tobytes()
 
     @pytest.mark.parametrize(
         "xs", [[], np.zeros((0, 1)), [[0.0, 1.0]], [[[0.0]]], [0.0, math.nan], [[math.inf]]],
@@ -469,12 +468,12 @@ class TestBatchedInversion:
     )
     def test_a_malformed_batch_is_refused(self, xs):
         with pytest.raises(ValueError, match=r"shape \(k, 1\)"):
-            gauss_inversion_on_points(weierstrass_fn(0.1), 0.1, xs)
+            gauss_inversion_ladder(weierstrass_fn(0.1), [0.1], xs)
 
     def test_a_dim_2_batch_needs_two_columns(self):
         f = gauss_fn(0.1, dim=2)
         with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
-            gauss_inversion_on_points(f, 0.1, np.zeros((3, 1)))
+            gauss_inversion_ladder(f, [0.1], np.zeros((3, 1)))
 
 
 class TestMultiplicationFormula:

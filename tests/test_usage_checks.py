@@ -181,3 +181,14 @@ def test_an_empty_list_is_refused_by_name(runner, name, param):
     assert f"parameter {param!r}: expected at least one value" in result.output
     with pytest.raises(ValueError, match=f"parameter {param!r}: expected at least one value"):
         run(ExperimentSpec(name, params={param: []}))
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused_by_name(runner, name, tol):
+    # a check against such a tolerance cannot pass, or cannot fail, so none is run
+    result = runner.invoke(main, [name, "--tol", tol])
+    assert result.exit_code == 2, result.output
+    assert "parameter 'tol': expected a positive, finite tolerance" in result.output
+    with pytest.raises(ValueError, match="parameter 'tol': expected a positive, finite tolerance"):
+        run(ExperimentSpec(name, params={"tol": float(tol)}))
