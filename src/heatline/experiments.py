@@ -66,12 +66,6 @@ class ResultTable:
     wall_time_s: float = 0.0
 
 
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
-
-
 def export_csv(table: ResultTable) -> bytes:
     """CSV with '#' metadata lines; '.' decimal separator, no locale."""
     lines = [
@@ -82,7 +76,7 @@ def export_csv(table: ResultTable) -> bytes:
         ",".join(table.columns),
     ]
     for row in table.rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+        lines.append(",".join(map(str, row)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -333,7 +327,8 @@ def _run_integrate(dim, preset, tol, radius, points) -> tuple:
     forms = closed_form(preset, dim)
     closed = None if forms is None else forms.integral
     err = abs(result.value - closed) if closed is not None else float("nan")
-    passed = closed is None or err <= result.error_budget + 1e-12
+    # the budget must meet the tolerance too: on a fixed grid nothing else holds it to --tol
+    passed = (closed is None or err <= result.error_budget + 1e-12) and result.error_budget <= tol
     rows = [[
         preset,
         grid.radius,
@@ -477,9 +472,9 @@ def _run_modulate(dim, preset, tol, shifts, etas) -> tuple:
     pairs = [(a, eta) for a in shifts for eta in etas]
     eta_pts = np.array(etas, dtype=float).reshape(-1, 1)
     # one call per shift, one walk per eta; each value is modulate(h, [a], [eta], tol / 4)'s
-    direct = [v for a in shifts for v in _modulated_rows(h, [a], eta_pts, tol / 4.0, per_row=True).tolist()]
+    direct = [v for a in shifts for v in _modulated_rows(h, [a], eta_pts, tol / 4.0).tolist()]
     # one call for every shifted frequency, one walk each; each value is fourier(h, [eta - a], tol / 4)'s
-    shifted = _fourier_rows(h, np.array([[eta - a] for a, eta in pairs]), tol / 4.0, per_row=True).tolist()
+    shifted = _fourier_rows(h, np.array([[eta - a] for a, eta in pairs]), tol / 4.0).tolist()
     rows = []
     worst = 0.0
     for (a, eta), mod, shift in zip(pairs, direct, shifted):
@@ -507,7 +502,7 @@ def _run_measure_ft(dim, measure, tol, xi_max, xi_count) -> tuple:
     rows = []
     bounded_ok = True
     # one call, one density walk per frequency; each value is measure.fourier(xi, tol)'s
-    for xi, value in zip(xi_pts.tolist(), measure._fourier_rows(xi_pts, tol, per_row=True).tolist()):
+    for xi, value in zip(xi_pts.tolist(), measure._fourier_rows(xi_pts, tol).tolist()):
         mag = abs(value)
         bounded_ok = bounded_ok and mag <= measure.bound + tol
         rows.append([*xi, value.real, value.imag, mag])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .quadrature import (
     GridSpec,
     QuadratureError,
     TestFunction,
+    _block_sums,
+    _grid_walks,
     integrate_values,
     l1_norm,
 )
@@ -117,16 +120,16 @@ class BoundedMeasure:
     def fourier(self, xi, tol: float = 1e-8) -> complex:
         """Transform value: the measure applied to the character at xi."""
         xi = real_point(xi, self.dim)
-        return complex(self._fourier_rows(xi.reshape(1, -1), tol, per_row=False)[0])
+        return complex(self._fourier_rows(xi.reshape(1, -1), tol)[0])
 
-    def _fourier_rows(self, xi_pts: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
-        """``fourier`` at each row of xi_pts: the atoms in closed form, the density in one walk per row (or one for all)."""
+    def _fourier_rows(self, xi_pts: np.ndarray, tol: float) -> np.ndarray:
+        """``fourier`` at each row of xi_pts: the atoms in closed form, the density in one walk per row."""
         out = np.zeros(xi_pts.shape[0], dtype=np.complex128)
         if self.atoms:
             phases = cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T))
             out += (self.atom_weights * phases).sum(axis=1)
         if self.density is not None:
-            out += _fourier_rows(self.density, xi_pts, tol, per_row)
+            out += _fourier_rows(self.density, xi_pts, tol)
         return out
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
@@ -193,7 +196,7 @@ class BoundedMeasure:
         own outer grid (see ``invert_spectrum``), so row j is
         ``gauss_inversion_ladder([alphas[j]], xs, tol)[0]`` bit for bit; a
         frequency block of the atoms, or of the density on one x-grid, is
-        sampled once for the whole ladder.  Cross-checks against
+        sampled once for every walk that meets it.  Cross-checks against
         ``mollify_ladder``: the two routes share no computation, yet agree
         within tolerance.
         """
@@ -228,12 +231,11 @@ def weak_convergence_trace(
     """Pair the smoothed measure with h along a ladder of scales.
 
     Each sample integrates (W_alpha * measure)(x) h(x) over the grid and
-    records the limit target, the measure applied to h directly.  The
-    measure is smoothed once per outer block for every alpha
-    (``BoundedMeasure.mollify_ladder``, which smooths a density once per
-    ladder grid for all the alphas walking on it), and each block's rows are
-    held until the last alpha has integrated it: on an outer grid of several
-    blocks (dim 2 or 3) that holds (N + 1)^dim values per alpha.  Each alpha
+    records the limit target, the measure applied to h directly.  Every
+    alpha is summed in one pass over the grid's blocks: each block is
+    smoothed once for all the alphas (``BoundedMeasure.mollify_ladder``,
+    which smooths a density once per ladder grid for all the alphas walking
+    on it), and its rows are dropped before the next block.  Each alpha
     integrates its own row, and its value is the one-alpha smoothing's, bit
     for bit.
     """
@@ -248,28 +250,21 @@ def weak_convergence_trace(
         )
     target = measure.apply(h, tol)
     alphas = [float(alpha) for alpha in alphas]
-    smoothed = {}  # every alpha's smoothed values, by the bytes of their outer block
 
-    def smoothed_row(pts: np.ndarray, i: int) -> np.ndarray:
-        key = pts.tobytes()
-        if key not in smoothed:
-            smoothed[key] = measure.mollify_ladder(alphas, pts, tol)
-        rows = smoothed[key] if i < len(alphas) - 1 else smoothed.pop(key)  # the last alpha frees the block
-        # a fresh array, not a view: numpy multiplies a large fresh temporary
-        # in place, where its complex multiply may round differently
-        return rows[i].copy()
+    def block_for(walks: list) -> Callable:
+        def block(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            rows = measure.mollify_ladder([alphas[i] for i in walks], pts, tol)
+            # each row a fresh array, not a view: numpy multiplies a large fresh
+            # temporary in place, where its complex multiply may round differently
+            return np.concatenate([np.sum(w * (row.copy() * h(pts)), axis=-1, keepdims=True) for row in rows])
 
-    samples = []
-    for i, alpha in enumerate(alphas):
-        peak = weierstrass_peak(KernelScale(alpha, measure.dim))
+        return block
 
-        def fn(pts: np.ndarray, i=i) -> np.ndarray:
-            return smoothed_row(pts, i) * h(pts)
-
-        envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY)
-        result, _ = integrate_values(fn, envelope, measure.dim, f"weak[{h.name}]@{alpha:g}", grid=grid)
-        samples.append(WeakConvergenceSample(alpha=alpha, value=complex(result.value), target=target))
-    return samples
+    peaks = [weierstrass_peak(KernelScale(alpha, measure.dim)) for alpha in alphas]
+    envelopes = [h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY) for peak in peaks]
+    labels = [f"weak[{h.name}]@{alpha:g}" for alpha in alphas]
+    results = _grid_walks(_block_sums(block_for, 1), grid, envelopes, labels)
+    return [WeakConvergenceSample(alpha, result.value, target) for alpha, result in zip(alphas, results)]
 
 
 @dataclass(frozen=True)

@@ -631,7 +631,7 @@ class GridSpec:
             out += block_sum(pts, rows)
         return out
 
-    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float, coarse: bool = True) -> np.ndarray:
+    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
         """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one column per row of xi.
 
         The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
@@ -654,16 +654,15 @@ class GridSpec:
         the mirrored quarter path of ``phase_matrix``.  Dim 1 contracts the
         frequencies as given, with no dedupe.
 
-        The result has a row of fine sums, then (unless ``coarse`` is unset)
-        one of coarse sums: the same values contracted on the even nodes
-        only, with the even rows of the same phase matrices.
+        The result has a row of fine sums, then one of coarse sums: the same
+        values contracted on the even nodes only, with the even rows of the
+        same phase matrices.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
         # (whole) axis leaves at most _CHUNK // m rows
         step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
-        n_rows = 2 if coarse else 1
-        out = np.zeros((n_rows, xi.shape[0]), dtype=np.complex128)
+        out = np.zeros((2, xi.shape[0]), dtype=np.complex128)
         factored = getattr(values, "factors", None) is not None
         if factored:
             weighted = self.weighted_factors(values)
@@ -674,7 +673,7 @@ class GridSpec:
                 # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
                 axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
                 phases = [(self.phase_matrix(c, freqs), back) for freqs, back in axes]
-                for r in range(n_rows):
+                for r in range(2):
                     on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes
                     out[r, k:k + step] += _product(
                         (wf[r:r + 1, on] @ phase[on])[0, back] for wf, (phase, back) in zip(weighted, phases)
@@ -684,8 +683,7 @@ class GridSpec:
             for pts, w, index in self.blocks():
                 vals = values(pts)
                 shape = tuple(s.stop - s.start for s in index)
-                block_rows = [w, _block_weights(self.coarse_weights, index)] if coarse else [w]
-                for r, w_r in enumerate(block_rows):
+                for r, w_r in enumerate([w, _block_weights(self.coarse_weights, index)]):
                     # the block positions of the row's nodes: all of them, or the even nodes
                     on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
                     acc = (w_r * vals).reshape(shape)[on]
@@ -865,6 +863,27 @@ def _phase_sums(values: Callable, xi: np.ndarray, sign: float, per_row: bool = F
     return grid_sums
 
 
+def _certified(fine: np.ndarray, coarse: np.ndarray, grid: GridSpec, envelope: Envelope, label: str) -> QuadratureResult:
+    """One walk's fine and coarse sums on its grid, with the envelope's tail bound; non-finite sums raise."""
+    value = complex(fine[0])
+    if not math.isfinite(abs(value)):
+        raise QuadratureError(f"integrand {label!r} summed to a non-finite value")
+    return QuadratureResult(value, abs(value - complex(coarse[0])), envelope.tail_bound(grid.radius, grid.dim))
+
+
+def _grid_walks(grid_sums: Callable, grid: GridSpec, envelopes, labels) -> list[QuadratureResult]:
+    """Several walks summed on one given grid, each certified as ``integrate_values`` certifies one.
+
+    ``grid_sums(grid, walks)`` is called once, with every walk (see
+    ``walk_ladders``), so the walks share one pass over the grid's blocks.
+    Each envelope must certify integrability.
+    """
+    for envelope, label in zip(envelopes, labels):
+        _require_integrable(envelope, label, "integration")
+    sums = grid_sums(grid, list(range(len(labels))))
+    return [_certified(fine, coarse, grid, *walk) for (fine, coarse), *walk in zip(sums, envelopes, labels)]
+
+
 def integrate_values(
     values: Callable, envelope: Envelope, dim: int, label: str,
     tol: float | None = None, grid: GridSpec | None = None, phase_rate: float = 0.0,
@@ -874,9 +893,9 @@ def integrate_values(
     ``values`` maps an (m, dim) array of points to m values; the caller
     vouches that ``envelope`` bounds them.  Given a ``grid``, the result
     pairs its fine sum with the sum at half the points, which reuses the
-    grid's even nodes, so the integrand is evaluated once; given ``tol``
-    instead, the ladder is walked to it as one walk (see ``walk_ladders``,
-    which also explains ``phase_rate``).
+    grid's even nodes, so the integrand is evaluated once (a one-walk
+    ``_grid_walks``); given ``tol`` instead, the ladder is walked to it as
+    one walk (see ``walk_ladders``, which also explains ``phase_rate``).
     ``label`` names the integrand in errors.
 
     Raises
@@ -887,25 +906,15 @@ def integrate_values(
     """
     if grid is not None and grid.dim != dim:
         raise ValueError(f"dimension mismatch: integrand {dim}, grid {grid.dim}")
-    _require_integrable(envelope, label, "integration")
-    grid_sums = _value_sum(values)
-    if grid is None:
-        if tol is None or not tol > 0.0:
-            raise ValueError(f"target tolerance must be positive, got {tol}")
-        [(fine, coarse, grid)] = walk_ladders(grid_sums, [envelope], dim, tol, [label], phase_rate)
-    else:
+    if grid is not None:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
-        [(fine, coarse)] = grid_sums(grid, [0])
-    value = complex(fine[0])
-    if not math.isfinite(abs(value)):
-        raise QuadratureError(f"integrand {label!r} summed to a non-finite value")
-    result = QuadratureResult(
-        value=value,
-        disc_error_est=abs(value - complex(coarse[0])),
-        tail_bound=envelope.tail_bound(grid.radius, dim),
-    )
-    return result, grid
+        return _grid_walks(_value_sum(values), grid, [envelope], [label])[0], grid
+    _require_integrable(envelope, label, "integration")
+    if tol is None or not tol > 0.0:
+        raise ValueError(f"target tolerance must be positive, got {tol}")
+    [(fine, coarse, grid)] = walk_ladders(_value_sum(values), [envelope], dim, tol, [label], phase_rate)
+    return _certified(fine, coarse, grid, envelope, label), grid
 
 
 def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:

@@ -100,7 +100,7 @@ class Spectrum:
     oscillation.  ``key``, when set, is a hashable name of the values: two
     spectra with equal keys return the same values, bit for bit, on any
     frequency block, so ``invert_spectrum`` samples such a block once for
-    both (``sampled_spectrum`` keys by the function, its grid and the sign).
+    both (``sampled_spectrum`` keys by the function and its grid).
     Spectra add: values and bounds add, rates take the larger, and the key
     is the pair of keys (none when either part has none).
     """
@@ -134,6 +134,7 @@ def _transform_profile(
     """
     _require_integrable(envelope, label, "the Fourier transform")
     norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    per_row = per_row and xi_arr.shape[0] > 1  # one row is one walk either way: take the one-walk path
     grid_sums = _phase_sums(values, xi_arr, sign, per_row)
     if not per_row:
         worst = float(norms.max()) if xi_arr.size else 0.0
@@ -147,12 +148,12 @@ def _transform_profile(
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     """Transform value integral of f(x) exp(-2 pi i x.xi) over R^n."""
     xi = real_point(xi, f.dim)
-    return complex(_fourier_rows(f, xi.reshape(1, -1), tol, per_row=False)[0])
+    return complex(_fourier_rows(f, xi.reshape(1, -1), tol)[0])
 
 
-def _fourier_rows(f: TestFunction, xi_arr: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
-    """``fourier`` at each row of xi_arr: one walk per row on shared ladder grids, or one walk for them all."""
-    return _transform_profile(f, f.envelope, f.dim, f.name, xi_arr, tol, -1.0, per_row)
+def _fourier_rows(f: TestFunction, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+    """``fourier`` at each row of xi_arr: one walk per row, on shared ladder grids."""
+    return _transform_profile(f, f.envelope, f.dim, f.name, xi_arr, tol, -1.0, per_row=True)
 
 
 def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
@@ -411,7 +412,7 @@ def mollify_l1_check(
     )
 
 
-def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: float = -1.0) -> Spectrum:
+def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spectrum:
     """The quadrature transform of f, frozen on the smallest ladder grid that meets inner_tol.
 
     The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
@@ -419,25 +420,26 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float, sign: f
     masses when f declares factors); the phase rate is the grid's
     half-diagonal.  The values on a block of frequencies are one phase sum
     (``GridSpec.phase_sum``), whose phase matrices take cos and sin on a
-    quarter of their entries when the block is a 1-D grid's mirrored nodes.
-    The key is (f, grid, sign): the values depend on nothing else.
+    quarter of their entries when the block is a 1-D grid's mirrored nodes;
+    the values are its fine row.  The key is (f, grid): the values depend on
+    nothing else.
     """
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    [(_, _, grid)] = walk_ladders(_phase_sums(f, probe, sign), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
+    [(_, _, grid)] = walk_ladders(_phase_sums(f, probe, -1.0), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
         if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
-        return grid.phase_sum(f, xi_pts, sign, coarse=False)[0]
+        return grid.phase_sum(f, xi_pts, -1.0)[0]
 
     if f.factors is None:
         l1_mass = float(grid.sum(lambda pts, w: np.sum(np.abs(w * f(pts)), axis=-1, keepdims=True))[0, 0].real)
     else:
         l1_mass = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
-    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim), ("sampled", f, grid, sign))
+    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim), ("sampled", f, grid))
 
 
 def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, label: str) -> np.ndarray:
@@ -446,57 +448,56 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
     Row j is the xi-integral of s(xi) exp(2 pi i x.xi) gauss_alpha(xi) for
     alpha = alphas[j], where ``spectrum_at(inner_tol, max_freq)`` supplies s
     for that alpha, sampled out to where its gauss weight falls to
-    _FREQ_CUTOFF; its bound and rate certify the integrand.  Each alpha makes
-    one ``walk_ladders`` call with one walk per point, and each walk keeps
-    its own phase cap (|x| plus the spectrum's rate) and stopping rung, so a
-    value depends neither on the batch of points nor on the other alphas.
-    The walks on one grid share its Gauss weights, and the values of s on a
-    frequency block are computed once per call, keyed by the block's bytes
-    and the spectrum's ``key``: every point whose walk meets the block shares
-    them, and so does every alpha whose spectrum has an equal key (in 1-D,
-    alphas whose outer walks stop on one grid and whose spectra were sampled
-    on one x-grid).  A spectrum without a key shares its blocks only among
-    its alpha's points.  Each point's integrand is evaluated as it would be
-    alone, on a fresh copy of the spectrum values.
+    _FREQ_CUTOFF; its bound and rate certify the integrand.  Every alpha's
+    spectrum is sampled first, then one ``walk_ladders`` call makes a walk
+    per (alpha, point), and each walk keeps its own phase cap (|x| plus the
+    spectrum's rate) and stopping rung, so a value depends neither on the
+    batch of points nor on the other alphas.  Within one block of a grid,
+    the walks share each alpha's Gauss weights and the values of each
+    spectrum ``key`` (a spectrum without a key shares its values with no
+    other alpha); nothing is kept from one block to the next.  Each point's
+    integrand is evaluated as it would be alone, on a fresh copy of the
+    spectrum values.
     """
     xs = real_points(xs, dim)
-    out = np.empty((len(alphas), xs.shape[0]), dtype=np.complex128)
-    sampled = {}  # spectrum values by the spectrum's key, then by the bytes of their frequency block
-    name = f"gauss-inv[{label}]"
-    for row, alpha in zip(out, alphas):
-        scale = KernelScale(float(alpha), dim)
+    k = xs.shape[0]
+    scales = [KernelScale(float(alpha), dim) for alpha in alphas]
+    spectra = []
+    for scale in scales:
         peak = weierstrass_peak(scale)  # integral of the gauss weight
         freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * scale.alpha))
-        spectrum = spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim))
-        if not tol > 0.0:
-            raise ValueError(f"target tolerance must be positive, got {tol / 2.0}")
-        blocks = {} if spectrum.key is None else sampled.setdefault(spectrum.key, {})
+        spectra.append(spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim)))
+    if not tol > 0.0:
+        raise ValueError(f"target tolerance must be positive, got {tol / 2.0}")
+    keys = [object() if spectrum.key is None else spectrum.key for spectrum in spectra]
 
-        def spectrum_values(xi_pts: np.ndarray, spectrum=spectrum, blocks=blocks) -> np.ndarray:
-            key = xi_pts.tobytes()
-            if key not in blocks:
-                blocks[key] = spectrum.values(xi_pts)
-            # a fresh array, as an unshared one would be: numpy multiplies a large
-            # temporary in place, where its complex multiply may round differently
-            return blocks[key].copy()
+    def block_for(walks: list) -> Callable:
+        def block(xi_pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            weights, values, sums = {}, {}, []  # this block's gauss weights by alpha and spectrum values by key
+            for walk in walks:
+                j, i = divmod(walk, k)  # walk j k + i is alphas[j] at xs[i]
+                if j not in weights:
+                    weights[j] = gauss(scales[j], xi_pts)
+                if keys[j] not in values:
+                    values[keys[j]] = spectra[j].values(xi_pts)
+                # a fresh array, as an unshared one would be: numpy multiplies a large
+                # temporary in place, where its complex multiply may round differently
+                phased = values[keys[j]].copy() * cis(2.0 * math.pi * (xi_pts @ xs[i])) * weights[j]
+                sums.append(np.sum(w * phased, axis=-1, keepdims=True))
+            return np.concatenate(sums)
 
-        def block_for(walks: list, scale=scale, spectrum_values=spectrum_values) -> Callable:
-            def block(xi_pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-                weight = gauss(scale, xi_pts)  # shared by every point
-                return np.concatenate([
-                    np.sum(w * (spectrum_values(xi_pts) * cis(2.0 * math.pi * (xi_pts @ xs[i])) * weight), axis=-1, keepdims=True)
-                    for i in walks
-                ])
+        return block
 
-            return block
-
-        envelope = GaussianDecay(4.0 * math.pi**2 * scale.alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
-        rates = [float(np.sqrt(np.sum(x * x))) + spectrum.rate for x in xs]
-        k = xs.shape[0]
-        walked = walk_ladders(_block_sums(block_for, 1), [envelope] * k, dim, tol / 2.0, [name] * k, rates)
-        row[:] = [fine[0] for fine, _, _ in walked]
-        if not np.isfinite(row).all():
-            raise QuadratureError(f"integrand {name!r} summed to a non-finite value")
+    name = f"gauss-inv[{label}]"
+    envelopes = [
+        GaussianDecay(4.0 * math.pi**2 * scale.alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
+        for scale, spectrum in zip(scales, spectra) for _ in xs
+    ]
+    rates = [float(np.sqrt(np.sum(x * x))) + spectrum.rate for spectrum in spectra for x in xs]
+    walked = walk_ladders(_block_sums(block_for, 1), envelopes, dim, tol / 2.0, [name] * len(envelopes), rates)
+    out = np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
+    if not np.isfinite(out).all():
+        raise QuadratureError(f"integrand {name!r} summed to a non-finite value")
     return out
 
 
@@ -509,8 +510,8 @@ def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np
     alpha samples the transform on the x-grid its own inner tolerance and
     frequency reach pick, and each point keeps its own outer grid, so row j
     is ``gauss_inversion_ladder(f, [alphas[j]], xs, tol)[0]`` bit for bit; a
-    frequency block is sampled once per x-grid for the whole ladder (see
-    ``invert_spectrum``).  ``xs`` has shape (k, dim), or is a list of k
+    frequency block is sampled once per x-grid for the walks that meet it
+    (see ``invert_spectrum``).  ``xs`` has shape (k, dim), or is a list of k
     points in dim 1.
     """
     _require_integrable(f.envelope, f.name, "Gauss-summable inversion")
@@ -575,15 +576,15 @@ def _dual_pairing(transformed: TestFunction, weight: TestFunction, tol: float) -
 def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
     """Transform of h(x) exp(2 pi i a.x) at eta; the shift rule sends it to eta - a."""
     eta = real_point(eta, h.dim)
-    return complex(_modulated_rows(h, a, eta.reshape(1, -1), tol, per_row=False)[0])
+    return complex(_modulated_rows(h, a, eta.reshape(1, -1), tol)[0])
 
 
-def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float, per_row: bool) -> np.ndarray:
-    """``modulate`` at each row of etas: one walk per row on shared ladder grids, or one walk for them all."""
+def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float) -> np.ndarray:
+    """``modulate`` at each row of etas: one walk per row, on shared ladder grids."""
     _require_integrable(h.envelope, h.name, "modulation")
     a = real_point(a, h.dim)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return h(pts) * cis(2.0 * math.pi * (pts @ a))
 
-    return _transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol, -1.0, per_row)
+    return _transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol, -1.0, per_row=True)

@@ -107,6 +107,15 @@ def test_budget_env_var_reaches_the_engine(runner, monkeypatch):
     assert "the node budget (64 nodes) admits no rung of the point ladder" in result.output
 
 
+@pytest.mark.parametrize("tol, code", [(None, 1), ("0.5", 0)])
+def test_a_fixed_grid_integral_passes_only_within_its_tolerance(runner, tol, code):
+    # 16 intervals on [-4, 4] leave an error budget of about 0.197: above the default 1e-8, within 0.5
+    args = ["integrate", "--radius", "4", "--points", "16"]
+    result = runner.invoke(main, args + (["--tol", tol] if tol else []))
+    assert result.exit_code == code, result.output
+    assert ("PASS" if code == 0 else "FAIL") in result.output
+
+
 @pytest.mark.parametrize(
     "args, named",
     [

@@ -5,8 +5,9 @@ copies) is spot-checked when the function is constructed.  Integrands the
 library derives from declared functions (Gauss means, smoothing, inversion,
 pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
-(``integrate_values``, the ladder walk ``walk_ladders`` and the grid-sum
-builders ``_value_sum``, ``_block_sums`` and ``_phase_sums``) in every
+(``integrate_values``, the ladder walk ``walk_ladders``, the fixed-grid
+sum of several walks ``_grid_walks`` and the grid-sum builders
+``_value_sum``, ``_block_sums`` and ``_phase_sums``) in every
 heatline module that imported them, runs every registered
 experiment at its default spec plus the derived entry points those runs do
 not reach, and evaluates each captured integrand at the runtime spot points
@@ -82,7 +83,7 @@ def captured_integrands():
     """Record every integrand handed to the engine while the block runs."""
     captures = []
     walks = set()
-    integrate_values, walk_ladders = quadrature.integrate_values, quadrature.walk_ladders
+    integrate_values, walk_ladders, grid_walks = quadrature.integrate_values, quadrature.walk_ladders, quadrature._grid_walks
     value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
@@ -104,6 +105,13 @@ def captured_integrands():
             capture(grid_sums.integrands(i), envelope, dim, label)
         return walk_ladders(grid_sums, envelopes, dim, tol, labels, *args, **kwargs)
 
+    def capture_grid_walks(grid_sums, grid, envelopes, labels):
+        # as for a ladder walk: each walk on the given grid is read on its own
+        assert hasattr(grid_sums, "integrands"), f"grid sum for {labels!r} sums untagged grid sums"
+        for i, (envelope, label) in enumerate(zip(envelopes, labels)):
+            capture(grid_sums.integrands(i), envelope, grid.dim, label)
+        return grid_walks(grid_sums, grid, envelopes, labels)
+
     def tag_value_sum(values):
         # integrate_values captured these values already
         grid_sums = value_sum(values)
@@ -124,6 +132,7 @@ def captured_integrands():
     wrappers = {
         integrate_values: capture_values,
         walk_ladders: capture_walks,
+        grid_walks: capture_grid_walks,
         value_sum: tag_value_sum,
         phase_sums: tag_phase_sums,
         block_sums: tag_block_sums,

@@ -131,6 +131,14 @@ def test_json_export_matches_the_documented_schema():
     assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
 
 
+def test_a_numpy_scalar_cell_exports_as_a_number():
+    # under numpy 2, repr(np.float64(0.1)) is "np.float64(0.1)"; str gives "0.1", as json does
+    table = ResultTable(name="np", columns=["x"], rows=[[np.float64(0.1)]], config={}, passed=True, summary="")
+    assert export_csv(table).decode().splitlines()[-1] == "0.1"
+    assert json.loads(export_json(table))["rows"] == [[0.1]]
+    assert import_csv(export_csv(table)) == (["x"], [[0.1]])
+
+
 def test_export_rejects_unknown_format():
     table = ResultTable(name="x", columns=[], rows=[], config={}, passed=True, summary="")
     with pytest.raises(ValueError, match="format"):

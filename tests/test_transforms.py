@@ -1,6 +1,7 @@
 """Transform pair, summability, mollification, duality, and modulation."""
 
 import math
+import weakref
 from functools import partial
 from typing import Callable
 
@@ -400,7 +401,7 @@ class TestBatchedInversion:
         blocks = []
         invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), blocks), 1, xs, [0.1], 2e-7, "counted")
         assert len(blocks) == len(set(blocks))
-        # the memo is local to the call: a second call samples every block afresh
+        # the sharing is local to the call: a second call samples every block afresh
         again = []
         invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), again), 1, xs, [0.1], 2e-7, "counted")
         assert again == blocks
@@ -423,6 +424,33 @@ class TestBatchedInversion:
         for alpha in alphas:
             invert_spectrum(counting_spectrum_at(partial(sampled_spectrum, f), per_alpha), 1, xs, [alpha], 2.5e-7, "counted")
         assert set(per_alpha) == set(blocks) and len(blocks) < len(per_alpha)
+
+    def test_spectrum_values_live_for_one_block_only(self):
+        # the default invert spec, whose walks sum on several rungs: the values of a
+        # frequency block are dropped once that block is summed, not kept to the end
+        f = weierstrass_fn(0.1)
+        alphas = [0.2 * 2.0**-k for k in range(6)]
+        blocks, alive, most = [], [0], [0]
+
+        def tracked(inner_tol, max_freq):
+            counted = counting_spectrum_at(partial(sampled_spectrum, f), blocks)(inner_tol, max_freq)
+
+            def values(xi_pts):
+                out = counted.values(xi_pts)
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                weakref.finalize(out, lambda: alive.__setitem__(0, alive[0] - 1))
+                return out
+
+            return Spectrum(values, counted.bound, counted.rate, counted.key)
+
+        invert_spectrum(tracked, 1, [[0.0], [0.5], [1.0]], alphas, 2.5e-7, "tracked")
+        keys_by_block = {}
+        for key, block in blocks:
+            keys_by_block.setdefault(block, set()).add(key)
+        assert len(keys_by_block) > 1
+        assert most[0] <= max(len(keys) for keys in keys_by_block.values())
+        assert alive[0] == 0
 
     @pytest.mark.parametrize(
         "dim, source, alphas, tol",
