@@ -34,7 +34,13 @@ class KernelScale:
 
 
 def _self_dot(scale: KernelScale, x) -> np.ndarray:
-    """Bilinear x.x over the last axis, after checking the dimension."""
+    """Bilinear x.x over the last axis, after checking the dimension.
+
+    The result is a fresh floating array (0-d for one point), owned by the
+    caller: the kernels below finish in place on it, so a batch allocates no
+    temporary beside it.  Each in-place step is the operation the expression
+    would apply, so the bits are the expression's.
+    """
     a = np.asarray(x)
     if a.ndim == 0:
         if scale.dim != 1:
@@ -42,22 +48,27 @@ def _self_dot(scale: KernelScale, x) -> np.ndarray:
         a = a.reshape(1)
     if a.shape[-1] != scale.dim:
         raise ValueError(f"dimension mismatch: point has {a.shape[-1]}, kernel has {scale.dim}")
-    return dot(a, a)
+    q = dot(a, a)
+    return np.asarray(q, dtype=np.result_type(q, 1.0))
 
 
 def gauss(scale: KernelScale, x):
     """Gauss kernel exp(-4 pi^2 alpha x.x); batched over leading axes of x."""
     q = _self_dot(scale, x)
-    out = np.exp(-4.0 * math.pi**2 * scale.alpha * q)
-    return out[()] if np.ndim(out) == 0 else out
+    np.multiply(q, -4.0 * math.pi**2 * scale.alpha, out=q)
+    np.exp(q, out=q)
+    return q[()] if q.ndim == 0 else q
 
 
 def weierstrass(scale: KernelScale, x):
     """Weierstrass kernel (4 pi alpha)^(-n/2) exp(-x.x / (4 alpha))."""
     q = _self_dot(scale, x)
     prefactor = (4.0 * math.pi * scale.alpha) ** (-scale.dim / 2.0)
-    out = prefactor * np.exp(-q / (4.0 * scale.alpha))
-    return out[()] if np.ndim(out) == 0 else out
+    np.negative(q, out=q)
+    np.divide(q, 4.0 * scale.alpha, out=q)
+    np.exp(q, out=q)
+    np.multiply(q, prefactor, out=q)
+    return q[()] if q.ndim == 0 else q
 
 
 def weierstrass_peak(scale: KernelScale) -> float:

@@ -254,9 +254,7 @@ def weak_convergence_trace(
     def block_for(walks: list) -> Callable:
         def block(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
             rows = measure.mollify_ladder([alphas[i] for i in walks], pts, tol)
-            # each row a fresh array, not a view: numpy multiplies a large fresh
-            # temporary in place, where its complex multiply may round differently
-            return np.concatenate([np.sum(w * (row.copy() * h(pts)), axis=-1, keepdims=True) for row in rows])
+            return np.concatenate([np.sum(w * (row * h(pts)), axis=-1, keepdims=True) for row in rows])
 
         return block
 

@@ -73,10 +73,13 @@ def dot(z, w):
     # numpy reduces a short trailing axis slowly; an in-order sum of columns
     # onto a 0-d +0 (broadcast by the first column, so no array is allocated
     # for it) is faster, and for n <= 3 gives the same bits as
-    # np.sum(z * w, axis=-1), signed zeros included
+    # np.sum(z * w, axis=-1), signed zeros included.  Each column's fresh
+    # product takes the running sum in place, so no array is allocated for
+    # the sums
     out = np.zeros((), np.result_type(z, w))
     for j in range(z.shape[-1]):
-        out = out + z[..., j] * w[..., j]
+        term = z[..., j] * w[..., j]
+        out = out + term if term.ndim == 0 else np.add(out, term, out=term)
     return out[()] if out.ndim == 0 else out
 
 

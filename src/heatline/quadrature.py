@@ -40,6 +40,14 @@ integrand is evaluated at every node, vectorized and chunked in a fixed
 order.  Reductions use numpy's pairwise summation, so a fixed grid always
 reproduces the same value bit for bit.
 
+Ladder grids have dyadic spacings (every radius is 2^a or 3 2^a, every N a
+power of two), so on a frequency axis that is itself such a lattice, such as
+another ladder grid's nodes, x_i xi_k = j q_k / L exactly for integers j,
+q_k and a power of two L, and a phase sum is an exact length-L DFT:
+``GridSpec._lattice_sum`` folds the weighted values modulo L and runs one FFT
+per axis (Cooley and Tukey, Math. Comp. 19, 1965), after checking the
+identity in integer arithmetic, never up to a tolerance.
+
 Real values stay real: an integrand whose values are real (every catalog
 preset, both kernels) is evaluated, weighted and summed in float64, and so
 are the matrix products of batched smoothing.  Complex arithmetic enters
@@ -55,7 +63,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -479,6 +487,19 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), inverse
 
 
+def _dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each finite float64 of values as odd * 2**exponent, exactly: the odd integers (0 for a zero) and the exponents.
+
+    np.frexp gives a mantissa in [0.5, 1) with at most 53 significant bits,
+    so mantissa * 2^53 is an integer; its trailing zero bits move into the
+    exponent.  The exponent of a zero means nothing.
+    """
+    mantissas, exponents = np.frexp(values)
+    ints = (mantissas * 2.0**53).astype(np.int64)
+    zeros = np.frexp((ints & -ints).astype(np.float64))[1] - 1  # the lowest set bit's position, -1 for a zero
+    return ints >> np.maximum(zeros, 0), exponents - 53 + zeros
+
+
 def _row_tiles(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, each of at most _TILE_ENTRIES // width rows (at least one)."""
     size = max(1, _TILE_ENTRIES // width)
@@ -605,6 +626,74 @@ class GridSpec:
             phase[:half + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs))
         np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
         return phase
+
+    @cached_property
+    def _step(self) -> tuple[int, int] | None:
+        """(odd, exponent) with the spacing s = odd * 2**exponent when node i is exactly (i - N/2) s; None otherwise.
+
+        Checked in integers and bits: |i - N/2| odd < 2^53, so each float
+        product (i - N/2) s is exact, and the products equal the nodes bit for
+        bit.  Every ladder grid passes (its spacing is 2^a or 3 2^a).
+        """
+        half = self.points_per_axis // 2
+        [odd], [exponent] = _dyadic(np.array([self.spacing]))
+        offsets = np.arange(2 * half + 1) - half
+        if int(odd) * half >= 2**53 or (offsets * self.spacing).tobytes() != self.nodes.tobytes():
+            return None
+        return int(odd), int(exponent)
+
+    def _lattice_sum(self, values: Callable, xi: np.ndarray) -> np.ndarray | None:
+        """Fine sums of values(x) exp(-2 pi i x.xi), one per row of xi, by one FFT per axis; None off the lattice.
+
+        When node i is exactly (i - N/2) s (see ``_step``) and, on an axis, L
+        is the least power of two for which every xi_k s L is an integer
+        q_k, then x_i xi_k = (i - N/2) q_k / L exactly, so the phase depends
+        only on (i - N/2) mod L and q_k mod L: the weighted values folded
+        modulo L and transformed by one length-L FFT hold every sum, at bin
+        q_k mod L (for ladder grids s t = P 2^-m with P in {1, 3, 9}, and P
+        goes into q_k).  Both tests are exact, in integer arithmetic (see
+        ``_dyadic``), never up to a tolerance, so the result is the Simpson sum
+        of ``phase_sum``'s fine row, with the same weights and values, rounded
+        differently.  A factored integrand (see ``TestFunction``) is a product
+        of one such sum per axis; an unfactored one is summed so in dim 1
+        only.  Returns None, having evaluated nothing, for an unfactored
+        integrand in dim >= 2, nodes off their lattice, non-finite or empty
+        xi, or an axis whose L exceeds _BLOCK_ENTRIES or the (N + 1) x
+        len(xi) phase entries it replaces.
+        """
+        step = self._step
+        factored = getattr(values, "factors", None) is not None
+        k = xi.shape[0]
+        if step is None or not k or not (factored or self.dim == 1) or not np.isfinite(xi).all():
+            return None
+        odd_s, exponent_s = step
+        limit = min(_BLOCK_ENTRIES, self.nodes.size * k)
+        bins = []
+        for j in range(self.dim):
+            odd, exponent = _dyadic(xi[:, j])
+            exponent += exponent_s  # xi_k s = odd_k odd_s 2**exponent_k
+            nonzero = odd != 0
+            bits = max(0, -int(exponent[nonzero].min())) if nonzero.any() else 0
+            if 2**bits > limit:
+                return None
+            length = 1 << bits
+            shift = np.clip(exponent + bits, 0, bits)  # q_k = odd_k odd_s 2**(exponent_k + bits), taken mod L
+            bins.append((length, ((odd % length) * (odd_s % length) % length << shift) % length))
+        if factored:
+            weighted = [wf[0] for wf in self.weighted_factors(values)]
+        else:
+            weighted = [self.weights * np.asarray(values(self.nodes[:, None]))]
+        from numpy.fft import fft  # imported where the route first runs, not with the package
+
+        half = self.points_per_axis // 2
+        sums = []
+        for a, (length, q) in zip(weighted, bins):
+            start = -half % length  # node i lands in slot (i - N/2) mod L
+            rows = -(-(start + a.size) // length)
+            folded = np.zeros(rows * length, dtype=a.dtype)
+            folded[start:start + a.size] = a
+            sums.append(fft(folded.reshape(rows, length).sum(axis=0))[q])
+        return _product(sums)
 
     def weighted_factors(self, values) -> list[np.ndarray]:
         """rows * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).

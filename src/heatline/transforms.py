@@ -418,10 +418,14 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
     weights bound the values by the quadrature L1 mass (a product of per-axis
     masses when f declares factors); the phase rate is the grid's
-    half-diagonal.  The values on a block of frequencies are one phase sum
-    (``GridSpec.phase_sum``), whose phase matrices take cos and sin on a
-    quarter of their entries when the block is a 1-D grid's mirrored nodes;
-    the values are its fine row.  The key is (f, grid): the values depend on
+    half-diagonal.  The values on a block of frequencies are the Simpson sum
+    of f(x) exp(-2 pi i x.xi) on the grid.  When every axis of the block is
+    a lattice the grid's nodes pair with exactly (as the nodes of another
+    ladder grid are), they are one FFT per axis (``GridSpec._lattice_sum``):
+    every f in dim 1, a factored f in dims 2 and 3.  Any other block (spot
+    points, non-dyadic frequencies, an unfactored f in dim >= 2) is the fine
+    row of one phase sum (``GridSpec.phase_sum``), under a budget of 2^31
+    node-frequency pairs.  The key is (f, grid): the values depend on
     nothing else.
     """
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
@@ -431,6 +435,9 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
+        sums = grid._lattice_sum(f, xi_pts)
+        if sums is not None:
+            return sums
         if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
         return grid.phase_sum(f, xi_pts, -1.0)[0]

@@ -778,6 +778,21 @@ def test_a_ladder_raises_the_one_alpha_error(default_ladders):
         assert str(ladder.value) == str(alone.value)
 
 
+def _assert_the_one_alpha_pairings(measure, h, alphas, grid, tol):
+    samples = weak_convergence_trace(measure, h, alphas, grid, tol)
+    target = measure.apply(h, tol)
+    for sample, alpha in zip(samples, alphas):
+        # the pairing of one alpha, written out: the measure smoothed at that scale alone, times h
+        peak = transforms.weierstrass_peak(transforms.KernelScale(alpha, grid.dim))
+        envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + quadrature._TINY)
+        want, _ = integrate_values(
+            lambda pts, alpha=alpha: measure.mollify_on_points(alpha, pts, tol) * h(pts), envelope, grid.dim, "one", grid=grid
+        )
+        got = np.array([sample.value, sample.target])
+        assert sample.alpha == alpha
+        assert got.tobytes() == np.array([want.value, target]).tobytes()
+
+
 @pytest.mark.parametrize("density", [True, False])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_weak_convergence_is_the_one_alpha_pairing_bit_for_bit(monkeypatch, dim, density):
@@ -789,19 +804,15 @@ def test_weak_convergence_is_the_one_alpha_pairing_bit_for_bit(monkeypatch, dim,
         monkeypatch.setattr(quadrature, "_CHUNK", 6 * 17)
         atoms, grid, tol = (Atom((0.1, 0.0), 1.0 + 0.5j), Atom((-0.2, 0.3), -0.4)), GridSpec(4.0, 16, 2), 1e-2
     measure = BoundedMeasure(dim=dim, atoms=atoms, density=gauss_fn(0.1, dim) if density else None)
-    h, alphas = gauss_fn(1.0, dim), (0.2, 0.05, 0.01)
-    samples = weak_convergence_trace(measure, h, alphas, grid, tol)
-    target = measure.apply(h, tol)
-    for sample, alpha in zip(samples, alphas):
-        # the pairing of one alpha, written out: the measure smoothed at that scale alone, times h
-        peak = transforms.weierstrass_peak(transforms.KernelScale(alpha, dim))
-        envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + quadrature._TINY)
-        want, _ = integrate_values(
-            lambda pts, alpha=alpha: measure.mollify_on_points(alpha, pts, tol) * h(pts), envelope, dim, "one", grid=grid
-        )
-        got = np.array([sample.value, sample.target])
-        assert sample.alpha == alpha
-        assert got.tobytes() == np.array([want.value, target]).tobytes()
+    _assert_the_one_alpha_pairings(measure, gauss_fn(1.0, dim), (0.2, 0.05, 0.01), grid, tol)
+
+
+def test_weak_convergence_on_a_large_dim_2_block_is_the_one_alpha_pairing_bit_for_bit():
+    # one outer block of 129^2 complex rows (266 KB), above the 256 KB at which numpy may multiply a
+    # temporary in place, where a complex multiply can round differently: each alpha's row, a view
+    # into the block's smoothed rows, is multiplied by h as the one-alpha pairing's row is
+    measure = BoundedMeasure(dim=2, atoms=(Atom((0.1, 0.0), 1.0 + 0.5j), Atom((-0.2, 0.3), -0.4)))
+    _assert_the_one_alpha_pairings(measure, gauss_fn(1.0, 2), (0.2, 0.05, 0.01), GridSpec(4.0, 128, 2), 1e-2)
 
 
 def test_a_budget_below_every_rung_names_the_budget(monkeypatch, default_ladders):

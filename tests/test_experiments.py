@@ -41,7 +41,6 @@ _ONE_DIM = {"invert": "inversion", "mollify": "mollify", "modulate": "modulation
 _MEASURES = ("measure-ft", "measure-invert", "weak-convergence")
 REFUSALS = {
     **{(name, dim): (ValueError, f"the {what} experiment runs in dimension 1") for name, what in _ONE_DIM.items() for dim in (2, 3)},
-    ("multiplication", 2): (QuadratureError, "sampled-transform evaluation exceeds the matrix budget"),
     ("multiplication", 3): (
         QuadratureError,
         "tolerance unreachable at budget for 'gauss:0.05': discretization estimate never met the tolerance",
@@ -75,6 +74,40 @@ def test_default_spec_in_every_dimension(name, dim, refusal):
         raise
     assert table.passed, table.summary
     assert table.config["dim"] == dim
+
+
+_DENSITY_MEASURE = {
+    1: '{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}], "density": "gauss:0.1"}',
+    2: '{"dim": 2, "atoms": [{"at": [0.3, 0.0], "re": 1.0}], "density": "gauss:0.1"}',
+}
+
+
+@pytest.mark.parametrize(
+    "name, dim, params",
+    [
+        ("invert", 1, {}),
+        ("invert", 1, {"preset": "bump:1"}),
+        ("measure-invert", 1, {"measure": _DENSITY_MEASURE[1]}),
+        ("measure-invert", 2, {"measure": _DENSITY_MEASURE[2]}),
+        ("multiplication", 1, {}),
+        ("multiplication", 2, {}),
+    ],
+    ids=["invert", "invert-unfactored", "measure-invert", "measure-invert-d2", "multiplication", "multiplication-d2"],
+)
+def test_every_sampled_spectrum_block_takes_the_fft(monkeypatch, name, dim, params):
+    """Each outer block a sampled spectrum is asked for is a ladder lattice: no phase matrix is built for it."""
+    taken = []
+    lattice_sum = quadrature.GridSpec._lattice_sum
+
+    def recorded(grid, values, xi):
+        sums = lattice_sum(grid, values, xi)
+        taken.append(sums is not None)
+        return sums
+
+    monkeypatch.setattr(quadrature.GridSpec, "_lattice_sum", recorded)
+    table = run(ExperimentSpec(name, dim, params))
+    assert table.passed, table.summary
+    assert taken and all(taken), f"{taken.count(False)} of {len(taken)} blocks took the phase sum"
 
 
 def test_repeated_runs_export_identical_bytes():

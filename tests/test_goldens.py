@@ -1,8 +1,9 @@
 """Default-spec exports against committed goldens, and run-to-run determinism.
 
 The goldens under ``tests/goldens/`` are the CSV exports of every registered
-experiment at dim 1, plus ``integrate``, ``fourier`` and ``verify-kernels``
-at dim 2 and ``fourier`` and ``integrate`` at dim 3, all with default parameters.  A refactor of the engine must
+experiment at dim 1, plus ``integrate``, ``fourier``, ``verify-kernels`` and
+``multiplication`` at dim 2 and ``fourier`` and ``integrate`` at dim 3, all
+with default parameters.  A refactor of the engine must
 reproduce them: text cells exactly, numeric cells (including the numbers
 inside the ``# config=`` JSON line) to 1e-14 absolute.
 
@@ -23,6 +24,7 @@ CASES = [(name, 1) for name in sorted(EXPERIMENTS)] + [
     ("integrate", 2),
     ("fourier", 2),
     ("verify-kernels", 2),
+    ("multiplication", 2),
     ("fourier", 3),
     ("integrate", 3),
 ]

@@ -24,6 +24,7 @@ from heatline.quadrature import (
     node_budget,
     walk_ladders,
 )
+from heatline.transforms import sampled_spectrum
 
 
 class TestGridSpec:
@@ -433,6 +434,104 @@ class TestDistinctColumns:
         xi = np.array([[0.5], [-0.5], [0.5], [0.0]])
         sums = GridSpec(4.0, 64, 1).phase_sum(f, xi, -1.0)
         assert sums.shape == (2, 4)
+
+
+_LATTICE_FUNCTIONS = {
+    "factored": weierstrass_fn(0.1),
+    "unfactored": bump_fn(1.0),
+    "complex": weierstrass_fn(0.2).shifted([0.3]).scaled(0.6 - 0.8j),
+}
+
+
+def _fine_weighted(grid: GridSpec, f) -> np.ndarray:
+    """The weighted values a fine phase sum of f contracts, as the engine forms them."""
+    if f.factors is not None:
+        return grid.weighted_factors(f)[0][0]
+    return grid.weights * f(grid.nodes[:, None])
+
+
+class TestLatticeSum:
+    """Phase sums on ladder lattices by FFT: the Simpson sum of the phase matrices, rounded differently."""
+
+    # (inner radius, N) x (outer radius, N), and s t = P 2^-m: P = 1, 3 and 9; the 24 and 48 pairs
+    # fold their 1025 or 4097 nodes onto a shorter FFT (L = 1024 or 2048)
+    PAIRS = {
+        "P1": ((4.0, 128), (4.0, 256)),
+        "P3": ((6.0, 128), (4.0, 128)),
+        "P9": ((12.0, 256), (6.0, 128)),
+        "P3-fold": ((24.0, 1024), (4.0, 128)),
+        "P9-fold": ((48.0, 1024), (6.0, 128)),
+        "P3-fold-twice": ((48.0, 4096), (4.0, 128)),
+    }
+
+    @pytest.mark.parametrize("f", list(_LATTICE_FUNCTIONS.values()), ids=list(_LATTICE_FUNCTIONS))
+    @pytest.mark.parametrize("inner, outer", list(PAIRS.values()), ids=list(PAIRS))
+    def test_matches_the_phase_sum(self, inner, outer, f):
+        grid, xi = GridSpec(*inner, 1), GridSpec(*outer, 1).nodes[:, None]
+        fast = grid._lattice_sum(f, xi)
+        assert fast is not None and fast.shape == (xi.shape[0],)
+        bound = float(np.sum(np.abs(_fine_weighted(grid, f))))
+        assert np.max(np.abs(fast - grid.phase_sum(f, xi, -1.0)[0])) <= 1e-15 * bound
+
+    def test_fold_is_shorter_than_the_nodes(self, monkeypatch):
+        lengths = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: lengths.append(a.size) or fft(a))
+        grid = GridSpec(*self.PAIRS["P3-fold-twice"][0], 1)
+        grid._lattice_sum(weierstrass_fn(0.1), GridSpec(4.0, 128, 1).nodes[:, None])
+        assert lengths == [2048] and grid.nodes.size == 4097
+
+    @pytest.mark.parametrize("outer", [(6.0, 128), (12.0, 64)])
+    def test_dim_2_factored_matches_the_phase_sum(self, outer):
+        f = gauss_fn(0.1, 2).shifted([0.3, -0.2])
+        grid, xi = GridSpec(4.0, 128, 2), GridSpec(*outer, 2).points()
+        fast = grid._lattice_sum(f, xi)
+        bound = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
+        assert np.max(np.abs(fast - grid.phase_sum(f, xi, -1.0)[0])) <= 2e-15 * bound
+
+    @pytest.mark.parametrize("inner, outer", [PAIRS["P3"], PAIRS["P9"]], ids=["P3", "P9"])
+    def test_no_farther_from_a_30_digit_sum_than_the_phase_sum(self, inner, outer):
+        mpmath = pytest.importorskip("mpmath")
+        f = _LATTICE_FUNCTIONS["complex"]
+        grid = GridSpec(*inner, 1)
+        xi = GridSpec(*outer, 1).nodes[::7, None]  # odd multiples of the spacing among them: the full L
+        a = _fine_weighted(grid, f)
+        with mpmath.workdps(30):
+            terms = [(mpmath.mpc(complex(w)), mpmath.mpf(float(x))) for w, x in zip(a, grid.nodes)]
+            oracle = np.array([
+                complex(mpmath.fsum(w * mpmath.expjpi(-2 * x * mpmath.mpf(float(k))) for w, x in terms)) for k in xi[:, 0]
+            ])
+        fast_error = np.max(np.abs(grid._lattice_sum(f, xi) - oracle))
+        direct_error = np.max(np.abs(grid.phase_sum(f, xi, -1.0)[0] - oracle))
+        assert fast_error <= direct_error
+
+    @pytest.mark.parametrize(
+        "grid, xi, f",
+        [
+            (GridSpec(4.0, 512, 1), np.linspace(-2.0, 2.0, 41)[:, None], weierstrass_fn(0.1)),
+            (GridSpec(4.0, 512, 1), quadrature._spot_points(1), weierstrass_fn(0.1)),
+            (GridSpec(4.0, 128, 2), quadrature._spot_points(2), gauss_fn(0.1, 2)),
+            (GridSpec(7.3, 128, 1), GridSpec(4.0, 128, 1).nodes[:, None], weierstrass_fn(0.1)),
+            (GridSpec(4.0, 64, 2), GridSpec(4.0, 64, 2).points(), bump_fn(1.0, 2)),
+            (GridSpec(4.0, 128, 1), np.array([[2.0**-40]]), weierstrass_fn(0.1)),
+        ],
+        ids=["linspace", "spot-points", "spot-points-d2", "non-dyadic-grid", "unfactored-d2", "fft-too-long"],
+    )
+    def test_off_the_lattice_there_is_no_fft(self, grid, xi, f):
+        assert grid._lattice_sum(f, xi) is None
+
+    def test_the_spectrum_off_the_lattice_is_the_phase_sum(self):
+        f = weierstrass_fn(0.1)
+        spectrum = sampled_spectrum(f, 1e-6, 1.0)
+        grid = spectrum.key[2]
+        for xi in (np.linspace(-2.0, 2.0, 41)[:, None], quadrature._spot_points(1)):
+            assert grid._lattice_sum(f, xi) is None
+            assert spectrum.values(xi).tobytes() == grid.phase_sum(f, xi, -1.0)[0].tobytes()
+
+    def test_nodes_off_their_lattice_are_refused_in_integers(self):
+        assert GridSpec(4.0, 128, 1)._step == (1, -4)
+        assert GridSpec(6.0, 128, 1)._step == (3, -5)
+        assert GridSpec(7.3, 128, 1)._step is None
 
 
 class TestPerWalkPhaseRates:
