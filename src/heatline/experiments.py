@@ -575,13 +575,21 @@ def _run_weak_convergence(dim, measure, h, tol, alphas, radius, points) -> tuple
         else:
             cf = ""
             cf_err = ""
-        rows.append([sample.alpha, sample.value.real, sample.value.imag, sample.target.real, err, cf, cf_err])
+        rows.append([
+            sample.alpha, sample.value.real, sample.value.imag, sample.target.real, err, cf, cf_err, sample.error_budget,
+        ])
     nonincreasing = all(errors[k + 1] <= errors[k] + 1e-7 for k in range(len(errors) - 1))
-    passed = nonincreasing and (forms is None or worst_cf <= tol)
-    summary = f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}"
+    # the outer grid is the caller's: its sums are certified only where their budget meets tol
+    worst_budget = max(sample.error_budget for sample in samples)
+    passed = nonincreasing and worst_budget <= tol and (forms is None or worst_cf <= tol)
+    summary = f"errors {'nonincreasing' if nonincreasing else 'NOT monotone'}; max outer budget {worst_budget:.3e}"
+    if worst_budget > tol:
+        summary += f" > tol {tol:g}"
     if forms is not None:
         summary += f"; max closed-form error {worst_cf:.3e}"
-    columns = ["alpha", "value_re", "value_im", "target_re", "abs_error", "closed_form", "closed_form_error"]
+    columns = [
+        "alpha", "value_re", "value_im", "target_re", "abs_error", "closed_form", "closed_form_error", "budget",
+    ]
     return columns, rows, passed, summary, {}
 
 

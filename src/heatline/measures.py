@@ -216,9 +216,12 @@ def from_density(f: TestFunction) -> BoundedMeasure:
 
 @dataclass(frozen=True)
 class WeakConvergenceSample:
+    """One scale's pairing, the limit target, and the outer sum's error budget (``QuadratureResult.error_budget``)."""
+
     alpha: float
     value: complex
     target: complex
+    error_budget: float
 
 
 def weak_convergence_trace(
@@ -231,7 +234,9 @@ def weak_convergence_trace(
     """Pair the smoothed measure with h along a ladder of scales.
 
     Each sample integrates (W_alpha * measure)(x) h(x) over the grid and
-    records the limit target, the measure applied to h directly.  Every
+    records the limit target, the measure applied to h directly, and the
+    outer sum's error budget on that grid (its ``|fine - coarse|`` plus its
+    tail bound; the inner smoothing's error is held to ``tol``).  Every
     alpha is summed in one pass over the grid's blocks: each block is
     smoothed once for all the alphas (``BoundedMeasure.mollify_ladder``,
     which smooths a density once per ladder grid for all the alphas walking
@@ -262,7 +267,10 @@ def weak_convergence_trace(
     envelopes = [h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY) for peak in peaks]
     labels = [f"weak[{h.name}]@{alpha:g}" for alpha in alphas]
     results = _grid_walks(_block_sums(block_for, 1), grid, envelopes, labels)
-    return [WeakConvergenceSample(alpha, result.value, target) for alpha, result in zip(alphas, results)]
+    return [
+        WeakConvergenceSample(alpha, result.value, target, result.error_budget)
+        for alpha, result in zip(alphas, results)
+    ]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,11 @@ another ladder grid's nodes, x_i xi_k = j q_k / L exactly for integers j,
 q_k and a power of two L, and a phase sum is an exact length-L DFT:
 ``GridSpec._lattice_sum`` folds the weighted values modulo L and runs one FFT
 per axis (Cooley and Tukey, Math. Comp. 19, 1965), after checking the
-identity in integer arithmetic, never up to a tolerance.
+identity in integer arithmetic, never up to a tolerance.  In the same way,
+when a batch of points and a block of nodes in dim 1 are both integer
+progressions times one power of two, every difference x_i - u_j is a point
+of one lattice, and ``_lattice_window`` reads the (points x nodes) matrix
+of a function of x - u from one sampling of it on that lattice.
 
 Real values stay real: an integrand whose values are real (every catalog
 preset, both kernels) is evaluated, weighted and summed in float64, and so
@@ -498,6 +502,55 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ints = (mantissas * 2.0**53).astype(np.int64)
     zeros = np.frexp((ints & -ints).astype(np.float64))[1] - 1  # the lowest set bit's position, -1 for a zero
     return ints >> np.maximum(zeros, 0), exponents - 53 + zeros
+
+
+def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.ndarray | None:
+    """values(x_i - u_j) for each row x_i of xs (rows) and u_j of nodes (columns), from one sampling of values; None off a lattice.
+
+    In dim 1, take the starts x_0, u_0 and the steps s = x_1 - x_0,
+    t = u_1 - u_0, and test x_i == x_0 + i s and u_j == u_0 + j t in floats.
+    When s, t >= 0 and the four are integers x_0', s', u_0', t' times one
+    power of two 2^e (found in integers, see ``_dyadic``), and both ends of
+    both progressions are below 2^52 in integer modulus, every x_0 + i s and
+    u_0 + j t is computed exactly, so the float test was an exact one.  Then
+    every difference x_i - u_j is exactly
+    (d + i s' + (m - 1 - j) t') 2^e, with d 2^e = x_0 - u_(m-1).  So values
+    sampled once on the D = (k - 1) s' + (m - 1) t' + 1 lattice points from
+    x_0 - u_(m-1) on hold every entry, bit for bit the float the direct route
+    evaluates, and the (k, m) matrix is a zero-copy, read-only strided
+    window onto them.  Returns None, having evaluated nothing, in dim >= 2,
+    for an empty or non-finite batch, a point at -0.0 (whose difference with
+    the node +0.0 is -0.0, not the lattice's +0.0), a batch off such a
+    lattice, or a D above _BLOCK_ENTRIES or not below the k m pairs it
+    replaces (so a single point or node keeps the direct route).
+    """
+    k, m = xs.shape[0], nodes.shape[0]
+    if xs.shape[1] != 1 or min(k, m) < 2:
+        return None  # one point or node: D >= k m, unless the other side repeats one value
+    x, u = xs[:, 0], nodes[:, 0]
+    # Python floats: a non-finite difference yields inf or nan, and no warning
+    ends = [(float(v[0]), float(v[1]) - float(v[0])) for v in (x, u)]
+    if not all(math.isfinite(start) and 0.0 <= step < math.inf for start, step in ends):
+        return None
+    # the float test first: it refuses most batches off the lattice cheaply, and is exact once the bounds below hold
+    if not all(np.array_equal(v, start + step * np.arange(v.size)) for v, (start, step) in zip((x, u), ends)):
+        return None
+    starts_and_steps = np.array(ends).reshape(-1)
+    odd, exponents = _dyadic(starts_and_steps)
+    exponent = int(exponents[odd != 0].min()) if odd.any() else 0
+    x0, s, u0, t = (int(v) for v in np.ldexp(starts_and_steps, -exponent))  # exact: a power-of-two scaling to integers
+    x_last, u_last = x0 + (k - 1) * s, u0 + (m - 1) * t
+    size = x_last - x0 + u_last - u0 + 1
+    if max(abs(x0), abs(x_last), abs(u0), abs(u_last)) >= 2**52 or size > _BLOCK_ENTRIES or size >= k * m:
+        return None
+    if np.signbit(x[x == 0.0]).any():
+        return None
+    lattice = np.ldexp(float(x0 - u_last) + np.arange(size, dtype=np.float64), exponent)
+    sampled = np.ascontiguousarray(values(lattice.reshape(-1, 1)))
+    item = sampled.itemsize
+    return np.lib.stride_tricks.as_strided(
+        sampled[(m - 1) * t:], shape=(k, m), strides=(s * item, -t * item), writeable=False
+    )
 
 
 def _row_tiles(rows: int, width: int) -> list[slice]:

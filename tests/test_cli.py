@@ -116,6 +116,16 @@ def test_a_fixed_grid_integral_passes_only_within_its_tolerance(runner, tol, cod
     assert ("PASS" if code == 0 else "FAIL") in result.output
 
 
+@pytest.mark.parametrize("points, code", [("128", 1), ("1024", 0)])
+def test_weak_convergence_passes_only_within_its_outer_budget(runner, points, code):
+    # on 128 intervals the outer sums of an atom at 0.05 carry budgets of 2.0e-2 to 1.3e-1, far above
+    # the default tol of 1e-6, while no closed-form column checks an atom off the origin
+    literal = '{"dim": 1, "atoms": [{"at": [0.05], "re": 1.0}]}'
+    result = runner.invoke(main, ["weak-convergence", "--points", points, "--measure", literal])
+    assert result.exit_code == code, result.output
+    assert ("max outer budget" in result.output) and (("> tol 1e-06" in result.output) == (code == 1))
+
+
 @pytest.mark.parametrize(
     "args, named",
     [

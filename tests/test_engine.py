@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -747,24 +748,180 @@ def test_a_ladder_row_does_not_depend_on_how_many_alphas_share_its_grid(monkeypa
         assert row.tobytes() == mollify_ladder(f, [alpha], xs, 1e-5)[0].tobytes()
 
 
-def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, default_ladders):
+def _two_adic(value: float) -> int:
+    """The exponent e of value = odd * 2**e (value nonzero)."""
+    q = Fraction(value)
+    return ((q.numerator & -q.numerator).bit_length() - 1) - (q.denominator.bit_length() - 1)
+
+
+@pytest.mark.parametrize("count, on_lattice", [(7, False), (9, True)])
+def test_a_ladder_evaluates_the_function_once_per_ladder_grid(monkeypatch, default_ladders, count, on_lattice):
     seen = []
     f = _counted(weierstrass_fn(0.1), seen)
-    xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    # 9 points in steps of 1/4 share a dyadic lattice with every ladder grid; 7 points in steps of 1/3 do not
+    xs = np.linspace(-1.0, 1.0, count).reshape(-1, 1)
     alphas = (0.4, 0.2, 0.05, 0.01)
     grids = _walked_grids(monkeypatch)
     seen.clear()
     ladder = transforms.mollify_ladder(f, alphas, xs, 1e-8)
     shapes = [(r, n) for r, n, _ in grids]
     assert len(shapes) == len(set(shapes))  # no grid is walked twice
-    # one f(x - u) per point and node of each grid walked, whichever scales walk on it
-    assert sum(seen) == sum(xs.shape[0] * (n + 1) for _, n in shapes)
+    if on_lattice:
+        # one f per lattice point from x_min - r to x_max + r, in the finest power of two of the
+        # points and the nodes, for each grid walked, whichever scales walk on it
+        units = [2.0 ** min(_two_adic(1.0), _two_adic(0.25), _two_adic(r), _two_adic(2 * r / n)) for r, n in shapes]
+        want = [int((2.0 + 2.0 * r) / unit) + 1 for (r, _), unit in zip(shapes, units)]
+        assert all(w < count * (n + 1) for w, (_, n) in zip(want, shapes))
+    else:
+        # one f(x - u) per point and node of each grid walked, whichever scales walk on it
+        want = [count * (n + 1) for _, n in shapes]
+    assert sum(seen) == sum(want)
     one_at_a_time = []
     for alpha, row in zip(alphas, ladder):
         seen.clear()
         assert mollify_ladder(f, [alpha], xs, 1e-8)[0].tobytes() == row.tobytes()
         one_at_a_time.append(sum(seen))
-    assert sum(xs.shape[0] * (n + 1) for _, n in shapes) < sum(one_at_a_time)
+    assert sum(want) < sum(one_at_a_time)
+
+
+def test_a_dyadic_batch_reads_one_lattice_sampling_per_block(monkeypatch, default_ladders):
+    # the 1,025 outer nodes of GridSpec(6, 1024, 1), spacing 3 2^-8, against the 129 nodes of rung
+    # (4, 128), spacing 2^-4: every difference lies on 2^-8 Z within [-10, 10], 5,121 points
+    monkeypatch.setattr(quadrature, "POINTS_LADDER", (128,))
+    seen = []
+    f = _counted(weierstrass_fn(0.05), seen)
+    xs = GridSpec(6.0, 1024, 1).points()
+    grids = _walked_grids(monkeypatch)
+    seen.clear()
+    lattice = transforms.mollify_ladder(f, [0.1], xs, 1e-2)
+    assert [(r, n) for r, n, _ in grids] == [(4.0, 128)]
+    assert sum(seen) == 5121
+    seen.clear()
+    monkeypatch.setattr(transforms, "_lattice_window", lambda *args: None)
+    assert transforms.mollify_ladder(f, [0.1], xs, 1e-2).tobytes() == lattice.tobytes()
+    assert sum(seen) == 1025 * 129
+
+
+# -- smoothing on a shared dyadic lattice -------------------------------------
+
+
+def _both_routes(monkeypatch, call) -> tuple:
+    """call() through the lattice window, then with every window refused; and whether any window was read."""
+    read = []
+    window = transforms._lattice_window
+
+    def recorded(*args):
+        out = window(*args)
+        read.append(out is not None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_lattice_window", recorded)
+        lattice = call()
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_lattice_window", lambda *args: None)
+        direct = call()
+    return lattice, direct, any(read)
+
+
+def _unbounded(f: TestFunction) -> TestFunction:
+    """f declared without a sup bound, so it is smoothed on the integrable branch."""
+    return TestFunction(f.f, f.dim, f.envelope, name=f"unbounded-{f.name}")
+
+
+WINDOW_CASES = {
+    # measures-d1's weak-convergence op: a density smoothed at every node of its outer grid
+    "weak-shape": (lambda: weierstrass_fn(0.05), GridSpec(6.0, 1024, 1).points(), [0.2 * 2.0**-k for k in range(4)], 1e-8),
+    # the outer grid of mollify_l1_check in the mollify experiment
+    "l1-grid": (lambda: weierstrass_fn(0.1), GridSpec(8.0, 1024, 1).points(), [0.1], 1e-8),
+    "integrable": (lambda: _unbounded(weierstrass_fn(0.1)), np.linspace(-2.0, 2.0, 257).reshape(-1, 1), [0.2, 0.05, 0.01], 1e-8),
+    "complex": (lambda: weierstrass_fn(0.05).scaled(1j), GridSpec(6.0, 1024, 1).points(), [0.2, 0.025], 1e-8),
+    "complex-integrable": (lambda: _unbounded(weierstrass_fn(0.1)).scaled(1j), np.linspace(-2.0, 2.0, 65).reshape(-1, 1), [0.1], 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_CASES))
+def test_the_lattice_window_keeps_every_bit_of_the_direct_route(monkeypatch, default_ladders, case):
+    make, xs, alphas, tol = WINDOW_CASES[case]
+    f = make()
+    lattice, direct, read = _both_routes(monkeypatch, lambda: transforms.mollify_ladder(f, alphas, xs, tol))
+    assert read
+    assert lattice.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("case", ["weak-shape", "integrable", "complex"])
+def test_per_point_walks_on_the_lattice_keep_every_bit(monkeypatch, default_ladders, case):
+    make, _, alphas, tol = WINDOW_CASES[case]
+    f, xs = make(), np.linspace(-2.0, 2.0, 33).reshape(-1, 1)
+    lattice, direct, read = _both_routes(monkeypatch, lambda: transforms._mollify_walks(f, alphas, xs, tol, per_point=True))
+    assert read
+    assert lattice.tobytes() == direct.tobytes()
+
+
+def test_the_l1_check_on_the_lattice_keeps_every_bit(monkeypatch, default_ladders):
+    f, grid = weierstrass_fn(0.1), GridSpec(8.0, 1024, 1)
+    lattice, direct, read = _both_routes(monkeypatch, lambda: transforms.mollify_l1_check(f, 0.1, grid))
+    assert read
+    assert lattice == direct
+
+
+@pytest.mark.parametrize(
+    "xs, nodes",
+    [
+        (np.linspace(-3.0, 3.0, 49), np.linspace(-4.0, 4.0, 129)),  # steps 1/8 and 1/16
+        (np.full(5, 0.375), np.linspace(-6.0, 6.0, 257)),  # one point five times: step 0
+        (np.linspace(-1.5, 2.25, 11), np.linspace(-6.0, 6.0, 129)),  # steps 3/8 and 3/32
+        (np.linspace(-0.75, 0.0, 4), np.linspace(1.0, 2.0, 9)),  # points below the nodes, steps 1/4 and 1/8
+    ],
+)
+def test_a_lattice_window_is_the_direct_matrix(xs, nodes):
+    f = weierstrass_fn(0.3).scaled(1.0 - 2.0j)
+    xs, nodes = xs.reshape(-1, 1), nodes.reshape(-1, 1)
+    window = quadrature._lattice_window(f, xs, nodes)
+    assert window is not None and window.shape == (xs.shape[0], nodes.shape[0])
+    direct = f((xs[:, None, :] - nodes[None, :, :]).reshape(-1, 1)).reshape(window.shape)
+    assert np.ascontiguousarray(window).tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize(
+    "xs, nodes, why",
+    [
+        (np.linspace(-2.0, 2.0, 41), np.linspace(-4.0, 4.0, 129), "steps of 0.1 are not a dyadic lattice"),
+        (np.array([0.0, 0.25, 0.75, 1.0]), np.linspace(-4.0, 4.0, 129), "dyadic points that are not a progression"),
+        (np.linspace(1.0, 0.0, 5), np.linspace(-4.0, 4.0, 129), "a decreasing progression"),
+        (np.array([0.5]), np.linspace(-4.0, 4.0, 129), "one point: no fewer lattice points than pairs"),
+        (np.array([-0.0, 0.25]), np.linspace(-4.0, 4.0, 129), "a point at -0.0"),
+        (np.array([0.0, np.inf]), np.linspace(-4.0, 4.0, 129), "a non-finite point"),
+        (np.array([0.0, 2.0**60]), np.linspace(-4.0, 4.0, 129), "a coordinate above 2^52"),
+    ],
+)
+def test_off_a_lattice_no_window_is_read_and_nothing_is_evaluated(xs, nodes, why):
+    seen = []
+    f = _counted(weierstrass_fn(0.1), seen)
+    seen.clear()
+    assert quadrature._lattice_window(f, xs.reshape(-1, 1), nodes.reshape(-1, 1)) is None, why
+    assert seen == []
+
+
+def test_a_lattice_over_the_block_cap_is_not_sampled(monkeypatch):
+    seen = []
+    f = _counted(weierstrass_fn(0.1), seen)
+    xs, nodes = GridSpec(6.0, 1024, 1).points(), GridSpec(4.0, 128, 1).points()  # a lattice of 5,121 points
+    seen.clear()
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 5120)
+    assert quadrature._lattice_window(f, xs, nodes) is None and seen == []
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 5121)
+    assert quadrature._lattice_window(f, xs, nodes) is not None and seen == [5121]
+
+
+def test_dim_2_smoothing_keeps_the_direct_route(monkeypatch, default_ladders):
+    seen = []
+    f = _counted(weierstrass_fn(0.1, 2), seen)
+    grid = GridSpec(2.0, 4, 2)
+    seen.clear()
+    assert quadrature._lattice_window(f, grid.points(), GridSpec(4.0, 8, 2).points()) is None and seen == []
+    lattice, direct, read = _both_routes(monkeypatch, lambda: transforms.mollify_ladder(f, [0.2], grid.points(), 1e-2))
+    assert not read and lattice.tobytes() == direct.tobytes()
 
 
 def test_a_ladder_raises_the_one_alpha_error(default_ladders):
