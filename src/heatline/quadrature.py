@@ -27,18 +27,21 @@ library; envelopes the library derives are proved in code and checked by
 
 An integrand that declares per-axis ``factors``, f(x) = prod_j f_j(x_j)
 (as the Gaussian presets do, and ``l1_norm`` passes |f| with factors
-|f_j|), is summed by Fubini: a plain sum is prod_j sum_k w_k f_j(x_k), and
-a phase sum the product of one per-axis contraction per frequency, so each
-grid evaluates d (n+1) factor nodes instead of (n+1)^d points.  In dim >= 2
-the frequencies of a tensor lattice take few distinct values per axis (7 on
-a 7 x 7 lattice, not 49), so each axis is contracted on its distinct values
-only, ascending and told apart by their bits, and the columns are gathered
-back per frequency; a symmetric axis such as [-2, -1, 0, 1, 2] is then
-mirrored about its centre, and its phase matrix takes cos and sin on a
-quarter of its entries.  Dim 1 contracts every frequency as given.  Every other
-integrand is evaluated at every node, vectorized and chunked in a fixed
-order.  Reductions use numpy's pairwise summation, so a fixed grid always
-reproduces the same value bit for bit.
+|f_j|), and every integrand in dim 1, which is its own single factor, is
+summed through its per-axis rows (``GridSpec.weighted_factors``, the one
+place that chooses the form): by Fubini, a plain sum is
+prod_j sum_k w_k f_j(x_k), and a phase sum the product of one per-axis
+contraction per frequency, so each grid evaluates d (n+1) factor nodes
+instead of (n+1)^d points.  In dim >= 2 the frequencies of a tensor lattice
+take few distinct values per axis (7 on a 7 x 7 lattice, not 49), so each
+axis is contracted on its distinct values only, ascending and told apart by
+their bits, and the columns are gathered back per frequency; a symmetric
+axis such as [-2, -1, 0, 1, 2] is then mirrored about its centre, and its
+phase matrix takes cos and sin on a quarter of its entries.  Dim 1
+contracts every frequency as given.  The block loop serves unfactored
+integrands in dims 2-3: they are evaluated at every node, vectorized and
+chunked in a fixed order.  Reductions use numpy's pairwise summation, so a
+fixed grid always reproduces the same value bit for bit.
 
 Ladder grids have dyadic spacings (every radius is 2^a or 3 2^a, every N a
 power of two), so on a frequency axis that is itself such a lattice, such as
@@ -707,17 +710,16 @@ class GridSpec:
         goes into q_k).  Both tests are exact, in integer arithmetic (see
         ``_dyadic``), never up to a tolerance, so the result is the Simpson sum
         of ``phase_sum``'s fine row, with the same weights and values, rounded
-        differently.  A factored integrand (see ``TestFunction``) is a product
-        of one such sum per axis; an unfactored one is summed so in dim 1
-        only.  Returns None, having evaluated nothing, for an unfactored
-        integrand in dim >= 2, nodes off their lattice, non-finite or empty
-        xi, or an axis whose L exceeds _BLOCK_ENTRIES or the (N + 1) x
-        len(xi) phase entries it replaces.
+        differently.  The sum is a product of one such sum per axis of
+        ``weighted_factors``.  Returns None, having evaluated nothing, for
+        nodes off their lattice, non-finite or empty xi, an axis whose L
+        exceeds _BLOCK_ENTRIES or the (N + 1) x len(xi) phase entries it
+        replaces, or an integrand with no per-axis rows (unfactored, in
+        dim >= 2).
         """
         step = self._step
-        factored = getattr(values, "factors", None) is not None
         k = xi.shape[0]
-        if step is None or not k or not (factored or self.dim == 1) or not np.isfinite(xi).all():
+        if step is None or not k or not np.isfinite(xi).all():
             return None
         odd_s, exponent_s = step
         limit = min(_BLOCK_ENTRIES, self.nodes.size * k)
@@ -732,15 +734,14 @@ class GridSpec:
             length = 1 << bits
             shift = np.clip(exponent + bits, 0, bits)  # q_k = odd_k odd_s 2**(exponent_k + bits), taken mod L
             bins.append((length, ((odd % length) * (odd_s % length) % length << shift) % length))
-        if factored:
-            weighted = [wf[0] for wf in self.weighted_factors(values)]
-        else:
-            weighted = [self.weights * np.asarray(values(self.nodes[:, None]))]
+        weighted = self.weighted_factors(values)
+        if weighted is None:
+            return None
         from numpy.fft import fft  # imported where the route first runs, not with the package
 
         half = self.points_per_axis // 2
         sums = []
-        for a, (length, q) in zip(weighted, bins):
+        for (a, _), (length, q) in zip(weighted, bins):  # the fine row of each axis
             start = -half % length  # node i lands in slot (i - N/2) mod L
             rows = -(-(start + a.size) // length)
             folded = np.zeros(rows * length, dtype=a.dtype)
@@ -748,15 +749,21 @@ class GridSpec:
             sums.append(fft(folded.reshape(rows, length).sum(axis=0))[q])
         return _product(sums)
 
-    def weighted_factors(self, values) -> list[np.ndarray]:
-        """rows * f_j(nodes) for each axis j of an integrand that declares ``factors`` (see ``TestFunction``).
+    def weighted_factors(self, values) -> list[np.ndarray] | None:
+        """The integrand's per-axis rows on this grid; None for an unfactored integrand in dim >= 2.
 
-        Each entry is a (2, N + 1) array, one row per weight row, real for a
-        real factor.  The factor values get the checks of f(points): one
-        finite value per node.
+        An integrand that declares ``factors`` (see ``TestFunction``) has
+        rows * f_j(nodes) for each axis j, and its factor values get the
+        checks of f(points): one finite value per node.  Any other integrand
+        in dim 1 is its own single factor, rows * values(nodes), evaluated
+        raw at the N + 1 nodes, as a block of the grid would be.  Each entry
+        is a (2, N + 1) array, one row per weight row, real for real values.
+        This is where every sum chooses between per-axis rows and blocks.
         """
-        name = getattr(values, "name", "")
-        return [self.rows * _evaluated(f_j, self.nodes, name) for f_j in values.factors]
+        factors = getattr(values, "factors", None)
+        if factors is None:
+            return [self.rows * np.asarray(values(self.nodes[:, None]))] if self.dim == 1 else None
+        return [self.rows * _evaluated(f_j, self.nodes, values.name) for f_j in factors]
 
     def sum(self, block_sum: Callable, width: int = 1, walks: int = 1) -> np.ndarray:
         """Sums of ``block_sum(points, weights)`` over the blocks, as a (2 walks, width) array.
@@ -786,15 +793,17 @@ class GridSpec:
         nodes are, only the columns up to the centre).  The
         frequencies are taken in chunks so that no phase matrix or
         intermediate exceeds _BLOCK_ENTRIES entries (unless one frequency
-        already does).  An integrand that declares ``factors`` is not
-        evaluated at the nodes at all: its sum is the product over axes of
-        (w * f_j(nodes)) contracted with the axis's phase matrix.  In dim >= 2
+        already does).  An integrand with per-axis rows (see
+        ``weighted_factors``: a factored one, or any in dim 1) is evaluated
+        once, on its axes' nodes: its sum is the product over axes of the
+        axis's row contracted with the axis's phase matrix.  In dim >= 2
         that contraction runs on the axis's distinct frequencies only (see
         ``_distinct``: ascending, with -0.0 and +0.0 apart), and its columns
         are gathered back per frequency before the product, so a k x k
         lattice costs 2 k phase columns, not 2 k^2, and a symmetric axis takes
         the mirrored quarter path of ``phase_matrix``.  Dim 1 contracts the
-        frequencies as given, with no dedupe.
+        frequencies as given, with no dedupe.  An unfactored integrand in
+        dims 2 and 3 is evaluated block by block, once per chunk.
 
         The result has a row of fine sums, then one of coarse sums: the same
         values contracted on the even nodes only, with the even rows of the
@@ -805,13 +814,11 @@ class GridSpec:
         # (whole) axis leaves at most _CHUNK // m rows
         step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
         out = np.zeros((2, xi.shape[0]), dtype=np.complex128)
-        factored = getattr(values, "factors", None) is not None
-        if factored:
-            weighted = self.weighted_factors(values)
+        weighted = self.weighted_factors(values)
         c = sign * 2.0 * math.pi
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
-            if factored:
+            if weighted is not None:
                 # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
                 axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
                 phases = [(self.phase_matrix(c, freqs), back) for freqs, back in axes]
@@ -966,16 +973,20 @@ def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
 def _value_sum(values: Callable) -> Callable:
     """Grid sums of the plain integral of values for ``walk_ladders``: one walk, a (2, 1) array of the fine and the coarse sum.
 
-    An integrand that declares ``factors`` sums as prod_j sum_k w_k f_j(x_k).
-    Real values are weighted and summed in float64; the sums are added onto
-    the complex accumulator.
+    An integrand with per-axis rows (see ``GridSpec.weighted_factors``: a
+    factored one, or any in dim 1) sums as prod_j sum_k w_k f_j(x_k); an
+    unfactored one in dims 2 and 3 block by block.  Real values are weighted
+    and summed in float64; the sums are added onto the complex accumulator.
     """
-    if getattr(values, "factors", None) is not None:
-        # added onto zeros like a block sum, so a dim-1 sum keeps the block path's bits (signed zeros too)
-        return lambda grid, walks: [np.zeros((2, 1), np.complex128) + _product(
-            np.sum(wf, axis=-1, keepdims=True) for wf in grid.weighted_factors(values)
-        )]
-    return lambda grid, walks: [grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))]
+
+    def grid_sums(grid: GridSpec, walks: list) -> list[np.ndarray]:
+        weighted = grid.weighted_factors(values)
+        if weighted is None:
+            return [grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))]
+        # added onto zeros like a block sum, so a dim-1 sum keeps the block loop's bits (signed zeros too)
+        return [np.zeros((2, 1), np.complex128) + _product(np.sum(wf, axis=-1, keepdims=True) for wf in weighted)]
+
+    return grid_sums
 
 
 def _block_sums(block_for: Callable, width: int) -> Callable:
@@ -1091,14 +1102,14 @@ def auto_grid(g: TestFunction, target_tol: float, phase_rate: float = 0.0) -> Gr
     return integrate_auto(g, target_tol, phase_rate)[1]
 
 
+def _absolute(g: TestFunction) -> _Integrand:
+    """|g| as an integrand named |name|, with factors |g_j| when g declares factors."""
+    factors = None if g.factors is None else tuple(lambda x, f_j=f_j: np.abs(f_j(x)) for f_j in g.factors)
+    return _Integrand(lambda pts: np.abs(g(pts)), factors, f"|{g.name}|")
+
+
 def l1_norm(g: TestFunction, tol: float = 1e-9) -> QuadratureResult:
     """Integral of |g| over R^dim to the requested tolerance (a product of per-axis sums if g is factored)."""
-    label = f"|{g.name}|"
-    factors = None if g.factors is None else tuple(lambda x, f_j=f_j: np.abs(f_j(x)) for f_j in g.factors)
-    absolute = _Integrand(lambda pts: np.abs(g(pts)), factors, label)
-    result, _ = integrate_values(absolute, g.envelope, g.dim, label, tol)
-    return QuadratureResult(
-        value=result.value.real,
-        disc_error_est=result.disc_error_est,
-        tail_bound=result.tail_bound,
-    )
+    absolute = _absolute(g)
+    result, _ = integrate_values(absolute, g.envelope, g.dim, absolute.name, tol)
+    return replace(result, value=result.value.real)

@@ -28,6 +28,7 @@ from .quadrature import (
     GridSpec,
     QuadratureError,
     TestFunction,
+    _absolute,
     _block_sums,
     _lattice_window,
     _phase_sums,
@@ -135,7 +136,6 @@ def _transform_profile(
     """
     _require_integrable(envelope, label, "the Fourier transform")
     norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
-    per_row = per_row and xi_arr.shape[0] > 1  # one row is one walk either way: take the one-walk path
     grid_sums = _phase_sums(values, xi_arr, sign, per_row)
     if not per_row:
         worst = float(norms.max()) if xi_arr.size else 0.0
@@ -436,8 +436,8 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     """The quadrature transform of f, frozen on the smallest ladder grid that meets inner_tol.
 
     The grid is chosen at ``max_freq`` along the first axis.  Positive Simpson
-    weights bound the values by the quadrature L1 mass (a product of per-axis
-    masses when f declares factors); the phase rate is the grid's
+    weights bound the values by the quadrature L1 mass, the fine sum of
+    ``l1_norm``'s integrand |f| on the grid; the phase rate is the grid's
     half-diagonal.  The values on a block of frequencies are the Simpson sum
     of f(x) exp(-2 pi i x.xi) on the grid.  When every axis of the block is
     a lattice the grid's nodes pair with exactly (as the nodes of another
@@ -462,11 +462,9 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
         return grid.phase_sum(f, xi_pts, -1.0)[0]
 
-    if f.factors is None:
-        l1_mass = float(grid.sum(lambda pts, w: np.sum(np.abs(w * f(pts)), axis=-1, keepdims=True))[0, 0].real)
-    else:
-        l1_mass = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
-    return Spectrum(values, l1_mass, grid.radius * math.sqrt(f.dim), ("sampled", f, grid))
+    absolute = _absolute(f)
+    l1_mass, _ = integrate_values(absolute, f.envelope, f.dim, absolute.name, grid=grid)
+    return Spectrum(values, float(l1_mass.value.real), grid.radius * math.sqrt(f.dim), ("sampled", f, grid))
 
 
 def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, label: str) -> np.ndarray:
@@ -480,11 +478,11 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
     per (alpha, point), and each walk keeps its own phase cap (|x| plus the
     spectrum's rate) and stopping rung, so a value depends neither on the
     batch of points nor on the other alphas.  Within one block of a grid,
-    the walks share each alpha's Gauss weights and the values of each
-    spectrum ``key`` (a spectrum without a key shares its values with no
-    other alpha); nothing is kept from one block to the next.  Each point's
-    integrand is evaluated as it would be alone, on a fresh copy of the
-    spectrum values.
+    the walks share each alpha's Gauss weights, each point's phases
+    exp(2 pi i x.xi) and the values of each spectrum ``key`` (a spectrum
+    without a key shares its values with no other alpha); nothing is kept
+    from one block to the next.  Each point's integrand is evaluated as it
+    would be alone, on a fresh copy of the spectrum values.
     """
     xs = real_points(xs, dim)
     k = xs.shape[0]
@@ -500,16 +498,19 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
 
     def block_for(walks: list) -> Callable:
         def block(xi_pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-            weights, values, sums = {}, {}, []  # this block's gauss weights by alpha and spectrum values by key
+            # this block's gauss weights by alpha, spectrum values by key and phases by point
+            weights, values, phases, sums = {}, {}, {}, []
             for walk in walks:
                 j, i = divmod(walk, k)  # walk j k + i is alphas[j] at xs[i]
                 if j not in weights:
                     weights[j] = gauss(scales[j], xi_pts)
                 if keys[j] not in values:
                     values[keys[j]] = spectra[j].values(xi_pts)
+                if i not in phases:
+                    phases[i] = cis(2.0 * math.pi * (xi_pts @ xs[i]))
                 # a fresh array, as an unshared one would be: numpy multiplies a large
                 # temporary in place, where its complex multiply may round differently
-                phased = values[keys[j]].copy() * cis(2.0 * math.pi * (xi_pts @ xs[i])) * weights[j]
+                phased = values[keys[j]].copy() * phases[i] * weights[j]
                 sums.append(np.sum(w * phased, axis=-1, keepdims=True))
             return np.concatenate(sums)
 

@@ -23,7 +23,7 @@ from heatline import (
     weierstrass_fn,
 )
 from heatline import quadrature, transforms
-from heatline.catalog import bump_pair_fn, parse_preset
+from heatline.catalog import bump_fn, bump_pair_fn, parse_preset
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
@@ -228,20 +228,54 @@ FACTORED_PRESETS = {
 
 
 def _unfactored(g: TestFunction) -> TestFunction:
-    """g's values declared without factors, so the engine evaluates them at every node."""
+    """g's values declared without factors: in dims 2-3 the engine evaluates them block by block."""
     return TestFunction(g.f, g.dim, g.envelope, g.bounded, g.sup_bound, g.name)
 
 
+def _block_value_sum(grid: GridSpec, values) -> np.ndarray:
+    """The plain (2, 1) fine and coarse sums of values over the grid's blocks: the block route of ``_value_sum``."""
+    return grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))
+
+
+def _block_phase_sum(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.ndarray:
+    """``GridSpec.phase_sum`` by the block loop, whatever the integrand: values evaluated block by block, per chunk.
+
+    A copy of the engine's block loop, kept as the reference the per-axis
+    route of a dim-1 integrand must match bit for bit.
+    """
+    m = grid.nodes.size
+    step = max(1, quadrature._BLOCK_ENTRIES // max(m, quadrature._CHUNK // m))
+    out = np.zeros((2, xi.shape[0]), dtype=np.complex128)
+    c = sign * 2.0 * math.pi
+    for k in range(0, xi.shape[0], step):
+        chunk = xi[k:k + step]
+        phases = [grid.phase_matrix(c, chunk[:, j]) for j in range(grid.dim)]
+        for pts, w, index in grid.blocks():
+            vals = values(pts)
+            shape = tuple(s.stop - s.start for s in index)
+            for r, w_r in enumerate([w, quadrature._block_weights(grid.coarse_weights, index)]):
+                on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
+                acc = (w_r * vals).reshape(shape)[on]
+                if not acc.size:
+                    continue
+                axes = [phase[s][o] for phase, s, o in zip(phases, index, on)]
+                acc = acc.reshape(-1, acc.shape[-1]) @ axes[-1]
+                for axis in range(grid.dim - 2, -1, -1):
+                    acc = np.einsum("abk,bk->ak", acc.reshape(-1, axes[axis].shape[0], acc.shape[-1]), axes[axis])
+                out[r, k:k + step] += acc[0]
+    return out
+
+
 def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: GridSpec) -> None:
-    """Plain and phase sums of g equal those of its unfactored copy on the same grid.
+    """Plain and phase sums of g equal the block loop's sums of its unfactored copy on the same grid.
 
     Bit for bit in dim 1; in dims 2-3 to 1e-15 of the grid's L1 mass sum |w f|,
     the scale of a sum's rounding error.
     """
     block = _unfactored(g)
     xi = _frequencies(g.dim)
-    pairs = [(quadrature._value_sum(g)(grid, [0])[0], quadrature._value_sum(block)(grid, [0])[0])]
-    pairs += [(grid.phase_sum(g, xi, sign), grid.phase_sum(block, xi, sign)) for sign in (-1.0, 1.0)]
+    pairs = [(quadrature._value_sum(g)(grid, [0])[0], _block_value_sum(grid, block))]
+    pairs += [(grid.phase_sum(g, xi, sign), _block_phase_sum(grid, block, xi, sign)) for sign in (-1.0, 1.0)]
     if g.dim == 1:
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
     else:
@@ -295,6 +329,77 @@ def test_a_factored_integral_evaluates_only_factor_nodes(default_ladders):
     assert full == []
     assert sorted(axes) == [129] * 3
     assert abs(result.value - 1.0) <= result.error_budget + 1e-12
+
+
+_H, _IM = gauss_fn(0.1), np.array([0.3])
+_DIM_1_UNFACTORED = {
+    "bump": bump_fn(1.0),
+    # complex, as modulate's integrand h(x) exp(2 pi i a.x) is
+    "modulated": lambda pts: _H(pts) * cis(2.0 * math.pi * (pts @ np.array([0.7]))),
+    # fourier_complex's integrand f(x) exp(2 pi x.Im xi)
+    "grown": lambda pts: _H(pts) * np.exp(2.0 * math.pi * (pts @ _IM)),
+}
+
+
+def _counting(values, seen: list):
+    """values, recording the number of points of each call in seen."""
+
+    def counted(pts):
+        seen.append(pts.shape[0])
+        return values(pts)
+
+    return counted
+
+
+@pytest.mark.parametrize("block_entries", [quadrature._BLOCK_ENTRIES, 1 << 14], ids=["one-chunk", "chunks"])
+@pytest.mark.parametrize("name", sorted(_DIM_1_UNFACTORED))
+def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_entries):
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)  # 1 << 14: chunks of 16 frequencies
+    values, grid = _DIM_1_UNFACTORED[name], GridSpec(4.0, 128, 1)
+    lattice = GridSpec(6.0, 128, 1).nodes[:, None]  # frequencies the grid's nodes pair with exactly
+    xi = np.concatenate([lattice, _frequencies(1)])
+    wants = [_block_value_sum(grid, values)] + [_block_phase_sum(grid, values, xi, sign) for sign in (-1.0, 1.0)]
+    # the same values declared as one factor: the lattice route every dim-1 integrand took already
+    wants.append(grid._lattice_sum(quadrature._Integrand(values, (lambda x: values(x[:, None]),), name), lattice))
+
+    def refused(self, width=1):
+        raise AssertionError("a dim-1 integrand never takes the block loop")
+
+    monkeypatch.setattr(GridSpec, "blocks", refused)
+    seen = []
+    counted = _counting(values, seen)
+    got = [quadrature._value_sum(counted)(grid, [0])[0]] + [grid.phase_sum(counted, xi, sign) for sign in (-1.0, 1.0)]
+    got.append(grid._lattice_sum(counted, lattice))
+    assert seen == [129] * 4  # once per sum, at the N + 1 nodes, whatever the frequency chunks
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in wants]
+
+
+def test_an_unfactored_dim_2_integrand_takes_the_block_loop(monkeypatch):
+    f, grid, xi = bump_fn(1.0, 2), GridSpec(4.0, 16, 2), _frequencies(2)
+    assert grid.weighted_factors(f) is None
+    wants = [_block_value_sum(grid, f), _block_phase_sum(grid, f, xi, -1.0)]
+    lattice = grid.points()
+    walked, blocks = [], GridSpec.blocks
+    monkeypatch.setattr(GridSpec, "blocks", lambda self, width=1: walked.append(width) or blocks(self, width))
+    seen = []
+    counted = _counting(f, seen)
+    assert grid._lattice_sum(counted, lattice) is None and seen == [] and walked == []
+    got = [quadrature._value_sum(counted)(grid, [0])[0], grid.phase_sum(counted, xi, -1.0)]
+    assert walked == [1, 1] and seen == [17**2] * 2
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in wants]
+
+
+@pytest.mark.parametrize(
+    "f", [bump_fn(1.0), bump_fn(1.0, 2), gauss_fn(0.1, 2).shifted([0.3, -0.2])], ids=["d1", "d2", "d2-factored"]
+)
+def test_a_sampled_spectrum_is_bounded_by_its_fine_l1_sum(f):
+    spectrum = sampled_spectrum(f, 1e-6, 1.0)
+    grid = spectrum.key[2]
+    if f.factors is None:  # sum |w f| over the grid's blocks, or a product of per-axis sums
+        mass = float(grid.sum(lambda pts, w: np.sum(np.abs(w * f(pts)), axis=-1, keepdims=True))[0, 0].real)
+    else:
+        mass = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
+    assert spectrum.bound == mass
 
 
 @pytest.mark.parametrize("dim", [1, 2])

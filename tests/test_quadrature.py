@@ -445,9 +445,7 @@ _LATTICE_FUNCTIONS = {
 
 def _fine_weighted(grid: GridSpec, f) -> np.ndarray:
     """The weighted values a fine phase sum of f contracts, as the engine forms them."""
-    if f.factors is not None:
-        return grid.weighted_factors(f)[0][0]
-    return grid.weights * f(grid.nodes[:, None])
+    return grid.weighted_factors(f)[0][0]
 
 
 class TestLatticeSum:
