@@ -34,6 +34,7 @@ from .transforms import (
     _fourier_rows,
     _modulated_rows,
     _mollify_walks,
+    _transform_table,
     fourier_complex,
     fourier_profile,
     gauss_inversion_ladder,
@@ -285,17 +286,18 @@ def _run_verify_kernels(dim, alphas, tol) -> tuple:
         # one build (and envelope spot check) per kernel and alpha
         gauss_alpha, weierstrass_alpha = gauss_fn(alpha, dim), weierstrass_fn(alpha, dim)
         cases = [
-            ("fourier[gauss]", gauss_alpha, False, lambda p: weierstrass(scale, p)),
-            ("fourier[weierstrass]", weierstrass_alpha, False, lambda p: gauss(scale, p)),
-            ("inverse[gauss]", gauss_alpha, True, lambda p: weierstrass(scale, p)),
-            ("inverse[weierstrass]", weierstrass_alpha, True, lambda p: gauss(scale, p)),
+            ("fourier[gauss]", gauss_alpha, -1.0, weierstrass),
+            ("fourier[weierstrass]", weierstrass_alpha, -1.0, gauss),
+            ("inverse[gauss]", gauss_alpha, +1.0, weierstrass),
+            ("inverse[weierstrass]", weierstrass_alpha, +1.0, gauss),
         ]
-        for label, fn, inv, expected in cases:
-            samples = fourier_profile(fn, xi_pts, quad_tol, inverse=inv)
-            for sample, want in zip(samples, expected(xi_pts).tolist()):
-                resid = abs(sample.value - want)
+        # each case is fourier_profile(fn, xi_pts, quad_tol, inverse) bit for bit, from one ladder call per alpha
+        table = _transform_table([(fn, fn.envelope, fn.name, sign) for _, fn, sign, _ in cases], dim, xi_pts, quad_tol)
+        for (label, _, _, expected), values in zip(cases, table.tolist()):
+            for xi, value, want in zip(xi_pts.tolist(), values, expected(scale, xi_pts).tolist()):
+                resid = abs(value - want)
                 worst = max(worst, resid)
-                rows.append([alpha, label, *sample.xi, sample.value.real, sample.value.imag, want, resid])
+                rows.append([alpha, label, *xi, value.real, value.imag, want, resid])
         if dim == 1:
             # the pair identity continues to purely imaginary frequencies
             xi_imag = np.array([0.3j])

@@ -17,8 +17,9 @@ Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
 ``walk_ladders`` for vector-valued sums and for several walks at once, such
 as smoothing at several scales and points or the phase sums of a transform
-at several frequencies, which factor exp(+-2 pi i x.xi) per axis: the walks
-share their ladder grids); ``integrate`` and
+at several frequencies, which factor exp(+-2 pi i x.xi) per axis, or of
+several integrands, whose two signs share one set of phase matrices: the
+walks share their ladder grids); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -238,6 +239,17 @@ def _spot_points(dim: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+@lru_cache(maxsize=8)
+def _spot_geometry(dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The radii of the spot points and their per-axis columns, contiguous, computed once and read-only."""
+    pts = _spot_points(dim)
+    radii = np.sqrt(np.sum(pts * pts, axis=1))
+    columns = tuple(np.ascontiguousarray(pts[:, j]) for j in range(dim))
+    for array in (radii, *columns):
+        array.flags.writeable = False
+    return radii, columns
+
+
 def _evaluated(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     """fn(x) as an array of one value per row of x, checked for shape and finiteness.
 
@@ -318,9 +330,9 @@ class TestFunction:
 
     def _spot_check(self) -> None:
         pts = _spot_points(self.dim)
+        radii, columns = _spot_geometry(self.dim)
         vals = self(pts)
         mags = np.abs(vals)
-        radii = np.sqrt(np.sum(pts * pts, axis=1))
         if isinstance(self.envelope, CompactSupport):
             outside = radii > self.envelope.radius
             if np.any(mags[outside] != 0.0):
@@ -343,7 +355,7 @@ class TestFunction:
                     f"test function {self.name!r} exceeds its declared sup bound {self.sup_bound}"
                 )
         if self.factors is not None:
-            product = _product(_evaluated(f_j, pts[:, j], self.name) for j, f_j in enumerate(self.factors))
+            product = _product(_evaluated(f_j, x_j, self.name) for f_j, x_j in zip(self.factors, columns))
             excess = np.abs(product - vals) - _FACTOR_RTOL * mags - 1e-300
             if np.any(excess > 0.0):
                 raise ValueError(
@@ -554,6 +566,19 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.n
     return np.lib.stride_tricks.as_strided(
         sampled[(m - 1) * t:], shape=(k, m), strides=(s * item, -t * item), writeable=False
     )
+
+
+def _signed_phases(built: dict, c: float, build: Callable) -> list:
+    """built[c], a list of phase matrices exp(i c ...), made once: the conjugates of built[-c] when that was made, else build().
+
+    The angles of -c are the exact negations of those of c, and as cos is
+    even and sin odd (which the mirrored rows of ``GridSpec.phase_matrix``
+    rely on too), each conjugate is the matrix build() would make, bit for
+    bit; so a forward and an inverse transform pay for one set of matrices.
+    """
+    if c not in built:
+        built[c] = [np.conjugate(p) for p in built[-c]] if -c in built else build()
+    return built[c]
 
 
 def _row_tiles(rows: int, width: int) -> list[slice]:
@@ -807,42 +832,77 @@ class GridSpec:
 
         The result has a row of fine sums, then one of coarse sums: the same
         values contracted on the even nodes only, with the even rows of the
-        same phase matrices.
+        same phase matrices.  This is the one-integrand call of
+        ``_phase_sum_cases``, which sums several integrands, each with its
+        own sign, at once.
+        """
+        return self._phase_sum_cases([(values, sign)], xi)[0]
+
+    def _phase_sum_cases(self, cases: list, xi: np.ndarray) -> list[np.ndarray]:
+        """``phase_sum(values, xi, sign)`` for each (values, sign) of cases: a list of (2, len(xi)) arrays.
+
+        Each case's sums are those of its own ``phase_sum`` bit for bit: the
+        same operands meet in the same products, one case at a time, and are
+        never stacked into a wider product (BLAS rounds that differently).
+        The cases share what they have in common.  Each function (by
+        identity) has its per-axis rows evaluated once, or, unfactored in
+        dims 2-3, its values once per block and chunk.  Each chunk's
+        per-axis phase matrices are built once for the first sign asked,
+        and the opposite sign takes their conjugates: its angles are the
+        exact negations, and as cos is even and sin odd (which the mirrored
+        rows of ``phase_matrix`` rely on too), each entry is the conjugate
+        bit for bit.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
         # (whole) axis leaves at most _CHUNK // m rows
         step = max(1, _BLOCK_ENTRIES // max(m, _CHUNK // m))
-        out = np.zeros((2, xi.shape[0]), dtype=np.complex128)
-        weighted = self.weighted_factors(values)
-        c = sign * 2.0 * math.pi
+        out = [np.zeros((2, xi.shape[0]), dtype=np.complex128) for _ in cases]
+        rows = {}  # each function's per-axis rows (None: unfactored), by identity, for every case that sums it
+        for values, _ in cases:
+            if id(values) not in rows:
+                rows[id(values)] = self.weighted_factors(values)
+        blocked = [(sums, values, sign) for sums, (values, sign) in zip(out, cases) if rows[id(values)] is None]
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
-            if weighted is not None:
-                # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
-                axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
-                phases = [(self.phase_matrix(c, freqs), back) for freqs, back in axes]
+            axes, phases = None, {}  # each axis's (frequencies, gather), and its phase matrices by angle factor
+            for sums, (values, sign) in zip(out, cases):
+                weighted = rows[id(values)]
+                if weighted is None:
+                    continue
+                if axes is None:
+                    # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
+                    axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
+                c = sign * 2.0 * math.pi
+                matrices = _signed_phases(phases, c, lambda: [self.phase_matrix(c, freqs) for freqs, _ in axes])
                 for r in range(2):
                     on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes
-                    out[r, k:k + step] += _product(
-                        (wf[r:r + 1, on] @ phase[on])[0, back] for wf, (phase, back) in zip(weighted, phases)
+                    sums[r, k:k + step] += _product(
+                        (wf[r:r + 1, on] @ phase[on])[0, back] for wf, phase, (_, back) in zip(weighted, matrices, axes)
                     )
+            if not blocked:
                 continue
-            phases = [self.phase_matrix(c, chunk[:, j]) for j in range(self.dim)]
+            columns = {}
             for pts, w, index in self.blocks():
-                vals = values(pts)
+                block_values = {}
                 shape = tuple(s.stop - s.start for s in index)
-                for r, w_r in enumerate([w, _block_weights(self.coarse_weights, index)]):
-                    # the block positions of the row's nodes: all of them, or the even nodes
-                    on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
-                    acc = (w_r * vals).reshape(shape)[on]
-                    if not acc.size:
-                        continue  # a block of odd nodes along some axis
-                    axes = [phase[s][o] for phase, s, o in zip(phases, index, on)]
-                    acc = acc.reshape(-1, acc.shape[-1]) @ axes[-1]
-                    for axis in range(self.dim - 2, -1, -1):
-                        acc = np.einsum("abk,bk->ak", acc.reshape(-1, axes[axis].shape[0], acc.shape[-1]), axes[axis])
-                    out[r, k:k + step] += acc[0]
+                weight_rows = [w, _block_weights(self.coarse_weights, index)]
+                for sums, values, sign in blocked:
+                    if id(values) not in block_values:
+                        block_values[id(values)] = values(pts)
+                    c = sign * 2.0 * math.pi
+                    matrices = _signed_phases(columns, c, lambda: [self.phase_matrix(c, chunk[:, j]) for j in range(self.dim)])
+                    for r, w_r in enumerate(weight_rows):
+                        # the block positions of the row's nodes: all of them, or the even nodes
+                        on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
+                        acc = (w_r * block_values[id(values)]).reshape(shape)[on]
+                        if not acc.size:
+                            continue  # a block of odd nodes along some axis
+                        on_axes = [phase[s][o] for phase, s, o in zip(matrices, index, on)]
+                        acc = acc.reshape(-1, acc.shape[-1]) @ on_axes[-1]
+                        for axis in range(self.dim - 2, -1, -1):
+                            acc = np.einsum("abk,bk->ak", acc.reshape(-1, on_axes[axis].shape[0], acc.shape[-1]), on_axes[axis])
+                        sums[r, k:k + step] += acc[0]
         return out
 
 
@@ -1014,6 +1074,17 @@ def _phase_sums(values: Callable, xi: np.ndarray, sign: float, per_row: bool = F
         return sums.reshape(2, len(walks), -1).swapaxes(0, 1)
 
     return grid_sums
+
+
+def _case_phase_sums(cases: list, xi: np.ndarray) -> Callable:
+    """Grid sums for ``walk_ladders`` of several integrands at every row of xi: walk i sums the case (values, sign) cases[i].
+
+    The walks on one grid share one ``GridSpec._phase_sum_cases`` call, so
+    each chunk's phase matrices are built once (the opposite sign takes
+    their conjugates) and each function's rows are evaluated once, while
+    each walk's sums keep the bits of its own ``phase_sum``.
+    """
+    return lambda grid, walks: grid._phase_sum_cases([cases[i] for i in walks], xi)
 
 
 def _certified(fine: np.ndarray, coarse: np.ndarray, grid: GridSpec, envelope: Envelope, label: str) -> QuadratureResult:

@@ -30,6 +30,7 @@ from .quadrature import (
     TestFunction,
     _absolute,
     _block_sums,
+    _case_phase_sums,
     _lattice_window,
     _phase_sums,
     _require_integrable,
@@ -127,23 +128,45 @@ def _transform_profile(
 ) -> np.ndarray:
     """Transform values at a batch of real frequencies, one value per row of xi_arr.
 
-    One ladder walk, to the largest |xi|, sums every row on one grid.  With
-    ``per_row``, each row is a walk of its own, with the phase cap of its
-    own |xi| and its own stopping rung, so a row gives the value of walking
-    that frequency alone, up to rounding: the walks on one grid share one
-    phase sum (see ``quadrature._phase_sums``), and BLAS rounds a product
-    over several columns differently from one over a single column.
+    One ladder walk, to the largest |xi|, sums every row on one grid (a
+    one-case ``_transform_table``).  With ``per_row``, each row is a walk of
+    its own, with the phase cap of its own |xi| and its own stopping rung,
+    so a row gives the value of walking that frequency alone, up to
+    rounding: the walks on one grid share one phase sum (see
+    ``quadrature._phase_sums``), and BLAS rounds a product over several
+    columns differently from one over a single column.
     """
+    if not per_row:
+        return _transform_table([(values, envelope, label, sign)], dim, xi_arr, tol)[0]
     _require_integrable(envelope, label, "the Fourier transform")
     norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     grid_sums = _phase_sums(values, xi_arr, sign, per_row)
-    if not per_row:
-        worst = float(norms.max()) if xi_arr.size else 0.0
-        [(fine, _, _)] = walk_ladders(grid_sums, [envelope], dim, tol, [label], worst)
-        return fine
     walks = xi_arr.shape[0]
     walked = walk_ladders(grid_sums, [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
+
+
+def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+    """Transform values of several integrands at every row of xi_arr: one row per case, one column per frequency.
+
+    A case is (values, envelope, label, sign), with sign -1 for the forward
+    transform and +1 for the inverse.  One ``walk_ladders`` call makes a walk
+    per case, to the largest |xi|, with the case's own envelope, label and
+    stopping rung, so row i is the value of walking case i alone, bit for
+    bit: on each grid, the cases there share each chunk's phase matrices
+    (built for one sign, conjugated for the other) and each function's
+    weighted rows, and each case keeps its own products (see
+    ``quadrature._case_phase_sums``).  When several cases fail, the first
+    one's error is raised.
+    """
+    for _, envelope, label, _ in cases:
+        _require_integrable(envelope, label, "the Fourier transform")
+    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    worst = float(norms.max()) if xi_arr.size else 0.0
+    grid_sums = _case_phase_sums([(values, sign) for values, _, _, sign in cases], xi_arr)
+    envelopes, labels = [case[1] for case in cases], [case[2] for case in cases]
+    walked = walk_ladders(grid_sums, envelopes, dim, tol, labels, worst)
+    return np.array([fine for fine, _, _ in walked], dtype=np.complex128)
 
 
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:

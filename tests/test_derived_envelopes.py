@@ -7,7 +7,7 @@ pairings, ...) enter the engine directly, with envelopes proved in code;
 this module checks those proofs.  It wraps the engine entry points
 (``integrate_values``, the ladder walk ``walk_ladders``, the fixed-grid
 sum of several walks ``_grid_walks`` and the grid-sum builders
-``_value_sum``, ``_block_sums`` and ``_phase_sums``) in every
+``_value_sum``, ``_block_sums``, ``_phase_sums`` and ``_case_phase_sums``) in every
 heatline module that imported them, runs every registered
 experiment at its default spec plus the derived entry points those runs do
 not reach, and evaluates each captured integrand at the runtime spot points
@@ -46,7 +46,7 @@ from heatline import (
     weak_convergence_trace,
     weierstrass_fn,
 )
-from heatline import quadrature, transforms
+from heatline import experiments, quadrature, transforms
 from heatline.experiments import EXPERIMENTS, ExperimentSpec, run
 from heatline.quadrature import _ENVELOPE_SLACK, _spot_points
 
@@ -85,6 +85,7 @@ def captured_integrands():
     walks = set()
     integrate_values, walk_ladders, grid_walks = quadrature.integrate_values, quadrature.walk_ladders, quadrature._grid_walks
     value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
+    case_phase_sums = quadrature._case_phase_sums
 
     def capture_values(values, envelope, dim, label, *args, **kwargs):
         captures.append(Capture(label, envelope, dim, values))
@@ -124,6 +125,12 @@ def captured_integrands():
         grid_sums.integrands = lambda i: (values, None)
         return grid_sums
 
+    def tag_case_phase_sums(cases, xi):
+        # walk i sums its own case's values, each checked against that walk's envelope
+        grid_sums = case_phase_sums(cases, xi)
+        grid_sums.integrands = lambda i: (cases[i][0], None)
+        return grid_sums
+
     def tag_block_sums(block_for, width):
         grid_sums = block_sums(block_for, width)
         grid_sums.integrands = lambda i: (_pointwise(block_for([i]), width), width)
@@ -135,6 +142,7 @@ def captured_integrands():
         grid_walks: capture_grid_walks,
         value_sum: tag_value_sum,
         phase_sums: tag_phase_sums,
+        case_phase_sums: tag_case_phase_sums,
         block_sums: tag_block_sums,
     }
     modules = [m for name, m in sys.modules.items() if name == "heatline" or name.startswith("heatline.")]
@@ -208,3 +216,16 @@ def test_the_check_catches_a_halved_phase_envelope(monkeypatch):
     with captured_integrands() as captures:
         fourier_complex(gauss_fn(0.1), [0.3j])
     assert [label for label, _ in violations(captures)] == ["fourier[gauss:0.1]@complex"]
+
+
+def test_the_check_reads_each_case_of_a_transform_table_against_its_own_envelope(monkeypatch):
+    table = transforms._transform_table
+
+    def halved_second(cases, *args):
+        # the second case, weierstrass forward, under half its envelope; the others keep theirs
+        return table([(v, e.scaled(0.5) if i == 1 else e, label, sign) for i, (v, e, label, sign) in enumerate(cases)], *args)
+
+    monkeypatch.setattr(experiments, "_transform_table", halved_second)
+    with captured_integrands() as captures:
+        run(ExperimentSpec("verify-kernels", 1, {"alphas": [0.1]}))
+    assert [label for label, _ in violations(captures)] == ["weierstrass:0.1"]

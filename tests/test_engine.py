@@ -24,10 +24,11 @@ from heatline import (
 )
 from heatline import quadrature, transforms
 from heatline.catalog import bump_fn, bump_pair_fn, parse_preset
+from heatline.experiments import ExperimentSpec, run
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
-from heatline.transforms import Spectrum, modulate, mollify_ladder, sampled_spectrum
+from heatline.transforms import Spectrum, fourier_profile, modulate, mollify_ladder, sampled_spectrum
 
 
 @pytest.fixture
@@ -1091,3 +1092,80 @@ def test_a_phase_cap_above_the_ladder_names_the_phase(default_ladders):
     # 8 x radius 4 x rate 1e4 points per axis: more than the ladder's last rung, which the budget admits
     with pytest.raises(QuadratureError, match="phase cap exceeds the point ladder"):
         integrate_auto(weierstrass_fn(0.1), 1e-8, phase_rate=1e4)
+
+
+# -- one ladder call per kernel-pair table -----------------------------------
+
+
+def _table(cases: list, xi: np.ndarray, tol: float) -> np.ndarray:
+    """``transforms._transform_table`` of (f, inverse) cases, as the verify-kernels runner builds it."""
+    signed = [(f, f.envelope, f.name, 1.0 if inverse else -1.0) for f, inverse in cases]
+    return transforms._transform_table(signed, cases[0][0].dim, xi, tol)
+
+
+def _assert_each_case_is_its_own_profile(cases: list, xi: np.ndarray, tol: float) -> None:
+    for (f, inverse), row in zip(cases, _table(cases, xi, tol), strict=True):
+        alone = np.array([s.value for s in fourier_profile(f, xi, tol, inverse)])
+        assert row.tobytes() == alone.tobytes(), (f.name, inverse)
+
+
+@pytest.mark.parametrize("dim, tol", [(1, 1e-8), (2, 1e-5), (3, 1e-3)])
+def test_each_case_of_a_transform_table_is_its_own_fourier_profile(default_ladders, dim, tol):
+    # bump is unfactored in dims 2-3: its cases take the block loop, beside the factored cases' per-axis rows
+    fs = [parse_preset(preset, dim) for preset in ("gauss:0.1", "weierstrass:0.05", "bump:1")]
+    xi = GridSpec(1.0, 4, 1).nodes[:: 2 if dim == 3 else 1]  # [-1, -0.5, 0, 0.5, 1], or [-1, 0, 1] in dim 3
+    lattice = np.stack(np.meshgrid(*[xi] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    _assert_each_case_is_its_own_profile([(f, inverse) for f in fs for inverse in (False, True)], lattice, tol)
+
+
+def test_a_table_whose_functions_sit_on_different_radii_is_each_profile(default_ladders):
+    gauss_alpha, weierstrass_alpha = gauss_fn(0.5), weierstrass_fn(0.5)
+    xi = np.linspace(-2.0, 2.0, 41).reshape(-1, 1)
+    cases = [(gauss_alpha, False), (weierstrass_alpha, False), (gauss_alpha, True), (weierstrass_alpha, True)]
+    # each walk alone: gauss:0.5 on radius 4, weierstrass:0.5 on radius 6
+    radii = [quadrature.truncation_radius(f.envelope, 1, 1e-6, f.name) for f, _ in cases[:2]]
+    assert radii == [4.0, 6.0]
+    _assert_each_case_is_its_own_profile(cases, xi, 1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_table_over_several_phase_chunks_is_each_profile(monkeypatch, default_ladders, dim):
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1 << 14)  # chunks of 16 frequencies on the 129-node rung
+    if dim == 1:
+        xi = np.linspace(-2.0, 2.0, 41).reshape(-1, 1)
+    else:
+        axis = np.linspace(-2.0, 2.0, 5)
+        xi = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    fs = [gauss_fn(0.1, dim), bump_fn(1.0, dim)]
+    _assert_each_case_is_its_own_profile([(f, inverse) for f in fs for inverse in (True, False)], xi, 1e-5)
+
+
+@pytest.mark.parametrize("freqs", [np.linspace(-2.0, 2.0, 41), np.array([0.3, -0.0, 0.0, -1.7, 2.5]), np.array([0.75])])
+@pytest.mark.parametrize("grid", [GridSpec(4.0, 128, 1), GridSpec(6.0, 256, 1), GridSpec(7.3, 128, 1)])
+def test_the_opposite_sign_phase_matrix_is_the_conjugate_bit_for_bit(grid, freqs):
+    c = 2.0 * math.pi
+    assert grid.phase_matrix(-c, freqs).tobytes() == np.conjugate(grid.phase_matrix(c, freqs)).tobytes()
+
+
+@pytest.mark.parametrize("dim, apart_entries", [(1, 38376), (2, 3108), (3, 4662)])
+def test_a_default_verify_kernels_run_shares_phases_and_rows(monkeypatch, default_ladders, dim, apart_entries):
+    entries, rows = [], []
+
+    def counted(theta):
+        entries.append(np.size(theta))
+        return cis(theta)
+
+    weighted_factors = GridSpec.weighted_factors
+
+    def recorded(grid, values):
+        rows.append((grid, getattr(values, "name", None)))
+        return weighted_factors(grid, values)
+
+    monkeypatch.setattr(quadrature, "cis", counted)
+    monkeypatch.setattr(GridSpec, "weighted_factors", recorded)
+    run(ExperimentSpec("verify-kernels", dim))
+    # four separate fourier_profile walks per alpha, each building its own phase matrices, computed apart_entries
+    assert sum(entries) <= apart_entries // 2
+    # each kernel's rows once per grid it walks, for its forward and its inverse case
+    kernels = [row for row in rows if row[1] is not None and row[1].startswith(("gauss:", "weierstrass:"))]
+    assert kernels and len(kernels) == len(set(kernels))

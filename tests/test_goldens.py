@@ -2,8 +2,8 @@
 
 The goldens under ``tests/goldens/`` are the CSV exports of every registered
 experiment at dim 1, plus ``integrate``, ``fourier``, ``verify-kernels`` and
-``multiplication`` at dim 2 and ``fourier`` and ``integrate`` at dim 3, all
-with default parameters.  A refactor of the engine must
+``multiplication`` at dim 2 and ``fourier``, ``integrate`` and
+``verify-kernels`` at dim 3, all with default parameters.  A refactor of the engine must
 reproduce them: text cells exactly, numeric cells (including the numbers
 inside the ``# config=`` JSON line) to 1e-14 absolute.
 
@@ -27,6 +27,7 @@ CASES = [(name, 1) for name in sorted(EXPERIMENTS)] + [
     ("multiplication", 2),
     ("fourier", 3),
     ("integrate", 3),
+    ("verify-kernels", 3),
 ]
 ABS_TOL = 1e-14
 
@@ -95,7 +96,7 @@ def test_default_export_matches_golden(name, dim):
     _compare_csv(_export(name, dim), _golden_path(name, dim).read_bytes(), f"{name}-d{dim}")
 
 
-@pytest.mark.parametrize("name,dim", [("invert", 1), ("verify-kernels", 2)])
+@pytest.mark.parametrize("name,dim", [("invert", 1), ("verify-kernels", 1), ("verify-kernels", 2), ("verify-kernels", 3)])
 def test_two_runs_export_identical_bytes(name, dim):
     assert _export(name, dim) == _export(name, dim)
 
