@@ -34,7 +34,7 @@ from .transforms import (
     _fourier_rows,
     _modulated_rows,
     _mollify_walks,
-    _transform_table,
+    _profile_table,
     fourier_complex,
     fourier_profile,
     gauss_inversion_ladder,
@@ -286,13 +286,13 @@ def _run_verify_kernels(dim, alphas, tol) -> tuple:
         # one build (and envelope spot check) per kernel and alpha
         gauss_alpha, weierstrass_alpha = gauss_fn(alpha, dim), weierstrass_fn(alpha, dim)
         cases = [
-            ("fourier[gauss]", gauss_alpha, -1.0, weierstrass),
-            ("fourier[weierstrass]", weierstrass_alpha, -1.0, gauss),
-            ("inverse[gauss]", gauss_alpha, +1.0, weierstrass),
-            ("inverse[weierstrass]", weierstrass_alpha, +1.0, gauss),
+            ("fourier[gauss]", gauss_alpha, False, weierstrass),
+            ("fourier[weierstrass]", weierstrass_alpha, False, gauss),
+            ("inverse[gauss]", gauss_alpha, True, weierstrass),
+            ("inverse[weierstrass]", weierstrass_alpha, True, gauss),
         ]
         # each case is fourier_profile(fn, xi_pts, quad_tol, inverse) bit for bit, from one ladder call per alpha
-        table = _transform_table([(fn, fn.envelope, fn.name, sign) for _, fn, sign, _ in cases], dim, xi_pts, quad_tol)
+        table = _profile_table([(fn, inverse) for _, fn, inverse, _ in cases], xi_pts, quad_tol)
         for (label, _, _, expected), values in zip(cases, table.tolist()):
             for xi, value, want in zip(xi_pts.tolist(), values, expected(scale, xi_pts).tolist()):
                 resid = abs(value - want)

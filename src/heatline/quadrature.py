@@ -228,26 +228,28 @@ Envelope = Union[GaussianDecay, PolynomialDecay, CompactSupport, BoundedOnly]
 
 
 @lru_cache(maxsize=8)
-def _spot_points(dim: int) -> np.ndarray:
-    """Fixed deterministic sample of 1000 points at three length scales."""
+def _spot_geometry(dim: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The spot points, a fixed deterministic sample of 1000 points at three length scales, with their radii and per-axis columns.
+
+    Computed once per dim; the radii and the columns (contiguous) are read-only.
+    """
     rng = np.random.default_rng(_SPOT_SEED + dim)
     blocks = [
         rng.uniform(-1.0, 1.0, size=(200, dim)),
         rng.uniform(-4.0, 4.0, size=(400, dim)),
         rng.uniform(-16.0, 16.0, size=(400, dim)),
     ]
-    return np.concatenate(blocks, axis=0)
-
-
-@lru_cache(maxsize=8)
-def _spot_geometry(dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The radii of the spot points and their per-axis columns, contiguous, computed once and read-only."""
-    pts = _spot_points(dim)
+    pts = np.concatenate(blocks, axis=0)
     radii = np.sqrt(np.sum(pts * pts, axis=1))
     columns = tuple(np.ascontiguousarray(pts[:, j]) for j in range(dim))
     for array in (radii, *columns):
         array.flags.writeable = False
-    return radii, columns
+    return pts, radii, columns
+
+
+def _spot_points(dim: int) -> np.ndarray:
+    """The spot points of ``_spot_geometry``: a (1000, dim) array."""
+    return _spot_geometry(dim)[0]
 
 
 def _evaluated(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
@@ -329,8 +331,7 @@ class TestFunction:
         self._spot_check()
 
     def _spot_check(self) -> None:
-        pts = _spot_points(self.dim)
-        radii, columns = _spot_geometry(self.dim)
+        pts, radii, columns = _spot_geometry(self.dim)
         vals = self(pts)
         mags = np.abs(vals)
         if isinstance(self.envelope, CompactSupport):
@@ -571,9 +572,8 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.n
 def _signed_phases(built: dict, c: float, build: Callable) -> list:
     """built[c], a list of phase matrices exp(i c ...), made once: the conjugates of built[-c] when that was made, else build().
 
-    The angles of -c are the exact negations of those of c, and as cos is
-    even and sin odd (which the mirrored rows of ``GridSpec.phase_matrix``
-    rely on too), each conjugate is the matrix build() would make, bit for
+    ``GridSpec.phase_matrix`` builds the matrices of c and -c as exact
+    conjugates, so each conjugate is the matrix build() would make, bit for
     bit; so a forward and an inverse transform pay for one set of matrices.
     """
     if c not in built:
@@ -696,15 +696,22 @@ class GridSpec:
         quarter of the matrix, and the rest are conjugates.  Other ``freqs``
         cost one scalar comparison of their end points before the plain path
         (and a comparison of the two halves' bytes when the ends mirror).
+        Every matrix takes cos and sin at the angle factor -|c|, and a positive
+        c conjugates those rows, so the matrices of c and -c are exact
+        conjugates by construction: a forward and an inverse transform can
+        share one.
         """
         half, mid = self.nodes.size // 2, freqs.size // 2
+        lead = -abs(c)
         phase = np.empty((self.nodes.size, freqs.size), dtype=np.complex128)
+        top = phase[:half + 1]
         if freqs.size % 2 and freqs.size >= 3 and freqs[0] == -freqs[-1] and _mirrored(freqs):
-            top = phase[:half + 1]
-            top[:, :mid + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs[:mid + 1]))
+            top[:, :mid + 1] = cis(lead * np.multiply.outer(self.nodes[:half + 1], freqs[:mid + 1]))
             np.conjugate(top[:, mid - 1::-1], out=top[:, mid + 1:])
         else:
-            phase[:half + 1] = cis(c * np.multiply.outer(self.nodes[:half + 1], freqs))
+            top[:] = cis(lead * np.multiply.outer(self.nodes[:half + 1], freqs))
+        if c > 0:
+            np.conjugate(top, out=top)
         np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
         return phase
 
@@ -848,10 +855,8 @@ class GridSpec:
         identity) has its per-axis rows evaluated once, or, unfactored in
         dims 2-3, its values once per block and chunk.  Each chunk's
         per-axis phase matrices are built once for the first sign asked,
-        and the opposite sign takes their conjugates: its angles are the
-        exact negations, and as cos is even and sin odd (which the mirrored
-        rows of ``phase_matrix`` rely on too), each entry is the conjugate
-        bit for bit.
+        and the opposite sign takes their conjugates, which are its own
+        matrices bit for bit (``phase_matrix`` builds them so).
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
@@ -1061,23 +1066,21 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
     return lambda grid, walks: grid.sum(block_for(walks), width, len(walks)).reshape(len(walks), 2, width)
 
 
-def _phase_sums(values: Callable, xi: np.ndarray, sign: float, per_row: bool = False) -> Callable:
-    """Grid sums of values(x) exp(sign 2 pi i x.xi) for ``walk_ladders``, one column per frequency (see ``GridSpec.phase_sum``).
+def _phase_sums(values: Callable, xi: np.ndarray, sign: float) -> Callable:
+    """Grid sums of values(x) exp(sign 2 pi i x.xi) for ``walk_ladders``: walk i sums row i of xi alone (see ``GridSpec.phase_sum``).
 
-    One walk sums every row of xi; with ``per_row``, walk i sums row i
-    alone, and the walks on one grid share one phase sum over their rows, so
-    its phase matrices are built once per axis for all of them.
+    The walks on one grid share one phase sum over their rows, so its phase
+    matrices are built once per axis for all of them.
     """
 
     def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
-        sums = grid.phase_sum(values, xi[walks] if per_row else xi, sign)
-        return sums.reshape(2, len(walks), -1).swapaxes(0, 1)
+        return grid.phase_sum(values, xi[walks], sign).reshape(2, len(walks), 1).swapaxes(0, 1)
 
     return grid_sums
 
 
 def _case_phase_sums(cases: list, xi: np.ndarray) -> Callable:
-    """Grid sums for ``walk_ladders`` of several integrands at every row of xi: walk i sums the case (values, sign) cases[i].
+    """Grid sums for ``walk_ladders`` of integrands at every row of xi: walk i sums the case (values, sign) cases[i].
 
     The walks on one grid share one ``GridSpec._phase_sum_cases`` call, so
     each chunk's phase matrices are built once (the opposite sign takes

@@ -140,7 +140,7 @@ def _transform_profile(
         return _transform_table([(values, envelope, label, sign)], dim, xi_arr, tol)[0]
     _require_integrable(envelope, label, "the Fourier transform")
     norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
-    grid_sums = _phase_sums(values, xi_arr, sign, per_row)
+    grid_sums = _phase_sums(values, xi_arr, sign)
     walks = xi_arr.shape[0]
     walked = walk_ladders(grid_sums, [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
@@ -191,8 +191,17 @@ def fourier_profile(
 ) -> list[FrequencySample]:
     """Transform values over a list of frequencies, sharing one grid."""
     arr = real_points(xi_list, f.dim, "frequency list")
-    values = _transform_profile(f, f.envelope, f.dim, f.name, arr, tol, +1.0 if inverse else -1.0)
+    [values] = _profile_table([(f, inverse)], arr, tol)
     return [FrequencySample(tuple(row), v) for row, v in zip(arr.tolist(), values.tolist())]
+
+
+def _profile_table(cases: list, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+    """``fourier_profile(f, xi_arr, tol, inverse)`` values for each (f, inverse) of cases, from one ladder call: one row per case.
+
+    The functions share one dimension; see ``_transform_table``.
+    """
+    signed = [(f, f.envelope, f.name, +1.0 if inverse else -1.0) for f, inverse in cases]
+    return _transform_table(signed, cases[0][0].dim, xi_arr, tol)
 
 
 def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
@@ -474,7 +483,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    [(_, _, grid)] = walk_ladders(_phase_sums(f, probe, -1.0), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
+    [(_, _, grid)] = walk_ladders(_case_phase_sums([(f, -1.0)], probe), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from heatline import (
     weak_convergence_trace,
     weierstrass_fn,
 )
-from heatline import experiments, quadrature, transforms
+from heatline import quadrature, transforms
 from heatline.experiments import EXPERIMENTS, ExperimentSpec, run
 from heatline.quadrature import _ENVELOPE_SLACK, _spot_points
 
@@ -119,9 +119,9 @@ def captured_integrands():
         grid_sums.integrands = lambda i: None
         return grid_sums
 
-    def tag_phase_sums(values, xi, sign, per_row=False):
-        # every walk of a phase sum sums the same values, at its own frequencies
-        grid_sums = phase_sums(values, xi, sign, per_row)
+    def tag_phase_sums(values, xi, sign):
+        # every walk of a phase sum sums the same values, at its own frequency
+        grid_sums = phase_sums(values, xi, sign)
         grid_sums.integrands = lambda i: (values, None)
         return grid_sums
 
@@ -225,7 +225,7 @@ def test_the_check_reads_each_case_of_a_transform_table_against_its_own_envelope
         # the second case, weierstrass forward, under half its envelope; the others keep theirs
         return table([(v, e.scaled(0.5) if i == 1 else e, label, sign) for i, (v, e, label, sign) in enumerate(cases)], *args)
 
-    monkeypatch.setattr(experiments, "_transform_table", halved_second)
+    monkeypatch.setattr(transforms, "_transform_table", halved_second)
     with captured_integrands() as captures:
         run(ExperimentSpec("verify-kernels", 1, {"alphas": [0.1]}))
     assert [label for label, _ in violations(captures)] == ["weierstrass:0.1"]

@@ -456,7 +456,7 @@ def _grid_sums(dim: int):
     for name, g in (("skewed", _skewed_gaussian), ("factored", factored)):
         value_sum = quadrature._value_sum(g)  # one walk
         cases.append((f"plain-{name}", lambda grid, value_sum=value_sum: value_sum(grid, [0])[0], g))
-        phase_sums = quadrature._phase_sums(g, xi, -1.0)  # one walk holding every frequency
+        phase_sums = quadrature._case_phase_sums([(g, -1.0)], xi)  # one walk holding every frequency
         cases.append((f"phase-{name}", lambda grid, phase_sums=phase_sums: phase_sums(grid, [0])[0], g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
     block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
@@ -747,9 +747,9 @@ def test_a_modulated_integrand_stays_complex(monkeypatch):
     integrands = []
     phase_sums = transforms._phase_sums
 
-    def recorded(values, xi, sign, per_row=False):
+    def recorded(values, xi, sign):
         integrands.append(values)
-        return phase_sums(values, xi, sign, per_row)
+        return phase_sums(values, xi, sign)
 
     monkeypatch.setattr(transforms, "_phase_sums", recorded)
     modulate(gauss_fn(0.1), [0.5], [0.0], 1e-8)
@@ -1097,14 +1097,8 @@ def test_a_phase_cap_above_the_ladder_names_the_phase(default_ladders):
 # -- one ladder call per kernel-pair table -----------------------------------
 
 
-def _table(cases: list, xi: np.ndarray, tol: float) -> np.ndarray:
-    """``transforms._transform_table`` of (f, inverse) cases, as the verify-kernels runner builds it."""
-    signed = [(f, f.envelope, f.name, 1.0 if inverse else -1.0) for f, inverse in cases]
-    return transforms._transform_table(signed, cases[0][0].dim, xi, tol)
-
-
 def _assert_each_case_is_its_own_profile(cases: list, xi: np.ndarray, tol: float) -> None:
-    for (f, inverse), row in zip(cases, _table(cases, xi, tol), strict=True):
+    for (f, inverse), row in zip(cases, transforms._profile_table(cases, xi, tol), strict=True):
         alone = np.array([s.value for s in fourier_profile(f, xi, tol, inverse)])
         assert row.tobytes() == alone.tobytes(), (f.name, inverse)
 
