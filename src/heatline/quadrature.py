@@ -17,9 +17,10 @@ Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
 ``walk_ladders`` for vector-valued sums and for several walks at once, such
 as smoothing at several scales and points or the phase sums of a transform
-at several frequencies, which factor exp(+-2 pi i x.xi) per axis, or of
-several integrands, whose two signs share one set of phase matrices: the
-walks share their ladder grids); ``integrate`` and
+at several frequencies, which factor exp(-2 pi i x.xi) per axis, or of
+several integrands, which share one set of phase matrices (an inverse sum,
+exp(+2 pi i x.xi), is the conjugate of the forward sum of the conjugated
+values): the walks share their ladder grids); ``integrate`` and
 ``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
@@ -70,6 +71,7 @@ import itertools
 import math
 import operator
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Union
@@ -459,12 +461,12 @@ def _simpson_weights(radius: float, n_points: int) -> np.ndarray:
     return weights * (2.0 * radius / n_points / 3.0)
 
 
-def _block_weights(weights: np.ndarray, index: tuple) -> np.ndarray:
-    """The tensor product of per-axis ``weights`` over a block's index slices, flattened."""
-    w = weights[index[0]]
+def _block_weights(rows: np.ndarray, index: tuple) -> np.ndarray:
+    """The tensor product of each per-axis weight row of ``rows`` over a block's index slices, one flattened row each (a view in dim 1)."""
+    w = rows[:, index[0]]
     for s in index[1:]:
-        w = np.multiply.outer(w, weights[s])
-    return w.reshape(-1)
+        w = (w[:, :, None] * rows[:, None, s]).reshape(rows.shape[0], -1)
+    return w
 
 
 def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -569,16 +571,9 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.n
     )
 
 
-def _signed_phases(built: dict, c: float, build: Callable) -> list:
-    """built[c], a list of phase matrices exp(i c ...), made once: the conjugates of built[-c] when that was made, else build().
-
-    ``GridSpec.phase_matrix`` builds the matrices of c and -c as exact
-    conjugates, so each conjugate is the matrix build() would make, bit for
-    bit; so a forward and an inverse transform pay for one set of matrices.
-    """
-    if c not in built:
-        built[c] = [np.conjugate(p) for p in built[-c]] if -c in built else build()
-    return built[c]
+def _conjugator(sign: float) -> Callable:
+    """np.conjugate for an inverse phase sum (sign > 0), the identity for a forward one (see ``GridSpec.phase_sum``)."""
+    return np.conjugate if sign > 0 else lambda a: a
 
 
 def _row_tiles(rows: int, width: int) -> list[slice]:
@@ -602,13 +597,13 @@ def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.nd
 class GridSpec:
     """Composite-Simpson tensor grid on [-radius, radius]^dim, N = ``points_per_axis`` intervals per axis.
 
-    Only read-only per-axis arrays are stored: ``nodes``, the Simpson
-    ``weights``, and ``coarse_weights``, the N/2 grid's Simpson weights on the
-    even nodes (which, as N is a multiple of 4, are the N/2 grid's nodes bit
-    for bit) and zero on the odd ones; ``rows`` stacks the two weight rows.
-    The tensor product is built block by block in a fixed order, so every sum
-    is reproducible, and every sum returns the fine and the coarse row from
-    one evaluation of the integrand.  Node N - i is exactly -node i, and the
+    Only read-only per-axis arrays are stored: ``nodes``, and ``rows``, two
+    weight rows: the Simpson weights, then the N/2 grid's Simpson weights on
+    the even nodes (which, as N is a multiple of 4, are the N/2 grid's nodes
+    bit for bit) and zero on the odd ones.  The tensor product is built
+    block by block in a fixed order, so every sum is reproducible, and every
+    sum returns the fine and the coarse row from one evaluation of the
+    integrand.  Node N - i is exactly -node i, and the
     centre node is +0.0 (np.linspace's lower half, mirrored; for every ladder
     grid that is np.linspace itself, bit for bit).
     """
@@ -617,8 +612,6 @@ class GridSpec:
     points_per_axis: int
     dim: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    coarse_weights: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -646,18 +639,19 @@ class GridSpec:
         rows[0] = _simpson_weights(self.radius, n)
         rows[1, ::2] = _simpson_weights(self.radius, half)
         nodes.flags.writeable = rows.flags.writeable = False
-        for name, array in (("nodes", nodes), ("weights", rows[0]), ("coarse_weights", rows[1]), ("rows", rows)):
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.radius / self.points_per_axis
 
     def blocks(self, width: int = 1):
-        """Yield (points, weights, index) blocks covering the grid in row-major order.
+        """Yield (points, rows, index) blocks covering the grid in row-major order.
 
         ``index`` holds one slice of node indices per axis, and the block is
-        their tensor product; ``weights`` are the block's fine weights.  A
+        their tensor product; ``rows`` are the block's fine and coarse
+        weights, a (2, block) array (a view of the grid's ``rows`` in dim 1).  A
         block is a run of whole leading-axis rows; when one row exceeds the
         cap, it is a run of whole lines along the second axis within one row,
         and so on.  A block holds at most _CHUNK nodes and, when each node
@@ -678,17 +672,17 @@ class GridSpec:
                 pts = np.empty((*(s.stop - s.start for s in index), self.dim))
                 for axis, s in enumerate(index):
                     pts[..., axis] = self.nodes[s].reshape((-1,) + (1,) * (self.dim - axis - 1))
-                yield pts.reshape(-1, self.dim), _block_weights(self.weights, index), index
+                yield pts.reshape(-1, self.dim), _block_weights(self.rows, index), index
 
     def points(self) -> np.ndarray:
         """Every node, as one (size, dim) array in block order."""
         return np.concatenate([pts for pts, _, _ in self.blocks()])
 
-    def phase_matrix(self, c: float, freqs: np.ndarray) -> np.ndarray:
-        """exp(i c x xi) for each node x (rows) and each xi in ``freqs`` (columns).
+    def phase_matrix(self, freqs: np.ndarray) -> np.ndarray:
+        """exp(-2 pi i x xi) for each node x (rows) and each xi in ``freqs`` (columns).
 
         Only rows 0..N/2 take cos and sin: the nodes are mirrored, so the angle
-        c (x xi) of row N - i is exactly the negated angle of row i, and as cos
+        -2 pi (x xi) of row N - i is exactly the negated angle of row i, and as cos
         is even and sin odd, that row is the conjugate of row i, bit for bit.
         The same holds for the columns of mirrored frequencies: when ``freqs``
         has an odd size K >= 3 and xi_{K-1-k} is exactly -xi_k for k < K/2 (as
@@ -696,13 +690,11 @@ class GridSpec:
         quarter of the matrix, and the rest are conjugates.  Other ``freqs``
         cost one scalar comparison of their end points before the plain path
         (and a comparison of the two halves' bytes when the ends mirror).
-        Every matrix takes cos and sin at the angle factor -|c|, and a positive
-        c conjugates those rows, so the matrices of c and -c are exact
-        conjugates by construction: a forward and an inverse transform can
-        share one.
+        Only the forward sign is built: an inverse sum conjugates the forward
+        contraction of its conjugated values (see ``_phase_sum_cases``).
         """
         half, mid = self.nodes.size // 2, freqs.size // 2
-        lead = -abs(c)
+        lead = -2.0 * math.pi
         phase = np.empty((self.nodes.size, freqs.size), dtype=np.complex128)
         top = phase[:half + 1]
         if freqs.size % 2 and freqs.size >= 3 and freqs[0] == -freqs[-1] and _mirrored(freqs):
@@ -710,8 +702,6 @@ class GridSpec:
             np.conjugate(top[:, mid - 1::-1], out=top[:, mid + 1:])
         else:
             top[:] = cis(lead * np.multiply.outer(self.nodes[:half + 1], freqs))
-        if c > 0:
-            np.conjugate(top, out=top)
         np.conjugate(phase[half - 1::-1], out=phase[half + 1:])
         return phase
 
@@ -798,17 +788,15 @@ class GridSpec:
         return [self.rows * _evaluated(f_j, self.nodes, values.name) for f_j in factors]
 
     def sum(self, block_sum: Callable, width: int = 1, walks: int = 1) -> np.ndarray:
-        """Sums of ``block_sum(points, weights)`` over the blocks, as a (2 walks, width) array.
+        """Sums of ``block_sum(points, rows)`` over the blocks, as a (2 walks, width) array.
 
-        ``weights`` stacks the block's fine and coarse weights, and
-        ``block_sum`` returns one row of sums per weight row; for several
+        ``rows`` stacks the block's fine and coarse weights (see ``blocks``),
+        and ``block_sum`` returns one row of sums per weight row; for several
         walks at once (see ``_block_sums``), a pair of rows per walk, stacked.
-        Blocks are sized by one walk's ``width`` (see ``blocks``).
+        Blocks are sized by one walk's ``width``.
         """
         out = np.zeros((2 * walks, width), dtype=np.complex128)
-        for pts, w, index in self.blocks(width):
-            # in dim 1 a block's weight rows are a slice of ``rows``, bit for bit
-            rows = self.rows[:, index[0]] if self.dim == 1 else np.stack([w, _block_weights(self.coarse_weights, index)])
+        for pts, rows, _ in self.blocks(width):
             out += block_sum(pts, rows)
         return out
 
@@ -839,9 +827,11 @@ class GridSpec:
 
         The result has a row of fine sums, then one of coarse sums: the same
         values contracted on the even nodes only, with the even rows of the
-        same phase matrices.  This is the one-integrand call of
-        ``_phase_sum_cases``, which sums several integrands, each with its
-        own sign, at once.
+        same phase matrices.  For sign +1 the sum is the conjugate of the
+        forward sum of the conjugated values: IEEE negation is exact, so
+        that is the direct sum term for term, up to signed zeros, which the
+        zero accumulators clear.  This is the one-integrand call of
+        ``_phase_sum_cases``, which sums several integrands at once.
         """
         return self._phase_sum_cases([(values, sign)], xi)[0]
 
@@ -853,10 +843,10 @@ class GridSpec:
         never stacked into a wider product (BLAS rounds that differently).
         The cases share what they have in common.  Each function (by
         identity) has its per-axis rows evaluated once, or, unfactored in
-        dims 2-3, its values once per block and chunk.  Each chunk's
-        per-axis phase matrices are built once for the first sign asked,
-        and the opposite sign takes their conjugates, which are its own
-        matrices bit for bit (``phase_matrix`` builds them so).
+        dims 2-3, its values once per block and chunk.  Each chunk builds
+        one list of forward phase matrices per route, and every case uses
+        it: an inverse case (sign +1) conjugates its weighted values on the
+        way in and its contraction on the way out.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
@@ -867,47 +857,45 @@ class GridSpec:
         for values, _ in cases:
             if id(values) not in rows:
                 rows[id(values)] = self.weighted_factors(values)
-        blocked = [(sums, values, sign) for sums, (values, sign) in zip(out, cases) if rows[id(values)] is None]
+        factored, blocked = [], []  # each case's sums, its conjugator, and its rows (conjugated by it) or values
+        for sums, (values, sign) in zip(out, cases):
+            turn, weighted = _conjugator(sign), rows[id(values)]
+            if weighted is None:
+                blocked.append((sums, values, turn))
+            else:
+                factored.append((sums, [turn(wf) for wf in weighted], turn))
         for k in range(0, xi.shape[0], step):
             chunk = xi[k:k + step]
-            axes, phases = None, {}  # each axis's (frequencies, gather), and its phase matrices by angle factor
-            for sums, (values, sign) in zip(out, cases):
-                weighted = rows[id(values)]
-                if weighted is None:
-                    continue
-                if axes is None:
-                    # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
-                    axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
-                c = sign * 2.0 * math.pi
-                matrices = _signed_phases(phases, c, lambda: [self.phase_matrix(c, freqs) for freqs, _ in axes])
+            if factored:
+                # dim >= 2: each axis's phase columns on its distinct frequencies, gathered back per frequency
+                axes = [(chunk[:, 0], slice(None))] if self.dim == 1 else [_distinct(chunk[:, j]) for j in range(self.dim)]
+                matrices = [self.phase_matrix(freqs) for freqs, _ in axes]
+            for sums, weighted, turn in factored:
                 for r in range(2):
                     on = slice(None, None, r + 1)  # row 1, the coarse rule, lives on the even nodes
-                    sums[r, k:k + step] += _product(
+                    sums[r, k:k + step] += turn(_product(
                         (wf[r:r + 1, on] @ phase[on])[0, back] for wf, phase, (_, back) in zip(weighted, matrices, axes)
-                    )
+                    ))
             if not blocked:
                 continue
-            columns = {}
-            for pts, w, index in self.blocks():
+            matrices = [self.phase_matrix(chunk[:, j]) for j in range(self.dim)]
+            for pts, weight_rows, index in self.blocks():
                 block_values = {}
                 shape = tuple(s.stop - s.start for s in index)
-                weight_rows = [w, _block_weights(self.coarse_weights, index)]
-                for sums, values, sign in blocked:
+                for sums, values, turn in blocked:
                     if id(values) not in block_values:
                         block_values[id(values)] = values(pts)
-                    c = sign * 2.0 * math.pi
-                    matrices = _signed_phases(columns, c, lambda: [self.phase_matrix(c, chunk[:, j]) for j in range(self.dim)])
                     for r, w_r in enumerate(weight_rows):
                         # the block positions of the row's nodes: all of them, or the even nodes
                         on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
-                        acc = (w_r * block_values[id(values)]).reshape(shape)[on]
+                        acc = turn(w_r * block_values[id(values)]).reshape(shape)[on]
                         if not acc.size:
                             continue  # a block of odd nodes along some axis
                         on_axes = [phase[s][o] for phase, s, o in zip(matrices, index, on)]
                         acc = acc.reshape(-1, acc.shape[-1]) @ on_axes[-1]
                         for axis in range(self.dim - 2, -1, -1):
                             acc = np.einsum("abk,bk->ak", acc.reshape(-1, on_axes[axis].shape[0], acc.shape[-1]), on_axes[axis])
-                        sums[r, k:k + step] += acc[0]
+                        sums[r, k:k + step] += turn(acc[0])
         return out
 
 
@@ -934,7 +922,7 @@ def _ladder_grid(radius: float, n: int, dim: int) -> GridSpec:
 
 
 def walk_ladders(
-    grid_sums: Callable, envelopes, dim: int, tol: float, labels, phase_rate: float | list = 0.0,
+    grid_sums: Callable, envelopes, dim: int, tol: float, labels, phase_rate: list,
 ) -> list[tuple[np.ndarray, np.ndarray, GridSpec]]:
     """Several walks up the ladder at once, each to its own grid: one (fine, coarse, grid) per walk.
 
@@ -942,37 +930,36 @@ def walk_ladders(
     ``RADIUS_LADDER``, from ``truncation_radius``), and stops at the first
     rung where its own ``|fine - coarse|`` is at most tol / 2: the rung, the
     sums and the errors are those of walking it alone.
-    Radii are discrete, so walks of different envelopes often share one; on
-    each rung, the walks still going that share a radius share the grid:
-    ``grid_sums(grid, walks)`` returns the (2, width) sums of each walk index
-    in ``walks``, in order, so values the walks have in common (such as
-    f(x - u) under kernels of several scales, or the phase matrices of
-    several frequencies) are computed once per grid.
-    ``phase_rate`` is an oscillation rate (cycles per unit length, e.g. |xi|
-    for a Fourier factor), one float for every walk or a list of one rate
-    per walk; a walk starts where its phase advances at most a quarter cycle
-    per step, so it joins only the rungs that meet its own cap.  Each rung
-    evaluates its integrand once: the N/2 sum reuses the N-grid's even
-    nodes.  Ladder grids are built once per process and shared by every
-    walk; the node budget is checked before each rung all the same.  When
-    several walks fail, the first one's error is raised, naming its label
-    and, for a walk that reached no rung, its own phase cap.
+    ``phase_rate[i]`` is walk i's oscillation rate (cycles per unit length,
+    e.g. |xi| for a Fourier factor); a walk starts where its phase advances
+    at most a quarter cycle per step, so it joins only the rungs that meet
+    its own cap.  Radii are discrete, so walks of different envelopes often
+    share one; on each rung, the walks still going whose cap the rung meets
+    are grouped by radius, in the order they joined (by the rung they
+    joined, then by index), and share the grid: ``grid_sums(grid, walks)``
+    returns the (2, width) sums of each walk index in ``walks``, in order,
+    so values the walks have in common (such as f(x - u) under kernels of
+    several scales, or the phase matrices of several frequencies) are
+    computed once per grid.  Each rung evaluates its integrand once: the N/2
+    sum reuses the N-grid's even nodes.  Ladder grids are built once per
+    process and shared by every walk; the node budget is checked before
+    each rung all the same.  A tolerance that is not positive raises
+    ValueError before any work.  When several walks fail, the first one's
+    error is raised, naming its label and, for a walk that reached no rung,
+    its own phase cap.
     """
-    per_walk = isinstance(phase_rate, (list, tuple))
-    # going: by radius, the walks still going; waiting: the walks whose phase cap is above the rungs so far
-    radii, floors, going, waiting, unreachable = [], [], {}, [], None
-    for i, (envelope, label) in enumerate(zip(envelopes, labels)):
+    if tol is None or not tol > 0.0:
+        raise ValueError(f"target tolerance must be positive, got {tol}")
+    radii, floors, unreachable = [], [], None
+    for envelope, label, rate in zip(envelopes, labels, phase_rate):
         try:
             radius = truncation_radius(envelope, dim, tol, label)
         except QuadratureError as exc:
             unreachable = exc  # raised unless a walk before it fails first
             break
         radii.append(radius)
-        floors.append(8.0 * radius * (phase_rate[i] if per_walk else phase_rate))  # the phase cap: the fewest points per axis
-        if floors[i] <= POINTS_LADDER[0]:
-            going.setdefault(radius, []).append(i)
-        else:
-            waiting.append(i)
+        floors.append(8.0 * radius * rate)  # the phase cap: the fewest points per axis
+    joined = sorted(range(len(radii)), key=lambda i: (bisect_left(POINTS_LADDER, floors[i]), i))
     budget = node_budget()
     found = [None] * len(radii)
     tried = [False] * len(radii)
@@ -981,22 +968,17 @@ def walk_ladders(
         if n**dim > budget:
             capped = True
             break
-        if waiting:  # the walks whose cap this rung meets join it
-            for i in waiting:
-                if floors[i] <= n:
-                    going.setdefault(radii[i], []).append(i)
-            waiting = [i for i in waiting if floors[i] > n]
+        going = {}  # by radius, the walks still going whose cap this rung meets, in join order
+        for i in joined:
+            if found[i] is None and floors[i] <= n:
+                going.setdefault(radii[i], []).append(i)
         for radius, walks in going.items():
-            if not walks:
-                continue
             grid = _ladder_grid(radius, n, dim)
-            going[radius] = still = []
             for i, (fine, coarse) in zip(walks, grid_sums(grid, walks)):
                 if float(np.abs(fine - coarse).max()) <= tol / 2.0:
                     found[i] = (fine, coarse, grid)
                 else:
                     tried[i] = True
-                    still.append(i)
         if None not in found:
             break
     for i, result in enumerate(found):
@@ -1066,15 +1048,15 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
     return lambda grid, walks: grid.sum(block_for(walks), width, len(walks)).reshape(len(walks), 2, width)
 
 
-def _phase_sums(values: Callable, xi: np.ndarray, sign: float) -> Callable:
-    """Grid sums of values(x) exp(sign 2 pi i x.xi) for ``walk_ladders``: walk i sums row i of xi alone (see ``GridSpec.phase_sum``).
+def _phase_sums(values: Callable, xi: np.ndarray) -> Callable:
+    """Grid sums of values(x) exp(-2 pi i x.xi) for ``walk_ladders``: walk i sums row i of xi alone (see ``GridSpec.phase_sum``).
 
     The walks on one grid share one phase sum over their rows, so its phase
     matrices are built once per axis for all of them.
     """
 
     def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
-        return grid.phase_sum(values, xi[walks], sign).reshape(2, len(walks), 1).swapaxes(0, 1)
+        return grid.phase_sum(values, xi[walks], -1.0).reshape(2, len(walks), 1).swapaxes(0, 1)
 
     return grid_sums
 
@@ -1083,8 +1065,8 @@ def _case_phase_sums(cases: list, xi: np.ndarray) -> Callable:
     """Grid sums for ``walk_ladders`` of integrands at every row of xi: walk i sums the case (values, sign) cases[i].
 
     The walks on one grid share one ``GridSpec._phase_sum_cases`` call, so
-    each chunk's phase matrices are built once (the opposite sign takes
-    their conjugates) and each function's rows are evaluated once, while
+    each chunk's forward phase matrices are built once for every case and
+    each function's rows are evaluated once, while
     each walk's sums keep the bits of its own ``phase_sum``.
     """
     return lambda grid, walks: grid._phase_sum_cases([cases[i] for i in walks], xi)
@@ -1138,9 +1120,7 @@ def integrate_values(
             raise ValueError("a fixed grid takes no tol or phase_rate")
         return _grid_walks(_value_sum(values), grid, [envelope], [label])[0], grid
     _require_integrable(envelope, label, "integration")
-    if tol is None or not tol > 0.0:
-        raise ValueError(f"target tolerance must be positive, got {tol}")
-    [(fine, coarse, grid)] = walk_ladders(_value_sum(values), [envelope], dim, tol, [label], phase_rate)
+    [(fine, coarse, grid)] = walk_ladders(_value_sum(values), [envelope], dim, tol, [label], [phase_rate])
     return _certified(fine, coarse, grid, envelope, label), grid
 
 

@@ -122,30 +122,6 @@ class Spectrum:
         )
 
 
-def _transform_profile(
-    values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float, sign: float,
-    per_row: bool = False,
-) -> np.ndarray:
-    """Transform values at a batch of real frequencies, one value per row of xi_arr.
-
-    One ladder walk, to the largest |xi|, sums every row on one grid (a
-    one-case ``_transform_table``).  With ``per_row``, each row is a walk of
-    its own, with the phase cap of its own |xi| and its own stopping rung,
-    so a row gives the value of walking that frequency alone, up to
-    rounding: the walks on one grid share one phase sum (see
-    ``quadrature._phase_sums``), and BLAS rounds a product over several
-    columns differently from one over a single column.
-    """
-    if not per_row:
-        return _transform_table([(values, envelope, label, sign)], dim, xi_arr, tol)[0]
-    _require_integrable(envelope, label, "the Fourier transform")
-    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
-    grid_sums = _phase_sums(values, xi_arr, sign)
-    walks = xi_arr.shape[0]
-    walked = walk_ladders(grid_sums, [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
-    return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
-
-
 def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> np.ndarray:
     """Transform values of several integrands at every row of xi_arr: one row per case, one column per frequency.
 
@@ -153,9 +129,9 @@ def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> n
     transform and +1 for the inverse.  One ``walk_ladders`` call makes a walk
     per case, to the largest |xi|, with the case's own envelope, label and
     stopping rung, so row i is the value of walking case i alone, bit for
-    bit: on each grid, the cases there share each chunk's phase matrices
-    (built for one sign, conjugated for the other) and each function's
-    weighted rows, and each case keeps its own products (see
+    bit: on each grid, the cases there share each chunk's forward phase
+    matrices (an inverse case conjugates its values and its sums) and each
+    function's weighted rows, and each case keeps its own products (see
     ``quadrature._case_phase_sums``).  When several cases fail, the first
     one's error is raised.
     """
@@ -165,7 +141,7 @@ def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> n
     worst = float(norms.max()) if xi_arr.size else 0.0
     grid_sums = _case_phase_sums([(values, sign) for values, _, _, sign in cases], xi_arr)
     envelopes, labels = [case[1] for case in cases], [case[2] for case in cases]
-    walked = walk_ladders(grid_sums, envelopes, dim, tol, labels, worst)
+    walked = walk_ladders(grid_sums, envelopes, dim, tol, labels, [worst] * len(cases))
     return np.array([fine for fine, _, _ in walked], dtype=np.complex128)
 
 
@@ -177,13 +153,29 @@ def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
 
 def _fourier_rows(f: TestFunction, xi_arr: np.ndarray, tol: float) -> np.ndarray:
     """``fourier`` at each row of xi_arr: one walk per row, on shared ladder grids."""
-    return _transform_profile(f, f.envelope, f.dim, f.name, xi_arr, tol, -1.0, per_row=True)
+    return _transform_rows(f, f.envelope, f.dim, f.name, xi_arr, tol)
+
+
+def _transform_rows(values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+    """Forward transform values at each row of xi_arr, each row a walk of its own.
+
+    Each walk has the phase cap of its own |xi| and its own stopping rung,
+    so a row gives the value of walking that frequency alone, up to
+    rounding: the walks on one grid share one phase sum (see
+    ``quadrature._phase_sums``), and BLAS rounds a product over several
+    columns differently from one over a single column.
+    """
+    _require_integrable(envelope, label, "the Fourier transform")
+    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    walks = xi_arr.shape[0]
+    walked = walk_ladders(_phase_sums(values, xi_arr), [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
+    return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
 
 
 def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
     """Inverse transform: integral of phi(xi) exp(+2 pi i x.xi) over R^n."""
     x = real_point(x, phi.dim)
-    return complex(_transform_profile(phi, phi.envelope, phi.dim, phi.name, x.reshape(1, -1), tol, +1.0)[0])
+    return complex(_transform_table([(phi, phi.envelope, phi.name, +1.0)], phi.dim, x.reshape(1, -1), tol)[0, 0])
 
 
 def fourier_profile(
@@ -231,7 +223,7 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
 
     # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
     label = f"fourier[{f.name}]@complex"
-    return complex(_transform_profile(fn, grown, f.dim, label, re.reshape(1, -1), tol, -1.0)[0])
+    return complex(_transform_table([(fn, grown, label, -1.0)], f.dim, re.reshape(1, -1), tol)[0, 0])
 
 
 def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
@@ -419,7 +411,8 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
             f"mollification of {f.name!r} needs a bounded or integrable-certified function"
         )
     envelopes = [envelope for envelope in envelopes for _ in range(sets)]
-    walked = walk_ladders(_block_sums(block_for, width), envelopes, f.dim, inner_tol, [f"mollify[{f.name}]"] * len(envelopes))
+    labels = [f"mollify[{f.name}]"] * len(envelopes)
+    walked = walk_ladders(_block_sums(block_for, width), envelopes, f.dim, inner_tol, labels, [0.0] * len(envelopes))
     return np.array([fine for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
 
 
@@ -483,7 +476,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    [(_, _, grid)] = walk_ladders(_case_phase_sums([(f, -1.0)], probe), [f.envelope], f.dim, inner_tol, [f.name], max_freq)
+    [(_, _, grid)] = walk_ladders(_case_phase_sums([(f, -1.0)], probe), [f.envelope], f.dim, inner_tol, [f.name], [max_freq])
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
@@ -516,6 +509,8 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
     from one block to the next.  Each point's integrand is evaluated as it
     would be alone, on a fresh copy of the spectrum values.
     """
+    if not tol > 0.0:
+        raise ValueError(f"target tolerance must be positive, got {tol}")
     xs = real_points(xs, dim)
     k = xs.shape[0]
     scales = [KernelScale(float(alpha), dim) for alpha in alphas]
@@ -524,8 +519,6 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
         peak = weierstrass_peak(scale)  # integral of the gauss weight
         freq_radius = math.sqrt(math.log(1.0 / _FREQ_CUTOFF) / (4.0 * math.pi**2 * scale.alpha))
         spectra.append(spectrum_at(tol / (2.0 * max(1.0, peak)), freq_radius * math.sqrt(dim)))
-    if not tol > 0.0:
-        raise ValueError(f"target tolerance must be positive, got {tol / 2.0}")
     keys = [object() if spectrum.key is None else spectrum.key for spectrum in spectra]
 
     def block_for(walks: list) -> Callable:
@@ -647,4 +640,4 @@ def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float) -> np.ndar
     def fn(pts: np.ndarray) -> np.ndarray:
         return h(pts) * cis(2.0 * math.pi * (pts @ a))
 
-    return _transform_profile(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol, -1.0, per_row=True)
+    return _transform_rows(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol)

@@ -119,9 +119,9 @@ def captured_integrands():
         grid_sums.integrands = lambda i: None
         return grid_sums
 
-    def tag_phase_sums(values, xi, sign):
+    def tag_phase_sums(values, xi):
         # every walk of a phase sum sums the same values, at its own frequency
-        grid_sums = phase_sums(values, xi, sign)
+        grid_sums = phase_sums(values, xi)
         grid_sums.integrands = lambda i: (values, None)
         return grid_sums
 
@@ -207,12 +207,12 @@ def test_the_check_catches_a_halved_envelope(monkeypatch):
 
 
 def test_the_check_catches_a_halved_phase_envelope(monkeypatch):
-    profile = transforms._transform_profile
+    table = transforms._transform_table
 
-    def halved(values, envelope, *args):
-        return profile(values, envelope.scaled(0.5), *args)
+    def halved(cases, *args):
+        return table([(values, envelope.scaled(0.5), label, sign) for values, envelope, label, sign in cases], *args)
 
-    monkeypatch.setattr(transforms, "_transform_profile", halved)
+    monkeypatch.setattr(transforms, "_transform_table", halved)
     with captured_integrands() as captures:
         fourier_complex(gauss_fn(0.1), [0.3j])
     assert [label for label, _ in violations(captures)] == ["fourier[gauss:0.1]@complex"]

@@ -66,12 +66,12 @@ def test_walk_matches_fresh_fine_and_coarse_sums(monkeypatch, ladder):
 
 
 def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Every node of the grid in row-major order, with its weight, built independently of blocks()."""
+    """Every node of the grid in row-major order, with its fine and coarse weights, built independently of blocks()."""
     d = grid.dim
     pts = np.stack(np.meshgrid(*[grid.nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    w = np.ones(pts.shape[0])
+    w = np.ones((2, pts.shape[0]))
     for ix in np.unravel_index(np.arange(pts.shape[0]), (grid.nodes.size,) * d):
-        w *= grid.weights[ix]
+        w *= grid.rows[:, ix]
     return pts, w
 
 
@@ -80,10 +80,10 @@ def _assert_blocks_tile_the_lattice(grid: GridSpec, blocks: list) -> None:
     for pts, w, index in blocks:
         axes = np.meshgrid(*(grid.nodes[s] for s in index), indexing="ij")
         assert np.array_equal(pts, np.stack(axes, axis=-1).reshape(-1, grid.dim))
-        assert w.shape == (pts.shape[0],)
+        assert w.shape == (2, pts.shape[0])
     pts, w = _lattice(grid)
     assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks], axis=1), w)
 
 
 @pytest.mark.parametrize("width", [801, 66049])
@@ -139,7 +139,7 @@ def test_phase_sum_matches_the_dense_sum(dim, sign):
     xi = _frequencies(dim)
     pts, w = _lattice(grid)
     dense = (w * _skewed_gaussian(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi.T))
-    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign)[0] - dense)) <= 1e-13
+    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign) - dense)) <= 1e-13  # the fine and the coarse row
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -242,7 +242,9 @@ def _block_phase_sum(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.
     """``GridSpec.phase_sum`` by the block loop, whatever the integrand: values evaluated block by block, per chunk.
 
     A copy of the engine's block loop, kept as the reference the per-axis
-    route of a dim-1 integrand must match bit for bit.
+    route of a dim-1 integrand must match bit for bit.  Its +1 phase
+    matrices are built directly, cis(+2 pi x xi), not as the engine's
+    conjugates.
     """
     m = grid.nodes.size
     step = max(1, quadrature._BLOCK_ENTRIES // max(m, quadrature._CHUNK // m))
@@ -250,11 +252,14 @@ def _block_phase_sum(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.
     c = sign * 2.0 * math.pi
     for k in range(0, xi.shape[0], step):
         chunk = xi[k:k + step]
-        phases = [grid.phase_matrix(c, chunk[:, j]) for j in range(grid.dim)]
-        for pts, w, index in grid.blocks():
+        if sign < 0:
+            phases = [grid.phase_matrix(chunk[:, j]) for j in range(grid.dim)]
+        else:
+            phases = [cis(c * np.multiply.outer(grid.nodes, chunk[:, j])) for j in range(grid.dim)]
+        for pts, weight_rows, index in grid.blocks():
             vals = values(pts)
             shape = tuple(s.stop - s.start for s in index)
-            for r, w_r in enumerate([w, quadrature._block_weights(grid.coarse_weights, index)]):
+            for r, w_r in enumerate(weight_rows):
                 on = tuple(slice(s.start % 2 if r else 0, None, r + 1) for s in index)
                 acc = (w_r * vals).reshape(shape)[on]
                 if not acc.size:
@@ -430,8 +435,8 @@ def test_the_coarse_grid_is_every_other_node_of_each_rung(radius):
     for n in quadrature.POINTS_LADDER:
         fine, coarse = GridSpec(radius, n, 1), GridSpec(radius, n // 2, 1)
         assert fine.nodes[::2].tobytes() == coarse.nodes.tobytes()
-        assert fine.coarse_weights[::2].tobytes() == coarse.weights.tobytes()
-        assert not np.any(fine.coarse_weights[1::2])
+        assert fine.rows[1, ::2].tobytes() == coarse.rows[0].tobytes()
+        assert not np.any(fine.rows[1, 1::2])
 
 
 def test_a_grid_of_n_2_mod_4_intervals_embeds_no_coarse_grid():
@@ -549,11 +554,21 @@ def test_the_mirrored_phase_matrix_is_the_direct_one_bit_for_bit(radius, n, sign
     xi = np.array([0.0, -0.0, 2.0, -2.0, 0.37, -1.9, 5e-3])
     c = sign * 2.0 * math.pi
     direct = cis(c * np.multiply.outer(grid.nodes, xi))
-    assert np.array_equal(grid.phase_matrix(c, xi).view(np.int64), direct.view(np.int64))
+    assert np.array_equal(_signed_phase_matrix(grid, sign, xi).view(np.int64), direct.view(np.int64))
 
 
-def _phase_matrix_and_cis_entries(monkeypatch, grid: GridSpec, c: float, freqs: np.ndarray):
-    """grid.phase_matrix(c, freqs), with the number of entries it took cos and sin of."""
+def _signed_phase_matrix(grid: GridSpec, sign: float, freqs: np.ndarray) -> np.ndarray:
+    """exp(sign 2 pi i x xi) from the engine's forward matrix: itself for sign -1, its conjugate for +1.
+
+    The conjugate is compared with a direct cis(+2 pi x xi), so a +1 case
+    checks that cos is even and sin odd, as the mirrored rows already assume.
+    """
+    phase = grid.phase_matrix(freqs)
+    return np.conjugate(phase) if sign > 0 else phase
+
+
+def _phase_matrix_and_cis_entries(monkeypatch, grid: GridSpec, sign: float, freqs: np.ndarray):
+    """_signed_phase_matrix(grid, sign, freqs), with the number of entries it took cos and sin of."""
     entries = []
 
     def counted(theta):
@@ -561,7 +576,7 @@ def _phase_matrix_and_cis_entries(monkeypatch, grid: GridSpec, c: float, freqs: 
         return cis(theta)
 
     monkeypatch.setattr(quadrature, "cis", counted)
-    return grid.phase_matrix(c, freqs), sum(entries)
+    return _signed_phase_matrix(grid, sign, freqs), sum(entries)
 
 
 def _mirrored_freqs() -> np.ndarray:
@@ -596,7 +611,7 @@ def test_mirrored_frequency_columns_are_the_direct_ones_bit_for_bit(monkeypatch,
     freqs = GridSpec(radius, n, 1).nodes
     c = sign * 2.0 * math.pi
     direct = cis(c * np.multiply.outer(grid.nodes, freqs))
-    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, c, freqs)
+    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, sign, freqs)
     assert np.array_equal(phase.view(np.int64), direct.view(np.int64))
     # cos and sin of the top-left quarter only: rows up to the centre node, columns up to the centre frequency
     assert entries == 65 * (n // 2 + 1)
@@ -622,7 +637,7 @@ def test_only_exactly_mirrored_columns_are_mirrored(monkeypatch, freqs, mirrored
     grid = GridSpec(4.0, 128, 1)
     c = sign * 2.0 * math.pi
     direct = cis(c * np.multiply.outer(grid.nodes, freqs))
-    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, c, freqs)
+    phase, entries = _phase_matrix_and_cis_entries(monkeypatch, grid, sign, freqs)
     assert np.array_equal(phase.view(np.int64), direct.view(np.int64))
     assert entries == 65 * (freqs.size // 2 + 1 if mirrored else freqs.size)
 
@@ -747,9 +762,9 @@ def test_a_modulated_integrand_stays_complex(monkeypatch):
     integrands = []
     phase_sums = transforms._phase_sums
 
-    def recorded(values, xi, sign):
+    def recorded(values, xi):
         integrands.append(values)
-        return phase_sums(values, xi, sign)
+        return phase_sums(values, xi)
 
     monkeypatch.setattr(transforms, "_phase_sums", recorded)
     modulate(gauss_fn(0.1), [0.5], [0.0], 1e-8)
@@ -1134,11 +1149,64 @@ def test_a_table_over_several_phase_chunks_is_each_profile(monkeypatch, default_
     _assert_each_case_is_its_own_profile([(f, inverse) for f in fs for inverse in (True, False)], xi, 1e-5)
 
 
-@pytest.mark.parametrize("freqs", [np.linspace(-2.0, 2.0, 41), np.array([0.3, -0.0, 0.0, -1.7, 2.5]), np.array([0.75])])
-@pytest.mark.parametrize("grid", [GridSpec(4.0, 128, 1), GridSpec(6.0, 256, 1), GridSpec(7.3, 128, 1)])
-def test_the_opposite_sign_phase_matrix_is_the_conjugate_bit_for_bit(grid, freqs):
-    c = 2.0 * math.pi
-    assert grid.phase_matrix(-c, freqs).tobytes() == np.conjugate(grid.phase_matrix(c, freqs)).tobytes()
+def _conjugated(values) -> quadrature._Integrand:
+    """conj(values(x)) as an integrand, with conjugated factors when values declares factors (so it takes the same route)."""
+    factors = getattr(values, "factors", None)
+    if factors is not None:
+        factors = tuple(lambda x, f_j=f_j: np.conjugate(f_j(x)) for f_j in factors)
+    return quadrature._Integrand(lambda pts: np.conjugate(values(pts)), factors, "conj")
+
+
+SIGN_CASES = {
+    "factored-real": lambda dim: gauss_fn(0.1, dim),
+    "factored-complex": lambda dim: weierstrass_fn(0.1, dim).shifted(np.array([0.3, -0.2, 0.1])[:dim]).scaled(0.5 - 0.25j),
+    "unfactored-real": lambda dim: bump_fn(1.0, dim),  # the block loop in dims 2-3
+    "unfactored-complex": lambda dim: _skewed_gaussian,
+}
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(SIGN_CASES))
+def test_an_inverse_phase_sum_is_the_conjugate_of_the_forward_sum_of_the_conjugate(monkeypatch, case, dim, chunked):
+    if chunked:
+        # chunks of 4 frequencies and blocks of at most 2^14 nodes on the 33-node axes
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1 << 14)
+    grid = GridSpec(4.0, 32, dim)
+    axis = np.array([-1.0, -0.0, 0.0, 0.5])
+    lattice = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    xi = np.concatenate([_frequencies(dim), lattice])
+    values = SIGN_CASES[case](dim)
+    inverse = grid.phase_sum(values, xi, 1.0)
+    assert np.array_equal(inverse, np.conjugate(grid.phase_sum(_conjugated(values), xi, -1.0)))
+    # and the direct sum, with cis(+2 pi x xi) matrices, to rounding
+    assert np.max(np.abs(inverse - _block_phase_sum(grid, values, xi, 1.0))) <= 1e-14
+
+
+def test_walks_that_wait_for_a_later_rung_join_after_the_walks_going(monkeypatch, default_ladders):
+    calls = []
+    phase_sums = transforms._phase_sums
+
+    def recorded(values, xi):
+        grid_sums = phase_sums(values, xi)
+
+        def recording(grid, walks):
+            calls.append((grid.radius, grid.points_per_axis, list(walks)))
+            return grid_sums(grid, walks)
+
+        return recording
+
+    monkeypatch.setattr(transforms, "_phase_sums", recorded)
+    xi = np.linspace(-6.0, 6.0, 21).reshape(-1, 1)
+    transforms._fourier_rows(gauss_fn(0.1), xi, 1e-8)
+    # at radius 4 a row's phase cap is 8 x 4 x |xi| points, so the rows with |xi| > 4 wait for rung 256
+    waiting = [i for i in range(21) if 32.0 * abs(xi[i, 0]) > 128.0]
+    assert waiting == [0, 1, 2, 3, 17, 18, 19, 20]
+    (radius, n, first), (_, later, second) = calls[:2]
+    assert (radius, n, later) == (4.0, 128, 256)
+    assert first == [i for i in range(21) if i not in waiting]
+    going = [i for i in first if i in second]
+    assert going and second == going + waiting  # the joiners follow the walks going, each group in index order
 
 
 @pytest.mark.parametrize("dim, apart_entries", [(1, 38376), (2, 3108), (3, 4662)])

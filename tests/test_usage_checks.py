@@ -1,13 +1,22 @@
 """Checks that must run or fail loudly: closed forms, ignored flags, dimensions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import heatline
-from heatline import experiments, measure_from_json, mollify, parse_preset
+from heatline import (
+    experiments,
+    fourier_profile,
+    gauss_inversion,
+    l1_norm,
+    measure_from_json,
+    mollify,
+    parse_preset,
+)
 from heatline.catalog import closed_form
 from heatline.cli import main
 from heatline.experiments import ExperimentSpec, export, run
@@ -192,3 +201,22 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused_by_name(runner, 
     assert "parameter 'tol': expected a positive, finite tolerance" in result.output
     with pytest.raises(ValueError, match="parameter 'tol': expected a positive, finite tolerance"):
         run(ExperimentSpec(name, params={"tol": float(tol)}))
+
+
+DENSITY_MEASURE = '{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}], "density": "gauss:0.1"}'
+LADDER_WALKS = {
+    "fourier": lambda tol: fourier(parse_preset("gauss:0.1"), [0.5], tol),
+    "fourier_profile": lambda tol: fourier_profile(parse_preset("gauss:0.1"), [[0.5], [1.0]], tol),
+    "gauss_inversion": lambda tol: gauss_inversion(parse_preset("weierstrass:0.1"), [0.0], 0.1, tol),
+    "l1_norm": lambda tol: l1_norm(parse_preset("gauss:0.1"), tol),
+    "measure.gauss_inversion": lambda tol: measure_from_json(DENSITY_MEASURE).gauss_inversion([0.0], 0.1, tol),
+    "mollify": lambda tol: mollify(parse_preset("gauss:0.1"), 0.1, [0.0], tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+@pytest.mark.parametrize("call", sorted(LADDER_WALKS))
+def test_a_ladder_walk_refuses_a_tolerance_that_is_not_positive(call, tol):
+    # a usage error before any work, naming the tolerance given, not a certification failure after a walk
+    with pytest.raises(ValueError, match=re.escape(f"target tolerance must be positive, got {tol}")):
+        LADDER_WALKS[call](tol)
