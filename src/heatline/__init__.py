@@ -50,7 +50,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     TestFunction,
-    auto_grid,
     integrate,
     integrate_auto,
     l1_norm,
@@ -60,21 +59,14 @@ from .transforms import (
     FrequencySample,
     L1ContractionReport,
     MultiplicationReport,
-    SummabilityResult,
-    SummabilityTrace,
     fourier,
     fourier_complex,
     fourier_profile,
     gauss_inversion,
     gauss_inversion_ladder,
-    gauss_inversion_trace,
     gauss_mean,
-    gauss_mean_trace,
-    gauss_summable_limit,
-    inverse_fourier,
     mollify,
     mollify_l1_check,
-    mollify_trace,
     modulate,
     multiplication_formula_check,
 )

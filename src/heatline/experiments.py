@@ -151,10 +151,12 @@ def _integer(value) -> int:
 
 
 def _floats(values) -> list[float]:
-    """A list parameter's values; an empty list is refused, since it would run no check and pass."""
+    """A list parameter's values; an empty list is refused, since it would run no check and pass, as is a nan or infinite value."""
     values = [float(v) for v in values]
     if not values:
         raise ValueError("expected at least one value, got an empty list")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite values, got {values}")
     return values
 
 
@@ -248,12 +250,16 @@ def _xi_axis_points(xi_max: float, count: int, dim: int) -> np.ndarray:
     np.linspace's lower half, a +0.0 centre for an odd count, and the
     negated lower half above it, so an odd count takes the quarter path of
     ``GridSpec.phase_matrix``.  A count below 1 is refused: it would check
-    nothing and pass.
+    nothing and pass.  So is an axis that is not finite, as from an
+    infinite xi_max or one whose span overflows.
     """
     if count < 1:
         raise ValueError(f"parameter 'xi_count' must be at least 1 (one frequency sample), got {count}")
     half = count // 2
-    axis = np.linspace(-xi_max, xi_max, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = np.linspace(-xi_max, xi_max, count)
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"parameter 'xi_max' must give finite frequencies on [-xi_max, xi_max], got {xi_max}")
     if count > 1:
         if count % 2:
             axis[half] = 0.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import parse_preset
 from .kernels import KernelScale, weierstrass, weierstrass_peak
-from .points import check_dim, cis, real_point
+from .points import check_dim, cis, real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -146,9 +146,10 @@ class BoundedMeasure:
 
         Each row starts from zeros, adds the atoms' kernels at that scale,
         then the smoothed density; the density is smoothed once per ladder
-        grid for every alpha (see ``transforms.mollify_ladder``).
+        grid for every alpha (see ``transforms.mollify_ladder``, which also
+        says which ``xs`` are accepted).
         """
-        return self._mollify_walks(alphas, xs, inner_tol, per_point=False)
+        return self._mollify_walks(alphas, real_points(xs, self.dim), inner_tol, per_point=False)
 
     def _mollify_walks(self, alphas, xs: np.ndarray, inner_tol: float, per_point: bool) -> np.ndarray:
         """``mollify_ladder``, with the density smoothed in one walk per (alpha, point) when ``per_point``.

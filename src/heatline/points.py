@@ -35,10 +35,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 
 def real_point(x, dim: int) -> np.ndarray:
-    """Coerce ``x`` to a real point of shape (dim,)."""
+    """Coerce ``x`` to a finite real point of shape (dim,)."""
     a = np.atleast_1d(np.asarray(x, dtype=float))
     if a.shape != (dim,):
         raise ValueError(f"expected a real point of dimension {dim}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"expected a finite real point, got {a.tolist()}")
     return a
 
 

@@ -1151,11 +1151,6 @@ def integrate_auto(
     return integrate_values(g, g.envelope, g.dim, g.name, target_tol, phase_rate=phase_rate)
 
 
-def auto_grid(g: TestFunction, target_tol: float, phase_rate: float = 0.0) -> GridSpec:
-    """Smallest ladder grid meeting target_tol for g (see integrate_auto)."""
-    return integrate_auto(g, target_tol, phase_rate)[1]
-
-
 def _absolute(g: TestFunction) -> _Integrand:
     """|g| as an integrand named |name|, with factors |g_j| when g declares factors."""
     factors = None if g.factors is None else tuple(lambda x, f_j=f_j: np.abs(f_j(x)) for f_j in g.factors)

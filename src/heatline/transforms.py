@@ -53,31 +53,6 @@ class FrequencySample:
 
 
 @dataclass(frozen=True)
-class SummabilityTrace:
-    """Values along a decreasing ladder of kernel scales, at an optional point."""
-
-    alphas: tuple[float, ...]
-    values: tuple[complex, ...]
-    point: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.alphas) != len(self.values):
-            raise ValueError("one value per alpha required")
-        if len(self.alphas) == 0:
-            raise ValueError("empty trace")
-        arr = np.asarray(self.alphas, dtype=float)
-        if np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
-            raise ValueError("alphas must be strictly decreasing positive reals")
-
-
-@dataclass(frozen=True)
-class SummabilityResult:
-    limit: complex
-    converged: bool
-    final_difference: float
-
-
-@dataclass(frozen=True)
 class L1ContractionReport:
     """Both sides of the smoothing L1 inequality, with their error budgets."""
 
@@ -172,12 +147,6 @@ def _transform_rows(values: Callable, envelope: Envelope, dim: int, label: str, 
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
 
 
-def inverse_fourier(phi: TestFunction, x, tol: float = 1e-8) -> complex:
-    """Inverse transform: integral of phi(xi) exp(+2 pi i x.xi) over R^n."""
-    x = real_point(x, phi.dim)
-    return complex(_transform_table([(phi, phi.envelope, phi.name, +1.0)], phi.dim, x.reshape(1, -1), tol)[0, 0])
-
-
 def fourier_profile(
     f: TestFunction, xi_list, tol: float = 1e-8, inverse: bool = False
 ) -> list[FrequencySample]:
@@ -248,47 +217,10 @@ def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
     return complex(result.value)
 
 
-def gauss_mean_trace(f: TestFunction, alphas, tol: float = 1e-8) -> SummabilityTrace:
-    """Gauss means along a decreasing ladder of scales."""
-    alphas = tuple(float(a) for a in alphas)
-    values = tuple(gauss_mean(f, a, tol) for a in alphas)
-    return SummabilityTrace(alphas=alphas, values=values, point=None)
-
-
-def gauss_summable_limit(trace: SummabilityTrace, tol: float = 1e-6) -> SummabilityResult:
-    """Declare the trace convergent and report its limit.
-
-    Convergence requires the last two successive differences to shrink by a
-    factor of at least 0.75 and the final difference to be at most 10 * tol;
-    a heuristic, but a documented one.
-    """
-    if len(trace.alphas) < 4:
-        raise ValueError(f"need at least 4 ladder rungs, got {len(trace.alphas)}")
-    ratios = np.diff(np.asarray(trace.alphas)) / np.asarray(trace.alphas[:-1])
-    if np.any(-ratios < 0.5 - 1e-12):
-        raise ValueError("ladder must decrease geometrically with ratio <= 1/2")
-    diffs = np.abs(np.diff(np.asarray(trace.values, dtype=complex)))
-    final = float(diffs[-1])
-    if final == 0.0:
-        converged = True
-    else:
-        prev = float(diffs[-2])
-        converged = final <= 10.0 * tol and prev > 0.0 and final / prev <= 0.75
-    return SummabilityResult(limit=complex(trace.values[-1]), converged=converged, final_difference=final)
-
-
 def mollify(f: TestFunction, alpha: float, x, tol: float = 1e-8) -> complex:
     """Smoothed value (W_alpha * f)(x) = integral of f(y) W_alpha(x - y) dy; a one-alpha, one-point mollify_ladder."""
     x = real_point(x, f.dim)
     return complex(mollify_ladder(f, [alpha], x.reshape(1, -1), tol)[0, 0])
-
-
-def mollify_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
-    """Mollified values at x along a decreasing ladder of scales, from one ``mollify_ladder`` call."""
-    x = real_point(x, f.dim)
-    alphas = tuple(float(a) for a in alphas)
-    values = tuple(complex(v) for v in mollify_ladder(f, alphas, x.reshape(1, -1), tol)[:, 0])
-    return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 
 def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) -> np.ndarray:
@@ -318,9 +250,10 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     each point keeps its own sum over the block's nodes, bit for bit (see
     ``quadrature._matvec_rows``).  For a real f the kernel
     weights, the matrices and their products stay real (float64); a complex
-    f makes them complex.
+    f makes them complex.  ``xs`` has shape (k, dim), or is a list of k
+    points in dim 1; non-finite entries are refused.
     """
-    return _mollify_walks(f, alphas, xs, inner_tol, per_point=False)
+    return _mollify_walks(f, alphas, real_points(xs, f.dim), inner_tol, per_point=False)
 
 
 def _shifted_products(g: Callable, xs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -577,14 +510,6 @@ def gauss_inversion(f: TestFunction, x, alpha: float, tol: float = 1e-8) -> comp
     """Gauss-weighted inversion integral at x; a one-alpha, one-point gauss_inversion_ladder."""
     x = real_point(x, f.dim)
     return complex(gauss_inversion_ladder(f, [alpha], x.reshape(1, -1), tol)[0, 0])
-
-
-def gauss_inversion_trace(f: TestFunction, alphas, x, tol: float = 1e-8) -> SummabilityTrace:
-    """Inversion values at x along a decreasing ladder of scales, from one ``gauss_inversion_ladder`` call."""
-    x = real_point(x, f.dim)
-    alphas = tuple(float(a) for a in alphas)
-    values = tuple(complex(v) for v in gauss_inversion_ladder(f, alphas, x.reshape(1, -1), tol)[:, 0])
-    return SummabilityTrace(alphas=alphas, values=values, point=tuple(map(float, x)))
 
 
 def multiplication_formula_check(

@@ -17,7 +17,6 @@ from heatline.quadrature import (
     PolynomialDecay,
     QuadratureError,
     TestFunction,
-    auto_grid,
     integrate,
     integrate_auto,
     l1_norm,
@@ -281,13 +280,13 @@ class TestOracleAgreement:
 
 class TestAutoGrid:
     def test_gaussian_envelope_needs_modest_radius(self):
-        grid = auto_grid(unit_gaussian(1), 1e-8)
+        grid = integrate_auto(unit_gaussian(1), 1e-8)[1]
         assert grid.radius <= 6.0
         envelope = GaussianDecay(math.pi, 1.0)
         assert envelope.tail_bound(grid.radius, 1) <= 0.5e-8
 
     def test_compact_support_picks_first_covering_rung(self):
-        grid = auto_grid(bump_fn(1.0, 1), 1e-6)
+        grid = integrate_auto(bump_fn(1.0, 1), 1e-6)[1]
         assert grid.radius == 4.0
         assert CompactSupport(1.0).tail_bound(grid.radius, 1) == 0.0
 
@@ -305,15 +304,15 @@ class TestAutoGrid:
             integrate_auto(constant_fn(2.0), 1e-6)
 
     def test_oscillation_floor_raises_point_count(self):
-        quiet = auto_grid(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)
-        rapid = auto_grid(gauss_fn(0.1, 1), 1e-8, phase_rate=20.0)
+        quiet = integrate_auto(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)[1]
+        rapid = integrate_auto(gauss_fn(0.1, 1), 1e-8, phase_rate=20.0)[1]
         assert rapid.points_per_axis > quiet.points_per_axis
         assert rapid.points_per_axis >= 8.0 * rapid.radius * 20.0
 
     def test_ladder_env_overrides(self, monkeypatch):
         monkeypatch.setattr(quadrature, "RADIUS_LADDER", (5.0, 10.0))
         monkeypatch.setattr(quadrature, "POINTS_LADDER", (96, 192))
-        grid = auto_grid(unit_gaussian(1), 1e-7)
+        grid = integrate_auto(unit_gaussian(1), 1e-7)[1]
         assert grid.radius == 5.0
         assert grid.points_per_axis == 96
 

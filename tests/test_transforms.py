@@ -33,21 +33,16 @@ from heatline.quadrature import (
 from heatline.transforms import (
     _FREQ_CUTOFF,
     Spectrum,
-    SummabilityTrace,
     fourier,
     fourier_complex,
     fourier_profile,
     gauss_inversion,
     gauss_inversion_ladder,
-    gauss_inversion_trace,
     gauss_mean,
-    gauss_mean_trace,
-    gauss_summable_limit,
     invert_spectrum,
-    inverse_fourier,
     mollify,
     mollify_l1_check,
-    mollify_trace,
+    mollify_ladder,
     modulate,
     multiplication_formula_check,
     sampled_spectrum,
@@ -80,8 +75,10 @@ class TestFourierPair:
 
     def test_inverse_pair(self):
         scale = KernelScale(0.1, 1)
-        assert abs(inverse_fourier(gauss_fn(0.1), [0.7], 1e-8) - weierstrass(scale, 0.7)) < 1e-8
-        assert abs(inverse_fourier(weierstrass_fn(0.1), [0.7], 1e-8) - gauss(scale, 0.7)) < 1e-8
+        [to_weierstrass] = fourier_profile(gauss_fn(0.1), [0.7], 1e-8, inverse=True)
+        [to_gauss] = fourier_profile(weierstrass_fn(0.1), [0.7], 1e-8, inverse=True)
+        assert abs(to_weierstrass.value - weierstrass(scale, 0.7)) < 1e-8
+        assert abs(to_gauss.value - gauss(scale, 0.7)) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
     def test_pair_identity_on_a_frequency_grid(self, alpha):
@@ -104,8 +101,8 @@ class TestFourierPair:
         xs = [0.0, 0.4, 1.0]
         ghat = gauss_fn(beta)  # the transform of W_beta in closed form
         for x in xs:
-            back = inverse_fourier(ghat, [x], 1e-8)
-            assert abs(back - weierstrass_oracle(beta, x)) < 1e-7
+            [back] = fourier_profile(ghat, [x], 1e-8, inverse=True)
+            assert abs(back.value - weierstrass_oracle(beta, x)) < 1e-7
 
     def test_sup_bound(self):
         for f in (gauss_fn(0.1), bump_pair_fn()):
@@ -116,7 +113,8 @@ class TestFourierPair:
     def test_inverse_at_the_origin_is_the_integral(self):
         f = bump_pair_fn()
         base, _ = integrate_auto(f, 1e-9)
-        assert abs(inverse_fourier(f, [0.0], 1e-9) - base.value) < 1e-9
+        [origin] = fourier_profile(f, [0.0], 1e-9, inverse=True)
+        assert abs(origin.value - base.value) < 1e-9
 
     def test_sampled_modulus_of_continuity_shrinks(self):
         # a diagnostic stand-in for uniform continuity of the transform:
@@ -187,41 +185,31 @@ class TestGaussMeans:
 
 
 class TestSummability:
-    def test_integrable_function_is_summable_to_its_integral(self):
-        alphas = [0.4 * 2.0**-k for k in range(12)]
-        trace = gauss_mean_trace(weierstrass_fn(0.1), alphas, 1e-8)
-        result = gauss_summable_limit(trace, tol=2e-3)
-        assert result.converged
-        assert abs(result.limit - 1.0) < 4e-3
+    # Gauss means converge to the integral at a known rate (Stein & Weiss 1971, Ch. I):
+    # for W_a the mean is (1 + 16 pi^2 alpha a)^(-d/2), so 1 - mean <= (d/2) 16 pi^2 alpha a = 8 pi^2 alpha a d
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_integrable_function_is_summable_to_its_integral(self, dim):
+        a = 0.1
+        f = weierstrass_fn(a, dim)
+        for alpha in [0.4 * 2.0**-k for k in range(12)]:
+            value = gauss_mean(f, alpha, 1e-8)
+            assert abs(value - (1.0 + 16.0 * math.pi**2 * alpha * a) ** (-dim / 2.0)) <= 1e-8
+            assert abs(value - 1.0) <= 8.0 * math.pi**2 * alpha * a * dim
 
-    def test_constant_one_diverges(self):
-        alphas = [0.4 * 2.0**-k for k in range(6)]
-        trace = gauss_mean_trace(constant_fn(1.0), alphas, 1e-8)
-        result = gauss_summable_limit(trace, tol=1e-6)
-        assert not result.converged
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_one_diverges(self, dim):
+        f, values = constant_fn(1.0, dim), []
+        for alpha in [0.4 * 2.0**-k for k in range(6)]:
+            values.append(gauss_mean(f, alpha, 1e-8).real)
+            assert abs(values[-1] - (4.0 * math.pi * alpha) ** (-dim / 2.0)) <= 1e-8
+        # each halving of alpha multiplies the mean by 2^(d/2): no limit
+        assert all(later > earlier for earlier, later in zip(values, values[1:]))
 
-    def test_zero_function_is_summable_to_zero(self):
-        alphas = [0.4 * 2.0**-k for k in range(6)]
-        trace = gauss_mean_trace(zero_fn(), alphas, 1e-9)
-        result = gauss_summable_limit(trace, tol=1e-9)
-        assert result.converged
-        assert result.limit == 0.0
-
-    def test_needs_at_least_four_rungs(self):
-        trace = SummabilityTrace(alphas=(0.4, 0.2, 0.1), values=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="4"):
-            gauss_summable_limit(trace)
-
-    def test_needs_a_geometric_ladder(self):
-        trace = SummabilityTrace(alphas=(0.4, 0.3, 0.2, 0.1), values=(1.0,) * 4)
-        with pytest.raises(ValueError, match="geometric"):
-            gauss_summable_limit(trace)
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError):
-            SummabilityTrace(alphas=(0.1, 0.2), values=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            SummabilityTrace(alphas=(0.2, 0.1), values=(1.0,))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_function_is_summable_to_zero(self, dim):
+        f = zero_fn(dim)
+        for alpha in [0.4 * 2.0**-k for k in range(6)]:
+            assert gauss_mean(f, alpha, 1e-9) == 0.0
 
 
 class TestMollify:
@@ -239,8 +227,8 @@ class TestMollify:
         f = weierstrass_fn(0.1)
         x = 1.5
         fx = weierstrass_oracle(0.1, x)
-        trace = mollify_trace(f, [0.2 * 2.0**-k for k in range(6)], [x], 1e-8)
-        errors = [abs(v - fx) for v in trace.values]
+        values = mollify_ladder(f, [0.2 * 2.0**-k for k in range(6)], np.array([[x]]), 1e-8)[:, 0]
+        errors = [abs(v - fx) for v in values]
         assert all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
 
     def test_sup_contraction(self):
@@ -319,9 +307,9 @@ class TestGaussInversion:
         xs = [0.0, 0.5, 1.0]
         ladder = gauss_inversion_ladder(f, alphas, np.array(xs).reshape(-1, 1), tol)
         for j, x in enumerate(xs):
-            inv = gauss_inversion_trace(f, alphas, [x], tol).values
-            mol = mollify_trace(f, alphas, [x], tol).values
-            assert np.array(inv).tobytes() == ladder[:, j].tobytes()
+            inv = gauss_inversion_ladder(f, alphas, np.array([[x]]), tol)[:, 0]
+            mol = mollify_ladder(f, alphas, np.array([[x]]), tol)[:, 0]
+            assert inv.tobytes() == ladder[:, j].tobytes()
             for alpha, v, m in zip(alphas, inv, mol):
                 assert abs(v - m) <= 1e-6
                 assert abs(v - weierstrass_oracle(0.1 + alpha, x)) <= 1e-6

@@ -9,11 +9,13 @@ from click.testing import CliRunner
 
 import heatline
 from heatline import (
+    dirac,
     experiments,
     fourier_profile,
     gauss_inversion,
     l1_norm,
     measure_from_json,
+    modulate,
     mollify,
     parse_preset,
 )
@@ -23,7 +25,7 @@ from heatline.experiments import ExperimentSpec, export, run
 from heatline.kernels import KernelScale
 from heatline.measures import BoundedMeasure
 from heatline.quadrature import GaussianDecay, GridSpec, TestFunction, integrate_auto
-from heatline.transforms import fourier
+from heatline.transforms import fourier, mollify_ladder
 
 
 @pytest.fixture
@@ -220,3 +222,41 @@ def test_a_ladder_walk_refuses_a_tolerance_that_is_not_positive(call, tol):
     # a usage error before any work, naming the tolerance given, not a certification failure after a walk
     with pytest.raises(ValueError, match=re.escape(f"target tolerance must be positive, got {tol}")):
         LADDER_WALKS[call](tol)
+
+
+NON_FINITE_CALLS = {
+    "dirac.fourier": lambda bad: dirac([0.0]).fourier([bad]),
+    "dirac.mollify": lambda bad: dirac([0.0]).mollify(0.1, [bad]),
+    "dirac.mollify_ladder": lambda bad: dirac([0.0]).mollify_ladder([0.1], np.array([[0.0], [bad]])),
+    "fourier": lambda bad: fourier(parse_preset("weierstrass:0.1"), [bad]),
+    "gauss_inversion": lambda bad: gauss_inversion(parse_preset("weierstrass:0.1"), [bad], 0.1),
+    "mollify": lambda bad: mollify(parse_preset("gauss:0.1"), 0.1, [bad]),
+    "mollify_ladder": lambda bad: mollify_ladder(parse_preset("gauss:0.1"), [0.1], np.array([[bad]]), 1e-8),
+    "modulate": lambda bad: modulate(parse_preset("gauss:0.1"), [bad], [0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_point_or_frequency_is_refused(call, bad):
+    # a usage error before any work, not a nan value or a certification failure after a walk
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](bad)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["measure-ft", "--xi-max", "inf"], "parameter 'xi_max' must give finite frequencies"),
+        (["measure-ft", "--xi-max", "1e308"], "parameter 'xi_max' must give finite frequencies"),
+        (["fourier", "--xi-max", "nan"], "parameter 'xi_max' must give finite frequencies"),
+        (["modulate", "--etas", "nan"], "parameter 'etas': expected finite values"),
+        (["modulate", "--shifts", "nan"], "parameter 'shifts': expected finite values"),
+        (["invert", "--xs", "0,inf"], "parameter 'xs': expected finite values"),
+    ],
+    ids=["xi-max-inf", "xi-max-overflows", "xi-max-nan", "etas-nan", "shifts-nan", "xs-inf"],
+)
+def test_a_non_finite_list_or_axis_is_a_usage_error(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
