@@ -241,9 +241,12 @@ def weak_convergence_trace(
     alpha is summed in one pass over the grid's blocks: each block is
     smoothed once for all the alphas (``BoundedMeasure.mollify_ladder``,
     which smooths a density once per ladder grid for all the alphas walking
-    on it), and its rows are dropped before the next block.  Each alpha
-    integrates its own row, and its value is the one-alpha smoothing's, bit
-    for bit.
+    on it, samples it once per dyadic lattice, and contracts a climbed
+    rung's fine weights alone), h is evaluated once on its nodes, and its
+    rows are dropped before the next block.  Each alpha integrates its own
+    row, and its value is the one-alpha smoothing's, bit for bit.  The
+    outer sum is a fixed grid's, so its coarse sum is contracted on the
+    block as its fine sum is.
     """
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")
@@ -259,8 +262,8 @@ def weak_convergence_trace(
 
     def block_for(walks: list) -> Callable:
         def block(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-            rows = measure.mollify_ladder([alphas[i] for i in walks], pts, tol)
-            return np.concatenate([np.sum(w * (row * h(pts)), axis=-1, keepdims=True) for row in rows])
+            rows, h_values = measure.mollify_ladder([alphas[i] for i in walks], pts, tol), h(pts)
+            return np.concatenate([np.sum(w * (row * h_values), axis=-1, keepdims=True) for row in rows])
 
         return block
 

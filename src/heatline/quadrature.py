@@ -11,7 +11,9 @@ two error terms:
   of the discretization error inside the cube.  N is a multiple of 4, so
   the N/2 sum reuses the N-grid's even nodes (the N/2 grid's Simpson
   weights there, zero on the odd nodes), and each grid evaluates its
-  integrand once.
+  integrand once.  A ladder walk of block sums that climbs from the N/2
+  rung has already summed its N/2 sum there, and contracts only the fine
+  weights (``_block_sums``).
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
@@ -474,9 +476,15 @@ def _matvec_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The product is np.einsum's, real or complex, which sums every output on
     its own in the same order, so each output keeps its bits whatever the
-    height of a and the number of BLAS threads (a BLAS product split over
-    threads rounds differently).
+    height of a, the number of weight rows and the number of BLAS threads (a
+    BLAS product split over threads rounds differently).  One exception is
+    mended here: a single output (one row of a, one weight row) is reduced
+    along another path, which for real rows of more than 8,192 entries sums
+    in another order (numpy 2.4), so that row is contracted beside a
+    zero-copy second view of itself, as the two-row product would.
     """
+    if a.shape[0] == w.shape[0] == 1:
+        return np.einsum("ij,kj->ki", a, np.broadcast_to(w, (2, w.shape[1])))[:1]
     return np.einsum("ij,kj->ki", a, w)
 
 
@@ -522,7 +530,7 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ints >> np.maximum(zeros, 0), exponents - 53 + zeros
 
 
-def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.ndarray | None:
+def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled: dict | None = None) -> np.ndarray | None:
     """values(x_i - u_j) for each row x_i of xs (rows) and u_j of nodes (columns), from one sampling of values; None off a lattice.
 
     In dim 1, take the starts x_0, u_0 and the steps s = x_1 - x_0,
@@ -541,6 +549,13 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.n
     the node +0.0 is -0.0, not the lattice's +0.0), a batch off such a
     lattice, or a D above _BLOCK_ENTRIES or not below the k m pairs it
     replaces (so a single point or node keeps the direct route).
+
+    ``sampled``, when given, holds the samplings of these values made so
+    far, by lattice (its power of two, first point and size), and a lattice
+    met again is read from the sampling already made: the 1,025 nodes of
+    ``GridSpec(6, 1024, 1)`` share one 5,121-point lattice with both rungs
+    (4, 128) and (4, 256).  Each entry is smaller than the matrix it
+    replaces; the caller owns the dict and drops it with its call.
     """
     k, m = xs.shape[0], nodes.shape[0]
     if xs.shape[1] != 1 or min(k, m) < 2:
@@ -563,11 +578,16 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray) -> np.n
         return None
     if np.signbit(x[x == 0.0]).any():
         return None
-    lattice = np.ldexp(float(x0 - u_last) + np.arange(size, dtype=np.float64), exponent)
-    sampled = np.ascontiguousarray(values(lattice.reshape(-1, 1)))
-    item = sampled.itemsize
+    key = (exponent, x0 - u_last, size)
+    lattice = None if sampled is None else sampled.get(key)
+    if lattice is None:
+        points = np.ldexp(float(x0 - u_last) + np.arange(size, dtype=np.float64), exponent)
+        lattice = np.ascontiguousarray(values(points.reshape(-1, 1)))
+        if sampled is not None:
+            sampled[key] = lattice
+    item = lattice.itemsize
     return np.lib.stride_tricks.as_strided(
-        sampled[(m - 1) * t:], shape=(k, m), strides=(s * item, -t * item), writeable=False
+        lattice[(m - 1) * t:], shape=(k, m), strides=(s * item, -t * item), writeable=False
     )
 
 
@@ -787,17 +807,18 @@ class GridSpec:
             return [self.rows * np.asarray(values(self.nodes[:, None]))] if self.dim == 1 else None
         return [self.rows * _evaluated(f_j, self.nodes, values.name) for f_j in factors]
 
-    def sum(self, block_sum: Callable, width: int = 1, walks: int = 1) -> np.ndarray:
-        """Sums of ``block_sum(points, rows)`` over the blocks, as a (2 walks, width) array.
+    def sum(self, block_sum: Callable, width: int = 1, walks: int = 1, weight_rows: int = 2) -> np.ndarray:
+        """Sums of ``block_sum(points, rows)`` over the blocks, as a (weight_rows walks, width) array.
 
         ``rows`` stacks the block's fine and coarse weights (see ``blocks``),
-        and ``block_sum`` returns one row of sums per weight row; for several
-        walks at once (see ``_block_sums``), a pair of rows per walk, stacked.
-        Blocks are sized by one walk's ``width``.
+        or with ``weight_rows`` 1 its fine weights alone, and ``block_sum``
+        returns one row of sums per weight row; for several walks at once
+        (see ``_block_sums``), the rows of each walk in turn.  Blocks are
+        sized by one walk's ``width``.
         """
-        out = np.zeros((2 * walks, width), dtype=np.complex128)
+        out = np.zeros((weight_rows * walks, width), dtype=np.complex128)
         for pts, rows, _ in self.blocks(width):
-            out += block_sum(pts, rows)
+            out += block_sum(pts, rows[:weight_rows])
         return out
 
     def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
@@ -941,7 +962,10 @@ def walk_ladders(
     so values the walks have in common (such as f(x - u) under kernels of
     several scales, or the phase matrices of several frequencies) are
     computed once per grid.  Each rung evaluates its integrand once: the N/2
-    sum reuses the N-grid's even nodes.  Ladder grids are built once per
+    sum reuses the N-grid's even nodes, and a block-sum walk (see
+    ``_block_sums``) that climbs from the N/2 rung takes that sum from the
+    rung below, so it contracts the fine weights alone.  The stopping test
+    reads the coarse sum only.  Ladder grids are built once per
     process and shared by every walk; the node budget is checked before
     each rung all the same.  A tolerance that is not positive raises
     ValueError before any work.  When several walks fail, the first one's
@@ -1040,12 +1064,35 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
     """Grid sums of several walks at once, for ``walk_ladders``: one (2, width) array per walk.
 
     ``block_for(walks)`` is a block evaluator (see ``GridSpec.sum``) for the
-    listed walks together, returning the fine and the coarse row of each
-    walk in turn, so a block's values can be shared by every walk.  Blocks
-    are sized by one walk's width, so a walk's sums do not depend on how
-    many walks share its grid.
+    listed walks together, returning each walk's rows in turn, one per
+    weight row it is handed, so a block's values can be shared by every
+    walk.  Blocks are sized by one walk's width, so a walk's sums do not
+    depend on how many walks share its grid.
+
+    A climbed rung contracts once.  The grid sums remember each walk's fine
+    sums on the rung it last walked, and on a grid where every walk comes
+    from the rung of the same radius and N/2 points, the N/2 sum on the
+    even nodes is that rung's fine sum, with the same weights and values:
+    the evaluator is handed the fine weights alone, and each walk's coarse
+    row is its remembered fine row.  A fine row keeps its bits either way
+    (see ``_matvec_rows``); a coarse row, read only by the stopping test,
+    is rounded as the rung below summed it.  A first rung, a fixed grid
+    (``_grid_walks``) or a grid that a walk joins fresh contracts both
+    rows.
     """
-    return lambda grid, walks: grid.sum(block_for(walks), width, len(walks)).reshape(len(walks), 2, width)
+    below = {}  # by walk, the (radius, points) of the rung it last walked and its fine sums there
+
+    def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
+        climbed = all(below.get(i, (None,))[0] == (grid.radius, grid.points_per_axis // 2) for i in walks)
+        rows = 1 if climbed else 2
+        sums = grid.sum(block_for(walks), width, len(walks), rows).reshape(len(walks), rows, width)
+        if climbed:
+            sums = np.stack([sums[:, 0], [below[i][1] for i in walks]], axis=1)
+        for i, walk_sums in zip(walks, sums):
+            below[i] = ((grid.radius, grid.points_per_axis), walk_sums[0])
+        return sums
+
+    return grid_sums
 
 
 def _phase_sums(values: Callable, xi: np.ndarray) -> Callable:

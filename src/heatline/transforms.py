@@ -171,11 +171,17 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     The integrand gains a factor exp(2 pi x . Im xi); only a GaussianDecay
     envelope can absorb that growth into a certified tail, via
     exp(-c r^2 + 2 pi q r) <= exp(2 pi^2 q^2 / c) exp(-c r^2 / 2).
+    A frequency whose parts or q^2 = |Im xi|^2 are not finite is refused
+    with ValueError before any walk.
     """
     arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     if arr.shape != (f.dim,):
         raise ValueError(f"expected a frequency of dimension {f.dim}, got shape {arr.shape}")
     re, im = arr.real.copy(), arr.imag.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = float(np.sum(im * im))
+    if not (np.isfinite(re).all() and math.isfinite(q2)):
+        raise ValueError(f"expected a finite complex frequency with a finite |Im xi|^2, got {arr.tolist()}")
     if not np.any(im):
         return fourier(f, re, tol)
     if not isinstance(f.envelope, GaussianDecay):
@@ -184,7 +190,7 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
             "to certify the tail against exponential growth"
         )
     c = f.envelope.rate
-    q = float(np.sqrt(np.sum(im * im)))
+    q = math.sqrt(q2)
     grown = GaussianDecay(c / 2.0, f.envelope.scale * math.exp(2.0 * math.pi**2 * q * q / c))
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -236,15 +242,19 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     each tile of the block's f(x - u) matrix is evaluated once per grid, on
     the rows of xs that some walk on it needs, and contracted with the kernel
     weight rows of every alpha on it at once; for an integrable f, f(y) is
-    shared and each alpha builds its own kernel matrix.  Each rung's block
-    values are contracted with the fine and the embedded coarse weights
-    alike, so the coarse sum costs no evaluation of f (see ``GridSpec.sum``).
+    shared and each alpha builds its own kernel matrix.  A walk's first
+    rung contracts its block values with the fine and the embedded coarse
+    weights alike, so the coarse sum costs no evaluation of f (see
+    ``GridSpec.sum``); a rung it climbs to from the N/2 rung of its radius
+    contracts the fine weights alone and takes the coarse sum from there
+    (see ``quadrature._block_sums``).
     In dim 1, when the points and a block's nodes lie on one dyadic lattice,
     that matrix (f(x - u), or an integrable f's kernel matrix) is read from
-    one sampling of f (of each alpha's kernel) on the lattice, with the same
-    entries bit for bit (see ``_shifted_products``): the 1,025 nodes of
-    ``GridSpec(6, 1024, 1)`` against the 129 of the rung (4, 128) take 5,121
-    evaluations, not 132,225.
+    one sampling of f (of each alpha's kernel) on the lattice per call, with
+    the same entries bit for bit (see ``_shifted_products``): the 1,025
+    nodes of ``GridSpec(6, 1024, 1)`` against the 129 of the rung (4, 128)
+    and the 257 of the rung (4, 256) take 5,121 evaluations in all, not
+    132,225 and 263,425.
     A block's (points x nodes) matrix is built and contracted in row tiles of
     about 2^14 entries, so it stays in cache and needs no fresh memory, while
     each point keeps its own sum over the block's nodes, bit for bit (see
@@ -256,17 +266,19 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     return _mollify_walks(f, alphas, real_points(xs, f.dim), inner_tol, per_point=False)
 
 
-def _shifted_products(g: Callable, xs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _shifted_products(g: Callable, xs: np.ndarray, nodes: np.ndarray, w: np.ndarray, sampled: dict) -> np.ndarray:
     """_matvec_rows of the (points x nodes) matrix g(x_i - u_j) with each weight row of w, built in row tiles of xs.
 
     g maps an (n, dim) array of points to n values.  Each tile's rows are
     evaluated at every (point, node) pair, unless the points and the nodes
     share a dyadic lattice (see ``quadrature._lattice_window``): then the
-    matrix is a window onto g sampled once on the lattice, with the same
-    entries bit for bit, and each tile of it is copied into a C-contiguous
-    array first, since einsum sums a strided operand in another order.
+    matrix is a window onto g sampled once on the lattice, or read from
+    ``sampled``, g's samplings by lattice, when an earlier block met it,
+    with the same entries bit for bit; each tile of it is copied into a
+    C-contiguous array first, since einsum sums a strided operand in
+    another order.
     """
-    window = _lattice_window(g, xs, nodes)
+    window = _lattice_window(g, xs, nodes, sampled)
     if window is not None:
         return _tiled_matvec_rows(window, w, np.ascontiguousarray)
 
@@ -285,7 +297,10 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
     stops on its own rung, so with ``per_point`` entry (j, i) is
     ``mollify(f, alphas[j], xs[i], inner_tol)`` bit for bit, while the walks
     on one ladder grid share its f(x - u) tiles and kernel weights, evaluated
-    on the rows of xs that some walk on the grid still needs.
+    on the rows of xs that some walk on the grid still needs.  The call keeps
+    what its grid sums share: the samplings of f (or of each alpha's kernel)
+    on each dyadic lattice met, and the fine sums of each walk's last rung,
+    which are the coarse sums of the rung it climbs to.
     """
     scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
     peaks = [weierstrass_peak(scale) for scale in scales]
@@ -293,26 +308,42 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
     sets, width = (k, 1) if per_point else (1, k)  # one alpha's walks: one per row of xs, or one for every row
     row_sets = xs.reshape(sets, width, f.dim)
 
+    index = {}  # gathered, by list of walks
+
     def gathered(walks: list) -> tuple:
         """The alphas and the rows of xs that these walks need, and a reader of each walk's sums from a block's product.
 
         Walk i is alpha i // sets on row set i % sets.  The product has a row
         per weight row for each alpha on the grid, in turn, and a column per
         row of xs needed; the reader returns the weight rows of each walk in
-        turn (see ``_block_sums``).
+        turn (see ``_block_sums``).  Each list of walks is indexed once: when
+        the walks are every (alpha, row set) pair in that order, as every
+        walk list without ``per_point`` is, the reader is a reshape;
+        otherwise it takes each walk's pair, an integer array.
         """
+        key = tuple(walks)
+        if key in index:
+            return index[key]
         on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
-        slot, spot = {a: p * len(chosen) for p, a in enumerate(on)}, {s: p for p, s in enumerate(chosen)}
-        pairs = np.array([slot[i // sets] + spot[i % sets] for i in walks])  # each walk's (alpha, row set) pair
+        count = len(chosen)
+        pairs = None
+        if walks != [a * sets + s for a in on for s in chosen]:
+            # each walk's (alpha, row set) pair: its alpha's place on the grid, then its row set's
+            alpha_place, set_place = np.zeros(len(scales), dtype=np.intp), np.zeros(sets, dtype=np.intp)
+            alpha_place[on], set_place[chosen] = np.arange(len(on)) * count, np.arange(count)
+            alpha, row_set = np.divmod(walks, sets)
+            pairs = alpha_place[alpha] + set_place[row_set]
 
         def read(product: np.ndarray) -> np.ndarray:
-            by_pair = product.reshape(len(on), -1, len(chosen), width).swapaxes(1, 2)
-            return by_pair.reshape(len(on) * len(chosen), -1).take(pairs, axis=0).reshape(-1, width)
+            by_pair = product.reshape(len(on), -1, count, width).swapaxes(1, 2).reshape(len(on) * count, -1)
+            return (by_pair if pairs is None else by_pair[pairs]).reshape(-1, width)
 
-        return on, row_sets.take(chosen, axis=0).reshape(-1, f.dim), read
+        index[key] = on, row_sets[chosen].reshape(-1, f.dim), read
+        return index[key]
 
     if f.bounded:
         envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
+        sampled = {}  # f on each lattice met so far
 
         def block_for(walks: list) -> Callable:
             on, x_rows, read = gathered(walks)
@@ -320,12 +351,13 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
             def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
                 # each alpha's kernel weights are shared by every x, and f(x - u) by every alpha
                 kw = np.concatenate([w * weierstrass(scales[a], upts) for a in on])
-                return read(_shifted_products(f, x_rows, upts, kw))
+                return read(_shifted_products(f, x_rows, upts, kw, sampled))
 
             return block
 
     elif f.integrable:
         envelopes = [f.envelope.scaled(peak) for peak in peaks]
+        kernels = [{} for _ in scales]  # each alpha's kernel on each lattice met so far
 
         def block_for(walks: list) -> Callable:
             on, x_rows, read = gathered(walks)
@@ -334,7 +366,7 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
                 # the function values are shared by every x and every alpha
                 fw = w * f(ypts)
                 return read(np.concatenate([
-                    _shifted_products(lambda pts, s=scales[a]: weierstrass(s, pts), x_rows, ypts, fw) for a in on
+                    _shifted_products(lambda pts, s=scales[a]: weierstrass(s, pts), x_rows, ypts, fw, kernels[a]) for a in on
                 ]))
 
             return block

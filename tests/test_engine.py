@@ -22,7 +22,7 @@ from heatline import (
     unit_gaussian,
     weierstrass_fn,
 )
-from heatline import quadrature, transforms
+from heatline import measures, quadrature, transforms
 from heatline.catalog import bump_fn, bump_pair_fn, parse_preset
 from heatline.experiments import ExperimentSpec, run
 from heatline.measures import weak_convergence_trace
@@ -517,6 +517,75 @@ def test_weak_convergence_smooths_only_the_fine_outer_batch(monkeypatch):
     weak_convergence_trace(measure, gauss_fn(1.0), [0.2, 0.1], GridSpec(6.0, 256, 1))
     # one smoothing for both alphas, on the 257 outer nodes; the coarse sum takes the even ones
     assert batches == [(2, 257)]
+
+
+# -- a climbed rung contracts once -------------------------------------------
+
+
+def _kernel_rows(grid: GridSpec, upts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The fine and coarse kernel weights of four alphas on a block, stacked by alpha as smoothing stacks them: (8, block)."""
+    return np.concatenate([w * transforms.weierstrass(transforms.KernelScale(a, grid.dim), upts) for a in (0.4, 0.2, 0.1, 0.05)])
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim, points", [(2, 1), (1, 127)], ids=["dim-2-one-row-tiles", "dim-1-127-row-tiles"])
+def test_every_output_keeps_its_bits_with_one_two_or_eight_weight_rows(dim, points, complex_values):
+    # a climbed rung hands the smoothing product one weight row per alpha, the first rung two; the
+    # 66,049-node block of rung (4, 256) in dim 2 is one block with one-row tiles, which einsum would
+    # reduce along another path for a single row
+    grid = GridSpec(4.0, 256 if dim == 2 else 128, dim)
+    [(upts, w, _)] = list(grid.blocks(1))
+    xs = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(points, dim))
+    f = weierstrass_fn(0.1, dim).scaled(1.0 - 0.5j if complex_values else 1.0)
+    tile = f((xs[:, None, :] - upts[None, :, :]).reshape(-1, dim)).reshape(points, -1)
+    assert tile.shape[1] == (66049 if dim == 2 else 129) and quadrature._row_tiles(points, tile.shape[1]) == [slice(0, points)]
+    rows = _kernel_rows(grid, upts, w)
+    eight = quadrature._matvec_rows(tile, rows)
+    for r in range(8):
+        assert quadrature._matvec_rows(tile, rows[r:r + 1]).tobytes() == eight[r:r + 1].tobytes()
+    for r in range(0, 8, 2):
+        assert quadrature._matvec_rows(tile, rows[r:r + 2]).tobytes() == eight[r:r + 2].tobytes()
+
+
+def test_a_climbed_rung_contracts_the_fine_kernel_row_and_samples_its_lattice_once(monkeypatch, default_ladders):
+    # measures-d1's weak-convergence shape: rung (4, 128) smooths the 1,025 outer nodes for every alpha,
+    # and the alphas that fail there climb to rung (4, 256), whose coarse sum is rung 128's fine sum
+    seen = []
+    measure = BoundedMeasure(dim=1, density=_counted(weierstrass_fn(0.05), seen))
+    products = []  # (block nodes, weight rows) of each smoothing product
+    tiled = transforms._tiled_matvec_rows
+
+    def recorded(xs, w, matrix):
+        products.append((w.shape[1], w.shape[0]))
+        return tiled(xs, w, matrix)
+
+    monkeypatch.setattr(transforms, "_tiled_matvec_rows", recorded)
+    grids = _walked_grids(monkeypatch)
+    seen.clear()
+    weak_convergence_trace(measure, gauss_fn(0.75), [0.2 * 2.0**-k for k in range(4)], GridSpec(6.0, 1024, 1), 1e-8)
+    [(r, n, first), (r_climbed, n_climbed, climbed)] = grids
+    assert (r, n, first) == (4.0, 128, (0, 1, 2, 3)) and (r_climbed, n_climbed) == (4.0, 256) and 0 < len(climbed) < 4
+    assert products == [(129, 2 * 4), (257, len(climbed))]
+    # every difference of an outer node and a node of either rung lies on one 5,121-point lattice
+    assert seen.count(5121) == 1
+
+
+def test_a_fixed_grid_contracts_both_weight_rows(monkeypatch):
+    # weak convergence's outer sum (a _grid_walks sum) reports |fine - coarse|, so it keeps both rows
+    measure = BoundedMeasure(dim=1, density=weierstrass_fn(0.05))
+    handed = []
+    block_sums = measures._block_sums
+
+    def recorded(block_for, width):
+        def recorded_for(walks):
+            block = block_for(walks)
+            return lambda pts, w: (handed.append(w.shape), block(pts, w))[1]
+
+        return block_sums(recorded_for, width)
+
+    monkeypatch.setattr(measures, "_block_sums", recorded)
+    weak_convergence_trace(measure, gauss_fn(0.75), [0.2, 0.1], GridSpec(6.0, 1024, 1), 1e-8)
+    assert handed == [(2, 1025)]
 
 
 # -- mirrored nodes and phase matrices ---------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import heatline
 from heatline import (
     dirac,
     experiments,
+    fourier_complex,
     fourier_profile,
     gauss_inversion,
     l1_norm,
@@ -25,6 +27,7 @@ from heatline.experiments import ExperimentSpec, export, run
 from heatline.kernels import KernelScale
 from heatline.measures import BoundedMeasure
 from heatline.quadrature import GaussianDecay, GridSpec, TestFunction, integrate_auto
+from heatline import transforms
 from heatline.transforms import fourier, mollify_ladder
 
 
@@ -242,6 +245,18 @@ def test_a_non_finite_point_or_frequency_is_refused(call, bad):
     # a usage error before any work, not a nan value or a certification failure after a walk
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_CALLS[call](bad)
+
+
+@pytest.mark.parametrize(
+    "xi", [complex(0.0, math.inf), complex(0.0, math.nan), 0.5 + 1e200j], ids=["im-inf", "im-nan", "im-squared-overflows"]
+)
+def test_a_complex_frequency_without_a_finite_growth_is_refused(monkeypatch, xi):
+    # a usage error before any walk and without an overflow warning, as a non-finite real frequency is
+    monkeypatch.setattr(transforms, "_transform_table", lambda *args: pytest.fail("walked the ladder"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fourier_complex(parse_preset("gauss:0.1"), np.array([xi]))
 
 
 @pytest.mark.parametrize(
