@@ -241,12 +241,12 @@ def weak_convergence_trace(
     alpha is summed in one pass over the grid's blocks: each block is
     smoothed once for all the alphas (``BoundedMeasure.mollify_ladder``,
     which smooths a density once per ladder grid for all the alphas walking
-    on it, samples it once per dyadic lattice, and contracts a climbed
-    rung's fine weights alone), h is evaluated once on its nodes, and its
-    rows are dropped before the next block.  Each alpha integrates its own
-    row, and its value is the one-alpha smoothing's, bit for bit.  The
-    outer sum is a fixed grid's, so its coarse sum is contracted on the
-    block as its fine sum is.
+    on it, keeps its last sampling on a dyadic lattice, and takes a climbed
+    rung's coarse sum from the rung below), h is evaluated once on its
+    nodes, and its rows are dropped before the next block.  Each alpha
+    integrates its own row, and its value is the one-alpha smoothing's, bit
+    for bit.  The outer sum is a fixed grid's, so its coarse sum is
+    contracted on the block as its fine sum is.
     """
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")

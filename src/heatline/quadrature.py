@@ -12,8 +12,9 @@ two error terms:
   the N/2 sum reuses the N-grid's even nodes (the N/2 grid's Simpson
   weights there, zero on the odd nodes), and each grid evaluates its
   integrand once.  A ladder walk of block sums that climbs from the N/2
-  rung has already summed its N/2 sum there, and contracts only the fine
-  weights (``_block_sums``).
+  rung has already summed its N/2 sum there and takes it from there, so a
+  rung that every walk on it climbed to contracts only the fine weights
+  (``_block_sums``).
 
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
@@ -530,7 +531,7 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ints >> np.maximum(zeros, 0), exponents - 53 + zeros
 
 
-def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled: dict | None = None) -> np.ndarray | None:
+def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled: dict) -> np.ndarray | None:
     """values(x_i - u_j) for each row x_i of xs (rows) and u_j of nodes (columns), from one sampling of values; None off a lattice.
 
     In dim 1, take the starts x_0, u_0 and the steps s = x_1 - x_0,
@@ -550,12 +551,11 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled
     lattice, or a D above _BLOCK_ENTRIES or not below the k m pairs it
     replaces (so a single point or node keeps the direct route).
 
-    ``sampled``, when given, holds the samplings of these values made so
-    far, by lattice (its power of two, first point and size), and a lattice
-    met again is read from the sampling already made: the 1,025 nodes of
-    ``GridSpec(6, 1024, 1)`` share one 5,121-point lattice with both rungs
-    (4, 128) and (4, 256).  Each entry is smaller than the matrix it
-    replaces; the caller owns the dict and drops it with its call.
+    ``sampled`` holds the last sampling of these values, by its lattice
+    (power of two, first point and size): a lattice met twice in a row is
+    read from it, as the 1,025 nodes of ``GridSpec(6, 1024, 1)`` meet one
+    5,121-point lattice with rung (4, 128) and then with rung (4, 256),
+    and any other lattice replaces it, so it holds one sampling at most.
     """
     k, m = xs.shape[0], nodes.shape[0]
     if xs.shape[1] != 1 or min(k, m) < 2:
@@ -579,12 +579,11 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled
     if np.signbit(x[x == 0.0]).any():
         return None
     key = (exponent, x0 - u_last, size)
-    lattice = None if sampled is None else sampled.get(key)
-    if lattice is None:
+    if key not in sampled:
         points = np.ldexp(float(x0 - u_last) + np.arange(size, dtype=np.float64), exponent)
-        lattice = np.ascontiguousarray(values(points.reshape(-1, 1)))
-        if sampled is not None:
-            sampled[key] = lattice
+        sampled.clear()
+        sampled[key] = np.ascontiguousarray(values(points.reshape(-1, 1)))
+    lattice = sampled[key]
     item = lattice.itemsize
     return np.lib.stride_tricks.as_strided(
         lattice[(m - 1) * t:], shape=(k, m), strides=(s * item, -t * item), writeable=False
@@ -964,10 +963,10 @@ def walk_ladders(
     computed once per grid.  Each rung evaluates its integrand once: the N/2
     sum reuses the N-grid's even nodes, and a block-sum walk (see
     ``_block_sums``) that climbs from the N/2 rung takes that sum from the
-    rung below, so it contracts the fine weights alone.  The stopping test
-    reads the coarse sum only.  Ladder grids are built once per
-    process and shared by every walk; the node budget is checked before
-    each rung all the same.  A tolerance that is not positive raises
+    rung below, and a rung that every walk on it climbed to contracts the
+    fine weights alone.  The stopping test reads the coarse sum only.
+    Ladder grids are built once per process and shared by every walk; the
+    node budget is checked before each rung all the same.  A tolerance that is not positive raises
     ValueError before any work.  When several walks fail, the first one's
     error is raised, naming its label and, for a walk that reached no rung,
     its own phase cap.
@@ -1069,27 +1068,32 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
     walk.  Blocks are sized by one walk's width, so a walk's sums do not
     depend on how many walks share its grid.
 
-    A climbed rung contracts once.  The grid sums remember each walk's fine
-    sums on the rung it last walked, and on a grid where every walk comes
-    from the rung of the same radius and N/2 points, the N/2 sum on the
-    even nodes is that rung's fine sum, with the same weights and values:
-    the evaluator is handed the fine weights alone, and each walk's coarse
-    row is its remembered fine row.  A fine row keeps its bits either way
-    (see ``_matvec_rows``); a coarse row, read only by the stopping test,
-    is rounded as the rung below summed it.  A first rung, a fixed grid
-    (``_grid_walks``) or a grid that a walk joins fresh contracts both
-    rows.
+    A climbed rung contracts once.  The grid sums keep each rung's sums
+    until the walks on it have climbed on.  A walk that walked the rung of
+    the same radius and N/2 points has summed the N/2 sum on the even nodes
+    there, with the same weights and values, so its coarse row is its fine
+    row from there, whichever walks share the grid; on a grid where every
+    walk climbed, the evaluator is handed the fine weights alone.  A fine
+    row keeps its bits either way (see ``_matvec_rows``); a climbed walk's
+    coarse row, read only by the stopping test, is rounded as the rung below
+    summed it.  A walk's first rung and a fixed grid (``_grid_walks``)
+    contract both rows.
     """
-    below = {}  # by walk, the (radius, points) of the rung it last walked and its fine sums there
+    rungs = {}  # by (radius, points): the walks on the rung and their sums there
 
     def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
-        climbed = all(below.get(i, (None,))[0] == (grid.radius, grid.points_per_axis // 2) for i in walks)
-        rows = 1 if climbed else 2
+        walked, below = rungs.pop((grid.radius, grid.points_per_axis // 2), ((), None))
+        places = dict(zip(walked, range(len(walked))))
+        climbed = [(p, places[i]) for p, i in enumerate(walks) if i in places]
+        rows = 1 if len(climbed) == len(walks) else 2
         sums = grid.sum(block_for(walks), width, len(walks), rows).reshape(len(walks), rows, width)
         if climbed:
-            sums = np.stack([sums[:, 0], [below[i][1] for i in walks]], axis=1)
-        for i, walk_sums in zip(walks, sums):
-            below[i] = ((grid.radius, grid.points_per_axis), walk_sums[0])
+            here, there = map(list, zip(*climbed))
+            if rows == 1:
+                sums = np.concatenate([sums, below[there, :1]], axis=1)
+            else:
+                sums[here, 1] = below[there, 0]
+        rungs[grid.radius, grid.points_per_axis] = walks, sums
         return sums
 
     return grid_sums

@@ -246,15 +246,16 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     rung contracts its block values with the fine and the embedded coarse
     weights alike, so the coarse sum costs no evaluation of f (see
     ``GridSpec.sum``); a rung it climbs to from the N/2 rung of its radius
-    contracts the fine weights alone and takes the coarse sum from there
-    (see ``quadrature._block_sums``).
+    takes the coarse sum from there, and a rung that every walk on it
+    climbed to contracts the fine weights alone (see
+    ``quadrature._block_sums``).
     In dim 1, when the points and a block's nodes lie on one dyadic lattice,
     that matrix (f(x - u), or an integrable f's kernel matrix) is read from
-    one sampling of f (of each alpha's kernel) on the lattice per call, with
-    the same entries bit for bit (see ``_shifted_products``): the 1,025
-    nodes of ``GridSpec(6, 1024, 1)`` against the 129 of the rung (4, 128)
-    and the 257 of the rung (4, 256) take 5,121 evaluations in all, not
-    132,225 and 263,425.
+    one sampling of f (of each alpha's kernel) on the lattice, kept until
+    a block meets another lattice, with the same entries bit for bit (see
+    ``_shifted_products``): the 1,025 nodes of ``GridSpec(6, 1024, 1)``
+    against the 129 of the rung (4, 128) and then the 257 of the rung
+    (4, 256) take 5,121 evaluations in all, not 132,225 and 263,425.
     A block's (points x nodes) matrix is built and contracted in row tiles of
     about 2^14 entries, so it stays in cache and needs no fresh memory, while
     each point keeps its own sum over the block's nodes, bit for bit (see
@@ -273,9 +274,9 @@ def _shifted_products(g: Callable, xs: np.ndarray, nodes: np.ndarray, w: np.ndar
     evaluated at every (point, node) pair, unless the points and the nodes
     share a dyadic lattice (see ``quadrature._lattice_window``): then the
     matrix is a window onto g sampled once on the lattice, or read from
-    ``sampled``, g's samplings by lattice, when an earlier block met it,
-    with the same entries bit for bit; each tile of it is copied into a
-    C-contiguous array first, since einsum sums a strided operand in
+    ``sampled``, g's last sampling, when the block before met the same
+    lattice, with the same entries bit for bit; each tile of it is copied
+    into a C-contiguous array first, since einsum sums a strided operand in
     another order.
     """
     window = _lattice_window(g, xs, nodes, sampled)
@@ -298,8 +299,8 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
     ``mollify(f, alphas[j], xs[i], inner_tol)`` bit for bit, while the walks
     on one ladder grid share its f(x - u) tiles and kernel weights, evaluated
     on the rows of xs that some walk on the grid still needs.  The call keeps
-    what its grid sums share: the samplings of f (or of each alpha's kernel)
-    on each dyadic lattice met, and the fine sums of each walk's last rung,
+    what its grid sums share: the last sampling of f (or of each alpha's
+    kernel) on a dyadic lattice, and the fine sums of each walk's last rung,
     which are the coarse sums of the rung it climbs to.
     """
     scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
@@ -316,34 +317,26 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
         Walk i is alpha i // sets on row set i % sets.  The product has a row
         per weight row for each alpha on the grid, in turn, and a column per
         row of xs needed; the reader returns the weight rows of each walk in
-        turn (see ``_block_sums``).  Each list of walks is indexed once: when
-        the walks are every (alpha, row set) pair in that order, as every
-        walk list without ``per_point`` is, the reader is a reshape;
-        otherwise it takes each walk's pair, an integer array.
+        turn (see ``_block_sums``).  Each list of walks is indexed once per
+        call, by Python sets and dicts: the lists hold a few walks each, for
+        which numpy's unique and searchsorted cost more.
         """
         key = tuple(walks)
-        if key in index:
-            return index[key]
-        on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
-        count = len(chosen)
-        pairs = None
-        if walks != [a * sets + s for a in on for s in chosen]:
-            # each walk's (alpha, row set) pair: its alpha's place on the grid, then its row set's
-            alpha_place, set_place = np.zeros(len(scales), dtype=np.intp), np.zeros(sets, dtype=np.intp)
-            alpha_place[on], set_place[chosen] = np.arange(len(on)) * count, np.arange(count)
-            alpha, row_set = np.divmod(walks, sets)
-            pairs = alpha_place[alpha] + set_place[row_set]
+        if key not in index:
+            on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
+            slot, spot = {a: p * len(chosen) for p, a in enumerate(on)}, {s: p for p, s in enumerate(chosen)}
+            pairs = np.array([slot[i // sets] + spot[i % sets] for i in walks])  # each walk's (alpha, row set) pair
 
-        def read(product: np.ndarray) -> np.ndarray:
-            by_pair = product.reshape(len(on), -1, count, width).swapaxes(1, 2).reshape(len(on) * count, -1)
-            return (by_pair if pairs is None else by_pair[pairs]).reshape(-1, width)
+            def read(product: np.ndarray) -> np.ndarray:
+                by_pair = product.reshape(len(on), -1, len(chosen), width).swapaxes(1, 2)
+                return by_pair.reshape(len(on) * len(chosen), -1).take(pairs, axis=0).reshape(-1, width)
 
-        index[key] = on, row_sets[chosen].reshape(-1, f.dim), read
+            index[key] = on, row_sets.take(chosen, axis=0).reshape(-1, f.dim), read
         return index[key]
 
     if f.bounded:
         envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
-        sampled = {}  # f on each lattice met so far
+        sampled = {}  # f's last lattice sampling
 
         def block_for(walks: list) -> Callable:
             on, x_rows, read = gathered(walks)
@@ -357,7 +350,7 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
 
     elif f.integrable:
         envelopes = [f.envelope.scaled(peak) for peak in peaks]
-        kernels = [{} for _ in scales]  # each alpha's kernel on each lattice met so far
+        kernels = [{} for _ in scales]  # each alpha's kernel's last lattice sampling
 
         def block_for(walks: list) -> Callable:
             on, x_rows, read = gathered(walks)

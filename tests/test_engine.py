@@ -570,6 +570,28 @@ def test_a_climbed_rung_contracts_the_fine_kernel_row_and_samples_its_lattice_on
     assert seen.count(5121) == 1
 
 
+def test_a_climbed_walk_keeps_its_coarse_row_beside_a_walk_that_joins_its_rung_fresh():
+    # walk 0 climbs from rung (4, 64) to (4, 128), where walk 1 joins fresh (as an inversion walk with
+    # another phase cap does): each walk's rows there are the bits it gets walking alone
+    fs = [weierstrass_fn(0.05), gauss_fn(0.3)]
+
+    def block_for(walks):
+        return lambda pts, w: np.concatenate([np.sum(w * fs[i](pts), axis=-1, keepdims=True) for i in walks])
+
+    below, rung = GridSpec(4.0, 64, 1), GridSpec(4.0, 128, 1)
+    alone = quadrature._block_sums(block_for, 1)
+    [(fine_below, _)] = alone(below, [0])
+    [climbed_alone] = alone(rung, [0])
+    [fresh_alone] = quadrature._block_sums(block_for, 1)(rung, [1])
+    shared = quadrature._block_sums(block_for, 1)
+    shared(below, [0])
+    climbed, fresh = shared(rung, [0, 1])
+    # the rung's own coarse contraction rounds walk 0's N/2 sum otherwise than the rung below did
+    [(_, coarse_fresh)] = quadrature._block_sums(block_for, 1)(rung, [0])
+    assert coarse_fresh.tobytes() != fine_below.tobytes() and climbed_alone[1].tobytes() == fine_below.tobytes()
+    assert climbed.tobytes() == climbed_alone.tobytes() and fresh.tobytes() == fresh_alone.tobytes()
+
+
 def test_a_fixed_grid_contracts_both_weight_rows(monkeypatch):
     # weak convergence's outer sum (a _grid_walks sum) reports |fine - coarse|, so it keeps both rows
     measure = BoundedMeasure(dim=1, density=weierstrass_fn(0.05))
@@ -1067,7 +1089,7 @@ def test_the_l1_check_on_the_lattice_keeps_every_bit(monkeypatch, default_ladder
 def test_a_lattice_window_is_the_direct_matrix(xs, nodes):
     f = weierstrass_fn(0.3).scaled(1.0 - 2.0j)
     xs, nodes = xs.reshape(-1, 1), nodes.reshape(-1, 1)
-    window = quadrature._lattice_window(f, xs, nodes)
+    window = quadrature._lattice_window(f, xs, nodes, {})
     assert window is not None and window.shape == (xs.shape[0], nodes.shape[0])
     direct = f((xs[:, None, :] - nodes[None, :, :]).reshape(-1, 1)).reshape(window.shape)
     assert np.ascontiguousarray(window).tobytes() == direct.tobytes()
@@ -1089,7 +1111,7 @@ def test_off_a_lattice_no_window_is_read_and_nothing_is_evaluated(xs, nodes, why
     seen = []
     f = _counted(weierstrass_fn(0.1), seen)
     seen.clear()
-    assert quadrature._lattice_window(f, xs.reshape(-1, 1), nodes.reshape(-1, 1)) is None, why
+    assert quadrature._lattice_window(f, xs.reshape(-1, 1), nodes.reshape(-1, 1), {}) is None, why
     assert seen == []
 
 
@@ -1099,9 +1121,22 @@ def test_a_lattice_over_the_block_cap_is_not_sampled(monkeypatch):
     xs, nodes = GridSpec(6.0, 1024, 1).points(), GridSpec(4.0, 128, 1).points()  # a lattice of 5,121 points
     seen.clear()
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 5120)
-    assert quadrature._lattice_window(f, xs, nodes) is None and seen == []
+    assert quadrature._lattice_window(f, xs, nodes, {}) is None and seen == []
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 5121)
-    assert quadrature._lattice_window(f, xs, nodes) is not None and seen == [5121]
+    assert quadrature._lattice_window(f, xs, nodes, {}) is not None and seen == [5121]
+
+
+def test_a_lattice_sampling_is_kept_until_another_lattice_is_met():
+    seen = []
+    f = _counted(weierstrass_fn(0.1), seen)
+    xs = GridSpec(6.0, 1024, 1).points()
+    coarse, fine, other = (GridSpec(r, n, 1).points() for r, n in ((4.0, 128), (4.0, 256), (6.0, 128)))
+    sampled = {}
+    seen.clear()
+    for nodes in (coarse, fine, other, coarse):
+        assert quadrature._lattice_window(f, xs, nodes, sampled) is not None and len(sampled) == 1
+    # rungs (4, 128) and (4, 256) meet one 5,121-point lattice with these points; rung (6, 128) another
+    assert seen == [5121, 6145, 5121]
 
 
 def test_dim_2_smoothing_keeps_the_direct_route(monkeypatch, default_ladders):
@@ -1109,7 +1144,7 @@ def test_dim_2_smoothing_keeps_the_direct_route(monkeypatch, default_ladders):
     f = _counted(weierstrass_fn(0.1, 2), seen)
     grid = GridSpec(2.0, 4, 2)
     seen.clear()
-    assert quadrature._lattice_window(f, grid.points(), GridSpec(4.0, 8, 2).points()) is None and seen == []
+    assert quadrature._lattice_window(f, grid.points(), GridSpec(4.0, 8, 2).points(), {}) is None and seen == []
     lattice, direct, read = _both_routes(monkeypatch, lambda: transforms.mollify_ladder(f, [0.2], grid.points(), 1e-2))
     assert not read and lattice.tobytes() == direct.tobytes()
 
