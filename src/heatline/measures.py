@@ -30,6 +30,7 @@ from .quadrature import (
     QuadratureError,
     TestFunction,
     _block_sums,
+    _check_tolerance,
     _grid_walks,
     integrate_values,
     l1_norm,
@@ -99,6 +100,7 @@ class BoundedMeasure:
 
     def apply(self, h: TestFunction, tol: float = 1e-8) -> complex:
         """Evaluate the measure on a bounded test function."""
+        _check_tolerance(tol)
         if h.dim != self.dim:
             raise ValueError(f"dimension mismatch: measure {self.dim}, function {h.dim}")
         if not h.bounded or h.sup_bound is None:
@@ -124,6 +126,7 @@ class BoundedMeasure:
 
     def _fourier_rows(self, xi_pts: np.ndarray, tol: float) -> np.ndarray:
         """``fourier`` at each row of xi_pts: the atoms in closed form, the density in one walk per row."""
+        _check_tolerance(tol)
         out = np.zeros(xi_pts.shape[0], dtype=np.complex128)
         if self.atoms:
             phases = cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T))
@@ -157,6 +160,7 @@ class BoundedMeasure:
         See ``transforms._mollify_walks``.  The atoms' kernel sum is one
         matrix product per alpha over every row of xs either way.
         """
+        _check_tolerance(inner_tol)
         scales = [KernelScale(alpha, self.dim) for alpha in alphas]
         out = np.zeros((len(scales), xs.shape[0]), dtype=np.complex128)
         if self.atoms:
@@ -173,6 +177,7 @@ class BoundedMeasure:
         The atoms' part is keyed by their locations and weights, and the
         density's by its sampling grid (see ``transforms.Spectrum``).
         """
+        _check_tolerance(inner_tol)
         locations = self.atom_locations
         weights = self.atom_weights
         spectrum = Spectrum(
@@ -246,8 +251,9 @@ def weak_convergence_trace(
     nodes, and its rows are dropped before the next block.  Each alpha
     integrates its own row, and its value is the one-alpha smoothing's, bit
     for bit.  The outer sum is a fixed grid's, so its coarse sum is
-    contracted on the block as its fine sum is.
+    contracted on the block as its fine sum is.  No alphas give no samples.
     """
+    _check_tolerance(tol)
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")
     if not h.bounded or h.sup_bound is None:
@@ -257,8 +263,10 @@ def weak_convergence_trace(
             "the x-integral needs h compactly supported or Gaussian-enveloped, got "
             f"{type(h.envelope).__name__}"
         )
-    target = measure.apply(h, tol)
     alphas = [float(alpha) for alpha in alphas]
+    if not alphas:
+        return []
+    target = measure.apply(h, tol)
 
     def block_for(walks: list) -> Callable:
         def block(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -270,7 +278,7 @@ def weak_convergence_trace(
     peaks = [weierstrass_peak(KernelScale(alpha, measure.dim)) for alpha in alphas]
     envelopes = [h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + _TINY) for peak in peaks]
     labels = [f"weak[{h.name}]@{alpha:g}" for alpha in alphas]
-    results = _grid_walks(_block_sums(block_for, 1), grid, envelopes, labels)
+    results = _grid_walks(_block_sums(block_for), grid, envelopes, labels)
     return [
         WeakConvergenceSample(alpha, result.value, target, result.error_budget)
         for alpha, result in zip(alphas, results)

@@ -16,6 +16,11 @@ two error terms:
   rung that every walk on it climbed to contracts only the fine weights
   (``_block_sums``).
 
+A walk is certified only when its integrand has an integrable envelope, its
+tolerance is positive and finite, and its sums are finite: ``walk_ladders``
+and ``_grid_walks`` check these rules for every walk, and the entry points
+that walk leave them to it.
+
 Every integrand enters the engine as a vectorized ``values(points)``
 callable with an envelope, a dimension and a label (``integrate_values``;
 ``walk_ladders`` for vector-valued sums and for several walks at once, such
@@ -88,8 +93,7 @@ RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 POINTS_LADDER = (128, 256, 512, 1024, 2048, 4096, 8192)
 
 _CHUNK = 1 << 17  # nodes per evaluation block
-_BLOCK_ENTRIES = 1 << 21  # node-output pairs per evaluation block
-_TILE_ENTRIES = 1 << 14  # point-node pairs per row tile of a block's matrix (128 KB real, 256 KB complex)
+_BLOCK_ENTRIES = 1 << 21  # entries per phase matrix, FFT length or lattice sampling
 _TINY = 1e-300  # floor that keeps a derived envelope scale positive
 _ENVELOPE_SLACK = 1e-9
 _FACTOR_RTOL = 1e-12  # relative spot-check tolerance of declared factors
@@ -595,23 +599,6 @@ def _conjugator(sign: float) -> Callable:
     return np.conjugate if sign > 0 else lambda a: a
 
 
-def _row_tiles(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows) in order, each of at most _TILE_ENTRIES // width rows (at least one)."""
-    size = max(1, _TILE_ENTRIES // width)
-    return [slice(a, min(a + size, rows)) for a in range(0, rows, size)]
-
-
-def _tiled_matvec_rows(xs: np.ndarray, w: np.ndarray, matrix: Callable) -> np.ndarray:
-    """_matvec_rows(matrix(xs), w), built and multiplied in row tiles of xs (see ``_row_tiles``).
-
-    Each tile's (rows, len(w)) matrix stays in cache, and every output keeps
-    the bits of the untiled product.  The result is real when the matrix and
-    w are.
-    """
-    tiles = _row_tiles(xs.shape[0], w.shape[-1])
-    return np.concatenate([_matvec_rows(matrix(xs[tile]), w) for tile in tiles], axis=-1)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Composite-Simpson tensor grid on [-radius, radius]^dim, N = ``points_per_axis`` intervals per axis.
@@ -665,7 +652,7 @@ class GridSpec:
     def spacing(self) -> float:
         return 2.0 * self.radius / self.points_per_axis
 
-    def blocks(self, width: int = 1):
+    def blocks(self):
         """Yield (points, rows, index) blocks covering the grid in row-major order.
 
         ``index`` holds one slice of node indices per axis, and the block is
@@ -673,17 +660,16 @@ class GridSpec:
         weights, a (2, block) array (a view of the grid's ``rows`` in dim 1).  A
         block is a run of whole leading-axis rows; when one row exceeds the
         cap, it is a run of whole lines along the second axis within one row,
-        and so on.  A block holds at most _CHUNK nodes and, when each node
-        meets ``width`` outputs (frequencies or evaluation points), at most
-        _BLOCK_ENTRIES node-output pairs, unless a single node already
-        exceeds that.
+        and so on.  A block holds at most _CHUNK nodes, so the partition is
+        the grid's alone, whoever asks: an evaluator that meets many outputs
+        per node (smoothing's evaluation points) builds its matrices in row
+        tiles of its own.
         """
-        cap = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(1, width)))
         m = self.nodes.size
         split = 0  # the axis along which a block takes a run of indices
-        while m ** (self.dim - split - 1) > cap:
+        while m ** (self.dim - split - 1) > _CHUNK:
             split += 1
-        run = cap // m ** (self.dim - split - 1)
+        run = _CHUNK // m ** (self.dim - split - 1)
         whole = (slice(0, m),) * (self.dim - split - 1)
         for prefix in itertools.product(range(m), repeat=split):
             for start in range(0, m, run):
@@ -806,19 +792,17 @@ class GridSpec:
             return [self.rows * np.asarray(values(self.nodes[:, None]))] if self.dim == 1 else None
         return [self.rows * _evaluated(f_j, self.nodes, values.name) for f_j in factors]
 
-    def sum(self, block_sum: Callable, width: int = 1, walks: int = 1, weight_rows: int = 2) -> np.ndarray:
-        """Sums of ``block_sum(points, rows)`` over the blocks, as a (weight_rows walks, width) array.
+    def sum(self, block_sum: Callable, weight_rows: int = 2) -> np.ndarray:
+        """Sums of ``block_sum(points, rows)`` over the blocks, in complex128, in the shape ``block_sum`` returns.
 
         ``rows`` stacks the block's fine and coarse weights (see ``blocks``),
         or with ``weight_rows`` 1 its fine weights alone, and ``block_sum``
         returns one row of sums per weight row; for several walks at once
-        (see ``_block_sums``), the rows of each walk in turn.  Blocks are
-        sized by one walk's ``width``.
+        (see ``_block_sums``), the rows of each walk in turn.  The blocks'
+        sums are added in block order onto zero, real while they are real:
+        the real parts of complex sums round alike.
         """
-        out = np.zeros((weight_rows * walks, width), dtype=np.complex128)
-        for pts, rows, _ in self.blocks(width):
-            out += block_sum(pts, rows[:weight_rows])
-        return out
+        return np.asarray(sum(block_sum(pts, rows[:weight_rows]) for pts, rows, _ in self.blocks()), dtype=np.complex128)
 
     def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
         """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one column per row of xi.
@@ -966,15 +950,22 @@ def walk_ladders(
     rung below, and a rung that every walk on it climbed to contracts the
     fine weights alone.  The stopping test reads the coarse sum only.
     Ladder grids are built once per process and shared by every walk; the
-    node budget is checked before each rung all the same.  A tolerance that is not positive raises
-    ValueError before any work.  When several walks fail, the first one's
-    error is raised, naming its label and, for a walk that reached no rung,
-    its own phase cap.
+    node budget is checked before each rung all the same.
+
+    Every walk keeps three rules, checked here for every ladder walk (and
+    by ``_grid_walks`` for the walks of a fixed grid): the tolerance is
+    positive and finite (``_check_tolerance``, ValueError); each envelope
+    certifies integrability (``_require_integrable``), checked walk by walk
+    as the radii are chosen, so before any grid sum; and a walk whose fine
+    or coarse sums on a rung are not all finite ends on that rung, failed,
+    while the others walk on.  When walks fail, the first failed walk's
+    error is raised once every walk has ended, naming its label and, for a
+    walk that reached no rung, its own phase cap.
     """
-    if tol is None or not tol > 0.0:
-        raise ValueError(f"target tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     radii, floors, unreachable = [], [], None
     for envelope, label, rate in zip(envelopes, labels, phase_rate):
+        _require_integrable(envelope, label)
         try:
             radius = truncation_radius(envelope, dim, tol, label)
         except QuadratureError as exc:
@@ -998,13 +989,17 @@ def walk_ladders(
         for radius, walks in going.items():
             grid = _ladder_grid(radius, n, dim)
             for i, (fine, coarse) in zip(walks, grid_sums(grid, walks)):
-                if float(np.abs(fine - coarse).max()) <= tol / 2.0:
+                error = float(np.abs(fine - coarse).max())
+                if error <= tol / 2.0:
                     found[i] = (fine, coarse, grid)
-                else:
+                else:  # a finite error has finite sums on both sides; None: the walk climbs on
+                    found[i] = None if math.isfinite(error) else _non_finite(fine, coarse, labels[i])
                     tried[i] = True
         if None not in found:
             break
     for i, result in enumerate(found):
+        if isinstance(result, QuadratureError):
+            raise result
         if result is None:
             if tried[i]:
                 reason = "discretization estimate never met the tolerance"
@@ -1031,13 +1026,22 @@ class _Integrand:
         return self.f(pts)
 
 
-def _require_integrable(envelope: Envelope, label: str, what: str) -> None:
-    """Raise unless the envelope certifies integrability; ``what`` names the caller's operation."""
+def _check_tolerance(tol: float | None) -> None:
+    """Raise ValueError unless 0 < tol < inf: no grid meets a tolerance of zero or less, and one of inf certifies nothing."""
+    if tol is None or not 0.0 < tol < math.inf:
+        raise ValueError(f"target tolerance must be {'finite' if tol == math.inf else 'positive'}, got {tol}")
+
+
+def _require_integrable(envelope: Envelope, label: str) -> None:
+    """Raise unless the envelope certifies integrability."""
     if isinstance(envelope, BoundedOnly):
-        raise QuadratureError(
-            f"{what} needs an integrable-certified function; {label!r} is not certified "
-            "integrable (BoundedOnly envelope)"
-        )
+        raise QuadratureError(f"integrand {label!r} is not certified integrable (BoundedOnly envelope)")
+
+
+def _non_finite(fine: np.ndarray, coarse: np.ndarray, label: str) -> QuadratureError | None:
+    """The failure of a walk whose fine or coarse sums on a rung are not all finite; None when they are."""
+    if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
+        return QuadratureError(f"integrand {label!r} summed to a non-finite value")
 
 
 def _value_sum(values: Callable) -> Callable:
@@ -1059,14 +1063,15 @@ def _value_sum(values: Callable) -> Callable:
     return grid_sums
 
 
-def _block_sums(block_for: Callable, width: int) -> Callable:
+def _block_sums(block_for: Callable) -> Callable:
     """Grid sums of several walks at once, for ``walk_ladders``: one (2, width) array per walk.
 
     ``block_for(walks)`` is a block evaluator (see ``GridSpec.sum``) for the
     listed walks together, returning each walk's rows in turn, one per
-    weight row it is handed, so a block's values can be shared by every
-    walk.  Blocks are sized by one walk's width, so a walk's sums do not
-    depend on how many walks share its grid.
+    weight row it is handed, each ``width`` sums wide (the same width for
+    every walk), so a block's values can be shared by every walk.  The
+    grid's blocks do not depend on the walks (see ``GridSpec.blocks``), so
+    neither do a walk's sums.
 
     A climbed rung contracts once.  The grid sums keep each rung's sums
     until the walks on it have climbed on.  A walk that walked the rung of
@@ -1086,7 +1091,7 @@ def _block_sums(block_for: Callable, width: int) -> Callable:
         places = dict(zip(walked, range(len(walked))))
         climbed = [(p, places[i]) for p, i in enumerate(walks) if i in places]
         rows = 1 if len(climbed) == len(walks) else 2
-        sums = grid.sum(block_for(walks), width, len(walks), rows).reshape(len(walks), rows, width)
+        sums = grid.sum(block_for(walks), rows).reshape(len(walks), rows, -1)
         if climbed:
             here, there = map(list, zip(*climbed))
             if rows == 1:
@@ -1123,11 +1128,9 @@ def _case_phase_sums(cases: list, xi: np.ndarray) -> Callable:
     return lambda grid, walks: grid._phase_sum_cases([cases[i] for i in walks], xi)
 
 
-def _certified(fine: np.ndarray, coarse: np.ndarray, grid: GridSpec, envelope: Envelope, label: str) -> QuadratureResult:
-    """One walk's fine and coarse sums on its grid, with the envelope's tail bound; non-finite sums raise."""
+def _certified(fine: np.ndarray, coarse: np.ndarray, grid: GridSpec, envelope: Envelope) -> QuadratureResult:
+    """One walk's finite fine and coarse sums on its grid, with the envelope's tail bound."""
     value = complex(fine[0])
-    if not math.isfinite(abs(value)):
-        raise QuadratureError(f"integrand {label!r} summed to a non-finite value")
     return QuadratureResult(value, abs(value - complex(coarse[0])), envelope.tail_bound(grid.radius, grid.dim))
 
 
@@ -1136,12 +1139,17 @@ def _grid_walks(grid_sums: Callable, grid: GridSpec, envelopes, labels) -> list[
 
     ``grid_sums(grid, walks)`` is called once, with every walk (see
     ``walk_ladders``), so the walks share one pass over the grid's blocks.
-    Each envelope must certify integrability.
+    The walks keep ``walk_ladders``' rules on their one rung: every envelope
+    must certify integrability before the grid is summed, and the first walk
+    whose sums are not all finite fails.
     """
     for envelope, label in zip(envelopes, labels):
-        _require_integrable(envelope, label, "integration")
+        _require_integrable(envelope, label)
     sums = grid_sums(grid, list(range(len(labels))))
-    return [_certified(fine, coarse, grid, *walk) for (fine, coarse), *walk in zip(sums, envelopes, labels)]
+    for (fine, coarse), label in zip(sums, labels):
+        if failure := _non_finite(fine, coarse, label):
+            raise failure
+    return [_certified(fine, coarse, grid, envelope) for (fine, coarse), envelope in zip(sums, envelopes)]
 
 
 def integrate_values(
@@ -1170,9 +1178,8 @@ def integrate_values(
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
         return _grid_walks(_value_sum(values), grid, [envelope], [label])[0], grid
-    _require_integrable(envelope, label, "integration")
     [(fine, coarse, grid)] = walk_ladders(_value_sum(values), [envelope], dim, tol, [label], [phase_rate])
-    return _certified(fine, coarse, grid, envelope, label), grid
+    return _certified(fine, coarse, grid, envelope), grid
 
 
 def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:

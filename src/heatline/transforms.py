@@ -31,10 +31,10 @@ from .quadrature import (
     _absolute,
     _block_sums,
     _case_phase_sums,
+    _check_tolerance,
     _lattice_window,
+    _matvec_rows,
     _phase_sums,
-    _require_integrable,
-    _tiled_matvec_rows,
     integrate_values,
     l1_norm,
     truncation_radius,
@@ -42,6 +42,8 @@ from .quadrature import (
 )
 
 _FREQ_CUTOFF = 1e-12  # gauss weight level that sets the sampled-frequency cube
+_EXP_MAX = math.log(np.finfo(np.float64).max)  # about 709.78: the largest x whose exp(x) is finite
+_TILE_ENTRIES = 1 << 14  # point-node pairs per row tile of a smoothing block's matrix (128 KB real, 256 KB complex)
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,11 @@ def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> n
     matrices (an inverse case conjugates its values and its sums) and each
     function's weighted rows, and each case keeps its own products (see
     ``quadrature._case_phase_sums``).  When several cases fail, the first
-    one's error is raised.
+    one's error is raised.  A frequency whose norm overflows has an
+    infinite phase cap, and its walk reaches no rung.
     """
-    for _, envelope, label, _ in cases:
-        _require_integrable(envelope, label, "the Fourier transform")
-    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     worst = float(norms.max()) if xi_arr.size else 0.0
     grid_sums = _case_phase_sums([(values, sign) for values, _, _, sign in cases], xi_arr)
     envelopes, labels = [case[1] for case in cases], [case[2] for case in cases]
@@ -138,10 +140,11 @@ def _transform_rows(values: Callable, envelope: Envelope, dim: int, label: str, 
     so a row gives the value of walking that frequency alone, up to
     rounding: the walks on one grid share one phase sum (see
     ``quadrature._phase_sums``), and BLAS rounds a product over several
-    columns differently from one over a single column.
+    columns differently from one over a single column.  A frequency whose
+    norm overflows has an infinite phase cap, and its walk reaches no rung.
     """
-    _require_integrable(envelope, label, "the Fourier transform")
-    norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     walks = xi_arr.shape[0]
     walked = walk_ladders(_phase_sums(values, xi_arr), [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
@@ -172,7 +175,10 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     envelope can absorb that growth into a certified tail, via
     exp(-c r^2 + 2 pi q r) <= exp(2 pi^2 q^2 / c) exp(-c r^2 / 2).
     A frequency whose parts or q^2 = |Im xi|^2 are not finite is refused
-    with ValueError before any walk.
+    with ValueError before any walk, and one whose growth factor
+    exp(2 pi^2 q^2 / c) overflows float64 with QuadratureError.  Within the
+    bound, exp(2 pi x.Im xi) may still overflow at a far node: its walk then
+    sums to a non-finite value and fails.
     """
     arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     if arr.shape != (f.dim,):
@@ -191,10 +197,17 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
         )
     c = f.envelope.rate
     q = math.sqrt(q2)
-    grown = GaussianDecay(c / 2.0, f.envelope.scale * math.exp(2.0 * math.pi**2 * q * q / c))
+    exponent = 2.0 * math.pi**2 * q * q / c
+    if exponent > _EXP_MAX:
+        raise QuadratureError(
+            f"complex-frequency transform of {f.name!r} at {arr.tolist()}: the growth factor "
+            f"exp(2 pi^2 |Im xi|^2 / c) = exp({exponent:.6g}) overflows float64"
+        )
+    grown = GaussianDecay(c / 2.0, f.envelope.scale * math.exp(exponent))
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return f(pts) * np.exp(2.0 * math.pi * (pts @ im))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(pts) * np.exp(2.0 * math.pi * (pts @ im))
 
     # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
     label = f"fourier[{f.name}]@complex"
@@ -270,24 +283,27 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
 def _shifted_products(g: Callable, xs: np.ndarray, nodes: np.ndarray, w: np.ndarray, sampled: dict) -> np.ndarray:
     """_matvec_rows of the (points x nodes) matrix g(x_i - u_j) with each weight row of w, built in row tiles of xs.
 
-    g maps an (n, dim) array of points to n values.  Each tile's rows are
-    evaluated at every (point, node) pair, unless the points and the nodes
-    share a dyadic lattice (see ``quadrature._lattice_window``): then the
-    matrix is a window onto g sampled once on the lattice, or read from
-    ``sampled``, g's last sampling, when the block before met the same
-    lattice, with the same entries bit for bit; each tile of it is copied
-    into a C-contiguous array first, since einsum sums a strided operand in
-    another order.
+    g maps an (n, dim) array of points to n values.  A tile holds at most
+    _TILE_ENTRIES entries (one row at least), so it stays in cache, and each
+    output keeps the bits of the untiled product; the result is real when
+    the matrix and w are.  A tile's rows are evaluated at every (point,
+    node) pair, unless the points and the nodes share a dyadic lattice (see
+    ``quadrature._lattice_window``): then the matrix is a window onto g
+    sampled once on the lattice, or read from ``sampled``, g's last
+    sampling, when the block before met the same lattice, with the same
+    entries bit for bit; each tile of it is copied into a C-contiguous
+    array first, since einsum sums a strided operand in another order.
     """
     window = _lattice_window(g, xs, nodes, sampled)
-    if window is not None:
-        return _tiled_matvec_rows(window, w, np.ascontiguousarray)
+    rows = max(1, _TILE_ENTRIES // nodes.shape[0])
 
-    def matrix(x_tile: np.ndarray) -> np.ndarray:
-        shifted = x_tile[:, None, :] - nodes[None, :, :]
-        return g(shifted.reshape(-1, xs.shape[1])).reshape(x_tile.shape[0], nodes.shape[0])
+    def tile(a: int) -> np.ndarray:
+        if window is not None:
+            return np.ascontiguousarray(window[a:a + rows])
+        shifted = xs[a:a + rows, None, :] - nodes[None, :, :]
+        return g(shifted.reshape(-1, xs.shape[1])).reshape(shifted.shape[:2])
 
-    return _tiled_matvec_rows(xs, w, matrix)
+    return np.concatenate([_matvec_rows(tile(a), w) for a in range(0, xs.shape[0], rows)], axis=-1)
 
 
 def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, per_point: bool) -> np.ndarray:
@@ -338,39 +354,34 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
         envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
         sampled = {}  # f's last lattice sampling
 
-        def block_for(walks: list) -> Callable:
-            on, x_rows, read = gathered(walks)
-
-            def block(upts: np.ndarray, w: np.ndarray) -> np.ndarray:
-                # each alpha's kernel weights are shared by every x, and f(x - u) by every alpha
-                kw = np.concatenate([w * weierstrass(scales[a], upts) for a in on])
-                return read(_shifted_products(f, x_rows, upts, kw, sampled))
-
-            return block
+        def product(on: list, x_rows: np.ndarray, upts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # each alpha's kernel weights are shared by every x, and f(x - u) by every alpha
+            kw = np.concatenate([w * weierstrass(scales[a], upts) for a in on])
+            return _shifted_products(f, x_rows, upts, kw, sampled)
 
     elif f.integrable:
         envelopes = [f.envelope.scaled(peak) for peak in peaks]
         kernels = [{} for _ in scales]  # each alpha's kernel's last lattice sampling
 
-        def block_for(walks: list) -> Callable:
-            on, x_rows, read = gathered(walks)
-
-            def block(ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
-                # the function values are shared by every x and every alpha
-                fw = w * f(ypts)
-                return read(np.concatenate([
-                    _shifted_products(lambda pts, s=scales[a]: weierstrass(s, pts), x_rows, ypts, fw, kernels[a]) for a in on
-                ]))
-
-            return block
+        def product(on: list, x_rows: np.ndarray, ypts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # the function values are shared by every x and every alpha
+            fw = w * f(ypts)
+            return np.concatenate([
+                _shifted_products(lambda pts, s=scales[a]: weierstrass(s, pts), x_rows, ypts, fw, kernels[a]) for a in on
+            ])
 
     else:
         raise QuadratureError(
             f"mollification of {f.name!r} needs a bounded or integrable-certified function"
         )
+
+    def block_for(walks: list) -> Callable:
+        on, x_rows, read = gathered(walks)
+        return lambda pts, w: read(product(on, x_rows, pts, w))
+
     envelopes = [envelope for envelope in envelopes for _ in range(sets)]
     labels = [f"mollify[{f.name}]"] * len(envelopes)
-    walked = walk_ladders(_block_sums(block_for, width), envelopes, f.dim, inner_tol, labels, [0.0] * len(envelopes))
+    walked = walk_ladders(_block_sums(block_for), envelopes, f.dim, inner_tol, labels, [0.0] * len(envelopes))
     return np.array([fine for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
 
 
@@ -383,7 +394,6 @@ def mollify_l1_check(
     side is the integral of |f|.  Cancellation under smoothing can only
     shrink the left side.
     """
-    _require_integrable(f.envelope, f.name, "the L1 contraction check")
     if f.dim != grid.dim:
         raise ValueError(f"dimension mismatch: function {f.dim}, grid {grid.dim}")
     rhs = l1_norm(f, inner_tol)
@@ -431,7 +441,6 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     node-frequency pairs.  The key is (f, grid): the values depend on
     nothing else.
     """
-    _require_integrable(f.envelope, f.name, "the sampled Fourier transform")
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
     [(_, _, grid)] = walk_ladders(_case_phase_sums([(f, -1.0)], probe), [f.envelope], f.dim, inner_tol, [f.name], [max_freq])
@@ -467,8 +476,7 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
     from one block to the next.  Each point's integrand is evaluated as it
     would be alone, on a fresh copy of the spectrum values.
     """
-    if not tol > 0.0:
-        raise ValueError(f"target tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     xs = real_points(xs, dim)
     k = xs.shape[0]
     scales = [KernelScale(float(alpha), dim) for alpha in alphas]
@@ -505,11 +513,8 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
         for scale, spectrum in zip(scales, spectra) for _ in xs
     ]
     rates = [float(np.sqrt(np.sum(x * x))) + spectrum.rate for spectrum in spectra for x in xs]
-    walked = walk_ladders(_block_sums(block_for, 1), envelopes, dim, tol / 2.0, [name] * len(envelopes), rates)
-    out = np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
-    if not np.isfinite(out).all():
-        raise QuadratureError(f"integrand {name!r} summed to a non-finite value")
-    return out
+    walked = walk_ladders(_block_sums(block_for), envelopes, dim, tol / 2.0, [name] * len(envelopes), rates)
+    return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
 
 
 def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np.ndarray:
@@ -525,7 +530,6 @@ def gauss_inversion_ladder(f: TestFunction, alphas, xs, tol: float = 1e-8) -> np
     (see ``invert_spectrum``).  ``xs`` has shape (k, dim), or is a list of k
     points in dim 1.
     """
-    _require_integrable(f.envelope, f.name, "Gauss-summable inversion")
     return invert_spectrum(
         lambda inner_tol, max_freq: sampled_spectrum(f, inner_tol, max_freq), f.dim, xs, alphas, tol, f.name
     )
@@ -545,10 +549,10 @@ def multiplication_formula_check(
     Each side samples one transform by quadrature and integrates it against
     the other factor, so the two sides share no computation path.
     """
+    _check_tolerance(tol)
     if f.dim != psi.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {psi.dim}")
     for side in (f, psi):
-        _require_integrable(side.envelope, side.name, "the multiplication formula")
         if not isinstance(side.envelope, (GaussianDecay, CompactSupport)):
             raise QuadratureError(
                 f"the multiplication formula needs Gaussian or compact envelopes, "
@@ -584,7 +588,6 @@ def modulate(h: TestFunction, a, eta, tol: float = 1e-8) -> complex:
 
 def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float) -> np.ndarray:
     """``modulate`` at each row of etas: one walk per row, on shared ladder grids."""
-    _require_integrable(h.envelope, h.name, "modulation")
     a = real_point(a, h.dim)
 
     def fn(pts: np.ndarray) -> np.ndarray:

@@ -73,9 +73,9 @@ class Capture:
     values: Callable  # (m, dim) points -> m values, or (m, width) for a vector-valued walk
 
 
-def _pointwise(block_sum: Callable, width: int) -> Callable:
+def _pointwise(block_sum: Callable) -> Callable:
     """The integrand behind a block evaluator: its block sum at one point with one unit weight row."""
-    return lambda pts: np.array([block_sum(p[None, :], np.ones((1, 1))) for p in pts]).reshape(len(pts), width)
+    return lambda pts: np.array([block_sum(p[None, :], np.ones((1, 1))) for p in pts]).reshape(len(pts), -1)
 
 
 @contextmanager
@@ -93,8 +93,9 @@ def captured_integrands():
 
     def capture(integrand, envelope, dim, label):
         if integrand is not None:
-            # a pointwise reader (width set) is costly, so it reads a repeated walk once
-            values, width = integrand
+            # a pointwise reader is costly, so it reads a repeated walk once; its width is read at one point
+            values, pointwise = integrand
+            width = values(_spot_points(dim)[:1]).shape[1] if pointwise else None
             if width is None or (label, width, envelope) not in walks:
                 walks.add((label, width, envelope))
                 captures.append(Capture(label, envelope, dim, values))
@@ -122,18 +123,18 @@ def captured_integrands():
     def tag_phase_sums(values, xi):
         # every walk of a phase sum sums the same values, at its own frequency
         grid_sums = phase_sums(values, xi)
-        grid_sums.integrands = lambda i: (values, None)
+        grid_sums.integrands = lambda i: (values, False)
         return grid_sums
 
     def tag_case_phase_sums(cases, xi):
         # walk i sums its own case's values, each checked against that walk's envelope
         grid_sums = case_phase_sums(cases, xi)
-        grid_sums.integrands = lambda i: (cases[i][0], None)
+        grid_sums.integrands = lambda i: (cases[i][0], False)
         return grid_sums
 
-    def tag_block_sums(block_for, width):
-        grid_sums = block_sums(block_for, width)
-        grid_sums.integrands = lambda i: (_pointwise(block_for([i]), width), width)
+    def tag_block_sums(block_for):
+        grid_sums = block_sums(block_for)
+        grid_sums.integrands = lambda i: (_pointwise(block_for([i])), True)
         return grid_sums
 
     wrappers = {

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,21 @@ from heatline import (
     weierstrass_fn,
 )
 from heatline import measures, quadrature, transforms
-from heatline.catalog import bump_fn, bump_pair_fn, parse_preset
+from heatline.catalog import bump_fn, bump_pair_fn, constant_fn, parse_preset
 from heatline.experiments import ExperimentSpec, run
 from heatline.measures import weak_convergence_trace
 from heatline.points import cis
 from heatline.quadrature import GaussianDecay, QuadratureError, integrate_values
-from heatline.transforms import Spectrum, fourier_profile, modulate, mollify_ladder, sampled_spectrum
+from heatline.transforms import (
+    Spectrum,
+    fourier,
+    fourier_profile,
+    gauss_inversion_ladder,
+    modulate,
+    mollify_l1_check,
+    mollify_ladder,
+    sampled_spectrum,
+)
 
 
 @pytest.fixture
@@ -86,13 +96,11 @@ def _assert_blocks_tile_the_lattice(grid: GridSpec, blocks: list) -> None:
     assert np.array_equal(np.concatenate([b[1] for b in blocks], axis=1), w)
 
 
-@pytest.mark.parametrize("width", [801, 66049])
-def test_blocks_respect_the_caps_and_cover_the_grid(width):
+def test_blocks_respect_the_cap_and_cover_the_grid():
     grid = GridSpec(4.0, 512, 2)
-    sizes = [pts.shape[0] for pts, _, _ in grid.blocks(width=width)]
-    assert max(sizes) * width <= 1 << 21
+    sizes = [pts.shape[0] for pts, _, _ in grid.blocks()]
     assert sum(sizes) == 513**2
-    assert max(pts.shape[0] for pts, _, _ in grid.blocks()) <= 1 << 17
+    assert max(sizes) <= 1 << 17
     # Simpson weights integrate constants exactly, the fine and the coarse rule alike
     total = grid.sum(lambda pts, w: np.sum(w, axis=-1, keepdims=True))
     assert np.max(np.abs(total - 64.0)) < 1e-12
@@ -101,7 +109,6 @@ def test_blocks_respect_the_caps_and_cover_the_grid(width):
     assert [index[1] for _, _, index in blocks] == [slice(0, 513)] * len(blocks)
     assert [index[0].stop - index[0].start for _, _, index in blocks] == [255, 255, 3]
     _assert_blocks_tile_the_lattice(grid, blocks)
-    _assert_blocks_tile_the_lattice(grid, list(grid.blocks(width=width)))
 
 
 def test_a_row_over_the_cap_splits_along_the_second_axis(monkeypatch):
@@ -211,6 +218,88 @@ def test_a_non_finite_sum_fails_loudly():
         integrate_values(nan_values, GaussianDecay(1.0, 1.0), 1, "nan", grid=GridSpec(4.0, 8, 1))
 
 
+# -- the rules every walk keeps ----------------------------------------------
+
+BOUNDED_ONLY_WALKS = {
+    "fourier": lambda f: fourier(f, [0.5]),
+    "fourier_profile": lambda f: fourier_profile(f, [[0.5], [1.0]]),
+    "gauss_inversion_ladder": lambda f: gauss_inversion_ladder(f, [0.1], [[0.0]]),
+    "integrate": lambda f: integrate(f, GridSpec(4.0, 128, 1)),
+    "integrate_auto": lambda f: integrate_auto(f, 1e-8),
+    "l1_norm": lambda f: l1_norm(f),
+    "modulate": lambda f: modulate(f, [0.5], [0.0]),
+    "mollify_l1_check": lambda f: mollify_l1_check(f, 0.1, GridSpec(6.0, 128, 1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BOUNDED_ONLY_WALKS))
+def test_a_bounded_only_integrand_is_refused_before_any_grid_sum(monkeypatch, call):
+    seen = []
+    f = _counted(constant_fn(1.0), seen)
+    seen.clear()  # the construction spot check is not part of the walk
+    monkeypatch.setattr(GridSpec, "weighted_factors", lambda *args: pytest.fail("summed a grid"))
+    monkeypatch.setattr(GridSpec, "blocks", lambda *args: pytest.fail("summed a grid"))
+    with pytest.raises(QuadratureError, match="not certified integrable"):
+        BOUNDED_ONLY_WALKS[call](f)
+    assert seen == []
+
+
+def _rung_sums(calls: list, failing: set) -> Callable:
+    """Grid sums that record (points, walks) per call: walks in ``failing`` sum to nan, the others meet tol from rung 512."""
+
+    def grid_sums(grid: GridSpec, walks: list) -> list:
+        calls.append((grid.points_per_axis, list(walks)))
+        coarse = 1.0 if grid.points_per_axis >= 512 else 0.5
+        return [np.full((2, 1), complex(math.nan)) if i in failing else np.array([[1.0], [coarse]], complex) for i in walks]
+
+    return grid_sums
+
+
+def test_a_walk_with_non_finite_sums_ends_on_that_rung():
+    envelope = GaussianDecay(1.0, 1.0)
+    calls = []
+    with pytest.raises(QuadratureError, match="'nan' summed to a non-finite value"):
+        quadrature.walk_ladders(_rung_sums(calls, {0}), [envelope], 1, 1e-8, ["nan"], [0.0])
+    assert calls == [(128, [0])]
+    # in a batch, walks 1 and 2 end on their first rung, walk 1's error is raised after the
+    # others have walked, and walk 0 reaches the rungs it reaches alone
+    alone, batch = [], []
+    quadrature.walk_ladders(_rung_sums(alone, set()), [envelope], 1, 1e-8, ["a"], [0.0])
+    with pytest.raises(QuadratureError, match="'b' summed to a non-finite value"):
+        quadrature.walk_ladders(_rung_sums(batch, {1, 2}), [envelope] * 3, 1, 1e-8, ["a", "b", "c"], [0.0] * 3)
+    assert alone == [(128, [0]), (256, [0]), (512, [0])]
+    assert batch == [(128, [0, 1, 2]), (256, [0]), (512, [0])]
+
+
+def test_a_fixed_grid_refuses_a_non_finite_coarse_sum():
+    calls = []
+    grid_sums = lambda grid, walks: calls.append(walks) or [np.array([[1.0], [math.inf]], complex) for _ in walks]
+    with pytest.raises(QuadratureError, match="'b' summed to a non-finite value"):
+        quadrature._grid_walks(grid_sums, GridSpec(4.0, 8, 1), [GaussianDecay(1.0, 1.0)] * 2, ["b", "c"])
+    assert calls == [[0, 1]]
+
+
+def test_a_batch_of_smoothing_points_meets_the_blocks_one_point_meets(monkeypatch):
+    # rung (4, 128) in dim 2 is one block of 129^2 nodes, whatever the number of points smoothed on it
+    blocks = []
+    shifted_products = transforms._shifted_products
+
+    def recorded(g, xs, nodes, w, sampled):
+        blocks.append(nodes.shape[0])
+        return shifted_products(g, xs, nodes, w, sampled)
+
+    monkeypatch.setattr(transforms, "_shifted_products", recorded)
+    grids = _walked_grids(monkeypatch)
+    xs = np.random.default_rng(2).uniform(-2.0, 2.0, size=(300, 2))
+    partitions = []
+    for batch in (xs[:1], xs):
+        blocks.clear()
+        mollify_ladder(weierstrass_fn(0.1, 2), [0.2], batch, 1e-2)
+        partitions.append(list(blocks))
+    assert [grid[:2] for grid in grids] == [(4.0, 128)] * 2
+    assert partitions == [[pts.shape[0] for pts, _, _ in GridSpec(4.0, 128, 2).blocks()]] * 2 == [[129**2]] * 2
+
+
 def test_a_fixed_grid_refuses_a_tolerance_it_would_ignore():
     g = weierstrass_fn(0.1)
     with pytest.raises(ValueError, match="fixed grid"):
@@ -285,7 +374,7 @@ def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: GridSpec) 
     if g.dim == 1:
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
     else:
-        mass = grid.sum(lambda pts, w: np.sum(np.abs(w[0] * block(pts))))[0, 0].real
+        mass = grid.sum(lambda pts, w: np.sum(np.abs(w[0] * block(pts)))).real
         assert max(float(np.max(np.abs(got - want))) for got, want in pairs) <= 1e-15 * mass
 
 
@@ -368,7 +457,7 @@ def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_ent
     # the same values declared as one factor: the lattice route every dim-1 integrand took already
     wants.append(grid._lattice_sum(quadrature._Integrand(values, (lambda x: values(x[:, None]),), name), lattice))
 
-    def refused(self, width=1):
+    def refused(self):
         raise AssertionError("a dim-1 integrand never takes the block loop")
 
     monkeypatch.setattr(GridSpec, "blocks", refused)
@@ -386,12 +475,12 @@ def test_an_unfactored_dim_2_integrand_takes_the_block_loop(monkeypatch):
     wants = [_block_value_sum(grid, f), _block_phase_sum(grid, f, xi, -1.0)]
     lattice = grid.points()
     walked, blocks = [], GridSpec.blocks
-    monkeypatch.setattr(GridSpec, "blocks", lambda self, width=1: walked.append(width) or blocks(self, width))
+    monkeypatch.setattr(GridSpec, "blocks", lambda self: walked.append(self) or blocks(self))
     seen = []
     counted = _counting(f, seen)
     assert grid._lattice_sum(counted, lattice) is None and seen == [] and walked == []
     got = [quadrature._value_sum(counted)(grid, [0])[0], grid.phase_sum(counted, xi, -1.0)]
-    assert walked == [1, 1] and seen == [17**2] * 2
+    assert walked == [grid, grid] and seen == [17**2] * 2
     assert [a.tobytes() for a in got] == [b.tobytes() for b in wants]
 
 
@@ -464,7 +553,7 @@ def _grid_sums(dim: int):
         phase_sums = quadrature._case_phase_sums([(g, -1.0)], xi)  # one walk holding every frequency
         cases.append((f"phase-{name}", lambda grid, phase_sums=phase_sums: phase_sums(grid, [0])[0], g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
-    block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)), 3)
+    block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)))
     cases.append(("block", block, lambda pts: np.max(np.abs(shifted(pts)), axis=0)))
     return cases
 
@@ -479,7 +568,7 @@ def test_one_evaluation_gives_the_fine_sum_and_the_coarse_sum(monkeypatch, dim, 
     fine_grid, coarse_grid = GridSpec(4.0, n, dim), GridSpec(4.0, n // 2, dim)
     for name, grid_sum, values in _grid_sums(dim):
         fine, coarse = grid_sum(fine_grid)
-        mass = float(fine_grid.sum(lambda pts, w: np.sum(np.abs(w[0] * values(pts))))[0, 0].real)
+        mass = float(fine_grid.sum(lambda pts, w: np.sum(np.abs(w[0] * values(pts)))).real)
         assert float(np.max(np.abs(coarse - grid_sum(coarse_grid)[0]))) <= 1e-15 * mass, name
 
 
@@ -534,11 +623,11 @@ def test_every_output_keeps_its_bits_with_one_two_or_eight_weight_rows(dim, poin
     # 66,049-node block of rung (4, 256) in dim 2 is one block with one-row tiles, which einsum would
     # reduce along another path for a single row
     grid = GridSpec(4.0, 256 if dim == 2 else 128, dim)
-    [(upts, w, _)] = list(grid.blocks(1))
+    [(upts, w, _)] = list(grid.blocks())
     xs = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(points, dim))
     f = weierstrass_fn(0.1, dim).scaled(1.0 - 0.5j if complex_values else 1.0)
     tile = f((xs[:, None, :] - upts[None, :, :]).reshape(-1, dim)).reshape(points, -1)
-    assert tile.shape[1] == (66049 if dim == 2 else 129) and quadrature._row_tiles(points, tile.shape[1]) == [slice(0, points)]
+    assert tile.shape[1] == (66049 if dim == 2 else 129) and points <= max(1, transforms._TILE_ENTRIES // tile.shape[1])
     rows = _kernel_rows(grid, upts, w)
     eight = quadrature._matvec_rows(tile, rows)
     for r in range(8):
@@ -553,13 +642,13 @@ def test_a_climbed_rung_contracts_the_fine_kernel_row_and_samples_its_lattice_on
     seen = []
     measure = BoundedMeasure(dim=1, density=_counted(weierstrass_fn(0.05), seen))
     products = []  # (block nodes, weight rows) of each smoothing product
-    tiled = transforms._tiled_matvec_rows
+    shifted_products = transforms._shifted_products
 
-    def recorded(xs, w, matrix):
+    def recorded(g, xs, nodes, w, sampled):
         products.append((w.shape[1], w.shape[0]))
-        return tiled(xs, w, matrix)
+        return shifted_products(g, xs, nodes, w, sampled)
 
-    monkeypatch.setattr(transforms, "_tiled_matvec_rows", recorded)
+    monkeypatch.setattr(transforms, "_shifted_products", recorded)
     grids = _walked_grids(monkeypatch)
     seen.clear()
     weak_convergence_trace(measure, gauss_fn(0.75), [0.2 * 2.0**-k for k in range(4)], GridSpec(6.0, 1024, 1), 1e-8)
@@ -579,15 +668,15 @@ def test_a_climbed_walk_keeps_its_coarse_row_beside_a_walk_that_joins_its_rung_f
         return lambda pts, w: np.concatenate([np.sum(w * fs[i](pts), axis=-1, keepdims=True) for i in walks])
 
     below, rung = GridSpec(4.0, 64, 1), GridSpec(4.0, 128, 1)
-    alone = quadrature._block_sums(block_for, 1)
+    alone = quadrature._block_sums(block_for)
     [(fine_below, _)] = alone(below, [0])
     [climbed_alone] = alone(rung, [0])
-    [fresh_alone] = quadrature._block_sums(block_for, 1)(rung, [1])
-    shared = quadrature._block_sums(block_for, 1)
+    [fresh_alone] = quadrature._block_sums(block_for)(rung, [1])
+    shared = quadrature._block_sums(block_for)
     shared(below, [0])
     climbed, fresh = shared(rung, [0, 1])
     # the rung's own coarse contraction rounds walk 0's N/2 sum otherwise than the rung below did
-    [(_, coarse_fresh)] = quadrature._block_sums(block_for, 1)(rung, [0])
+    [(_, coarse_fresh)] = quadrature._block_sums(block_for)(rung, [0])
     assert coarse_fresh.tobytes() != fine_below.tobytes() and climbed_alone[1].tobytes() == fine_below.tobytes()
     assert climbed.tobytes() == climbed_alone.tobytes() and fresh.tobytes() == fresh_alone.tobytes()
 
@@ -598,12 +687,12 @@ def test_a_fixed_grid_contracts_both_weight_rows(monkeypatch):
     handed = []
     block_sums = measures._block_sums
 
-    def recorded(block_for, width):
+    def recorded(block_for):
         def recorded_for(walks):
             block = block_for(walks)
             return lambda pts, w: (handed.append(w.shape), block(pts, w))[1]
 
-        return block_sums(recorded_for, width)
+        return block_sums(recorded_for)
 
     monkeypatch.setattr(measures, "_block_sums", recorded)
     weak_convergence_trace(measure, gauss_fn(0.75), [0.2, 0.1], GridSpec(6.0, 1024, 1), 1e-8)
@@ -738,13 +827,18 @@ def test_only_exactly_mirrored_columns_are_mirrored(monkeypatch, freqs, mirrored
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 124, 125, 993, 1025])
 @pytest.mark.parametrize("width", [1, 129, 1935, 4097, 1 << 20])
-def test_row_tiles_cover_the_batch_in_runs_of_four(rows, width):
-    # a tile of any height keeps each row's bits (the einsum product), so tiles need only cover the batch in order
-    tiles = quadrature._row_tiles(rows, width)
-    size = max(1, quadrature._TILE_ENTRIES // width)
-    assert [i for t in tiles for i in range(rows)[t]] == list(range(rows))
-    assert all(0 < t.stop - t.start <= size for t in tiles)
-    assert len(tiles) == -(-rows // size)
+def test_row_tiles_cover_the_batch_in_runs_of_four(monkeypatch, rows, width):
+    # a tile of any height keeps each row's bits (the einsum product), so tiles need only cover the batch in order;
+    # each tile's product is stood in for by its own index, so the result tells which tile held each row
+    heights = []
+    monkeypatch.setattr(
+        transforms, "_matvec_rows", lambda tile, w: heights.append(tile.shape[0]) or np.full((1, tile.shape[0]), len(heights) - 1)
+    )
+    products = transforms._shifted_products(lambda pts: pts[:, 0], np.zeros((rows, 1)), np.zeros((width, 1)), np.ones((1, width)), {})
+    size = max(1, transforms._TILE_ENTRIES // width)
+    assert products.tolist() == [np.repeat(np.arange(len(heights)), heights).tolist()]
+    assert all(0 < height <= size for height in heights)
+    assert len(heights) == -(-rows // size)
 
 
 def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, np.ndarray]:
@@ -759,7 +853,7 @@ def _smoothing_case(dim: int, bounded: bool, count: int) -> tuple[TestFunction, 
 def _assert_tiles_keep_every_bit(monkeypatch, f: TestFunction, xs: np.ndarray, alpha: float, tol: float) -> None:
     tiled = mollify_ladder(f, [alpha], xs, tol)[0]
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
+        m.setattr(transforms, "_TILE_ENTRIES", 1 << 40)  # one tile per block: the untiled products
         assert tiled.tobytes() == mollify_ladder(f, [alpha], xs, tol)[0].tobytes()
 
 
@@ -823,7 +917,7 @@ def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set
     dtypes = set()
     block_sums = transforms._block_sums
 
-    def recorded(block_for, width):
+    def recorded(block_for):
         def recorded_for(walks):
             block = block_for(walks)
 
@@ -834,7 +928,7 @@ def _smoothing_block_dtypes(monkeypatch, f: TestFunction, xs: np.ndarray) -> set
 
             return wrapped
 
-        return block_sums(recorded_for, width)
+        return block_sums(recorded_for)
 
     monkeypatch.setattr(transforms, "_block_sums", recorded)
     mollify_ladder(f, [0.1], xs, 1e-8)

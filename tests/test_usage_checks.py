@@ -15,20 +15,24 @@ from heatline import (
     fourier_complex,
     fourier_profile,
     gauss_inversion,
+    gauss_mean,
     l1_norm,
     measure_from_json,
     modulate,
     mollify,
+    mollify_l1_check,
+    multiplication_formula_check,
     parse_preset,
+    weak_convergence_trace,
 )
 from heatline.catalog import closed_form
 from heatline.cli import main
 from heatline.experiments import ExperimentSpec, export, run
 from heatline.kernels import KernelScale
 from heatline.measures import BoundedMeasure
-from heatline.quadrature import GaussianDecay, GridSpec, TestFunction, integrate_auto
+from heatline.quadrature import GaussianDecay, GridSpec, QuadratureError, TestFunction, integrate_auto
 from heatline import transforms
-from heatline.transforms import fourier, mollify_ladder
+from heatline.transforms import fourier, gauss_inversion_ladder, mollify_ladder
 
 
 @pytest.fixture
@@ -275,3 +279,86 @@ def test_a_non_finite_list_or_axis_is_a_usage_error(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+DIRAC_TOLERANCE_CALLS = {
+    "dirac.apply": lambda tol: dirac([0.0]).apply(parse_preset("gauss:1"), tol),
+    "dirac.fourier": lambda tol: dirac([0.0]).fourier([0.3], tol),
+    "dirac.gauss_inversion": lambda tol: dirac([0.0]).gauss_inversion([0.0], 0.1, tol),
+    "dirac.gauss_inversion_ladder": lambda tol: dirac([0.0]).gauss_inversion_ladder([0.1], [[0.0]], tol),
+    "dirac.mollify": lambda tol: dirac([0.0]).mollify(0.1, [0.0], tol),
+    "dirac.mollify_ladder": lambda tol: dirac([0.0]).mollify_ladder([0.1], np.array([[0.0]]), tol),
+    "dirac.mollify_on_points": lambda tol: dirac([0.0]).mollify_on_points(0.1, np.array([[0.0]]), tol),
+    "dirac.spectrum": lambda tol: dirac([0.0]).spectrum(tol, 1.0),
+    "weak_convergence_trace": lambda tol: weak_convergence_trace(
+        dirac([0.0]), parse_preset("gauss:1"), [0.1], GridSpec(6.0, 128, 1), tol
+    ),
+}
+TOLERANCE_CALLS = {
+    **DIRAC_TOLERANCE_CALLS,
+    "fourier": lambda tol: fourier(parse_preset("gauss:0.1"), [0.5], tol),
+    "fourier_complex": lambda tol: fourier_complex(parse_preset("gauss:0.1"), np.array([0.5 + 0.1j]), tol),
+    "fourier_profile": lambda tol: fourier_profile(parse_preset("gauss:0.1"), [[0.5]], tol),
+    "gauss_inversion": lambda tol: gauss_inversion(parse_preset("weierstrass:0.1"), [0.0], 0.1, tol),
+    "gauss_inversion_ladder": lambda tol: gauss_inversion_ladder(parse_preset("weierstrass:0.1"), [0.1], [[0.0]], tol),
+    "gauss_mean": lambda tol: gauss_mean(parse_preset("gauss:0.1"), 0.1, tol),
+    "integrate_auto": lambda tol: integrate_auto(parse_preset("gauss:0.1"), tol),
+    "l1_norm": lambda tol: l1_norm(parse_preset("gauss:0.1"), tol),
+    "modulate": lambda tol: modulate(parse_preset("gauss:0.1"), [0.5], [0.0], tol),
+    "mollify": lambda tol: mollify(parse_preset("gauss:0.1"), 0.1, [0.0], tol),
+    "mollify_l1_check": lambda tol: mollify_l1_check(parse_preset("gauss:0.1"), 0.1, GridSpec(6.0, 128, 1), tol),
+    "mollify_ladder": lambda tol: mollify_ladder(parse_preset("gauss:0.1"), [0.1], np.array([[0.0]]), tol),
+    "multiplication_formula_check": lambda tol: multiplication_formula_check(
+        parse_preset("gauss:0.1"), parse_preset("gauss:0.2"), tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(TOLERANCE_CALLS))
+def test_every_entry_refuses_a_tolerance_that_is_not_positive_and_finite(monkeypatch, call, tol):
+    # a usage error before any work, on atoms-only measures too: no grid is summed and no atom is evaluated
+    monkeypatch.setattr(GridSpec, "weighted_factors", lambda *args: pytest.fail("summed a grid"))
+    monkeypatch.setattr(GridSpec, "blocks", lambda *args: pytest.fail("summed a grid"))
+    monkeypatch.setattr(BoundedMeasure, "atom_locations", property(lambda self: pytest.fail("evaluated an atom")))
+    with pytest.raises(ValueError, match=re.escape(f"target tolerance must be {'finite' if tol == math.inf else 'positive'}, got {tol}")):
+        TOLERANCE_CALLS[call](tol)
+
+
+def test_weak_convergence_without_alphas_has_no_samples():
+    measure = measure_from_json('{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}], "density": "gauss:0.1"}')
+    assert weak_convergence_trace(measure, parse_preset("gauss:1"), [], GridSpec(6.0, 128, 1)) == []
+
+
+@pytest.mark.parametrize("xi", [0.5 + 12j, 0.5 + 30j])
+def test_a_complex_frequency_whose_growth_overflows_is_refused_before_any_walk(monkeypatch, xi):
+    # 2 pi^2 |Im xi|^2 / c exceeds log(float64 max) = 709.78 for gauss:0.1 (c = 0.4 pi^2) from |Im xi| = 12 on
+    monkeypatch.setattr(transforms, "_transform_table", lambda *args: pytest.fail("walked the ladder"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=re.escape(f"at [{xi!r}]: the growth factor")):
+            fourier_complex(parse_preset("gauss:0.1"), np.array([xi]))
+
+
+def test_a_complex_frequency_whose_integrand_overflows_sums_to_a_non_finite_value():
+    # the growth factor exp(320) is finite, but exp(2 pi 8 x) overflows at the far nodes of the ladder grids
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"'fourier\[gauss:0.1\]@complex' summed to a non-finite value"):
+            fourier_complex(parse_preset("gauss:0.1"), np.array([0.5 + 8j]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fourier(parse_preset("gauss:0.1"), [1e300]),
+        lambda: fourier_profile(parse_preset("gauss:0.1"), [[1e300]]),
+        lambda: measure_from_json('{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}], "density": "gauss:0.1"}').fourier([1e300]),
+    ],
+    ids=["fourier", "fourier_profile", "measure.fourier"],
+)
+def test_a_frequency_whose_norm_overflows_reaches_no_rung_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="phase cap exceeds the point ladder"):
+            call()
