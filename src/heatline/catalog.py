@@ -37,7 +37,6 @@ def gauss_fn(alpha: float, dim: int = 1) -> TestFunction:
         f=lambda pts: gauss(scale, pts),
         dim=dim,
         envelope=GaussianDecay(4.0 * math.pi**2 * alpha, 1.0),
-        bounded=True,
         sup_bound=1.0,
         name=f"gauss:{alpha:g}",
         factors=_axis_factors(gauss, alpha, dim),
@@ -52,7 +51,6 @@ def weierstrass_fn(alpha: float, dim: int = 1) -> TestFunction:
         f=lambda pts: weierstrass(scale, pts),
         dim=dim,
         envelope=GaussianDecay(1.0 / (4.0 * alpha), peak),
-        bounded=True,
         sup_bound=peak,
         name=f"weierstrass:{alpha:g}",
         factors=_axis_factors(weierstrass, alpha, dim),
@@ -65,7 +63,6 @@ def unit_gaussian(dim: int = 1) -> TestFunction:
         f=lambda pts: np.exp(-math.pi * np.sum(pts * pts, axis=1)),
         dim=dim,
         envelope=GaussianDecay(math.pi, 1.0),
-        bounded=True,
         sup_bound=1.0,
         name="unit-gauss",
         factors=(lambda x: np.exp(-math.pi * (x * x)),) * dim,
@@ -92,7 +89,6 @@ def bump_fn(radius: float, dim: int = 1, center=None) -> TestFunction:
         f=lambda pts: _bump_values(pts, c, radius),
         dim=dim,
         envelope=CompactSupport(support),
-        bounded=True,
         sup_bound=math.exp(-1.0),
         name=f"bump:{radius:g}",
     )
@@ -113,7 +109,6 @@ def bump_pair_fn(radius: float = 0.8, separation: float = 2.0, dim: int = 1) -> 
         f=values,
         dim=dim,
         envelope=CompactSupport(support),
-        bounded=True,
         sup_bound=math.exp(-1.0),
         name=f"bumppair:{radius:g}",
     )
@@ -125,7 +120,6 @@ def zero_fn(dim: int = 1) -> TestFunction:
         f=lambda pts: np.zeros(pts.shape[0]),
         dim=dim,
         envelope=GaussianDecay(1.0, 1e-300),
-        bounded=True,
         sup_bound=0.0,
         name="const:0",
     )
@@ -140,7 +134,6 @@ def constant_fn(value: complex, dim: int = 1) -> TestFunction:
         f=lambda pts: np.full(pts.shape[0], value, dtype=dtype),
         dim=dim,
         envelope=BoundedOnly(abs(value)),
-        bounded=True,
         sup_bound=abs(value),
         name=f"const:{value}",
     )

@@ -31,10 +31,10 @@ from .kernels import KernelScale, gauss, weierstrass
 from .measures import BoundedMeasure, measure_from_json, weak_convergence_trace
 from .quadrature import GridSpec, integrate, integrate_auto, l1_norm
 from .transforms import (
-    _fourier_rows,
     _modulated_rows,
     _mollify_walks,
-    _profile_table,
+    _transform_rows,
+    _transform_table,
     fourier_complex,
     fourier_profile,
     gauss_inversion_ladder,
@@ -298,7 +298,7 @@ def _run_verify_kernels(dim, alphas, tol) -> tuple:
             ("inverse[weierstrass]", weierstrass_alpha, True, gauss),
         ]
         # each case is fourier_profile(fn, xi_pts, quad_tol, inverse) bit for bit, from one ladder call per alpha
-        table = _profile_table([(fn, inverse) for _, fn, inverse, _ in cases], xi_pts, quad_tol)
+        table = _transform_table([(fn, inverse) for _, fn, inverse, _ in cases], xi_pts, quad_tol)
         for (label, _, _, expected), values in zip(cases, table.tolist()):
             for xi, value, want in zip(xi_pts.tolist(), values, expected(scale, xi_pts).tolist()):
                 resid = abs(value - want)
@@ -482,7 +482,7 @@ def _run_modulate(dim, preset, tol, shifts, etas) -> tuple:
     # one call per shift, one walk per eta; each value is modulate(h, [a], [eta], tol / 4)'s
     direct = [v for a in shifts for v in _modulated_rows(h, [a], eta_pts, tol / 4.0).tolist()]
     # one call for every shifted frequency, one walk each; each value is fourier(h, [eta - a], tol / 4)'s
-    shifted = _fourier_rows(h, np.array([[eta - a] for a, eta in pairs]), tol / 4.0).tolist()
+    shifted = _transform_rows(h, np.array([[eta - a] for a, eta in pairs]), tol / 4.0).tolist()
     rows = []
     worst = 0.0
     for (a, eta), mod, shift in zip(pairs, direct, shifted):

@@ -32,13 +32,14 @@ from .quadrature import (
     _block_sums,
     _check_tolerance,
     _grid_walks,
+    _Integrand,
     integrate_values,
     l1_norm,
 )
 from .transforms import (
     Spectrum,
-    _fourier_rows,
     _mollify_walks,
+    _transform_rows,
     invert_spectrum,
     sampled_spectrum,
 )
@@ -103,7 +104,7 @@ class BoundedMeasure:
         _check_tolerance(tol)
         if h.dim != self.dim:
             raise ValueError(f"dimension mismatch: measure {self.dim}, function {h.dim}")
-        if not h.bounded or h.sup_bound is None:
+        if not h.bounded:
             raise ValueError(f"measures act on bounded functions; {h.name!r} declares no sup bound")
         out = 0.0 + 0.0j
         if self.atoms:
@@ -115,7 +116,7 @@ class BoundedMeasure:
                 return density(pts) * h(pts)
 
             envelope = density.envelope.scaled(max(h.sup_bound, _TINY))
-            result, _ = integrate_values(fn, envelope, self.dim, f"pair[{density.name},{h.name}]", tol)
+            result, _ = integrate_values(_Integrand(fn, envelope, self.dim, f"pair[{density.name},{h.name}]"), tol)
             out += complex(result.value)
         return out
 
@@ -132,7 +133,7 @@ class BoundedMeasure:
             phases = cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T))
             out += (self.atom_weights * phases).sum(axis=1)
         if self.density is not None:
-            out += _fourier_rows(self.density, xi_pts, tol)
+            out += _transform_rows(self.density, xi_pts, tol)
         return out
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
@@ -256,7 +257,7 @@ def weak_convergence_trace(
     _check_tolerance(tol)
     if h.dim != measure.dim or grid.dim != measure.dim:
         raise ValueError("dimension mismatch between measure, test function, and grid")
-    if not h.bounded or h.sup_bound is None:
+    if not h.bounded:
         raise ValueError("weak convergence is tested against bounded functions")
     if not isinstance(h.envelope, (GaussianDecay, CompactSupport)):
         raise QuadratureError(
@@ -312,7 +313,7 @@ def continuity_check(
     for h in [*h_sequence, h_limit]:
         if h.dim != measure.dim:
             raise ValueError("dimension mismatch in the function sequence")
-        if not h.bounded or h.sup_bound is None:
+        if not h.bounded:
             raise ValueError("continuity is tested along bounded functions")
     if uniform_bound is None:
         uniform_bound = max(h.sup_bound for h in [*h_sequence, h_limit])
@@ -338,30 +339,47 @@ def measure_from_json(source, dim: int | None = None) -> BoundedMeasure:
     """Build a measure from its JSON literal.
 
     The schema is ``{"dim": n, "atoms": [{"at": [..], "re": r, "im": i}, ...],
-    "density": "<preset>"}`` with both parts optional; density presets are
-    the catalog strings such as ``gauss:0.1``.  A literal without ``dim``
-    takes the given dim (default 1); a literal's ``dim`` must be an integer
-    (not a boolean) and agree with it.
+    "density": "<preset>"}`` with every part optional but an atom's ``at``;
+    density presets are the catalog strings such as ``gauss:0.1``.  A literal
+    without ``dim`` takes the given dim (default 1); a literal's ``dim`` must
+    be an integer (not a boolean) and agree with it.  ``atoms`` is a list of
+    objects, an atom's ``at`` entries, ``re`` and ``im`` are numbers (not
+    booleans), and ``density`` is a string.  Any other key, in the literal
+    or in an atom, raises ValueError naming it: a misspelt key would
+    otherwise drop its part.
     """
     data = json.loads(source) if isinstance(source, str) else dict(source)
     if not isinstance(data, dict):
         raise ValueError("measure literal must be a JSON object")
+    unknown = sorted(set(data) - {"dim", "atoms", "density"})
+    if unknown:
+        raise ValueError(f"the measure literal has an unknown key {unknown[0]!r}; its keys are dim, atoms and density")
     n = data.get("dim", dim or 1)
     if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
         raise ValueError(f"the measure literal's dim must be an integer, got {n!r}")
     n = int(n)
     if dim is not None and n != dim:
         raise ValueError(f"the measure literal has dim {n}, but dim {dim} was requested")
+    entries = data.get("atoms", [])
+    if not (isinstance(entries, list) and all(isinstance(entry, dict) for entry in entries)):
+        raise ValueError(f"the measure literal's atoms must be a list of objects, got {entries!r}")
     atoms = []
-    for entry in data.get("atoms", []):
+    for entry in entries:
+        unknown = sorted(set(entry) - {"at", "re", "im"})
+        if unknown:
+            raise ValueError(f"atom entry {entry!r} has an unknown key {unknown[0]!r}; an atom's keys are at, re and im")
         if "at" not in entry:
             raise ValueError(f"atom entry {entry!r} needs an 'at' location")
+        for key in ("at", "re", "im"):
+            value = entry.get(key, 0.0)
+            parts = value if isinstance(value, (list, tuple)) else [value]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+                raise ValueError(f"atom entry {entry!r}: {key!r} must hold numbers, got {value!r}")
         loc = np.atleast_1d(np.asarray(entry["at"], dtype=float))
         if loc.shape != (n,):
             raise ValueError(f"atom location {entry['at']!r} does not have dimension {n}")
-        weight = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        atoms.append(Atom(location=tuple(loc), weight=weight))
-    density = None
-    if data.get("density"):
-        density = parse_preset(str(data["density"]), n)
-    return BoundedMeasure(dim=n, atoms=tuple(atoms), density=density)
+        atoms.append(Atom(location=tuple(loc), weight=complex(entry.get("re", 0.0), entry.get("im", 0.0))))
+    density = data.get("density")
+    if density is not None and not isinstance(density, str):
+        raise ValueError(f"the measure literal's density must be a preset string, got {density!r}")
+    return BoundedMeasure(dim=n, atoms=tuple(atoms), density=parse_preset(density, n) if density else None)

@@ -21,15 +21,15 @@ tolerance is positive and finite, and its sums are finite: ``walk_ladders``
 and ``_grid_walks`` check these rules for every walk, and the entry points
 that walk leave them to it.
 
-Every integrand enters the engine as a vectorized ``values(points)``
-callable with an envelope, a dimension and a label (``integrate_values``;
+Every integrand enters the engine whole: a ``TestFunction`` or an
+``_Integrand``, a vectorized ``values(points)`` callable with its
+envelope, dimension, name and optional factors (``integrate_values``;
 ``walk_ladders`` for vector-valued sums and for several walks at once, such
 as smoothing at several scales and points or the phase sums of a transform
 at several frequencies, which factor exp(-2 pi i x.xi) per axis, or of
 several integrands, which share one set of phase matrices (an inverse sum,
 exp(+2 pi i x.xi), is the conjugate of the forward sum of the conjugated
-values): the walks share their ladder grids); ``integrate`` and
-``integrate_auto`` pass a ``TestFunction`` in that form.  Declared
+values): the walks share their ladder grids).  Declared
 envelopes (a ``TestFunction`` and its ``scaled``/``shifted`` copies) are
 spot-checked at construction, as validation of input from outside the
 library; envelopes the library derives are proved in code and checked by
@@ -256,11 +256,6 @@ def _spot_geometry(dim: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, 
     return pts, radii, columns
 
 
-def _spot_points(dim: int) -> np.ndarray:
-    """The spot points of ``_spot_geometry``: a (1000, dim) array."""
-    return _spot_geometry(dim)[0]
-
-
 def _evaluated(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     """fn(x) as an array of one value per row of x, checked for shape and finiteness.
 
@@ -297,12 +292,14 @@ class TestFunction:
     envelope : Envelope
         Declared bound on |f|; checked by spot-sampling at construction and
         used for closed-form tail bounds.  (Integrands the library derives
-        from a TestFunction enter the engine directly, with envelopes proved
-        in code and checked by ``tests/test_derived_envelopes.py``.)
-    bounded : bool
-        Whether a finite sup bound is declared.
+        from a TestFunction enter the engine as ``_Integrand``s, with
+        envelopes proved in code and checked by
+        ``tests/test_derived_envelopes.py``.)
     sup_bound : float, optional
-        The declared sup bound; required when ``bounded`` is set.
+        A declared bound on sup |f|, finite and nonnegative.  Declaring one
+        makes the function ``bounded``: the bound is checked by
+        spot-sampling at construction, and smoothing, Gauss means and
+        measure pairings use it.
     name : str
         Optional label used in error messages and result tables.
     factors : tuple of callables, optional
@@ -321,7 +318,6 @@ class TestFunction:
     f: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     dim: int
     envelope: Envelope
-    bounded: bool = False
     sup_bound: float | None = None
     name: str = ""
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(default=None, repr=False)
@@ -333,8 +329,8 @@ class TestFunction:
                 f"PolynomialDecay power {self.envelope.power} must exceed dim {self.dim} "
                 "to certify integrability"
             )
-        if self.bounded and self.sup_bound is None:
-            raise ValueError("bounded test functions must declare sup_bound")
+        if self.bounded and not 0.0 <= self.sup_bound < math.inf:
+            raise ValueError(f"sup_bound must be finite and nonnegative, got {self.sup_bound}")  # nan passes every spot check
         if self.factors is not None and len(self.factors) != self.dim:
             raise ValueError(f"{len(self.factors)} factors declared, expected one per axis ({self.dim})")
         self._spot_check()
@@ -403,6 +399,11 @@ class TestFunction:
             raise ValueError(f"points array must be at most 2-d, got shape {a.shape}")
         vals = _evaluated(self.f, a, self.name)
         return vals[0] if scalar else vals
+
+    @property
+    def bounded(self) -> bool:
+        """True when a sup bound is declared."""
+        return self.sup_bound is not None
 
     @property
     def integrable(self) -> bool:
@@ -1016,11 +1017,20 @@ def walk_ladders(
 
 @dataclass(frozen=True)
 class _Integrand:
-    """Values ``f`` with optional per-axis ``factors`` (see ``TestFunction``), derived and not spot-checked."""
+    """An integrand the library derives: the whole declaration the engine reads, proved in code and never spot-checked.
+
+    ``f`` maps an (m, dim) array of points to m values, ``envelope`` bounds
+    them on R^dim, ``name`` labels them in errors, and the optional
+    per-axis ``factors`` declare f as their product (see ``TestFunction``,
+    whose instances the engine takes in the same form).  Each envelope is
+    checked by ``tests/test_derived_envelopes.py``.
+    """
 
     f: Callable
-    factors: tuple | None
+    envelope: Envelope
+    dim: int
     name: str
+    factors: tuple | None = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.f(pts)
@@ -1153,18 +1163,17 @@ def _grid_walks(grid_sums: Callable, grid: GridSpec, envelopes, labels) -> list[
 
 
 def integrate_values(
-    values: Callable, envelope: Envelope, dim: int, label: str,
-    tol: float | None = None, grid: GridSpec | None = None, phase_rate: float = 0.0,
+    g: TestFunction | _Integrand, tol: float | None = None, grid: GridSpec | None = None, phase_rate: float = 0.0,
 ) -> tuple[QuadratureResult, GridSpec]:
-    """Integral over R^dim of ``values``, certified by ``envelope``: the engine's one entry form.
+    """Integral over R^dim of the integrand g, certified by its envelope: the engine's one entry form.
 
-    ``values`` maps an (m, dim) array of points to m values; the caller
-    vouches that ``envelope`` bounds them.  Given a ``grid``, the result
-    pairs its fine sum with the sum at half the points, which reuses the
-    grid's even nodes, so the integrand is evaluated once (a one-walk
-    ``_grid_walks``); given ``tol`` instead, the ladder is walked to it as
-    one walk (see ``walk_ladders``, which also explains ``phase_rate``).
-    ``label`` names the integrand in errors.
+    g is a ``TestFunction`` or an ``_Integrand``, taken whole: its values,
+    envelope, dimension, name (in errors) and factors.  Given a ``grid``,
+    the result pairs its fine sum with the sum at half the points, which
+    reuses the grid's even nodes, so the integrand is evaluated once (a
+    one-walk ``_grid_walks``); given ``tol`` instead, the ladder is walked
+    to it as one walk (see ``walk_ladders``, which also explains
+    ``phase_rate``).
 
     Raises
     ------
@@ -1172,14 +1181,14 @@ def integrate_values(
         If the envelope is BoundedOnly, the sums are not finite, or no
         ladder grid within the node budget meets the tolerance.
     """
-    if grid is not None and grid.dim != dim:
-        raise ValueError(f"dimension mismatch: integrand {dim}, grid {grid.dim}")
+    if grid is not None and grid.dim != g.dim:
+        raise ValueError(f"dimension mismatch: integrand {g.dim}, grid {grid.dim}")
     if grid is not None:
         if tol is not None or phase_rate:
             raise ValueError("a fixed grid takes no tol or phase_rate")
-        return _grid_walks(_value_sum(values), grid, [envelope], [label])[0], grid
-    [(fine, coarse, grid)] = walk_ladders(_value_sum(values), [envelope], dim, tol, [label], [phase_rate])
-    return _certified(fine, coarse, grid, envelope), grid
+        return _grid_walks(_value_sum(g), grid, [g.envelope], [g.name])[0], grid
+    [(fine, coarse, grid)] = walk_ladders(_value_sum(g), [g.envelope], g.dim, tol, [g.name], [phase_rate])
+    return _certified(fine, coarse, grid, g.envelope), grid
 
 
 def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:
@@ -1188,35 +1197,31 @@ def integrate(g: TestFunction, grid: GridSpec) -> QuadratureResult:
     ``value`` approximates the integral within ``disc_error_est + tail_bound``;
     a BoundedOnly envelope (not certified integrable) raises QuadratureError.
     """
-    return integrate_values(g, g.envelope, g.dim, g.name, grid=grid)[0]
+    return integrate_values(g, grid=grid)[0]
 
 
-def integrate_auto(
-    g: TestFunction, target_tol: float, phase_rate: float = 0.0
-) -> tuple[QuadratureResult, GridSpec]:
+def integrate_auto(g: TestFunction, target_tol: float) -> tuple[QuadratureResult, GridSpec]:
     """Integrate g choosing the smallest ladder grid that meets target_tol.
 
     The radius ladder is walked until the closed-form tail bound is at most
     target_tol / 2, then the per-axis point ladder until the two-resolution
-    discretization estimate is at most target_tol / 2 (see ``walk_ladders``,
-    which also explains ``phase_rate``).
+    discretization estimate is at most target_tol / 2 (see ``walk_ladders``).
 
     Raises
     ------
     QuadratureError
         If no ladder grid within the node budget meets the tolerance.
     """
-    return integrate_values(g, g.envelope, g.dim, g.name, target_tol, phase_rate=phase_rate)
+    return integrate_values(g, target_tol)
 
 
 def _absolute(g: TestFunction) -> _Integrand:
-    """|g| as an integrand named |name|, with factors |g_j| when g declares factors."""
+    """|g| as an integrand named |name| under g's envelope, with factors |g_j| when g declares factors."""
     factors = None if g.factors is None else tuple(lambda x, f_j=f_j: np.abs(f_j(x)) for f_j in g.factors)
-    return _Integrand(lambda pts: np.abs(g(pts)), factors, f"|{g.name}|")
+    return _Integrand(lambda pts: np.abs(g(pts)), g.envelope, g.dim, f"|{g.name}|", factors)
 
 
 def l1_norm(g: TestFunction, tol: float = 1e-9) -> QuadratureResult:
     """Integral of |g| over R^dim to the requested tolerance (a product of per-axis sums if g is factored)."""
-    absolute = _absolute(g)
-    result, _ = integrate_values(absolute, g.envelope, g.dim, absolute.name, tol)
+    result, _ = integrate_values(_absolute(g), tol)
     return replace(result, value=result.value.real)

@@ -23,12 +23,12 @@ from .points import cis, real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
-    Envelope,
     GaussianDecay,
     GridSpec,
     QuadratureError,
     TestFunction,
     _absolute,
+    _Integrand,
     _block_sums,
     _case_phase_sums,
     _check_tolerance,
@@ -99,15 +99,16 @@ class Spectrum:
         )
 
 
-def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+def _transform_table(cases: list, xi_arr: np.ndarray, tol: float) -> np.ndarray:
     """Transform values of several integrands at every row of xi_arr: one row per case, one column per frequency.
 
-    A case is (values, envelope, label, sign), with sign -1 for the forward
-    transform and +1 for the inverse.  One ``walk_ladders`` call makes a walk
-    per case, to the largest |xi|, with the case's own envelope, label and
-    stopping rung, so row i is the value of walking case i alone, bit for
-    bit: on each grid, the cases there share each chunk's forward phase
-    matrices (an inverse case conjugates its values and its sums) and each
+    A case is (g, inverse): an integrand taken whole (a ``TestFunction`` or
+    an ``_Integrand``; every case has one dimension) and whether to take
+    the inverse transform.  One ``walk_ladders`` call makes a walk per case,
+    to the largest |xi|, with the case's own envelope, name and stopping
+    rung, so row i is the value of walking case i alone, bit for bit: on
+    each grid, the cases there share each chunk's forward phase matrices
+    (an inverse case conjugates its values and its sums) and each
     function's weighted rows, and each case keeps its own products (see
     ``quadrature._case_phase_sums``).  When several cases fail, the first
     one's error is raised.  A frequency whose norm overflows has an
@@ -116,25 +117,20 @@ def _transform_table(cases: list, dim: int, xi_arr: np.ndarray, tol: float) -> n
     with np.errstate(over="ignore"):
         norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     worst = float(norms.max()) if xi_arr.size else 0.0
-    grid_sums = _case_phase_sums([(values, sign) for values, _, _, sign in cases], xi_arr)
-    envelopes, labels = [case[1] for case in cases], [case[2] for case in cases]
-    walked = walk_ladders(grid_sums, envelopes, dim, tol, labels, [worst] * len(cases))
+    grid_sums = _case_phase_sums([(g, +1.0 if inverse else -1.0) for g, inverse in cases], xi_arr)
+    envelopes, labels = [g.envelope for g, _ in cases], [g.name for g, _ in cases]
+    walked = walk_ladders(grid_sums, envelopes, cases[0][0].dim, tol, labels, [worst] * len(cases))
     return np.array([fine for fine, _, _ in walked], dtype=np.complex128)
 
 
 def fourier(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     """Transform value integral of f(x) exp(-2 pi i x.xi) over R^n."""
     xi = real_point(xi, f.dim)
-    return complex(_fourier_rows(f, xi.reshape(1, -1), tol)[0])
+    return complex(_transform_rows(f, xi.reshape(1, -1), tol)[0])
 
 
-def _fourier_rows(f: TestFunction, xi_arr: np.ndarray, tol: float) -> np.ndarray:
-    """``fourier`` at each row of xi_arr: one walk per row, on shared ladder grids."""
-    return _transform_rows(f, f.envelope, f.dim, f.name, xi_arr, tol)
-
-
-def _transform_rows(values: Callable, envelope: Envelope, dim: int, label: str, xi_arr: np.ndarray, tol: float) -> np.ndarray:
-    """Forward transform values at each row of xi_arr, each row a walk of its own.
+def _transform_rows(g: TestFunction | _Integrand, xi_arr: np.ndarray, tol: float) -> np.ndarray:
+    """Forward transform of the integrand g, taken whole, at each row of xi_arr, each row a walk of its own.
 
     Each walk has the phase cap of its own |xi| and its own stopping rung,
     so a row gives the value of walking that frequency alone, up to
@@ -146,7 +142,7 @@ def _transform_rows(values: Callable, envelope: Envelope, dim: int, label: str, 
     with np.errstate(over="ignore"):
         norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     walks = xi_arr.shape[0]
-    walked = walk_ladders(_phase_sums(values, xi_arr), [envelope] * walks, dim, tol, [label] * walks, norms.tolist())
+    walked = walk_ladders(_phase_sums(g, xi_arr), [g.envelope] * walks, g.dim, tol, [g.name] * walks, norms.tolist())
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
 
 
@@ -155,17 +151,8 @@ def fourier_profile(
 ) -> list[FrequencySample]:
     """Transform values over a list of frequencies, sharing one grid."""
     arr = real_points(xi_list, f.dim, "frequency list")
-    [values] = _profile_table([(f, inverse)], arr, tol)
+    [values] = _transform_table([(f, inverse)], arr, tol)
     return [FrequencySample(tuple(row), v) for row, v in zip(arr.tolist(), values.tolist())]
-
-
-def _profile_table(cases: list, xi_arr: np.ndarray, tol: float) -> np.ndarray:
-    """``fourier_profile(f, xi_arr, tol, inverse)`` values for each (f, inverse) of cases, from one ladder call: one row per case.
-
-    The functions share one dimension; see ``_transform_table``.
-    """
-    signed = [(f, f.envelope, f.name, +1.0 if inverse else -1.0) for f, inverse in cases]
-    return _transform_table(signed, cases[0][0].dim, xi_arr, tol)
 
 
 def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
@@ -210,8 +197,8 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
             return f(pts) * np.exp(2.0 * math.pi * (pts @ im))
 
     # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
-    label = f"fourier[{f.name}]@complex"
-    return complex(_transform_table([(fn, grown, label, -1.0)], f.dim, re.reshape(1, -1), tol)[0, 0])
+    g = _Integrand(fn, grown, f.dim, f"fourier[{f.name}]@complex")
+    return complex(_transform_table([(g, False)], re.reshape(1, -1), tol)[0, 0])
 
 
 def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
@@ -232,7 +219,7 @@ def gauss_mean(f: TestFunction, alpha: float, tol: float = 1e-8) -> complex:
         raise QuadratureError(
             f"the Gauss mean of {f.name!r} needs a bounded or integrable-certified function"
         )
-    result, _ = integrate_values(fn, envelope, f.dim, f"gauss-mean[{f.name}]", tol)
+    result, _ = integrate_values(_Integrand(fn, envelope, f.dim, f"gauss-mean[{f.name}]"), tol)
     return complex(result.value)
 
 
@@ -415,7 +402,7 @@ def mollify_l1_check(
     def outer_fn(pts: np.ndarray) -> np.ndarray:
         return np.abs(mollify_ladder(f, [alpha], pts, inner_tol)[0])
 
-    lhs, _ = integrate_values(outer_fn, outer_env, f.dim, f"|smooth[{f.name}]|", grid=grid)
+    lhs, _ = integrate_values(_Integrand(outer_fn, outer_env, f.dim, f"|smooth[{f.name}]|"), grid=grid)
     inner_mass = (2.0 * grid.radius) ** f.dim
     return L1ContractionReport(
         lhs=float(lhs.value.real),
@@ -454,8 +441,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
         return grid.phase_sum(f, xi_pts, -1.0)[0]
 
-    absolute = _absolute(f)
-    l1_mass, _ = integrate_values(absolute, f.envelope, f.dim, absolute.name, grid=grid)
+    l1_mass, _ = integrate_values(_absolute(f), grid=grid)
     return Spectrum(values, float(l1_mass.value.real), grid.radius * math.sqrt(f.dim), ("sampled", f, grid))
 
 
@@ -575,8 +561,8 @@ def _dual_pairing(transformed: TestFunction, weight: TestFunction, tol: float) -
         return spectrum.values(xi_pts) * weight(xi_pts)
 
     envelope = weight.envelope.scaled(spectrum.bound * (1.0 + 1e-9) + _TINY)
-    label = f"dual[{transformed.name},{weight.name}]"
-    result, _ = integrate_values(fn, envelope, weight.dim, label, tol / 2.0, phase_rate=spectrum.rate)
+    g = _Integrand(fn, envelope, weight.dim, f"dual[{transformed.name},{weight.name}]")
+    result, _ = integrate_values(g, tol / 2.0, phase_rate=spectrum.rate)
     return complex(result.value)
 
 
@@ -593,4 +579,4 @@ def _modulated_rows(h: TestFunction, a, etas: np.ndarray, tol: float) -> np.ndar
     def fn(pts: np.ndarray) -> np.ndarray:
         return h(pts) * cis(2.0 * math.pi * (pts @ a))
 
-    return _transform_rows(fn, h.envelope, h.dim, f"mod[{h.name}]", etas, tol)
+    return _transform_rows(_Integrand(fn, h.envelope, h.dim, f"mod[{h.name}]"), etas, tol)

@@ -3,16 +3,17 @@
 A declared envelope (a ``TestFunction`` and its ``scaled``/``shifted``
 copies) is spot-checked when the function is constructed.  Integrands the
 library derives from declared functions (Gauss means, smoothing, inversion,
-pairings, ...) enter the engine directly, with envelopes proved in code;
-this module checks those proofs.  It wraps the engine entry points
+pairings, ...) enter the engine directly, as ``_Integrand``s or as grid
+sums, with envelopes proved in code; this module checks those proofs.  It wraps the engine entry points
 (``integrate_values``, the ladder walk ``walk_ladders``, the fixed-grid
 sum of several walks ``_grid_walks`` and the grid-sum builders
 ``_value_sum``, ``_block_sums``, ``_phase_sums`` and ``_case_phase_sums``) in every
 heatline module that imported them, runs every registered
 experiment at its default spec plus the derived entry points those runs do
 not reach, and evaluates each captured integrand at the runtime spot points
-with the runtime slack.  A shared walk's integrands are read one walk at a
-time.
+with the runtime slack.  ``integrate_values`` takes its integrand whole, and
+it is read whole: its values, envelope, dim and name.  A shared walk's
+integrands are read one walk at a time.
 
 A phase sum's integrand is read in values form: the phase has modulus 1,
 so the envelope must bound the values.  A block sum's integrand is read
@@ -46,9 +47,9 @@ from heatline import (
     weak_convergence_trace,
     weierstrass_fn,
 )
-from heatline import quadrature, transforms
+from heatline import experiments, quadrature, transforms
 from heatline.experiments import EXPERIMENTS, ExperimentSpec, run
-from heatline.quadrature import _ENVELOPE_SLACK, _spot_points
+from heatline.quadrature import _ENVELOPE_SLACK, _spot_geometry
 
 # each derived integrand's label, by the routine that derives it
 DERIVED_LABELS = {
@@ -87,15 +88,15 @@ def captured_integrands():
     value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
     case_phase_sums = quadrature._case_phase_sums
 
-    def capture_values(values, envelope, dim, label, *args, **kwargs):
-        captures.append(Capture(label, envelope, dim, values))
-        return integrate_values(values, envelope, dim, label, *args, **kwargs)
+    def capture_values(g, *args, **kwargs):
+        captures.append(Capture(g.name, g.envelope, g.dim, g))
+        return integrate_values(g, *args, **kwargs)
 
     def capture(integrand, envelope, dim, label):
         if integrand is not None:
             # a pointwise reader is costly, so it reads a repeated walk once; its width is read at one point
             values, pointwise = integrand
-            width = values(_spot_points(dim)[:1]).shape[1] if pointwise else None
+            width = values(_spot_geometry(dim)[0][:1]).shape[1] if pointwise else None
             if width is None or (label, width, envelope) not in walks:
                 walks.add((label, width, envelope))
                 captures.append(Capture(label, envelope, dim, values))
@@ -159,7 +160,7 @@ def violations(captures: list[Capture]) -> list[tuple[str, float]]:
     """(label, worst excess) of each capture whose values leave its envelope at the spot points."""
     out = []
     for c in captures:
-        pts = _spot_points(c.dim)
+        pts = _spot_geometry(c.dim)[0]
         mags = np.abs(np.asarray(c.values(pts))).reshape(len(pts), -1)
         limit = c.envelope.bound(np.sqrt(np.sum(pts * pts, axis=1))) * (1.0 + _ENVELOPE_SLACK) + 1e-300
         excess = float(np.max(mags - limit[:, None]))
@@ -207,11 +208,16 @@ def test_the_check_catches_a_halved_envelope(monkeypatch):
     assert [label for label, _ in violations(captures)] == ["mollify[weierstrass:0.1]"]
 
 
+def _halved(g) -> quadrature._Integrand:
+    """g's values, dim, name and factors under half its envelope."""
+    return quadrature._Integrand(g, g.envelope.scaled(0.5), g.dim, g.name, g.factors)
+
+
 def test_the_check_catches_a_halved_phase_envelope(monkeypatch):
     table = transforms._transform_table
 
     def halved(cases, *args):
-        return table([(values, envelope.scaled(0.5), label, sign) for values, envelope, label, sign in cases], *args)
+        return table([(_halved(g), inverse) for g, inverse in cases], *args)
 
     monkeypatch.setattr(transforms, "_transform_table", halved)
     with captured_integrands() as captures:
@@ -224,9 +230,9 @@ def test_the_check_reads_each_case_of_a_transform_table_against_its_own_envelope
 
     def halved_second(cases, *args):
         # the second case, weierstrass forward, under half its envelope; the others keep theirs
-        return table([(v, e.scaled(0.5) if i == 1 else e, label, sign) for i, (v, e, label, sign) in enumerate(cases)], *args)
+        return table([(_halved(g) if i == 1 else g, inverse) for i, (g, inverse) in enumerate(cases)], *args)
 
-    monkeypatch.setattr(transforms, "_transform_table", halved_second)
+    monkeypatch.setattr(experiments, "_transform_table", halved_second)  # the runner's own import
     with captured_integrands() as captures:
         run(ExperimentSpec("verify-kernels", 1, {"alphas": [0.1]}))
     assert [label for label, _ in violations(captures)] == ["weierstrass:0.1"]

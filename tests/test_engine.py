@@ -51,7 +51,7 @@ def _counted(base: TestFunction, seen: list) -> TestFunction:
         seen.append(pts.shape[0])
         return base.f(pts)
 
-    return TestFunction(f, base.dim, base.envelope, bounded=True, sup_bound=base.sup_bound, name="counted")
+    return TestFunction(f, base.dim, base.envelope, sup_bound=base.sup_bound, name="counted")
 
 
 def test_default_walk_evaluates_each_rung_once(default_ladders):
@@ -215,7 +215,7 @@ def test_a_non_finite_sum_fails_loudly():
         return np.full(pts.shape[0], np.nan)
 
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_values(nan_values, GaussianDecay(1.0, 1.0), 1, "nan", grid=GridSpec(4.0, 8, 1))
+        integrate_values(quadrature._Integrand(nan_values, GaussianDecay(1.0, 1.0), 1, "nan"), grid=GridSpec(4.0, 8, 1))
 
 
 # -- the rules every walk keeps ----------------------------------------------
@@ -303,9 +303,9 @@ def test_a_batch_of_smoothing_points_meets_the_blocks_one_point_meets(monkeypatc
 def test_a_fixed_grid_refuses_a_tolerance_it_would_ignore():
     g = weierstrass_fn(0.1)
     with pytest.raises(ValueError, match="fixed grid"):
-        integrate_values(g, g.envelope, 1, g.name, 1e-8, grid=GridSpec(4.0, 128, 1))
+        integrate_values(g, 1e-8, grid=GridSpec(4.0, 128, 1))
     with pytest.raises(ValueError, match="fixed grid"):
-        integrate_values(g, g.envelope, 1, g.name, grid=GridSpec(4.0, 128, 1), phase_rate=2.0)
+        integrate_values(g, grid=GridSpec(4.0, 128, 1), phase_rate=2.0)
 
 
 # -- factored integrands: grid sums by Fubini --------------------------------
@@ -319,7 +319,7 @@ FACTORED_PRESETS = {
 
 def _unfactored(g: TestFunction) -> TestFunction:
     """g's values declared without factors: in dims 2-3 the engine evaluates them block by block."""
-    return TestFunction(g.f, g.dim, g.envelope, g.bounded, g.sup_bound, g.name)
+    return TestFunction(g.f, g.dim, g.envelope, g.sup_bound, g.name)
 
 
 def _block_value_sum(grid: GridSpec, values) -> np.ndarray:
@@ -412,7 +412,7 @@ def test_a_factored_integral_evaluates_only_factor_nodes(default_ladders):
         return on_axis
 
     g = TestFunction(
-        f, 3, base.envelope, bounded=True, sup_bound=base.sup_bound, name="counted",
+        f, 3, base.envelope, sup_bound=base.sup_bound, name="counted",
         factors=tuple(counted(factor) for factor in base.factors),
     )
     full.clear()  # the construction spot check is not part of the walk
@@ -455,7 +455,9 @@ def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_ent
     xi = np.concatenate([lattice, _frequencies(1)])
     wants = [_block_value_sum(grid, values)] + [_block_phase_sum(grid, values, xi, sign) for sign in (-1.0, 1.0)]
     # the same values declared as one factor: the lattice route every dim-1 integrand took already
-    wants.append(grid._lattice_sum(quadrature._Integrand(values, (lambda x: values(x[:, None]),), name), lattice))
+    # (a grid sum reads the integrand's values, factors and name, not its envelope)
+    one_factor = quadrature._Integrand(values, None, 1, name, (lambda x: values(x[:, None]),))
+    wants.append(grid._lattice_sum(one_factor, lattice))
 
     def refused(self):
         raise AssertionError("a dim-1 integrand never takes the block loop")
@@ -961,7 +963,7 @@ def test_a_modulated_integrand_stays_complex(monkeypatch):
 def test_real_smoothing_agrees_with_the_complex_path(dim, tol, bounded):
     # a sign-changing f; f.scaled(1 + 0j) has complex values, so its smoothing takes the complex products
     f = bump_pair_fn(0.8, dim=dim)
-    sup = {"bounded": True, "sup_bound": f.sup_bound} if bounded else {}
+    sup = {"sup_bound": f.sup_bound} if bounded else {}
     f = TestFunction(f.f, dim, f.envelope, name="bumppair", **sup)
     xs = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(9, dim))
     real = mollify_ladder(f, [0.1], xs, tol)[0]
@@ -1261,9 +1263,8 @@ def _assert_the_one_alpha_pairings(measure, h, alphas, grid, tol):
         # the pairing of one alpha, written out: the measure smoothed at that scale alone, times h
         peak = transforms.weierstrass_peak(transforms.KernelScale(alpha, grid.dim))
         envelope = h.envelope.scaled(measure.bound * peak * (1.0 + 1e-9) + quadrature._TINY)
-        want, _ = integrate_values(
-            lambda pts, alpha=alpha: measure.mollify_on_points(alpha, pts, tol) * h(pts), envelope, grid.dim, "one", grid=grid
-        )
+        one = quadrature._Integrand(lambda pts, alpha=alpha: measure.mollify_on_points(alpha, pts, tol) * h(pts), envelope, grid.dim, "one")
+        want, _ = integrate_values(one, grid=grid)
         got = np.array([sample.value, sample.target])
         assert sample.alpha == alpha
         assert got.tobytes() == np.array([want.value, target]).tobytes()
@@ -1304,14 +1305,14 @@ def test_a_budget_below_every_rung_names_the_budget(monkeypatch, default_ladders
 def test_a_phase_cap_above_the_ladder_names_the_phase(default_ladders):
     # 8 x radius 4 x rate 1e4 points per axis: more than the ladder's last rung, which the budget admits
     with pytest.raises(QuadratureError, match="phase cap exceeds the point ladder"):
-        integrate_auto(weierstrass_fn(0.1), 1e-8, phase_rate=1e4)
+        integrate_values(weierstrass_fn(0.1), 1e-8, phase_rate=1e4)
 
 
 # -- one ladder call per kernel-pair table -----------------------------------
 
 
 def _assert_each_case_is_its_own_profile(cases: list, xi: np.ndarray, tol: float) -> None:
-    for (f, inverse), row in zip(cases, transforms._profile_table(cases, xi, tol), strict=True):
+    for (f, inverse), row in zip(cases, transforms._transform_table(cases, xi, tol), strict=True):
         alone = np.array([s.value for s in fourier_profile(f, xi, tol, inverse)])
         assert row.tobytes() == alone.tobytes(), (f.name, inverse)
 
@@ -1347,12 +1348,15 @@ def test_a_table_over_several_phase_chunks_is_each_profile(monkeypatch, default_
     _assert_each_case_is_its_own_profile([(f, inverse) for f in fs for inverse in (True, False)], xi, 1e-5)
 
 
-def _conjugated(values) -> quadrature._Integrand:
-    """conj(values(x)) as an integrand, with conjugated factors when values declares factors (so it takes the same route)."""
+def _conjugated(values, dim: int) -> quadrature._Integrand:
+    """conj(values(x)) as an integrand, with conjugated factors when values declares factors (so it takes the same route).
+
+    A phase sum reads no envelope, so none is declared.
+    """
     factors = getattr(values, "factors", None)
     if factors is not None:
         factors = tuple(lambda x, f_j=f_j: np.conjugate(f_j(x)) for f_j in factors)
-    return quadrature._Integrand(lambda pts: np.conjugate(values(pts)), factors, "conj")
+    return quadrature._Integrand(lambda pts: np.conjugate(values(pts)), None, dim, "conj", factors)
 
 
 SIGN_CASES = {
@@ -1376,9 +1380,19 @@ def test_an_inverse_phase_sum_is_the_conjugate_of_the_forward_sum_of_the_conjuga
     xi = np.concatenate([_frequencies(dim), lattice])
     values = SIGN_CASES[case](dim)
     inverse = grid.phase_sum(values, xi, 1.0)
-    assert np.array_equal(inverse, np.conjugate(grid.phase_sum(_conjugated(values), xi, -1.0)))
+    assert np.array_equal(inverse, np.conjugate(grid.phase_sum(_conjugated(values, dim), xi, -1.0)))
     # and the direct sum, with cis(+2 pi x xi) matrices, to rounding
     assert np.max(np.abs(inverse - _block_phase_sum(grid, values, xi, 1.0))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("preset", ["gauss:0.1", "weierstrass:0.1", "bump:1", "scaled-gauss"])
+def test_the_one_frequency_front_ends_agree_bit_for_bit(default_ladders, preset, dim):
+    f = gauss_fn(0.1, dim).scaled(1j) if preset == "scaled-gauss" else parse_preset(preset, dim)
+    xi = np.array([0.3, -0.7][:dim])
+    values = [fourier(f, xi), fourier_profile(f, [xi])[0].value, transforms._transform_rows(f, xi[None], 1e-8)[0]]
+    assert len({complex(v) for v in values}) == 1
+    assert len({np.complex128(v).tobytes() for v in values}) == 1
 
 
 def test_walks_that_wait_for_a_later_rung_join_after_the_walks_going(monkeypatch, default_ladders):
@@ -1396,7 +1410,7 @@ def test_walks_that_wait_for_a_later_rung_join_after_the_walks_going(monkeypatch
 
     monkeypatch.setattr(transforms, "_phase_sums", recorded)
     xi = np.linspace(-6.0, 6.0, 21).reshape(-1, 1)
-    transforms._fourier_rows(gauss_fn(0.1), xi, 1e-8)
+    transforms._transform_rows(gauss_fn(0.1), xi, 1e-8)
     # at radius 4 a row's phase cap is 8 x 4 x |xi| points, so the rows with |xi| > 4 wait for rung 256
     waiting = [i for i in range(21) if 32.0 * abs(xi[i, 0]) > 128.0]
     assert waiting == [0, 1, 2, 3, 17, 18, 19, 20]

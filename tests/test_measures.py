@@ -26,7 +26,6 @@ def window_fn() -> TestFunction:
         f=lambda pts: pts[:, 0] * np.exp(0.25 - np.sum(pts * pts, axis=1)),
         dim=1,
         envelope=GaussianDecay(0.5, 0.79),
-        bounded=True,
         sup_bound=0.56,
         name="window",
     )
@@ -99,7 +98,6 @@ class TestApply:
             f=combo,
             dim=1,
             envelope=GaussianDecay(0.5, a * 1.0 + abs(b) * 0.79),
-            bounded=True,
             sup_bound=a * 1.0 + abs(b) * 0.56,
             name="combo",
         )

@@ -19,6 +19,7 @@ from heatline.quadrature import (
     TestFunction,
     integrate,
     integrate_auto,
+    integrate_values,
     l1_norm,
     node_budget,
     walk_ladders,
@@ -85,18 +86,16 @@ class TestEnvelopeChecks:
                 f=lambda pts: np.exp(-math.pi * np.sum(pts * pts, axis=1)),
                 dim=1,
                 envelope=GaussianDecay(math.pi, 1.0),
-                bounded=True,
                 sup_bound=0.25,
             )
 
     def test_bounded_requires_declared_sup(self):
-        with pytest.raises(ValueError, match="sup_bound"):
-            TestFunction(
-                f=lambda pts: np.zeros(pts.shape[0]),
-                dim=1,
-                envelope=GaussianDecay(1.0, 1.0),
-                bounded=True,
-            )
+        # bounded is read off the sup bound, and is no field that could be set beside it
+        f = TestFunction(f=lambda pts: np.zeros(pts.shape[0]), dim=1, envelope=GaussianDecay(1.0, 1.0))
+        assert not f.bounded
+        assert TestFunction(f.f, 1, f.envelope, sup_bound=0.0).bounded
+        with pytest.raises(TypeError, match="bounded"):
+            TestFunction(f=f.f, dim=1, envelope=f.envelope, bounded=True)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -304,8 +303,8 @@ class TestAutoGrid:
             integrate_auto(constant_fn(2.0), 1e-6)
 
     def test_oscillation_floor_raises_point_count(self):
-        quiet = integrate_auto(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)[1]
-        rapid = integrate_auto(gauss_fn(0.1, 1), 1e-8, phase_rate=20.0)[1]
+        quiet = integrate_values(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)[1]
+        rapid = integrate_values(gauss_fn(0.1, 1), 1e-8, phase_rate=20.0)[1]
         assert rapid.points_per_axis > quiet.points_per_axis
         assert rapid.points_per_axis >= 8.0 * rapid.radius * 20.0
 
@@ -509,8 +508,8 @@ class TestLatticeSum:
         "grid, xi, f",
         [
             (GridSpec(4.0, 512, 1), np.linspace(-2.0, 2.0, 41)[:, None], weierstrass_fn(0.1)),
-            (GridSpec(4.0, 512, 1), quadrature._spot_points(1), weierstrass_fn(0.1)),
-            (GridSpec(4.0, 128, 2), quadrature._spot_points(2), gauss_fn(0.1, 2)),
+            (GridSpec(4.0, 512, 1), quadrature._spot_geometry(1)[0], weierstrass_fn(0.1)),
+            (GridSpec(4.0, 128, 2), quadrature._spot_geometry(2)[0], gauss_fn(0.1, 2)),
             (GridSpec(7.3, 128, 1), GridSpec(4.0, 128, 1).nodes[:, None], weierstrass_fn(0.1)),
             (GridSpec(4.0, 64, 2), GridSpec(4.0, 64, 2).points(), bump_fn(1.0, 2)),
             (GridSpec(4.0, 128, 1), np.array([[2.0**-40]]), weierstrass_fn(0.1)),
@@ -524,7 +523,7 @@ class TestLatticeSum:
         f = weierstrass_fn(0.1)
         spectrum = sampled_spectrum(f, 1e-6, 1.0)
         grid = spectrum.key[2]
-        for xi in (np.linspace(-2.0, 2.0, 41)[:, None], quadrature._spot_points(1)):
+        for xi in (np.linspace(-2.0, 2.0, 41)[:, None], quadrature._spot_geometry(1)[0]):
             assert grid._lattice_sum(f, xi) is None
             assert spectrum.values(xi).tobytes() == grid.phase_sum(f, xi, -1.0)[0].tobytes()
 

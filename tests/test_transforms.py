@@ -26,6 +26,7 @@ from heatline.quadrature import (
     GridSpec,
     QuadratureError,
     TestFunction,
+    _Integrand,
     integrate_auto,
     integrate_values,
     l1_norm,
@@ -171,7 +172,6 @@ class TestGaussMeans:
             f=lambda pts: pts[:, 0] * np.exp(-np.sum(pts * pts, axis=1)),
             dim=1,
             envelope=GaussianDecay(0.5, 0.61),
-            bounded=True,
             sup_bound=0.43,
         )
         assert abs(gauss_mean(f, 0.2, 1e-9)) < 1e-12
@@ -346,7 +346,7 @@ def reference_inversion(spectrum_at: Callable, x: np.ndarray, alpha: float, tol:
 
     envelope = GaussianDecay(4.0 * math.pi**2 * alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
     rate = float(np.sqrt(np.sum(x * x))) + spectrum.rate
-    return integrate_values(fn, envelope, dim, "reference", tol / 2.0, phase_rate=rate)[0].value
+    return integrate_values(_Integrand(fn, envelope, dim, "reference"), tol / 2.0, phase_rate=rate)[0].value
 
 
 class TestBatchedInversion:

@@ -362,3 +362,57 @@ def test_a_frequency_whose_norm_overflows_reaches_no_rung_without_a_warning(call
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="phase cap exceeds the point ladder"):
             call()
+
+
+@pytest.mark.parametrize(
+    "literal, named",
+    [
+        ('{"dim": 1, "atomz": [{"at": [0.5], "re": 1.0}]}', "'atomz'"),
+        ('{"dim": 1, "atoms": [{"at": [0.5], "weight": 1.0}]}', "'weight'"),
+        ('{"dim": 1, "densty": "gauss:0.1"}', "'densty'"),
+        ('{"dim": 1, "atoms": {"at": [0.5], "re": 1.0}}', "atoms must be a list of objects"),
+        ('{"dim": 1, "atoms": [[0.5]]}', "atoms must be a list of objects"),
+        ('{"dim": 1, "atoms": [{"at": [0.5], "re": true}]}', "'re' must hold numbers, got True"),
+        ('{"dim": 1, "atoms": [{"at": [0.5], "im": false}]}', "'im' must hold numbers, got False"),
+        ('{"dim": 1, "atoms": [{"at": [true], "re": 1.0}]}', "'at' must hold numbers, got [True]"),
+        ('{"dim": 1, "density": false}', "density must be a preset string, got False"),
+    ],
+    ids=["literal-key", "atom-key", "density-key", "atoms-object", "atom-list", "re-bool", "im-bool", "at-bool", "density-bool"],
+)
+def test_a_measure_literal_with_an_unknown_key_or_a_boolean_number_is_refused_by_name(runner, literal, named):
+    # a misspelt key would drop its part (atomz left the zero measure, which passed), and a boolean is no weight
+    with pytest.raises(ValueError, match=re.escape(named)):
+        measure_from_json(literal)
+    result = runner.invoke(main, ["measure-ft", "--measure", literal])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+
+
+def _three_peak(pts: np.ndarray) -> np.ndarray:
+    """3 exp(-pi |x|^2): it reaches 3.0 at the origin."""
+    return 3.0 * np.exp(-np.pi * np.sum(pts * pts, axis=1))
+
+
+def test_a_declared_sup_bound_is_checked_and_used(monkeypatch):
+    envelope = GaussianDecay(np.pi, 3.0)
+    with pytest.raises(ValueError, match="exceeds its declared sup bound 0.5"):
+        TestFunction(_three_peak, 1, envelope, sup_bound=0.5, name="three-peak")
+    # a bound no spot check can refute is refused outright
+    for bound in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="sup_bound must be finite and nonnegative"):
+            TestFunction(_three_peak, 1, envelope, sup_bound=bound)
+    f = TestFunction(_three_peak, 1, envelope, sup_bound=3.0, name="three-peak")
+    assert f.bounded
+    # mollify takes the bounded branch: its walk is certified by the sup bound times the kernel peak
+    walks = []
+    walk_ladders = transforms.walk_ladders
+
+    def recorded(grid_sums, envelopes, *args):
+        walks.append(envelopes)
+        return walk_ladders(grid_sums, envelopes, *args)
+
+    monkeypatch.setattr(transforms, "walk_ladders", recorded)
+    alpha = 0.1
+    mollify(f, alpha, [0.0])
+    assert walks == [[GaussianDecay(1.0 / (4.0 * alpha), 3.0 * transforms.weierstrass_peak(KernelScale(alpha, 1)))]]
+    assert dirac([0.0]).apply(f) == 3.0
