@@ -119,6 +119,12 @@ def node_budget() -> int:
     return value
 
 
+def _check_grid_dim(dim: int) -> None:
+    """Raise QuadratureError for a dim above 3: tensor grids, and so ladder walks, are capped at dimension 3."""
+    if dim > 3:
+        raise QuadratureError(f"tensor grids are capped at dimension 3, got {dim}")
+
+
 def _sphere_area(dim: int) -> float:
     """Surface area of the unit sphere in R^dim (2 for dim = 1)."""
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
@@ -595,11 +601,6 @@ def _lattice_window(values: Callable, xs: np.ndarray, nodes: np.ndarray, sampled
     )
 
 
-def _conjugator(sign: float) -> Callable:
-    """np.conjugate for an inverse phase sum (sign > 0), the identity for a forward one (see ``GridSpec.phase_sum``)."""
-    return np.conjugate if sign > 0 else lambda a: a
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Composite-Simpson tensor grid on [-radius, radius]^dim, N = ``points_per_axis`` intervals per axis.
@@ -628,10 +629,7 @@ class GridSpec:
         if int(n) != n or n < 4 or n % 4 != 0:
             raise ValueError(f"points_per_axis must be a multiple of 4 (so the grid embeds its N/2 grid), got {n}")
         check_dim(self.dim)
-        if self.dim > 3:
-            raise QuadratureError(
-                f"tensor grids are capped at dimension 3, got {self.dim}"
-            )
+        _check_grid_dim(self.dim)
         budget = node_budget()
         if n**self.dim > budget:
             raise QuadratureError(
@@ -697,7 +695,7 @@ class GridSpec:
         cost one scalar comparison of their end points before the plain path
         (and a comparison of the two halves' bytes when the ends mirror).
         Only the forward sign is built: an inverse sum conjugates the forward
-        contraction of its conjugated values (see ``_phase_sum_cases``).
+        contraction of its conjugated values (see ``phase_sum``).
         """
         half, mid = self.nodes.size // 2, freqs.size // 2
         lead = -2.0 * math.pi
@@ -805,11 +803,15 @@ class GridSpec:
         """
         return np.asarray(sum(block_sum(pts, rows[:weight_rows]) for pts, rows, _ in self.blocks()), dtype=np.complex128)
 
-    def phase_sum(self, values: Callable, xi: np.ndarray, sign: float) -> np.ndarray:
-        """Sums of values(x) exp(sign 2 pi i x.xi) over the grid, one column per row of xi.
+    def phase_sum(self, cases: list, xi: np.ndarray) -> list[np.ndarray]:
+        """The grid's phase sums: for each case (values, inverse), the sums of values(x) exp(-2 pi i x.xi), or exp(+2 pi i x.xi) when inverse.
 
-        The phase factors per axis, exp(sign 2 pi i x.xi) = prod_j
-        exp(sign 2 pi i x_j xi_j), so a block of weighted values is contracted
+        Each case gets a (2, len(xi)) array, a column per row of xi: a row of
+        fine sums, then one of coarse sums, the same values contracted on the
+        even nodes only, with the even rows of the same phase matrices.
+
+        The phase factors per axis, exp(-2 pi i x.xi) = prod_j
+        exp(-2 pi i x_j xi_j), so a block of weighted values is contracted
         with one (nodes, frequencies) phase matrix per axis, the trailing axes
         first: d (N+1) exponentials per frequency instead of (N+1)^d, of
         which ``phase_matrix`` computes only the N/2 + 1 rows up to the
@@ -830,28 +832,19 @@ class GridSpec:
         frequencies as given, with no dedupe.  An unfactored integrand in
         dims 2 and 3 is evaluated block by block, once per chunk.
 
-        The result has a row of fine sums, then one of coarse sums: the same
-        values contracted on the even nodes only, with the even rows of the
-        same phase matrices.  For sign +1 the sum is the conjugate of the
-        forward sum of the conjugated values: IEEE negation is exact, so
-        that is the direct sum term for term, up to signed zeros, which the
-        zero accumulators clear.  This is the one-integrand call of
-        ``_phase_sum_cases``, which sums several integrands at once.
-        """
-        return self._phase_sum_cases([(values, sign)], xi)[0]
+        Only forward matrices are built: an inverse sum is the conjugate of
+        the forward sum of the conjugated values, so an inverse case
+        conjugates its weighted values on the way in and its contraction on
+        the way out.  IEEE negation is exact, so that is the direct sum term
+        for term, up to signed zeros, which the zero accumulators clear.
 
-    def _phase_sum_cases(self, cases: list, xi: np.ndarray) -> list[np.ndarray]:
-        """``phase_sum(values, xi, sign)`` for each (values, sign) of cases: a list of (2, len(xi)) arrays.
-
-        Each case's sums are those of its own ``phase_sum`` bit for bit: the
+        Each case's sums are those of summing it alone, bit for bit: the
         same operands meet in the same products, one case at a time, and are
         never stacked into a wider product (BLAS rounds that differently).
-        The cases share what they have in common.  Each function (by
+        The cases share what they have in common: each function (by
         identity) has its per-axis rows evaluated once, or, unfactored in
-        dims 2-3, its values once per block and chunk.  Each chunk builds
-        one list of forward phase matrices per route, and every case uses
-        it: an inverse case (sign +1) conjugates its weighted values on the
-        way in and its contraction on the way out.
+        dims 2-3, its values once per block and chunk, and each chunk builds
+        one list of forward phase matrices per route for every case.
         """
         m = self.nodes.size
         # a phase matrix has m rows, and a block contracted along its last
@@ -863,8 +856,8 @@ class GridSpec:
             if id(values) not in rows:
                 rows[id(values)] = self.weighted_factors(values)
         factored, blocked = [], []  # each case's sums, its conjugator, and its rows (conjugated by it) or values
-        for sums, (values, sign) in zip(out, cases):
-            turn, weighted = _conjugator(sign), rows[id(values)]
+        for sums, (values, inverse) in zip(out, cases):
+            turn, weighted = np.conjugate if inverse else (lambda a: a), rows[id(values)]
             if weighted is None:
                 blocked.append((sums, values, turn))
             else:
@@ -953,6 +946,10 @@ def walk_ladders(
     Ladder grids are built once per process and shared by every walk; the
     node budget is checked before each rung all the same.
 
+    A dim above 3 is refused before the first rung, as ``GridSpec``
+    refuses it (``_check_grid_dim``), not reported as a node budget that
+    admits no rung.
+
     Every walk keeps three rules, checked here for every ladder walk (and
     by ``_grid_walks`` for the walks of a fixed grid): the tolerance is
     positive and finite (``_check_tolerance``, ValueError); each envelope
@@ -964,6 +961,7 @@ def walk_ladders(
     walk that reached no rung, its own phase cap.
     """
     _check_tolerance(tol)
+    _check_grid_dim(dim)
     radii, floors, unreachable = [], [], None
     for envelope, label, rate in zip(envelopes, labels, phase_rate):
         _require_integrable(envelope, label)
@@ -1112,30 +1110,6 @@ def _block_sums(block_for: Callable) -> Callable:
         return sums
 
     return grid_sums
-
-
-def _phase_sums(values: Callable, xi: np.ndarray) -> Callable:
-    """Grid sums of values(x) exp(-2 pi i x.xi) for ``walk_ladders``: walk i sums row i of xi alone (see ``GridSpec.phase_sum``).
-
-    The walks on one grid share one phase sum over their rows, so its phase
-    matrices are built once per axis for all of them.
-    """
-
-    def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
-        return grid.phase_sum(values, xi[walks], -1.0).reshape(2, len(walks), 1).swapaxes(0, 1)
-
-    return grid_sums
-
-
-def _case_phase_sums(cases: list, xi: np.ndarray) -> Callable:
-    """Grid sums for ``walk_ladders`` of integrands at every row of xi: walk i sums the case (values, sign) cases[i].
-
-    The walks on one grid share one ``GridSpec._phase_sum_cases`` call, so
-    each chunk's forward phase matrices are built once for every case and
-    each function's rows are evaluated once, while
-    each walk's sums keep the bits of its own ``phase_sum``.
-    """
-    return lambda grid, walks: grid._phase_sum_cases([cases[i] for i in walks], xi)
 
 
 def _certified(fine: np.ndarray, coarse: np.ndarray, grid: GridSpec, envelope: Envelope) -> QuadratureResult:

@@ -30,11 +30,9 @@ from .quadrature import (
     _absolute,
     _Integrand,
     _block_sums,
-    _case_phase_sums,
     _check_tolerance,
     _lattice_window,
     _matvec_rows,
-    _phase_sums,
     integrate_values,
     l1_norm,
     truncation_radius,
@@ -104,20 +102,24 @@ def _transform_table(cases: list, xi_arr: np.ndarray, tol: float) -> np.ndarray:
 
     A case is (g, inverse): an integrand taken whole (a ``TestFunction`` or
     an ``_Integrand``; every case has one dimension) and whether to take
-    the inverse transform.  One ``walk_ladders`` call makes a walk per case,
-    to the largest |xi|, with the case's own envelope, name and stopping
-    rung, so row i is the value of walking case i alone, bit for bit: on
-    each grid, the cases there share each chunk's forward phase matrices
-    (an inverse case conjugates its values and its sums) and each
-    function's weighted rows, and each case keeps its own products (see
-    ``quadrature._case_phase_sums``).  When several cases fail, the first
-    one's error is raised.  A frequency whose norm overflows has an
-    infinite phase cap, and its walk reaches no rung.
+    the inverse transform, the case ``GridSpec.phase_sum`` sums.  One
+    ``walk_ladders`` call makes a walk per case, to the largest |xi|, with
+    the case's own envelope, name and stopping rung, and the walks on a
+    grid share one ``phase_sum`` of their cases, so row i is the value of
+    walking case i alone, bit for bit: the cases there share each chunk's
+    forward phase matrices (an inverse case conjugates its values and its
+    sums) and each function's weighted rows, and each case keeps its own
+    products.  When several cases fail, the first one's error is raised.  A
+    frequency whose norm overflows has an infinite phase cap, and its walk
+    reaches no rung.
     """
     with np.errstate(over="ignore"):
         norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
     worst = float(norms.max()) if xi_arr.size else 0.0
-    grid_sums = _case_phase_sums([(g, +1.0 if inverse else -1.0) for g, inverse in cases], xi_arr)
+
+    def grid_sums(grid: GridSpec, walks: list) -> list[np.ndarray]:
+        return grid.phase_sum([cases[i] for i in walks], xi_arr)
+
     envelopes, labels = [g.envelope for g, _ in cases], [g.name for g, _ in cases]
     walked = walk_ladders(grid_sums, envelopes, cases[0][0].dim, tol, labels, [worst] * len(cases))
     return np.array([fine for fine, _, _ in walked], dtype=np.complex128)
@@ -134,15 +136,20 @@ def _transform_rows(g: TestFunction | _Integrand, xi_arr: np.ndarray, tol: float
 
     Each walk has the phase cap of its own |xi| and its own stopping rung,
     so a row gives the value of walking that frequency alone, up to
-    rounding: the walks on one grid share one phase sum (see
-    ``quadrature._phase_sums``), and BLAS rounds a product over several
-    columns differently from one over a single column.  A frequency whose
-    norm overflows has an infinite phase cap, and its walk reaches no rung.
+    rounding: the walks on one grid share one forward ``GridSpec.phase_sum``
+    over their rows, so its phase matrices are built once per axis for all
+    of them, and BLAS rounds a product over several columns differently
+    from one over a single column.  A frequency whose norm overflows has an
+    infinite phase cap, and its walk reaches no rung.
     """
     with np.errstate(over="ignore"):
         norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
-    walks = xi_arr.shape[0]
-    walked = walk_ladders(_phase_sums(g, xi_arr), [g.envelope] * walks, g.dim, tol, [g.name] * walks, norms.tolist())
+    count = xi_arr.shape[0]
+
+    def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
+        return grid.phase_sum([(g, False)], xi_arr[walks])[0].reshape(2, len(walks), 1).swapaxes(0, 1)
+
+    walked = walk_ladders(grid_sums, [g.envelope] * count, g.dim, tol, [g.name] * count, norms.tolist())
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128)
 
 
@@ -164,8 +171,13 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     A frequency whose parts or q^2 = |Im xi|^2 are not finite is refused
     with ValueError before any walk, and one whose growth factor
     exp(2 pi^2 q^2 / c) overflows float64 with QuadratureError.  Within the
-    bound, exp(2 pi x.Im xi) may still overflow at a far node: its walk then
-    sums to a non-finite value and fails.
+    bound, exp(2 pi x.Im xi) may still overflow at a far node, where f
+    underflows: there the integrand is f / |f| exp(log |f| + 2 pi x.Im xi),
+    one exponent (0 where f is 0), so every value the envelope bounds is
+    finite, and every value that is finite as a product keeps its bits.
+    Such a transform is huge (gauss:0.1 at 0.5 + 8i has a modulus of about
+    1.5e69), so the absolute tolerance cannot certify it, and the walk fails
+    with "discretization estimate never met the tolerance".
     """
     arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     if arr.shape != (f.dim,):
@@ -193,8 +205,14 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     grown = GaussianDecay(c / 2.0, f.envelope.scale * math.exp(exponent))
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return f(pts) * np.exp(2.0 * math.pi * (pts @ im))
+        values, growth = f(pts), 2.0 * math.pi * (pts @ im)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = values * np.exp(growth)
+            # where exp(growth) overflows: one exponent, f / |f| exp(log |f| + growth), and 0 where f is 0
+            far = ~np.isfinite(out)
+            magnitude = np.abs(values[far])
+            out[far] = np.where(magnitude > 0.0, values[far] / magnitude * np.exp(np.log(magnitude) + growth[far]), 0.0)
+        return out
 
     # the transform at re + i im is the transform at re of f(x) exp(2 pi x.im)
     g = _Integrand(fn, grown, f.dim, f"fourier[{f.name}]@complex")
@@ -301,41 +319,18 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
     stops on its own rung, so with ``per_point`` entry (j, i) is
     ``mollify(f, alphas[j], xs[i], inner_tol)`` bit for bit, while the walks
     on one ladder grid share its f(x - u) tiles and kernel weights, evaluated
-    on the rows of xs that some walk on the grid still needs.  The call keeps
-    what its grid sums share: the last sampling of f (or of each alpha's
-    kernel) on a dyadic lattice, and the fine sums of each walk's last rung,
-    which are the coarse sums of the rung it climbs to.
+    on the rows of xs that some walk on the grid still needs: each grid
+    sum's block evaluator (``block_for``) picks the alphas and rows of xs
+    of its walks, and reads each walk's rows back from the block's product.
+    The call keeps what its grid sums share: the last sampling of f (or of
+    each alpha's kernel) on a dyadic lattice, and the fine sums of each
+    walk's last rung, which are the coarse sums of the rung it climbs to.
     """
     scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
     peaks = [weierstrass_peak(scale) for scale in scales]
     k = xs.shape[0]
     sets, width = (k, 1) if per_point else (1, k)  # one alpha's walks: one per row of xs, or one for every row
     row_sets = xs.reshape(sets, width, f.dim)
-
-    index = {}  # gathered, by list of walks
-
-    def gathered(walks: list) -> tuple:
-        """The alphas and the rows of xs that these walks need, and a reader of each walk's sums from a block's product.
-
-        Walk i is alpha i // sets on row set i % sets.  The product has a row
-        per weight row for each alpha on the grid, in turn, and a column per
-        row of xs needed; the reader returns the weight rows of each walk in
-        turn (see ``_block_sums``).  Each list of walks is indexed once per
-        call, by Python sets and dicts: the lists hold a few walks each, for
-        which numpy's unique and searchsorted cost more.
-        """
-        key = tuple(walks)
-        if key not in index:
-            on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
-            slot, spot = {a: p * len(chosen) for p, a in enumerate(on)}, {s: p for p, s in enumerate(chosen)}
-            pairs = np.array([slot[i // sets] + spot[i % sets] for i in walks])  # each walk's (alpha, row set) pair
-
-            def read(product: np.ndarray) -> np.ndarray:
-                by_pair = product.reshape(len(on), -1, len(chosen), width).swapaxes(1, 2)
-                return by_pair.reshape(len(on) * len(chosen), -1).take(pairs, axis=0).reshape(-1, width)
-
-            index[key] = on, row_sets.take(chosen, axis=0).reshape(-1, f.dim), read
-        return index[key]
 
     if f.bounded:
         envelopes = [GaussianDecay(1.0 / (4.0 * s.alpha), max(f.sup_bound, _TINY) * p) for s, p in zip(scales, peaks)]
@@ -363,8 +358,18 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
         )
 
     def block_for(walks: list) -> Callable:
-        on, x_rows, read = gathered(walks)
-        return lambda pts, w: read(product(on, x_rows, pts, w))
+        # walk i is alpha i // sets on row set i % sets; the product has a row per weight row for each alpha
+        # on the grid, in turn, and a column per row of xs needed, and is read back as each walk's rows in turn
+        on, chosen = sorted({i // sets for i in walks}), sorted({i % sets for i in walks})
+        slot, spot = {a: p * len(chosen) for p, a in enumerate(on)}, {s: p for p, s in enumerate(chosen)}
+        pairs = np.array([slot[i // sets] + spot[i % sets] for i in walks])  # each walk's (alpha, row set) pair
+        x_rows = row_sets.take(chosen, axis=0).reshape(-1, f.dim)
+
+        def block(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+            by_pair = product(on, x_rows, pts, w).reshape(len(on), -1, len(chosen), width).swapaxes(1, 2)
+            return by_pair.reshape(len(on) * len(chosen), -1).take(pairs, axis=0).reshape(-1, width)
+
+        return block
 
     envelopes = [envelope for envelope in envelopes for _ in range(sets)]
     labels = [f"mollify[{f.name}]"] * len(envelopes)
@@ -424,13 +429,16 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
     ladder grid are), they are one FFT per axis (``GridSpec._lattice_sum``):
     every f in dim 1, a factored f in dims 2 and 3.  Any other block (spot
     points, non-dyadic frequencies, an unfactored f in dim >= 2) is the fine
-    row of one phase sum (``GridSpec.phase_sum``), under a budget of 2^31
-    node-frequency pairs.  The key is (f, grid): the values depend on
-    nothing else.
+    row of one forward ``GridSpec.phase_sum`` of f, under a budget of 2^31
+    node-frequency pairs; the grid is walked to with that phase sum at the
+    probe frequency.  The key is (f, grid): the values depend on nothing
+    else.
     """
     probe = np.zeros((1, f.dim))
     probe[0, 0] = max_freq
-    [(_, _, grid)] = walk_ladders(_case_phase_sums([(f, -1.0)], probe), [f.envelope], f.dim, inner_tol, [f.name], [max_freq])
+    [(_, _, grid)] = walk_ladders(
+        lambda grid, walks: grid.phase_sum([(f, False)], probe), [f.envelope], f.dim, inner_tol, [f.name], [max_freq]
+    )
     size = grid.nodes.size**f.dim
 
     def values(xi_pts: np.ndarray) -> np.ndarray:
@@ -439,7 +447,7 @@ def sampled_spectrum(f: TestFunction, inner_tol: float, max_freq: float) -> Spec
             return sums
         if size * xi_pts.shape[0] > 1 << 31:
             raise QuadratureError("sampled-transform evaluation exceeds the matrix budget")
-        return grid.phase_sum(f, xi_pts, -1.0)[0]
+        return grid.phase_sum([(f, False)], xi_pts)[0][0]
 
     l1_mass, _ = integrate_values(_absolute(f), grid=grid)
     return Spectrum(values, float(l1_mass.value.real), grid.radius * math.sqrt(f.dim), ("sampled", f, grid))

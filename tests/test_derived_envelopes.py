@@ -1,28 +1,33 @@
 """Derived envelopes hold: every integrand the library builds stays within its envelope.
 
 A declared envelope (a ``TestFunction`` and its ``scaled``/``shifted``
-copies) is spot-checked when the function is constructed.  Integrands the
-library derives from declared functions (Gauss means, smoothing, inversion,
-pairings, ...) enter the engine directly, as ``_Integrand``s or as grid
-sums, with envelopes proved in code; this module checks those proofs.  It wraps the engine entry points
+copies) is spot-checked when the function is constructed; the last tests
+here build such copies under each envelope class that derives one.
+Integrands the library derives from declared functions (Gauss means,
+smoothing, inversion, pairings, ...) enter the engine directly, as
+``_Integrand``s or as grid sums, with envelopes proved in code; this module
+checks those proofs.  It wraps the engine entry points
 (``integrate_values``, the ladder walk ``walk_ladders``, the fixed-grid
 sum of several walks ``_grid_walks`` and the grid-sum builders
-``_value_sum``, ``_block_sums``, ``_phase_sums`` and ``_case_phase_sums``) in every
-heatline module that imported them, runs every registered
-experiment at its default spec plus the derived entry points those runs do
-not reach, and evaluates each captured integrand at the runtime spot points
-with the runtime slack.  ``integrate_values`` takes its integrand whole, and
-it is read whole: its values, envelope, dim and name.  A shared walk's
-integrands are read one walk at a time.
+``_value_sum`` and ``_block_sums``) in every heatline module that imported
+them, runs every registered experiment at its default spec plus the
+derived entry points those runs do not reach, and evaluates each captured
+integrand at the runtime spot points with the runtime slack.
+``integrate_values`` takes its integrand whole, and it is read whole: its
+values, envelope, dim and name.  A shared walk's integrands are read one
+walk at a time.
 
 A phase sum's integrand is read in values form: the phase has modulus 1,
-so the envelope must bound the values.  A block sum's integrand is read
-point by point through its block evaluator, a thousand calls, so a walk
-that repeats the label, width and envelope of one already captured (the
-same integrand summed for other evaluation points, such as the 41 points of
-the mollify experiment) is checked once.
+so the envelope must bound the values.  A walk whose grid sums call
+``GridSpec.phase_sum`` directly is read by handing its grid sums a grid
+that records the one case the walk sums and sums nothing.  A block sum's
+integrand is read point by point through its block evaluator, a thousand
+calls, so a walk that repeats the label, width and envelope of one already
+captured (the same integrand summed for other evaluation points, such as
+the 41 points of the mollify experiment) is checked once.
 """
 
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -35,13 +40,16 @@ import pytest
 from heatline import (
     Atom,
     BoundedMeasure,
+    CompactSupport,
     GridSpec,
+    PolynomialDecay,
     TestFunction,
     bump_pair_fn,
     constant_fn,
     fourier_complex,
     gauss_fn,
     gauss_mean,
+    integrate_auto,
     mollify,
     mollify_l1_check,
     weak_convergence_trace,
@@ -79,14 +87,28 @@ def _pointwise(block_sum: Callable) -> Callable:
     return lambda pts: np.array([block_sum(p[None, :], np.ones((1, 1))) for p in pts]).reshape(len(pts), -1)
 
 
+class _PhaseRecorder:
+    """A grid for one walk's grid sums: ``phase_sum`` records the walk's one case and returns zero sums.
+
+    Grid sums that call anything else fail on the missing attribute: a
+    walk's grid sums are tagged by a builder or are phase sums.
+    """
+
+    case = None
+
+    def phase_sum(self, cases: list, xi: np.ndarray) -> list[np.ndarray]:
+        assert self.case is None and len(cases) == 1, "one walk sums one case, once"
+        [(self.case, _)] = cases
+        return [np.zeros((2, xi.shape[0]), dtype=np.complex128)]
+
+
 @contextmanager
 def captured_integrands():
     """Record every integrand handed to the engine while the block runs."""
     captures = []
     walks = set()
     integrate_values, walk_ladders, grid_walks = quadrature.integrate_values, quadrature.walk_ladders, quadrature._grid_walks
-    value_sum, block_sums, phase_sums = quadrature._value_sum, quadrature._block_sums, quadrature._phase_sums
-    case_phase_sums = quadrature._case_phase_sums
+    value_sum, block_sums = quadrature._value_sum, quadrature._block_sums
 
     def capture_values(g, *args, **kwargs):
         captures.append(Capture(g.name, g.envelope, g.dim, g))
@@ -101,36 +123,30 @@ def captured_integrands():
                 walks.add((label, width, envelope))
                 captures.append(Capture(label, envelope, dim, values))
 
+    def integrands(grid_sums, i):
+        # the tagged grid sums of one of the builders, or else phase sums, read through a recording grid
+        if hasattr(grid_sums, "integrands"):
+            return grid_sums.integrands(i)
+        recorder = _PhaseRecorder()
+        grid_sums(recorder, [i])
+        return recorder.case, False
+
     def capture_walks(grid_sums, envelopes, dim, tol, labels, *args, **kwargs):
-        # every walk sums the tagged grid sums of one of the builders: each walk is read on its own
-        assert hasattr(grid_sums, "integrands"), f"walk for {labels!r} sums untagged grid sums"
+        # each walk is read on its own
         for i, (envelope, label) in enumerate(zip(envelopes, labels)):
-            capture(grid_sums.integrands(i), envelope, dim, label)
+            capture(integrands(grid_sums, i), envelope, dim, label)
         return walk_ladders(grid_sums, envelopes, dim, tol, labels, *args, **kwargs)
 
     def capture_grid_walks(grid_sums, grid, envelopes, labels):
         # as for a ladder walk: each walk on the given grid is read on its own
-        assert hasattr(grid_sums, "integrands"), f"grid sum for {labels!r} sums untagged grid sums"
         for i, (envelope, label) in enumerate(zip(envelopes, labels)):
-            capture(grid_sums.integrands(i), envelope, grid.dim, label)
+            capture(integrands(grid_sums, i), envelope, grid.dim, label)
         return grid_walks(grid_sums, grid, envelopes, labels)
 
     def tag_value_sum(values):
         # integrate_values captured these values already
         grid_sums = value_sum(values)
         grid_sums.integrands = lambda i: None
-        return grid_sums
-
-    def tag_phase_sums(values, xi):
-        # every walk of a phase sum sums the same values, at its own frequency
-        grid_sums = phase_sums(values, xi)
-        grid_sums.integrands = lambda i: (values, False)
-        return grid_sums
-
-    def tag_case_phase_sums(cases, xi):
-        # walk i sums its own case's values, each checked against that walk's envelope
-        grid_sums = case_phase_sums(cases, xi)
-        grid_sums.integrands = lambda i: (cases[i][0], False)
         return grid_sums
 
     def tag_block_sums(block_for):
@@ -143,8 +159,6 @@ def captured_integrands():
         walk_ladders: capture_walks,
         grid_walks: capture_grid_walks,
         value_sum: tag_value_sum,
-        phase_sums: tag_phase_sums,
-        case_phase_sums: tag_case_phase_sums,
         block_sums: tag_block_sums,
     }
     modules = [m for name, m in sys.modules.items() if name == "heatline" or name.startswith("heatline.")]
@@ -236,3 +250,50 @@ def test_the_check_reads_each_case_of_a_transform_table_against_its_own_envelope
     with captured_integrands() as captures:
         run(ExperimentSpec("verify-kernels", 1, {"alphas": [0.1]}))
     assert [label for label, _ in violations(captures)] == ["weierstrass:0.1"]
+
+
+def _bump(t: np.ndarray) -> np.ndarray:
+    """exp(-1 / (1 - t^2)) on |t| < 1, and 0 elsewhere."""
+    inside = np.abs(t) < 1.0
+    out = np.zeros(t.shape)
+    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    return out
+
+
+def _polynomial_fn(dim: int) -> TestFunction:
+    """prod_j (1 + x_j^2)^-8, factored, under PolynomialDecay(16, (2 dim)^8).
+
+    (1 + |x|)^2 <= 2 (1 + |x|^2) <= 2 dim (1 + max_j x_j^2), and the
+    product is at most (1 + max_j x_j^2)^-8.
+    """
+    factor = lambda t: (1.0 + t * t) ** -8.0
+    envelope = PolynomialDecay(16.0, (2.0 * dim) ** 8)
+    return TestFunction(lambda pts: np.prod(factor(pts), axis=1), dim, envelope, name="poly", factors=(factor,) * dim)
+
+
+def _compact_fn(dim: int) -> TestFunction:
+    """prod_j bump(x_j / 2), factored: zero outside the cube [-2, 2]^dim, so outside radius 2 sqrt(dim)."""
+    factor = lambda t: _bump(t / 2.0)
+    envelope = CompactSupport(2.0 * math.sqrt(dim))
+    return TestFunction(lambda pts: np.prod(factor(pts), axis=1), dim, envelope, name="bumps", factors=(factor,) * dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("build", [_polynomial_fn, _compact_fn], ids=["polynomial", "compact"])
+def test_scaled_and_shifted_copies_hold_their_derived_envelopes(build, dim):
+    f, c, offset = build(dim), -1.5 + 0.5j, np.array([0.1, -0.05, 0.05])[:dim]
+    # each copy's constructor spot-checks the envelope its declaration derives
+    scaled, shifted = f.scaled(c), f.shifted(offset)
+    assert scaled.envelope == f.envelope.scaled(abs(c))
+    assert shifted.envelope == f.envelope.shifted(float(np.sqrt(np.sum(offset * offset))))
+    assert scaled(np.zeros((1, dim)))[0] == c * f(np.zeros((1, dim)))[0]
+    # a translate has the same integral: each side within its own error budget
+    base, _ = integrate_auto(f, 1e-5)
+    moved, _ = integrate_auto(shifted, 1e-5)
+    assert abs(moved.value - base.value) <= base.error_budget + moved.error_budget
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_zero_shift_keeps_the_gaussian_envelope(dim):
+    f = gauss_fn(0.1, dim)
+    assert f.shifted(np.zeros(dim)).envelope is f.envelope

@@ -139,25 +139,26 @@ def _frequencies(dim: int) -> np.ndarray:
     return np.random.default_rng(7 + dim).uniform(-1.5, 1.5, size=(7, dim))
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_phase_sum_matches_the_dense_sum(dim, sign):
+def test_phase_sum_matches_the_dense_sum(dim, inverse):
     grid = GridSpec(3.0, 16, dim)
     xi = _frequencies(dim)
     pts, w = _lattice(grid)
-    dense = (w * _skewed_gaussian(pts)) @ np.exp(sign * 2j * math.pi * (pts @ xi.T))
-    assert np.max(np.abs(grid.phase_sum(_skewed_gaussian, xi, sign) - dense)) <= 1e-13  # the fine and the coarse row
+    dense = (w * _skewed_gaussian(pts)) @ np.exp((1.0 if inverse else -1.0) * 2j * math.pi * (pts @ xi.T))
+    [sums] = grid.phase_sum([(_skewed_gaussian, inverse)], xi)
+    assert np.max(np.abs(sums - dense)) <= 1e-13  # the fine and the coarse row
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_phase_sum_in_frequency_chunks_and_small_blocks(monkeypatch, dim):
     grid = GridSpec(3.0, 16, dim)
     xi = _frequencies(dim)
-    whole = grid.phase_sum(_skewed_gaussian, xi, -1.0)
-    assert np.array_equal(whole, grid.phase_sum(_skewed_gaussian, xi, -1.0))
+    [whole] = grid.phase_sum([(_skewed_gaussian, False)], xi)
+    assert np.array_equal(whole, grid.phase_sum([(_skewed_gaussian, False)], xi)[0])
     # one frequency per chunk, and blocks of at most 64 nodes (split rows in dim 3)
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 64)
-    chunked = grid.phase_sum(_skewed_gaussian, xi, -1.0)
+    [chunked] = grid.phase_sum([(_skewed_gaussian, False)], xi)
     assert np.max(np.abs(chunked[0] - whole[0])) <= 1e-15  # the fine sums
 
 
@@ -327,24 +328,23 @@ def _block_value_sum(grid: GridSpec, values) -> np.ndarray:
     return grid.sum(lambda pts, w: np.sum(w * np.asarray(values(pts)), axis=-1, keepdims=True))
 
 
-def _block_phase_sum(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.ndarray:
+def _block_phase_sum(grid: GridSpec, values, xi: np.ndarray, inverse: bool) -> np.ndarray:
     """``GridSpec.phase_sum`` by the block loop, whatever the integrand: values evaluated block by block, per chunk.
 
     A copy of the engine's block loop, kept as the reference the per-axis
-    route of a dim-1 integrand must match bit for bit.  Its +1 phase
+    route of a dim-1 integrand must match bit for bit.  Its inverse phase
     matrices are built directly, cis(+2 pi x xi), not as the engine's
     conjugates.
     """
     m = grid.nodes.size
     step = max(1, quadrature._BLOCK_ENTRIES // max(m, quadrature._CHUNK // m))
     out = np.zeros((2, xi.shape[0]), dtype=np.complex128)
-    c = sign * 2.0 * math.pi
     for k in range(0, xi.shape[0], step):
         chunk = xi[k:k + step]
-        if sign < 0:
-            phases = [grid.phase_matrix(chunk[:, j]) for j in range(grid.dim)]
+        if inverse:
+            phases = [cis(2.0 * math.pi * np.multiply.outer(grid.nodes, chunk[:, j])) for j in range(grid.dim)]
         else:
-            phases = [cis(c * np.multiply.outer(grid.nodes, chunk[:, j])) for j in range(grid.dim)]
+            phases = [grid.phase_matrix(chunk[:, j]) for j in range(grid.dim)]
         for pts, weight_rows, index in grid.blocks():
             vals = values(pts)
             shape = tuple(s.stop - s.start for s in index)
@@ -370,7 +370,7 @@ def _assert_factored_sums_match_the_block_path(g: TestFunction, grid: GridSpec) 
     block = _unfactored(g)
     xi = _frequencies(g.dim)
     pairs = [(quadrature._value_sum(g)(grid, [0])[0], _block_value_sum(grid, block))]
-    pairs += [(grid.phase_sum(g, xi, sign), _block_phase_sum(grid, block, xi, sign)) for sign in (-1.0, 1.0)]
+    pairs += [(grid.phase_sum([(g, inverse)], xi)[0], _block_phase_sum(grid, block, xi, inverse)) for inverse in (False, True)]
     if g.dim == 1:
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
     else:
@@ -453,7 +453,7 @@ def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_ent
     values, grid = _DIM_1_UNFACTORED[name], GridSpec(4.0, 128, 1)
     lattice = GridSpec(6.0, 128, 1).nodes[:, None]  # frequencies the grid's nodes pair with exactly
     xi = np.concatenate([lattice, _frequencies(1)])
-    wants = [_block_value_sum(grid, values)] + [_block_phase_sum(grid, values, xi, sign) for sign in (-1.0, 1.0)]
+    wants = [_block_value_sum(grid, values)] + [_block_phase_sum(grid, values, xi, inverse) for inverse in (False, True)]
     # the same values declared as one factor: the lattice route every dim-1 integrand took already
     # (a grid sum reads the integrand's values, factors and name, not its envelope)
     one_factor = quadrature._Integrand(values, None, 1, name, (lambda x: values(x[:, None]),))
@@ -465,7 +465,8 @@ def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_ent
     monkeypatch.setattr(GridSpec, "blocks", refused)
     seen = []
     counted = _counting(values, seen)
-    got = [quadrature._value_sum(counted)(grid, [0])[0]] + [grid.phase_sum(counted, xi, sign) for sign in (-1.0, 1.0)]
+    got = [quadrature._value_sum(counted)(grid, [0])[0]]
+    got += [grid.phase_sum([(counted, inverse)], xi)[0] for inverse in (False, True)]
     got.append(grid._lattice_sum(counted, lattice))
     assert seen == [129] * 4  # once per sum, at the N + 1 nodes, whatever the frequency chunks
     assert [a.tobytes() for a in got] == [b.tobytes() for b in wants]
@@ -474,14 +475,14 @@ def test_a_dim_1_integrand_is_its_own_single_factor(monkeypatch, name, block_ent
 def test_an_unfactored_dim_2_integrand_takes_the_block_loop(monkeypatch):
     f, grid, xi = bump_fn(1.0, 2), GridSpec(4.0, 16, 2), _frequencies(2)
     assert grid.weighted_factors(f) is None
-    wants = [_block_value_sum(grid, f), _block_phase_sum(grid, f, xi, -1.0)]
+    wants = [_block_value_sum(grid, f), _block_phase_sum(grid, f, xi, False)]
     lattice = grid.points()
     walked, blocks = [], GridSpec.blocks
     monkeypatch.setattr(GridSpec, "blocks", lambda self: walked.append(self) or blocks(self))
     seen = []
     counted = _counting(f, seen)
     assert grid._lattice_sum(counted, lattice) is None and seen == [] and walked == []
-    got = [quadrature._value_sum(counted)(grid, [0])[0], grid.phase_sum(counted, xi, -1.0)]
+    got = [quadrature._value_sum(counted)(grid, [0])[0], grid.phase_sum([(counted, False)], xi)[0]]
     assert walked == [grid, grid] and seen == [17**2] * 2
     assert [a.tobytes() for a in got] == [b.tobytes() for b in wants]
 
@@ -552,8 +553,8 @@ def _grid_sums(dim: int):
     for name, g in (("skewed", _skewed_gaussian), ("factored", factored)):
         value_sum = quadrature._value_sum(g)  # one walk
         cases.append((f"plain-{name}", lambda grid, value_sum=value_sum: value_sum(grid, [0])[0], g))
-        phase_sums = quadrature._case_phase_sums([(g, -1.0)], xi)  # one walk holding every frequency
-        cases.append((f"phase-{name}", lambda grid, phase_sums=phase_sums: phase_sums(grid, [0])[0], g))
+        # one forward phase sum holding every frequency
+        cases.append((f"phase-{name}", lambda grid, g=g: grid.phase_sum([(g, False)], xi)[0], g))
     # a block sum contracts its values with the weight rows one matrix-vector product at a time, as smoothing does
     block = lambda grid: grid.sum(lambda pts, w: quadrature._matvec_rows(shifted(pts), w.astype(np.complex128)))
     cases.append(("block", block, lambda pts: np.max(np.abs(shifted(pts)), axis=0)))
@@ -947,13 +948,13 @@ def test_smoothing_blocks_are_real_for_a_real_function(monkeypatch, bounded):
 
 def test_a_modulated_integrand_stays_complex(monkeypatch):
     integrands = []
-    phase_sums = transforms._phase_sums
+    phase_sum = GridSpec.phase_sum
 
-    def recorded(values, xi):
-        integrands.append(values)
-        return phase_sums(values, xi)
+    def recorded(grid, cases, xi):
+        integrands.extend(values for values, _ in cases)
+        return phase_sum(grid, cases, xi)
 
-    monkeypatch.setattr(transforms, "_phase_sums", recorded)
+    monkeypatch.setattr(GridSpec, "phase_sum", recorded)
     modulate(gauss_fn(0.1), [0.5], [0.0], 1e-8)
     assert integrands[0](np.zeros((3, 1))).dtype == np.complex128
 
@@ -1379,10 +1380,10 @@ def test_an_inverse_phase_sum_is_the_conjugate_of_the_forward_sum_of_the_conjuga
     lattice = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     xi = np.concatenate([_frequencies(dim), lattice])
     values = SIGN_CASES[case](dim)
-    inverse = grid.phase_sum(values, xi, 1.0)
-    assert np.array_equal(inverse, np.conjugate(grid.phase_sum(_conjugated(values, dim), xi, -1.0)))
+    [inverse] = grid.phase_sum([(values, True)], xi)
+    assert np.array_equal(inverse, np.conjugate(grid.phase_sum([(_conjugated(values, dim), False)], xi)[0]))
     # and the direct sum, with cis(+2 pi x xi) matrices, to rounding
-    assert np.max(np.abs(inverse - _block_phase_sum(grid, values, xi, 1.0))) <= 1e-14
+    assert np.max(np.abs(inverse - _block_phase_sum(grid, values, xi, True))) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1397,18 +1398,16 @@ def test_the_one_frequency_front_ends_agree_bit_for_bit(default_ladders, preset,
 
 def test_walks_that_wait_for_a_later_rung_join_after_the_walks_going(monkeypatch, default_ladders):
     calls = []
-    phase_sums = transforms._phase_sums
+    walk_ladders = transforms.walk_ladders
 
-    def recorded(values, xi):
-        grid_sums = phase_sums(values, xi)
-
+    def recorded(grid_sums, *args):
         def recording(grid, walks):
             calls.append((grid.radius, grid.points_per_axis, list(walks)))
             return grid_sums(grid, walks)
 
-        return recording
+        return walk_ladders(recording, *args)
 
-    monkeypatch.setattr(transforms, "_phase_sums", recorded)
+    monkeypatch.setattr(transforms, "walk_ladders", recorded)
     xi = np.linspace(-6.0, 6.0, 21).reshape(-1, 1)
     transforms._transform_rows(gauss_fn(0.1), xi, 1e-8)
     # at radius 4 a row's phase cap is 8 x 4 x |xi| points, so the rows with |xi| > 4 wait for rung 256

@@ -178,6 +178,32 @@ class TestRealPoints:
         assert value == pytest.approx(1.4266, rel=1e-4)
 
 
+class TestPointForms:
+    def test_a_1_d_array_in_dim_1_is_a_batch(self):
+        g, x = gauss_fn(0.1), np.array([0.0, 0.3, -0.5])
+        assert g(x).tobytes() == g(x[:, None]).tobytes()
+
+    def test_a_1_d_array_of_length_dim_is_one_point(self):
+        g = gauss_fn(0.1, 2)
+        value = g(np.array([0.3, -0.5]))
+        assert np.ndim(value) == 0
+        assert value == g(np.array([[0.3, -0.5]]))[0]
+
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            (0.3, "scalar point given but dim is 2"),
+            (np.zeros(3), "point of dimension 3 given, expected 2"),
+            (np.zeros((4, 3)), "points have dimension 3, expected 2"),
+            (np.zeros((2, 2, 2)), r"points array must be at most 2-d, got shape \(2, 2, 2\)"),
+        ],
+        ids=["scalar", "point", "batch", "3-d"],
+    )
+    def test_every_other_shape_is_refused_by_name(self, pts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gauss_fn(0.1, 2)(pts)
+
+
 class TestIntegrate:
     def test_unit_gaussian_normalization(self):
         result = integrate(unit_gaussian(1), GridSpec(6.0, 256, 1))
@@ -302,6 +328,11 @@ class TestAutoGrid:
         with pytest.raises(QuadratureError, match="not certified integrable"):
             integrate_auto(constant_fn(2.0), 1e-6)
 
+    def test_a_walk_above_dim_3_names_the_dimension_cap(self):
+        # not "the node budget admits no rung": no budget admits a dim-4 grid
+        with pytest.raises(QuadratureError, match="^tensor grids are capped at dimension 3, got 4$"):
+            integrate_auto(gauss_fn(0.1, 4), 1e-6)
+
     def test_oscillation_floor_raises_point_count(self):
         quiet = integrate_values(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)[1]
         rapid = integrate_values(gauss_fn(0.1, 1), 1e-8, phase_rate=20.0)[1]
@@ -360,8 +391,8 @@ def _shuffled_lattice_with_duplicates() -> np.ndarray:
     return xi[rng.permutation(xi.shape[0])]
 
 
-def _one_at_a_time(grid: GridSpec, values, xi: np.ndarray, sign: float) -> np.ndarray:
-    return np.concatenate([grid.phase_sum(values, xi[i:i + 1], sign) for i in range(xi.shape[0])], axis=1)
+def _one_at_a_time(grid: GridSpec, values, xi: np.ndarray, inverse: bool) -> np.ndarray:
+    return np.concatenate([grid.phase_sum([(values, inverse)], xi[i:i + 1])[0] for i in range(xi.shape[0])], axis=1)
 
 
 def _cis_entries(monkeypatch) -> list:
@@ -382,33 +413,33 @@ class TestDistinctColumns:
         assert distinct.view(np.int64).tolist() == np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 1.0]).view(np.int64).tolist()
         assert distinct[back].view(np.int64).tolist() == values.view(np.int64).tolist()
 
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("f", [gauss_fn(0.1, 2), weierstrass_fn(0.2, 2).shifted([0.3, -0.2])], ids=["gauss", "shifted"])
-    def test_a_shuffled_lattice_with_duplicates_matches_one_frequency_at_a_time(self, f, sign):
+    def test_a_shuffled_lattice_with_duplicates_matches_one_frequency_at_a_time(self, f, inverse):
         grid = GridSpec(4.0, 64, 2)
         xi = _shuffled_lattice_with_duplicates()
-        sums = grid.phase_sum(f, xi, sign)
+        [sums] = grid.phase_sum([(f, inverse)], xi)
         # a repeated frequency gathers the same columns, so its sums repeat bit for bit
         for a, b in itertools.combinations(range(xi.shape[0]), 2):
             if np.array_equal(xi[a], xi[b]):
                 assert sums[:, a].tobytes() == sums[:, b].tobytes()
-        assert np.max(np.abs(sums - _one_at_a_time(grid, f, xi, sign))) <= 1e-15
+        assert np.max(np.abs(sums - _one_at_a_time(grid, f, xi, inverse))) <= 1e-15
 
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_signed_zero_frequencies_keep_their_columns(self, sign):
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_signed_zero_frequencies_keep_their_columns(self, inverse):
         grid = GridSpec(4.0, 32, 2)
         axis = np.array([-1.0, -0.0, 0.0, 1.0])
         xi = _lattice(axis)
         # each zero's phase column is its own, bit for bit (the sine of -0.0 x is -(+0.0 x)'s, signed zeros included)
         distinct, back = quadrature._distinct(axis)
-        c = sign * 2.0 * math.pi
+        c = (1.0 if inverse else -1.0) * 2.0 * math.pi
         direct = cis(c * np.multiply.outer(grid.nodes, axis))
         # the engine builds the forward matrix only; the +1 matrix is its conjugate, compared with a direct cis(+2 pi x xi)
         phase = grid.phase_matrix(distinct)
-        signed = np.conjugate(phase) if sign > 0 else phase
+        signed = np.conjugate(phase) if inverse else phase
         assert signed[:, back].tobytes() == direct.tobytes()
         f = gauss_fn(0.1, 2).scaled(-1.0)
-        sums, alone = grid.phase_sum(f, xi, sign), _one_at_a_time(grid, f, xi, sign)
+        [sums], alone = grid.phase_sum([(f, inverse)], xi), _one_at_a_time(grid, f, xi, inverse)
         zero = alone.imag == 0.0
         assert zero[:, [5, 6, 9, 10]].all()  # the four frequencies (+-0, +-0)
         assert np.signbit(sums.imag[zero]).tolist() == np.signbit(alone.imag[zero]).tolist()
@@ -420,7 +451,7 @@ class TestDistinctColumns:
         k = axis.size
         xi = _lattice(axis)[np.random.default_rng(3).permutation(k * k)]
         entries = _cis_entries(monkeypatch)
-        grid.phase_sum(gauss_fn(0.1, 2), xi, -1.0)
+        grid.phase_sum([(gauss_fn(0.1, 2), False)], xi)
         assert sum(entries) <= 2 * (64 // 2 + 1) * k
         if quadrature._mirrored(axis):
             # a symmetric axis, sorted, is mirrored about its centre: the quarter path
@@ -433,7 +464,7 @@ class TestDistinctColumns:
 
         monkeypatch.setattr(quadrature, "_distinct", refused)
         xi = np.array([[0.5], [-0.5], [0.5], [0.0]])
-        sums = GridSpec(4.0, 64, 1).phase_sum(f, xi, -1.0)
+        [sums] = GridSpec(4.0, 64, 1).phase_sum([(f, False)], xi)
         assert sums.shape == (2, 4)
 
 
@@ -470,7 +501,7 @@ class TestLatticeSum:
         fast = grid._lattice_sum(f, xi)
         assert fast is not None and fast.shape == (xi.shape[0],)
         bound = float(np.sum(np.abs(_fine_weighted(grid, f))))
-        assert np.max(np.abs(fast - grid.phase_sum(f, xi, -1.0)[0])) <= 1e-15 * bound
+        assert np.max(np.abs(fast - grid.phase_sum([(f, False)], xi)[0][0])) <= 1e-15 * bound
 
     def test_fold_is_shorter_than_the_nodes(self, monkeypatch):
         lengths = []
@@ -486,7 +517,7 @@ class TestLatticeSum:
         grid, xi = GridSpec(4.0, 128, 2), GridSpec(*outer, 2).points()
         fast = grid._lattice_sum(f, xi)
         bound = math.prod(float(np.sum(np.abs(wf[0]))) for wf in grid.weighted_factors(f))
-        assert np.max(np.abs(fast - grid.phase_sum(f, xi, -1.0)[0])) <= 2e-15 * bound
+        assert np.max(np.abs(fast - grid.phase_sum([(f, False)], xi)[0][0])) <= 2e-15 * bound
 
     @pytest.mark.parametrize("inner, outer", [PAIRS["P3"], PAIRS["P9"]], ids=["P3", "P9"])
     def test_no_farther_from_a_30_digit_sum_than_the_phase_sum(self, inner, outer):
@@ -501,7 +532,7 @@ class TestLatticeSum:
                 complex(mpmath.fsum(w * mpmath.expjpi(-2 * x * mpmath.mpf(float(k))) for w, x in terms)) for k in xi[:, 0]
             ])
         fast_error = np.max(np.abs(grid._lattice_sum(f, xi) - oracle))
-        direct_error = np.max(np.abs(grid.phase_sum(f, xi, -1.0)[0] - oracle))
+        direct_error = np.max(np.abs(grid.phase_sum([(f, False)], xi)[0][0] - oracle))
         assert fast_error <= direct_error
 
     @pytest.mark.parametrize(
@@ -525,7 +556,7 @@ class TestLatticeSum:
         grid = spectrum.key[2]
         for xi in (np.linspace(-2.0, 2.0, 41)[:, None], quadrature._spot_geometry(1)[0]):
             assert grid._lattice_sum(f, xi) is None
-            assert spectrum.values(xi).tobytes() == grid.phase_sum(f, xi, -1.0)[0].tobytes()
+            assert spectrum.values(xi).tobytes() == grid.phase_sum([(f, False)], xi)[0][0].tobytes()
 
     def test_nodes_off_their_lattice_are_refused_in_integers(self):
         assert GridSpec(4.0, 128, 1)._step == (1, -4)

@@ -2,18 +2,26 @@
 
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import heatline
 from heatline import (
+    Atom,
+    bump_fn,
+    bump_pair_fn,
+    continuity_check,
     dirac,
     experiments,
     fourier_complex,
     fourier_profile,
+    gauss_fn,
     gauss_inversion,
     gauss_mean,
     l1_norm,
@@ -27,10 +35,20 @@ from heatline import (
 )
 from heatline.catalog import closed_form
 from heatline.cli import main
-from heatline.experiments import ExperimentSpec, export, run
+from heatline.experiments import ExperimentSpec, export, import_csv, run
 from heatline.kernels import KernelScale
 from heatline.measures import BoundedMeasure
-from heatline.quadrature import GaussianDecay, GridSpec, QuadratureError, TestFunction, integrate_auto
+from heatline.quadrature import (
+    BoundedOnly,
+    CompactSupport,
+    GaussianDecay,
+    GridSpec,
+    PolynomialDecay,
+    QuadratureError,
+    TestFunction,
+    integrate_auto,
+    node_budget,
+)
 from heatline import transforms
 from heatline.transforms import fourier, gauss_inversion_ladder, mollify_ladder
 
@@ -340,12 +358,15 @@ def test_a_complex_frequency_whose_growth_overflows_is_refused_before_any_walk(m
             fourier_complex(parse_preset("gauss:0.1"), np.array([xi]))
 
 
-def test_a_complex_frequency_whose_integrand_overflows_sums_to_a_non_finite_value():
-    # the growth factor exp(320) is finite, but exp(2 pi 8 x) overflows at the far nodes of the ladder grids
+@pytest.mark.parametrize("xi", [0.5 + 8j, 0.5 + 9j], ids=["8i", "9i"])
+def test_a_complex_frequency_whose_growth_overflows_at_far_nodes_is_not_certified(xi):
+    # the growth factors exp(320) and exp(405) are finite, but exp(2 pi x Im xi) overflows at the far nodes
+    # of the ladder grids; the integrand stays finite there, and the transforms' moduli, about 1.5e69 and
+    # 4.2e87, are far above what an absolute tolerance of 1e-8 can certify
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match=r"'fourier\[gauss:0.1\]@complex' summed to a non-finite value"):
-            fourier_complex(parse_preset("gauss:0.1"), np.array([0.5 + 8j]))
+        with pytest.raises(QuadratureError, match=r"'fourier\[gauss:0.1\]@complex': discretization estimate never met"):
+            fourier_complex(parse_preset("gauss:0.1"), np.array([xi]))
 
 
 @pytest.mark.parametrize(
@@ -416,3 +437,148 @@ def test_a_declared_sup_bound_is_checked_and_used(monkeypatch):
     mollify(f, alpha, [0.0])
     assert walks == [[GaussianDecay(1.0 / (4.0 * alpha), 3.0 * transforms.weierstrass_peak(KernelScale(alpha, 1)))]]
     assert dirac([0.0]).apply(f) == 3.0
+
+
+def _budget(raw: str) -> int:
+    """node_budget() with HEATLINE_BUDGET set to raw."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HEATLINE_BUDGET", raw)
+        return node_budget()
+
+
+def _cli(*args: str) -> None:
+    """The console command on args, raising click's usage errors instead of exiting."""
+    main.main(list(args), standalone_mode=False, prog_name="heatline")
+
+
+def _cli_with_config(text: str) -> None:
+    """``heatline fourier --config`` on a config file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        _cli("fourier", "--config", str(path))
+
+
+def _polynomial() -> TestFunction:
+    """(1 + x^2)^-8 under PolynomialDecay(16, 2^8): integrable, but neither Gaussian nor compact."""
+    return TestFunction(lambda pts: (1.0 + pts[:, 0] ** 2) ** -8.0, 1, PolynomialDecay(16.0, 2.0**8), name="poly")
+
+
+def _flat() -> TestFunction:
+    """A constant with no sup bound declared: neither bounded nor certified integrable."""
+    return TestFunction(lambda pts: np.ones(pts.shape[0]), 1, BoundedOnly(1.0), name="flat")
+
+
+def _unbounded() -> TestFunction:
+    """gauss:0.1 with no sup bound declared."""
+    g = gauss_fn(0.1)
+    return TestFunction(g.f, 1, g.envelope, name="unbounded")
+
+
+# usage refusals no other test raises: (call, exception class, the message, after a config file's path and line)
+REFUSALS = {
+    "GaussianDecay": (lambda: GaussianDecay(0.0, 1.0), ValueError, "GaussianDecay needs rate > 0 and scale > 0"),
+    "PolynomialDecay": (lambda: PolynomialDecay(2.0, 0.0), ValueError, "PolynomialDecay needs power > 0 and scale > 0"),
+    "CompactSupport": (lambda: CompactSupport(-1.0), ValueError, "CompactSupport needs radius > 0"),
+    "BoundedOnly": (lambda: BoundedOnly(0.0), ValueError, "BoundedOnly needs bound > 0"),
+    "budget-not-integer": (lambda: _budget("1e6"), QuadratureError, "HEATLINE_BUDGET must be an integer, got '1e6'"),
+    "budget-too-small": (lambda: _budget("7"), QuadratureError, "HEATLINE_BUDGET too small: 7"),
+    "scaled-by-zero": (lambda: gauss_fn(0.1).scaled(0), ValueError, "scaling factor must be nonzero"),
+    "shifted-wrong-length": (
+        lambda: gauss_fn(0.1, 2).shifted([0.5]), ValueError, "offset has dimension 1, expected 2",
+    ),
+    "fourier_complex-shape": (
+        lambda: fourier_complex(gauss_fn(0.1, 2), [0.5j]), ValueError, "expected a frequency of dimension 2, got shape (1,)",
+    ),
+    "gauss_mean-unbounded-unintegrable": (
+        lambda: gauss_mean(_flat(), 0.1),
+        QuadratureError,
+        "the Gauss mean of 'flat' needs a bounded or integrable-certified function",
+    ),
+    "mollify_l1_check-dim": (
+        lambda: mollify_l1_check(gauss_fn(0.1), 0.1, GridSpec(4.0, 16, 2)),
+        ValueError,
+        "dimension mismatch: function 1, grid 2",
+    ),
+    "mollify_l1_check-compact-without-sup": (
+        lambda: mollify_l1_check(TestFunction(bump_fn(1.0).f, 1, CompactSupport(1.0)), 0.1, GridSpec(4.0, 16, 1)),
+        QuadratureError,
+        "a compactly supported integrand needs a sup bound here",
+    ),
+    "mollify_l1_check-envelope": (
+        lambda: mollify_l1_check(_polynomial(), 0.1, GridSpec(4.0, 16, 1)),
+        QuadratureError,
+        "the L1 check of 'poly' needs a Gaussian or compact envelope",
+    ),
+    "multiplication-dim": (
+        lambda: multiplication_formula_check(gauss_fn(0.1), gauss_fn(0.1, 2)), ValueError, "dimension mismatch: 1 vs 2",
+    ),
+    "multiplication-envelope": (
+        lambda: multiplication_formula_check(_polynomial(), gauss_fn(0.1)),
+        QuadratureError,
+        "the multiplication formula needs Gaussian or compact envelopes, got PolynomialDecay for 'poly'",
+    ),
+    "atom-non-finite": (lambda: Atom((math.nan,), 1.0), ValueError, "atom location and weight must be finite"),
+    "density-dim": (
+        lambda: BoundedMeasure(dim=2, density=gauss_fn(0.1)), ValueError, "density dimension does not match the measure",
+    ),
+    "apply-dim": (
+        lambda: dirac([0.0]).apply(gauss_fn(0.1, 2)), ValueError, "dimension mismatch: measure 1, function 2",
+    ),
+    "apply-unbounded": (
+        lambda: dirac([0.0]).apply(_unbounded()),
+        ValueError,
+        "measures act on bounded functions; 'unbounded' declares no sup bound",
+    ),
+    "weak-dim": (
+        lambda: weak_convergence_trace(dirac([0.0]), gauss_fn(0.1, 2), [0.1], GridSpec(4.0, 16, 2)),
+        ValueError,
+        "dimension mismatch between measure, test function, and grid",
+    ),
+    "weak-unbounded": (
+        lambda: weak_convergence_trace(dirac([0.0]), _unbounded(), [0.1], GridSpec(4.0, 16, 1)),
+        ValueError,
+        "weak convergence is tested against bounded functions",
+    ),
+    "continuity-dim": (
+        lambda: continuity_check(dirac([0.0]), [gauss_fn(0.1, 2)], gauss_fn(0.1, 2)),
+        ValueError,
+        "dimension mismatch in the function sequence",
+    ),
+    "continuity-unbounded": (
+        lambda: continuity_check(dirac([0.0]), [_unbounded()], gauss_fn(0.1)),
+        ValueError,
+        "continuity is tested along bounded functions",
+    ),
+    "measure-literal-not-an-object": (
+        lambda: measure_from_json("[1, 2]"), ValueError, "measure literal must be a JSON object",
+    ),
+    "import_csv-no-header": (lambda: import_csv(b""), ValueError, "no header line in CSV data"),
+    "bump-radius": (lambda: bump_fn(0.0), ValueError, "bump radius must be positive, got 0.0"),
+    "bumppair-parameters": (
+        lambda: bump_pair_fn(0.8, separation=-1.0), ValueError, "bump pair needs radius > 0 and separation > 0",
+    ),
+    "preset-parameter": (lambda: parse_preset("gauss:wide"), ValueError, "bad preset parameter in 'gauss:wide'"),
+    "cli-number-list": (
+        lambda: _cli("invert", "--alphas", "0.1,x"),
+        click.BadParameter,
+        "expected a comma-separated list of numbers, got '0.1,x'",
+    ),
+    "cli-unreadable-measure-file": (
+        lambda: _cli("measure-ft", "--measure", "@/nonexistent/measure.json"),
+        click.BadParameter,
+        "cannot read the measure literal '/nonexistent/measure.json': No such file or directory",
+    ),
+    "cli-config-line-without-equals": (
+        lambda: _cli_with_config("tol 1e-8\n"), click.UsageError, "expected key = value, got 'tol 1e-8'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_usage_refusal_raises_its_class_and_names_its_cause(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls) as refused:
+        call()
+    assert type(refused.value) is cls
+    assert str(refused.value).endswith(message)
