@@ -15,7 +15,6 @@ from .experiments import (
     ExperimentSpec,
     ResultTable,
     export,
-    import_csv,
     run,
 )
 from .catalog import (
@@ -28,19 +27,17 @@ from .catalog import (
     weierstrass_fn,
     zero_fn,
 )
-from .kernels import KernelScale, gauss, gauss_product_scale, weierstrass, weierstrass_peak
+from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
 from .measures import (
     Atom,
     BoundedMeasure,
-    ContinuityReport,
     WeakConvergenceSample,
-    continuity_check,
     dirac,
     from_density,
     measure_from_json,
     weak_convergence_trace,
 )
-from .points import InequalityReport, check_inequalities, dot, modulus
+from .points import dot, modulus
 from .quadrature import (
     BoundedOnly,
     CompactSupport,

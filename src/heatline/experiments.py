@@ -102,24 +102,6 @@ def export(table: ResultTable, fmt: str) -> bytes:
     raise ValueError(f"unknown export format {fmt!r}; expected csv or json")
 
 
-def import_csv(data: bytes) -> tuple[list[str], list[list]]:
-    """Re-read an exported CSV into (columns, rows); numbers become floats."""
-    lines = [ln for ln in data.decode("utf-8").splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("no header line in CSV data")
-    columns = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        row = []
-        for cell in ln.split(","):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                row.append(cell)
-        rows.append(row)
-    return columns, rows
-
-
 @dataclass(frozen=True)
 class Param:
     """One declared experiment parameter.
@@ -387,7 +369,8 @@ def _run_fourier(dim, preset, tol, xi_max, xi_count) -> tuple:
         ])
     passed = sup_ok and (closed is None or worst <= tol)
     columns = [*[f"xi{j+1}" for j in range(dim)], "value_re", "value_im", "modulus", "residual"]
-    return columns, rows, passed, f"sup bound {'holds' if sup_ok else 'fails'}; max residual {worst:.3e}", {}
+    residuals = f"max residual {worst:.3e}" if closed else f"no closed form for {preset!r}; residuals not checked"
+    return columns, rows, passed, f"sup bound {'holds' if sup_ok else 'fails'}; {residuals}", {}
 
 
 @_experiment(

@@ -74,10 +74,3 @@ def weierstrass(scale: KernelScale, x):
 def weierstrass_peak(scale: KernelScale) -> float:
     """Value of the Weierstrass kernel at the origin, (4 pi alpha)^(-n/2)."""
     return (4.0 * math.pi * scale.alpha) ** (-scale.dim / 2.0)
-
-
-def gauss_product_scale(a: KernelScale, b: KernelScale) -> KernelScale:
-    """Scale of the pointwise product of two Gauss kernels (exponents add)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return KernelScale(a.alpha + b.alpha, a.dim)

@@ -286,55 +286,6 @@ def weak_convergence_trace(
     ]
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Trace of measure values along a sequence of test functions."""
-
-    uniform_bound: float
-    sup_differences: tuple[float, ...]
-    deltas: tuple[float, ...]
-
-
-def continuity_check(
-    measure: BoundedMeasure,
-    h_sequence,
-    h_limit: TestFunction,
-    uniform_bound: float | None = None,
-    compact_radius: float = 4.0,
-    tol: float = 1e-8,
-) -> ContinuityReport:
-    """Trace measure values along h_j -> h, sampling uniform convergence.
-
-    The sequence must respect a declared uniform bound; the report carries
-    the sampled sup of |h_j - h| on [-compact_radius, compact_radius]^n and
-    the measure-value differences |lam(h_j) - lam(h)|.
-    """
-    h_sequence = list(h_sequence)
-    for h in [*h_sequence, h_limit]:
-        if h.dim != measure.dim:
-            raise ValueError("dimension mismatch in the function sequence")
-        if not h.bounded:
-            raise ValueError("continuity is tested along bounded functions")
-    if uniform_bound is None:
-        uniform_bound = max(h.sup_bound for h in [*h_sequence, h_limit])
-    offenders = [h.name for h in h_sequence if h.sup_bound > uniform_bound * (1.0 + 1e-12)]
-    if offenders:
-        raise ValueError(f"sequence violates its declared uniform bound: {offenders}")
-    intervals = 40 if measure.dim > 1 else 320
-    pts = GridSpec(compact_radius, intervals, measure.dim).points()
-    limit_vals = h_limit(pts)
-    sup_diffs = tuple(
-        float(np.max(np.abs(np.asarray(h(pts)) - limit_vals))) for h in h_sequence
-    )
-    target = measure.apply(h_limit, tol)
-    deltas = tuple(abs(measure.apply(h, tol) - target) for h in h_sequence)
-    return ContinuityReport(
-        uniform_bound=float(uniform_bound),
-        sup_differences=sup_diffs,
-        deltas=deltas,
-    )
-
-
 def measure_from_json(source, dim: int | None = None) -> BoundedMeasure:
     """Build a measure from its JSON literal.
 

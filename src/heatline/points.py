@@ -1,4 +1,4 @@
-"""Complex n-tuples: bilinear dot product, Euclidean modulus, inequality slacks.
+"""Complex n-tuples: bilinear dot product, Euclidean modulus, cis, and the point checks the modules share.
 
 The dot product here is bilinear, z . w = sum_j z_j w_j with no conjugation;
 every kernel and transform in this package pairs points that way.  The
@@ -7,8 +7,6 @@ modulus is the usual Euclidean one, |z| = (sum_j |z_j|^2)^(1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -16,22 +14,6 @@ def check_dim(dim) -> None:
     """Raise ValueError unless ``dim`` is a positive integer; a bool is not a dimension."""
     if isinstance(dim, bool) or int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
-
-
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a 1-d float64 or complex128 array, checking ``dim``."""
-    a = np.atleast_1d(np.asarray(x))
-    if a.ndim != 1:
-        raise ValueError(f"a point must be a 1-d tuple, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError("a point needs at least one coordinate")
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128)
-    else:
-        a = a.astype(np.float64)
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[0]}")
-    return a
 
 
 def real_point(x, dim: int) -> np.ndarray:
@@ -103,24 +85,3 @@ def modulus(z):
     z = np.atleast_1d(np.asarray(z))
     out = np.sqrt(np.sum((z * np.conj(z)).real, axis=-1))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Nonnegative slack in the Cauchy-Schwarz and triangle inequalities."""
-
-    cs_slack: float
-    tri_slack: float
-
-
-def check_inequalities(z, w) -> InequalityReport:
-    """Slack |z||w| - |z.w| and |z| + |w| - |z+w| for a pair of points.
-
-    Both slacks are >= 0 up to roundoff for every pair; the property suite
-    samples this at scale.
-    """
-    z = as_point(z)
-    w = as_point(w, dim=z.shape[0])
-    cs = modulus(z) * modulus(w) - abs(dot(z, w))
-    tri = modulus(z) + modulus(w) - modulus(z + w)
-    return InequalityReport(cs_slack=float(cs), tri_slack=float(tri))

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from exported_csv import import_csv
 from heatline import experiments
 from heatline.cli import main
 
@@ -49,7 +50,7 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
         main, ["verify-kernels", "--config", str(config), "--out", str(out_cfg)]
     )
     assert result.exit_code == 0, result.output
-    _, rows = experiments.import_csv(out_cfg.read_bytes())
+    _, rows = import_csv(out_cfg.read_bytes())
     assert {row[0] for row in rows} == {0.05, 0.1}
 
     out_flag = tmp_path / "flag_wins.csv"
@@ -58,7 +59,7 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
         ["verify-kernels", "--config", str(config), "--alphas", "0.5", "--out", str(out_flag)],
     )
     assert result.exit_code == 0, result.output
-    _, rows = experiments.import_csv(out_flag.read_bytes())
+    _, rows = import_csv(out_flag.read_bytes())
     assert {row[0] for row in rows} == {0.5}
 
 

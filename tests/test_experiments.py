@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from exported_csv import import_csv
 from heatline import measure_from_json, parse_preset, quadrature
 from heatline.experiments import (
     EXPERIMENTS,
@@ -14,7 +15,6 @@ from heatline.experiments import (
     export,
     export_csv,
     export_json,
-    import_csv,
     run,
 )
 from heatline.quadrature import QuadratureError

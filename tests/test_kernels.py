@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from heatline.kernels import (
-    KernelScale,
-    gauss,
-    gauss_product_scale,
-    weierstrass,
-    weierstrass_peak,
-)
+from heatline.kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+
+
+def gauss_product_scale(a: KernelScale, b: KernelScale) -> KernelScale:
+    """Scale of the pointwise product of two Gauss kernels (exponents add)."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return KernelScale(a.alpha + b.alpha, a.dim)
 
 
 class TestKernelScale:

@@ -11,7 +11,6 @@ from heatline.kernels import KernelScale, weierstrass
 from heatline.measures import (
     Atom,
     BoundedMeasure,
-    continuity_check,
     dirac,
     from_density,
     measure_from_json,
@@ -264,42 +263,6 @@ class TestWeakConvergence:
         h = constant_fn(1.0)
         with pytest.raises(QuadratureError, match="compact|Gaussian"):
             weak_convergence_trace(dirac([0.0]), h, [0.1], GridSpec(4.0, 128, 1))
-
-
-class TestContinuity:
-    def test_scaled_sequence_converges_linearly(self):
-        measure = dipole()
-        h = window_fn()
-        sequence = [h.scaled(1.0 - 1.0 / j) for j in range(2, 8)]
-        report = continuity_check(measure, sequence, h)
-        base = abs(measure.apply(h))
-        for j, delta in zip(range(2, 8), report.deltas):
-            assert delta == pytest.approx(base / j, rel=1e-9)
-
-    def test_shifted_gaussians_converge(self):
-        measure = dirac([0.0])
-        h = gauss_fn(1.0)
-        sequence = [h.shifted([1.0 / j]) for j in (1, 2, 4, 8, 16)]
-        report = continuity_check(measure, sequence, h)
-        assert all(
-            report.deltas[k + 1] < report.deltas[k] for k in range(len(report.deltas) - 1)
-        )
-        assert all(
-            report.sup_differences[k + 1] < report.sup_differences[k]
-            for k in range(len(report.sup_differences) - 1)
-        )
-
-    def test_uniform_bound_violation_rejected(self):
-        measure = dirac([0.0])
-        h = gauss_fn(1.0)
-        with pytest.raises(ValueError, match="uniform bound"):
-            continuity_check(measure, [h.scaled(3.0)], h, uniform_bound=1.0)
-
-    def test_a_dim_4_lattice_meets_the_grid_dimension_cap(self):
-        measure = dirac([0.0] * 4)
-        h = gauss_fn(1.0, 4)
-        with pytest.raises(QuadratureError, match="capped at dimension 3"):
-            continuity_check(measure, [h.shifted([0.5, 0.0, 0.0, 0.0])], h)
 
 
 class TestMeasureJson:

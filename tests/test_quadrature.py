@@ -332,6 +332,8 @@ class TestAutoGrid:
         # not "the node budget admits no rung": no budget admits a dim-4 grid
         with pytest.raises(QuadratureError, match="^tensor grids are capped at dimension 3, got 4$"):
             integrate_auto(gauss_fn(0.1, 4), 1e-6)
+        with pytest.raises(QuadratureError, match="^tensor grids are capped at dimension 3, got 4$"):
+            GridSpec(4.0, 128, 4)
 
     def test_oscillation_floor_raises_point_count(self):
         quiet = integrate_values(gauss_fn(0.1, 1), 1e-8, phase_rate=0.0)[1]

@@ -3,8 +3,9 @@
 import pytest
 from click.testing import CliRunner
 
+from exported_csv import import_csv
 from heatline.cli import main
-from heatline.experiments import EXPERIMENTS, PARAMS, ExperimentSpec, export, import_csv, run
+from heatline.experiments import EXPERIMENTS, PARAMS, ExperimentSpec, export, run
 from heatline.measures import BoundedMeasure
 
 SHARED_FLAGS = {"--dim", "--out", "--format", "--config"}
