@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
+from .points import check_dim, modulus
 from .quadrature import (
     BoundedOnly,
     CompactSupport,
@@ -81,10 +82,11 @@ def _bump_values(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarr
 
 def bump_fn(radius: float, dim: int = 1, center=None) -> TestFunction:
     """Smooth bump exp(-1 / (1 - (|x-c|/radius)^2)) inside, identically 0 outside."""
+    check_dim(dim)
     if not radius > 0.0:
         raise ValueError(f"bump radius must be positive, got {radius}")
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float).reshape(dim)
-    support = radius + float(np.sqrt(np.sum(c * c)))
+    support = radius + modulus(c)
     return TestFunction(
         f=lambda pts: _bump_values(pts, c, radius),
         dim=dim,
@@ -96,6 +98,7 @@ def bump_fn(radius: float, dim: int = 1, center=None) -> TestFunction:
 
 def bump_pair_fn(radius: float = 0.8, separation: float = 2.0, dim: int = 1) -> TestFunction:
     """Sign-alternating pair of bumps at +/- separation/2 along the first axis."""
+    check_dim(dim)
     if not (radius > 0.0 and separation > 0.0):
         raise ValueError("bump pair needs radius > 0 and separation > 0")
     shift = np.zeros(dim)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import wraps
@@ -29,6 +28,7 @@ from . import __version__
 from .catalog import closed_form, gauss_fn, parse_preset, weierstrass_fn
 from .kernels import KernelScale, gauss, weierstrass
 from .measures import BoundedMeasure, measure_from_json, weak_convergence_trace
+from .points import check_dim
 from .quadrature import GridSpec, integrate, integrate_auto, l1_norm
 from .transforms import (
     _modulated_rows,
@@ -593,10 +593,8 @@ def run(spec: ExperimentSpec) -> ResultTable:
     if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r}; registered: {known}")
-    if spec.dim is not None and (
-        isinstance(spec.dim, bool) or not isinstance(spec.dim, numbers.Integral) or spec.dim < 1
-    ):
-        raise ValueError(f"dim must be a positive integer, got {spec.dim!r}")
+    if spec.dim is not None:
+        check_dim(spec.dim)
     start = time.perf_counter()
     table = EXPERIMENTS[spec.name](spec)
     table.wall_time_s = time.perf_counter() - start

@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import parse_preset
 from .kernels import KernelScale, weierstrass, weierstrass_peak
-from .points import check_dim, cis, real_point, real_points
+from .points import check_dim, cis, modulus, real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -72,6 +72,7 @@ class BoundedMeasure:
     atoms: tuple[Atom, ...] = ()
     density: TestFunction | None = None
     bound: float = field(init=False)
+    _arrays: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -90,14 +91,20 @@ class BoundedMeasure:
             mass = l1_norm(self.density, 1e-9)
             total += float(mass.value.real) + mass.error_budget
         object.__setattr__(self, "bound", total)
+        locations = np.array([a.location for a in self.atoms], dtype=float).reshape(len(self.atoms), self.dim)
+        weights = np.array([a.weight for a in self.atoms], dtype=np.complex128)
+        locations.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "_arrays", (locations, weights))
 
     @property
     def atom_locations(self) -> np.ndarray:
-        return np.array([a.location for a in self.atoms], dtype=float).reshape(len(self.atoms), self.dim)
+        """The atoms' locations, an (atoms, dim) array built once at construction (read-only)."""
+        return self._arrays[0]
 
     @property
     def atom_weights(self) -> np.ndarray:
-        return np.array([a.weight for a in self.atoms], dtype=np.complex128)
+        """The atoms' weights, a complex128 array built once at construction (read-only)."""
+        return self._arrays[1]
 
     def apply(self, h: TestFunction, tol: float = 1e-8) -> complex:
         """Evaluate the measure on a bounded test function."""
@@ -130,11 +137,14 @@ class BoundedMeasure:
         _check_tolerance(tol)
         out = np.zeros(xi_pts.shape[0], dtype=np.complex128)
         if self.atoms:
-            phases = cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T))
-            out += (self.atom_weights * phases).sum(axis=1)
+            out += self._atoms_transform(xi_pts)
         if self.density is not None:
             out += _transform_rows(self.density, xi_pts, tol)
         return out
+
+    def _atoms_transform(self, xi_pts: np.ndarray) -> np.ndarray:
+        """The atoms' transform in closed form, sum_k w_k exp(-2 pi i xi.x_k), at each row of xi_pts."""
+        return cis(-2.0 * math.pi * (xi_pts @ self.atom_locations.T)) @ self.atom_weights
 
     def mollify(self, alpha: float, y, tol: float = 1e-8) -> complex:
         """Smoothed value: the measure applied to the kernel centered at y; one row of mollify_on_points."""
@@ -179,12 +189,11 @@ class BoundedMeasure:
         density's by its sampling grid (see ``transforms.Spectrum``).
         """
         _check_tolerance(inner_tol)
-        locations = self.atom_locations
-        weights = self.atom_weights
+        locations, weights = self.atom_locations, self.atom_weights
         spectrum = Spectrum(
-            lambda xi_pts: cis(-2.0 * math.pi * (xi_pts @ locations.T)) @ weights,
+            self._atoms_transform,
             float(np.sum(np.abs(weights))),
-            float(np.max(np.sqrt(np.sum(locations**2, axis=1)))) if weights.size else 0.0,
+            float(modulus(locations).max()) if weights.size else 0.0,
             ("atoms", locations.tobytes(), weights.tobytes()),
         )
         if self.density is not None:
@@ -247,12 +256,9 @@ def weak_convergence_trace(
     alpha is summed in one pass over the grid's blocks: each block is
     smoothed once for all the alphas (``BoundedMeasure.mollify_ladder``,
     which smooths a density once per ladder grid for all the alphas walking
-    on it, keeps its last sampling on a dyadic lattice, and takes a climbed
-    rung's coarse sum from the rung below), h is evaluated once on its
-    nodes, and its rows are dropped before the next block.  Each alpha
-    integrates its own row, and its value is the one-alpha smoothing's, bit
-    for bit.  The outer sum is a fixed grid's, so its coarse sum is
-    contracted on the block as its fine sum is.  No alphas give no samples.
+    on it), h is evaluated once on its nodes, and its rows are dropped
+    before the next block.  Each alpha integrates its own row, and its value
+    is the one-alpha smoothing's, bit for bit.  No alphas give no samples.
     """
     _check_tolerance(tol)
     if h.dim != measure.dim or grid.dim != measure.dim:

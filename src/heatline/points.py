@@ -7,13 +7,22 @@ modulus is the usual Euclidean one, |z| = (sum_j |z_j|^2)^(1/2).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
-def check_dim(dim) -> None:
-    """Raise ValueError unless ``dim`` is a positive integer; a bool is not a dimension."""
-    if isinstance(dim, bool) or int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+def check_dim(dim, name: str = "dim") -> None:
+    """Raise ValueError unless ``dim`` is a positive integer: the package's one integer rule.
+
+    An integer is a ``numbers.Integral`` (numpy's integers are), and a bool
+    is not one: a float such as 2.0 or a flag such as True is refused, never
+    read as a count.  ``name`` names the value in the error.
+    """
+    # a plain int skips the slower abstract-class test (a bool's type is bool, not int)
+    integer = type(dim) is int or isinstance(dim, numbers.Integral) and not isinstance(dim, bool)
+    if not integer or dim < 1:
+        raise ValueError(f"{name} must be a positive integer, got {dim!r}")
 
 
 def real_point(x, dim: int) -> np.ndarray:
@@ -81,7 +90,13 @@ def cis(theta) -> np.ndarray:
 
 
 def modulus(z):
-    """Euclidean modulus (sum_j |z_j|^2)^(1/2) over the last axis."""
-    z = np.atleast_1d(np.asarray(z))
-    out = np.sqrt(np.sum((z * np.conj(z)).real, axis=-1))
+    """Euclidean modulus (sum_j |z_j|^2)^(1/2) over the last axis: the package's one norm.
+
+    A modulus beyond float64 is inf, with no overflow warning, so a caller
+    reads it as an infinite distance or phase rate.
+    """
+    z = np.atleast_1d(z)
+    with np.errstate(over="ignore"):
+        squares = z.real * z.real + z.imag * z.imag if z.dtype.kind == "c" else z * z
+        out = np.sqrt(squares.sum(axis=-1))
     return float(out) if out.ndim == 0 else out

@@ -11,15 +11,10 @@ two error terms:
   of the discretization error inside the cube.  N is a multiple of 4, so
   the N/2 sum reuses the N-grid's even nodes (the N/2 grid's Simpson
   weights there, zero on the odd nodes), and each grid evaluates its
-  integrand once.  A ladder walk of block sums that climbs from the N/2
-  rung has already summed its N/2 sum there and takes it from there, so a
-  rung that every walk on it climbed to contracts only the fine weights
-  (``_block_sums``).
+  integrand once (``_block_sums`` says what a climbed rung reuses).
 
-A walk is certified only when its integrand has an integrable envelope, its
-tolerance is positive and finite, and its sums are finite: ``walk_ladders``
-and ``_grid_walks`` check these rules for every walk, and the entry points
-that walk leave them to it.
+A walk is certified only under the rules ``walk_ladders`` enforces for
+every walk, and the entry points that walk leave them to it.
 
 Every integrand enters the engine whole: a ``TestFunction`` or an
 ``_Integrand``, a vectorized ``values(points)`` callable with its
@@ -86,7 +81,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .points import check_dim, cis
+from .points import check_dim, cis, modulus
 
 DEFAULT_NODE_BUDGET = 2**24
 RADIUS_LADDER = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
@@ -255,7 +250,7 @@ def _spot_geometry(dim: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, 
         rng.uniform(-16.0, 16.0, size=(400, dim)),
     ]
     pts = np.concatenate(blocks, axis=0)
-    radii = np.sqrt(np.sum(pts * pts, axis=1))
+    radii = modulus(pts)
     columns = tuple(np.ascontiguousarray(pts[:, j]) for j in range(dim))
     for array in (radii, *columns):
         array.flags.writeable = False
@@ -345,21 +340,12 @@ class TestFunction:
         pts, radii, columns = _spot_geometry(self.dim)
         vals = self(pts)
         mags = np.abs(vals)
-        if isinstance(self.envelope, CompactSupport):
-            outside = radii > self.envelope.radius
-            if np.any(mags[outside] != 0.0):
-                raise ValueError(
-                    f"test function {self.name!r} violates its compact support "
-                    f"(radius {self.envelope.radius})"
-                )
-        else:
-            limit = self.envelope.bound(radii) * (1.0 + _ENVELOPE_SLACK) + 1e-300
-            if np.any(mags > limit):
-                worst = float(np.max(mags - limit))
-                raise ValueError(
-                    f"test function {self.name!r} violates its decay envelope "
-                    f"(worst excess {worst:.3e})"
-                )
+        limit = self.envelope.bound(radii) * (1.0 + _ENVELOPE_SLACK) + 1e-300
+        if np.any(mags > limit):
+            raise ValueError(
+                f"test function {self.name!r} violates its declared envelope {self.envelope} "
+                f"(worst excess {float(np.max(mags - limit)):.3e})"
+            )
         if self.bounded:
             cap = self.sup_bound * (1.0 + _ENVELOPE_SLACK) + 1e-300
             if np.any(mags > cap):
@@ -440,7 +426,7 @@ class TestFunction:
         a = np.asarray(offset, dtype=float).reshape(-1)
         if a.shape[0] != self.dim:
             raise ValueError(f"offset has dimension {a.shape[0]}, expected {self.dim}")
-        distance = float(np.sqrt(np.sum(a * a)))
+        distance = modulus(a)
         inner = self.f
         factors = self.factors
         if factors is not None:
@@ -626,7 +612,8 @@ class GridSpec:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         n = self.points_per_axis
-        if int(n) != n or n < 4 or n % 4 != 0:
+        check_dim(n, "points_per_axis")
+        if n % 4:
             raise ValueError(f"points_per_axis must be a multiple of 4 (so the grid embeds its N/2 grid), got {n}")
         check_dim(self.dim)
         _check_grid_dim(self.dim)
@@ -900,10 +887,13 @@ class GridSpec:
 def truncation_radius(envelope: Envelope, dim: int, tol: float, label: str) -> float:
     """Smallest radius of ``RADIUS_LADDER`` whose closed-form tail bound is at most tol / 2.
 
-    Rungs are tried smallest first, so the wide rungs serve only integrands
-    whose tails need them, such as the Gauss weight of ``gauss_inversion``
-    at small alpha, whose length scale 1/(2 pi sqrt(alpha)) outgrows 16.
+    An envelope that certifies no integral is refused first, by name
+    (``_require_integrable``).  Rungs are tried smallest first, so the wide
+    rungs serve only integrands whose tails need them, such as the Gauss
+    weight of ``gauss_inversion`` at small alpha, whose length scale
+    1/(2 pi sqrt(alpha)) outgrows 16.
     """
+    _require_integrable(envelope, label)
     for r in RADIUS_LADDER:
         if envelope.tail_bound(r, dim) <= tol / 2.0:
             return r
@@ -939,39 +929,37 @@ def walk_ladders(
     so values the walks have in common (such as f(x - u) under kernels of
     several scales, or the phase matrices of several frequencies) are
     computed once per grid.  Each rung evaluates its integrand once: the N/2
-    sum reuses the N-grid's even nodes, and a block-sum walk (see
-    ``_block_sums``) that climbs from the N/2 rung takes that sum from the
-    rung below, and a rung that every walk on it climbed to contracts the
-    fine weights alone.  The stopping test reads the coarse sum only.
-    Ladder grids are built once per process and shared by every walk; the
-    node budget is checked before each rung all the same.
+    sum reuses the N-grid's even nodes (``_block_sums`` says what a climbed
+    rung reuses).  The stopping test reads the coarse sum only.  Ladder
+    grids are built once per process and shared by every walk; the node
+    budget is checked before each rung all the same.
 
     A dim above 3 is refused before the first rung, as ``GridSpec``
     refuses it (``_check_grid_dim``), not reported as a node budget that
     admits no rung.
 
-    Every walk keeps three rules, checked here for every ladder walk (and
-    by ``_grid_walks`` for the walks of a fixed grid): the tolerance is
-    positive and finite (``_check_tolerance``, ValueError); each envelope
-    certifies integrability (``_require_integrable``), checked walk by walk
-    as the radii are chosen, so before any grid sum; and a walk whose fine
-    or coarse sums on a rung are not all finite ends on that rung, failed,
-    while the others walk on.  When walks fail, the first failed walk's
-    error is raised once every walk has ended, naming its label and, for a
-    walk that reached no rung, its own phase cap.
+    Every walk keeps four rules, here for every ladder walk (and, on its
+    one rung, in ``_grid_walks`` for a fixed grid's walks):
+
+    * the tolerance is positive and finite (``_check_tolerance``, ValueError);
+    * its envelope certifies integrability (``truncation_radius``);
+    * its tail bound reaches tol / 2 on the radius ladder (``truncation_radius``);
+    * its fine and coarse sums on each rung are finite.
+
+    The envelope rules are judged walk by walk, in walk order, as the radii
+    are picked, so a refused envelope raises before any grid sum.  A walk
+    whose sums fail (not finite, or never within the tolerance, or on no
+    rung the budget and its phase cap admit) ends failed while the others
+    walk on, and the first failed walk's error is raised once every walk
+    has ended, naming its label and, for a walk that reached no rung, its
+    own phase cap.
     """
     _check_tolerance(tol)
     _check_grid_dim(dim)
-    radii, floors, unreachable = [], [], None
+    radii, floors = [], []
     for envelope, label, rate in zip(envelopes, labels, phase_rate):
-        _require_integrable(envelope, label)
-        try:
-            radius = truncation_radius(envelope, dim, tol, label)
-        except QuadratureError as exc:
-            unreachable = exc  # raised unless a walk before it fails first
-            break
-        radii.append(radius)
-        floors.append(8.0 * radius * rate)  # the phase cap: the fewest points per axis
+        radii.append(truncation_radius(envelope, dim, tol, label))
+        floors.append(8.0 * radii[-1] * rate)  # the phase cap: the fewest points per axis
     joined = sorted(range(len(radii)), key=lambda i: (bisect_left(POINTS_LADDER, floors[i]), i))
     budget = node_budget()
     found = [None] * len(radii)
@@ -1008,8 +996,6 @@ def walk_ladders(
             else:
                 reason = "phase cap exceeds the point ladder"
             raise QuadratureError(f"tolerance unreachable at budget for {labels[i]!r}: {reason}")
-    if unreachable is not None:
-        raise unreachable
     return found
 
 
@@ -1123,9 +1109,8 @@ def _grid_walks(grid_sums: Callable, grid: GridSpec, envelopes, labels) -> list[
 
     ``grid_sums(grid, walks)`` is called once, with every walk (see
     ``walk_ladders``), so the walks share one pass over the grid's blocks.
-    The walks keep ``walk_ladders``' rules on their one rung: every envelope
-    must certify integrability before the grid is summed, and the first walk
-    whose sums are not all finite fails.
+    The walks keep the rules of ``walk_ladders`` that a fixed grid can break:
+    integrable envelopes, and finite sums.
     """
     for envelope, label in zip(envelopes, labels):
         _require_integrable(envelope, label)

@@ -19,7 +19,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .kernels import KernelScale, gauss, weierstrass, weierstrass_peak
-from .points import cis, real_point, real_points
+from .points import cis, modulus, real_point, real_points
 from .quadrature import (
     _TINY,
     CompactSupport,
@@ -113,9 +113,7 @@ def _transform_table(cases: list, xi_arr: np.ndarray, tol: float) -> np.ndarray:
     frequency whose norm overflows has an infinite phase cap, and its walk
     reaches no rung.
     """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
-    worst = float(norms.max()) if xi_arr.size else 0.0
+    worst = float(modulus(xi_arr).max()) if xi_arr.size else 0.0
 
     def grid_sums(grid: GridSpec, walks: list) -> list[np.ndarray]:
         return grid.phase_sum([cases[i] for i in walks], xi_arr)
@@ -142,8 +140,7 @@ def _transform_rows(g: TestFunction | _Integrand, xi_arr: np.ndarray, tol: float
     from one over a single column.  A frequency whose norm overflows has an
     infinite phase cap, and its walk reaches no rung.
     """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((xi_arr * xi_arr).sum(axis=1))
+    norms = modulus(xi_arr)
     count = xi_arr.shape[0]
 
     def grid_sums(grid: GridSpec, walks: list) -> np.ndarray:
@@ -183,9 +180,8 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
     if arr.shape != (f.dim,):
         raise ValueError(f"expected a frequency of dimension {f.dim}, got shape {arr.shape}")
     re, im = arr.real.copy(), arr.imag.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        q2 = float(np.sum(im * im))
-    if not (np.isfinite(re).all() and math.isfinite(q2)):
+    q = modulus(im)
+    if not (np.isfinite(re).all() and math.isfinite(q)):
         raise ValueError(f"expected a finite complex frequency with a finite |Im xi|^2, got {arr.tolist()}")
     if not np.any(im):
         return fourier(f, re, tol)
@@ -195,7 +191,6 @@ def fourier_complex(f: TestFunction, xi, tol: float = 1e-8) -> complex:
             "to certify the tail against exponential growth"
         )
     c = f.envelope.rate
-    q = math.sqrt(q2)
     exponent = 2.0 * math.pi**2 * q * q / c
     if exponent > _EXP_MAX:
         raise QuadratureError(
@@ -260,14 +255,8 @@ def mollify_ladder(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float) ->
     each tile of the block's f(x - u) matrix is evaluated once per grid, on
     the rows of xs that some walk on it needs, and contracted with the kernel
     weight rows of every alpha on it at once; for an integrable f, f(y) is
-    shared and each alpha builds its own kernel matrix.  A walk's first
-    rung contracts its block values with the fine and the embedded coarse
-    weights alike, so the coarse sum costs no evaluation of f (see
-    ``GridSpec.sum``); a rung it climbs to from the N/2 rung of its radius
-    takes the coarse sum from there, and a rung that every walk on it
-    climbed to contracts the fine weights alone (see
-    ``quadrature._block_sums``).
-    In dim 1, when the points and a block's nodes lie on one dyadic lattice,
+    shared and each alpha builds its own kernel matrix.  The coarse sums
+    cost no evaluation of f (see ``quadrature._block_sums``).  In dim 1, when the points and a block's nodes lie on one dyadic lattice,
     that matrix (f(x - u), or an integrable f's kernel matrix) is read from
     one sampling of f (of each alpha's kernel) on the lattice, kept until
     a block meets another lattice, with the same entries bit for bit (see
@@ -323,8 +312,8 @@ def _mollify_walks(f: TestFunction, alphas, xs: np.ndarray, inner_tol: float, pe
     sum's block evaluator (``block_for``) picks the alphas and rows of xs
     of its walks, and reads each walk's rows back from the block's product.
     The call keeps what its grid sums share: the last sampling of f (or of
-    each alpha's kernel) on a dyadic lattice, and the fine sums of each
-    walk's last rung, which are the coarse sums of the rung it climbs to.
+    each alpha's kernel) on a dyadic lattice, and each walk's last rung
+    (``quadrature._block_sums``).
     """
     scales = [KernelScale(float(alpha), f.dim) for alpha in alphas]
     peaks = [weierstrass_peak(scale) for scale in scales]
@@ -506,7 +495,8 @@ def invert_spectrum(spectrum_at: Callable, dim: int, xs, alphas, tol: float, lab
         GaussianDecay(4.0 * math.pi**2 * scale.alpha, spectrum.bound * (1.0 + 1e-9) + _TINY)
         for scale, spectrum in zip(scales, spectra) for _ in xs
     ]
-    rates = [float(np.sqrt(np.sum(x * x))) + spectrum.rate for spectrum in spectra for x in xs]
+    norms = modulus(xs).tolist()
+    rates = [norm + spectrum.rate for spectrum in spectra for norm in norms]
     walked = walk_ladders(_block_sums(block_for), envelopes, dim, tol / 2.0, [name] * len(envelopes), rates)
     return np.array([fine[0] for fine, _, _ in walked], dtype=np.complex128).reshape(len(scales), k)
 

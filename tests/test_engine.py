@@ -1257,6 +1257,16 @@ def test_a_ladder_raises_the_one_alpha_error(default_ladders):
         assert str(ladder.value) == str(alone.value)
 
 
+def test_an_unreachable_tail_is_refused_before_any_phase_sum_in_either_order(monkeypatch, default_ladders):
+    # weierstrass:5000's tail stays above tol / 2 at radius 64; the envelopes are judged in walk order as the
+    # radii are picked, so weierstrass:0.001's walk (rungs 128 to 1024 alone) is not summed first
+    monkeypatch.setattr(GridSpec, "phase_sum", lambda *args: pytest.fail("ran a phase sum"))
+    cases = [(weierstrass_fn(0.001), False), (weierstrass_fn(5000.0), False)]
+    for ordered in (cases, cases[::-1]):
+        with pytest.raises(QuadratureError, match=r"tail bound for 'weierstrass:5000' stays above 5\.000e-09 at radius 64"):
+            transforms._transform_table(ordered, np.array([[0.5]]), 1e-8)
+
+
 def _assert_the_one_alpha_pairings(measure, h, alphas, grid, tol):
     samples = weak_convergence_trace(measure, h, alphas, grid, tol)
     target = measure.apply(h, tol)

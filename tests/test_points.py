@@ -1,6 +1,7 @@
 """Bilinear dot product, modulus, and the elementary inequalities."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,14 @@ def test_modulus_pythagorean_triple():
 
 def test_modulus_complex_coordinates():
     assert modulus([1j, 1.0]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_a_modulus_beyond_float64_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert modulus([1e200, 0.0]) == math.inf
+        assert modulus([1e200j]) == math.inf
+        assert modulus(np.array([[1e200], [3.0]])).tolist() == [math.inf, 3.0]
 
 
 def test_check_inequalities_collinear_equality():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,12 +74,22 @@ class TestEnvelopeChecks:
             )
 
     def test_compact_support_violation_rejected(self):
-        with pytest.raises(ValueError, match="compact support"):
+        with pytest.raises(ValueError, match=re.escape("violates its declared envelope CompactSupport(radius=2.0)")):
             TestFunction(
                 f=lambda pts: np.exp(-np.sum(pts * pts, axis=1)),
                 dim=1,
                 envelope=CompactSupport(2.0),
             )
+
+    def test_compact_support_is_judged_by_its_bound_like_every_envelope(self):
+        # CompactSupport.bound is 0 outside the radius: the spot check's floor of 1e-300 holds there, as it
+        # does under every other envelope, and a value above it is refused
+        def outside(level):
+            return lambda pts: np.where(np.abs(pts[:, 0]) > 2.0, level, 0.0)
+
+        assert TestFunction(outside(1e-301), 1, CompactSupport(2.0)).integrable
+        with pytest.raises(ValueError, match=r"CompactSupport\(radius=2.0\) \(worst excess 9.000e-300\)"):
+            TestFunction(outside(1e-299), 1, CompactSupport(2.0))
 
     def test_declared_sup_bound_checked(self):
         with pytest.raises(ValueError, match="sup bound"):

@@ -208,6 +208,27 @@ def test_a_boolean_dim_is_refused_by_name(build):
         build()
 
 
+FLOAT_COUNTS = [
+    (lambda n: GridSpec(4.0, 128, n), "dim", 2.0),
+    (lambda n: GridSpec(4.0, n, 1), "points_per_axis", 128.0),
+    (lambda n: BoundedMeasure(dim=n), "dim", 2.0),
+    (lambda n: KernelScale(0.1, n), "dim", 2.0),
+    (lambda n: TestFunction(lambda pts: np.zeros(pts.shape[0]), n, GaussianDecay(1.0, 1.0)), "dim", 1.0),
+    (lambda n: gauss_fn(0.1, n), "dim", 2.0),
+    (lambda n: bump_fn(1.0, n), "dim", 2.0),
+    (lambda n: run(ExperimentSpec("integrate", dim=n)), "dim", 1.0),
+]
+
+
+def test_a_float_dim_or_point_count_is_refused_by_name():
+    # 2.0 == 2, but a count is an integer: every entry keeps the one rule, points.check_dim, which a numpy
+    # integer passes
+    for build, name, value in FLOAT_COUNTS:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            build(value)
+        build(np.int64(value))
+
+
 @pytest.mark.parametrize(
     "name, param",
     [
@@ -384,8 +405,11 @@ def test_a_complex_frequency_whose_growth_overflows_at_far_nodes_is_not_certifie
         lambda: fourier(parse_preset("gauss:0.1"), [1e300]),
         lambda: fourier_profile(parse_preset("gauss:0.1"), [[1e300]]),
         lambda: measure_from_json('{"dim": 1, "atoms": [{"at": [0.3], "re": 1.0}], "density": "gauss:0.1"}').fourier([1e300]),
+        # a point or an atom at 1e200: the inversion's phase rate |x| + rate overflows
+        lambda: gauss_inversion_ladder(parse_preset("weierstrass:0.1"), [0.1], [[1e200]]),
+        lambda: dirac([1e200]).gauss_inversion([0.0], 0.1),
     ],
-    ids=["fourier", "fourier_profile", "measure.fourier"],
+    ids=["fourier", "fourier_profile", "measure.fourier", "gauss_inversion_ladder", "dirac.gauss_inversion"],
 )
 def test_a_frequency_whose_norm_overflows_reaches_no_rung_without_a_warning(call):
     with warnings.catch_warnings():
